@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 from scipy.linalg.lapack import dpotrf
 
 __all__ = [
@@ -29,6 +30,9 @@ __all__ = [
     "densify",
     "spmv",
     "cholesky",
+    "check_symmetric",
+    "sparse_spd_factor",
+    "sparse_lu_factor",
     "sym_eig",
     "gen_sym_eig",
     "lu_solve",
@@ -75,9 +79,12 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
-def _check_symmetric(s: np.ndarray, rtol: float = 1e-10) -> np.ndarray:
-    scale = max(np.abs(s).max(), 1.0)
-    if np.abs(s - s.T).max() > rtol * scale:
+def check_symmetric(s, rtol: float = 1e-10):
+    """Return the symmetric part of a dense or scipy.sparse matrix after
+    checking that it differs from its transpose by at most rtol relative
+    to its largest entry (or to 1); ValueError otherwise."""
+    scale = max(abs(s).max(), 1.0)
+    if abs(s - s.T).max() > rtol * scale:
         raise ValueError("matrix is not symmetric")
     return 0.5 * (s + s.T)
 
@@ -217,6 +224,11 @@ class CsrMatrix:
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         return self._scipy.copy()
 
+    @property
+    def csr(self) -> scipy.sparse.csr_matrix:
+        """The scipy form of this matrix, shared rather than copied: read it only."""
+        return self._scipy
+
     def add(self, other: "CsrMatrix") -> "CsrMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
@@ -257,7 +269,7 @@ def cholesky(s) -> CholeskyFactor:
     pivot, or when a pivot falls at or below dim * eps * max(diag),
     which flags numerically semidefinite inputs.
     """
-    m = _check_symmetric(_as_square(s))
+    m = check_symmetric(_as_square(s))
     n = m.shape[0]
     c, info = dpotrf(m, lower=1)
     if info > 0:
@@ -272,9 +284,50 @@ def cholesky(s) -> CholeskyFactor:
     return CholeskyFactor(lower=lower)
 
 
+def sparse_spd_factor(s) -> scipy.sparse.linalg.SuperLU:
+    """Sparse factor P^T L U P of a symmetric positive definite matrix.
+
+    SuperLU runs in symmetric mode: minimum-degree ordering on A^T + A
+    and diagonal pivots only, so U = D L^T and the pivots are those of
+    Cholesky.  Symmetry is the caller's to check (check_symmetric), once
+    for a whole matrix rather than per block.  Fails with
+    NotPositiveDefiniteError when SuperLU has to pivot off the diagonal
+    or meets a singular column, or when a pivot falls at or below
+    dim * eps * max(diag) -- the threshold of :func:`cholesky`.
+    """
+    s = scipy.sparse.csc_matrix(s)
+    n = s.shape[0]
+    try:
+        factor = scipy.sparse.linalg.splu(
+            s, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NotPositiveDefiniteError(pivot=-1, message=f"matrix is singular: {exc}") from exc
+    if not np.array_equal(factor.perm_r, factor.perm_c):
+        raise NotPositiveDefiniteError(
+            pivot=-1, message="matrix is not positive definite (off-diagonal pivot)")
+    pivots = factor.U.diagonal()
+    threshold = n * np.finfo(float).eps * max(s.diagonal().max(), 0.0)
+    if pivots.min() <= threshold:
+        # column j of U is column i of s where perm_c[i] == j
+        raise NotPositiveDefiniteError(pivot=int(np.argsort(factor.perm_c)[np.argmin(pivots)]))
+    return factor
+
+
+def sparse_lu_factor(a) -> scipy.sparse.linalg.SuperLU:
+    """Sparse LU factor of a square matrix with SuperLU's default
+    threshold partial pivoting; SingularMatrixError when it is exactly
+    singular."""
+    try:
+        return scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(a))
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise SingularMatrixError(pivot=-1, message=f"matrix is singular: {exc}") from exc
+
+
 def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
-    m = _check_symmetric(_as_square(s))
+    m = check_symmetric(_as_square(s))
     try:
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
@@ -288,7 +341,7 @@ def gen_sym_eig(s, m) -> np.ndarray:
     Reduces through M = L L^T to the ordinary symmetric problem for
     L^{-1} S L^{-T}.
     """
-    s = _check_symmetric(_as_square(s))
+    s = check_symmetric(_as_square(s))
     factor = cholesky(m)
     y = scipy.linalg.solve_triangular(factor.lower, s, lower=True)
     reduced = scipy.linalg.solve_triangular(factor.lower, y.T, lower=True).T

@@ -2,11 +2,14 @@
 
 Subdomains come from a deterministic structured partition (contiguous
 strips or a p x q grid of the lattice), grown by graph adjacency of the
-matrix sparsity for overlap.  The symmetric modes factor local blocks of
-the symmetric part with dense Cholesky; the non-symmetric one-level mode
-factors blocks of the full operator with LU.  The two-level mode adds a
-coarse solve together with its deflation projector: with coarse basis Z
-and G = Z^T M Z,
+matrix sparsity for overlap.  Local blocks are sliced from the sparse
+matrix and factored by SuperLU (sparse direct): the symmetric modes
+factor blocks of the symmetric part in symmetric mode with diagonal
+pivots, so an indefinite or singular block is rejected as it would be
+by Cholesky; the non-symmetric one-level mode factors blocks of the
+full operator with partial pivoting.  The two-level mode adds a coarse
+solve together with its deflation projector: with coarse basis Z and
+G = Z^T M Z (small and dense, factored by dense Cholesky),
 
     apply(v) = P [sum_s R_s^T (R_s M R_s^T)^{-1} R_s] P^T v
                + Z G^{-1} Z^T v,      P = I - Z G^{-1} Z^T M.
@@ -24,10 +27,17 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dpstrf
 
-from .linalg import CholeskyFactor, CsrMatrix, LinearOperator, cholesky, densify, gen_sym_eig
+from .linalg import (
+    CsrMatrix,
+    LinearOperator,
+    check_symmetric,
+    cholesky,
+    densify,
+    sparse_lu_factor,
+    sparse_spd_factor,
+)
 from .weighting import PreconditionerHandle, WeightOperator
 
 __all__ = [
@@ -40,12 +50,6 @@ __all__ = [
     "condition_number",
     "dump_partition_json",
 ]
-
-LOCAL_BLOCK_LIMIT = 4096
-
-# threshold parameter of the spectral-coarse-space theory; carried as
-# metadata only, the partition-of-unity substitute has no use for it
-DEFAULT_TAU = 0.15
 
 
 @dataclass
@@ -163,32 +167,39 @@ def build_coarse_space(maps: SubdomainMaps, m_matrix: CsrMatrix,
     """
     if kind != "pou_constants":
         raise ValueError(f"unknown coarse space kind {kind!r}")
+    return _pou_coarse_space(maps, m_matrix)[0]
+
+
+def _pou_coarse_space(maps: SubdomainMaps, m_matrix: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The rank-filtered coarse basis Z (also stored on the maps) and its
+    Gram matrix Z^T M Z."""
     n = m_matrix.rows
     z = np.zeros((n, len(maps.subdomains)))
     for k, sub in enumerate(maps.subdomains):
         z[sub, k] = 1.0 / maps.membership_counts[sub]
-    gram = z.T @ (m_matrix.to_scipy() @ z)
-    gram = 0.5 * (gram + gram.T)
+    gram = _gram(z, m_matrix)
     _, piv, rank, _ = dpstrf(gram, lower=1, tol=1e-12 * max(gram.diagonal().max(), 0.0))
     if rank == 0:
         raise ValueError("coarse space is empty after rank filtering")
     keep = np.sort(piv[:rank] - 1)
-    basis = z[:, keep]
-    maps.coarse_basis = basis
-    return basis
+    maps.coarse_basis = z[:, keep]
+    return maps.coarse_basis, gram[np.ix_(keep, keep)]
+
+
+def _gram(z: np.ndarray, m_matrix: CsrMatrix) -> np.ndarray:
+    gram = z.T @ (m_matrix.csr @ z)
+    return 0.5 * (gram + gram.T)
 
 
 class SchwarzPreconditioner:
     """Assembled additive Schwarz operator in one of three modes."""
 
     def __init__(self, mode, matrix: CsrMatrix, maps: SubdomainMaps,
-                 coarse_basis: np.ndarray | None, local_factors, coarse_factor,
-                 tau: float = DEFAULT_TAU):
+                 coarse_basis: np.ndarray | None, local_factors, coarse_factor):
         self.mode = mode
         self.dim = matrix.rows
         self.maps = maps
-        self.tau = tau
-        self._matrix = matrix.to_scipy()
+        self._matrix = matrix.csr
         self._locals = local_factors
         self._coarse_basis = coarse_basis
         self._coarse_factor = coarse_factor
@@ -203,10 +214,7 @@ class SchwarzPreconditioner:
     def _local_sum(self, v: np.ndarray) -> np.ndarray:
         out = np.zeros_like(v)
         for sub, fac in zip(self.maps.subdomains, self._locals):
-            if self.mode == "one_level_nonsym":
-                out[sub] += scipy.linalg.lu_solve(fac, v[sub])
-            else:
-                out[sub] += fac.solve(v[sub])
+            out[sub] += fac.solve(v[sub])
         return out
 
     def apply(self, v) -> np.ndarray:
@@ -241,35 +249,32 @@ def build_preconditioner(matrix: CsrMatrix, maps: SubdomainMaps, mode: str,
                          coarse_basis: np.ndarray | None = None) -> SchwarzPreconditioner:
     """Factor the local (and coarse) blocks and return the preconditioner.
 
-    Symmetric modes expect the symmetric part of the operator and use
-    Cholesky on the extracted blocks; the non-symmetric one-level mode
-    expects the full operator and uses LU.  For the two-level mode a
-    missing coarse basis is built from partition-of-unity constants.
+    Symmetric modes expect the symmetric part of the operator (ValueError
+    otherwise) and factor its blocks with sparse symmetric-mode SuperLU,
+    raising NotPositiveDefiniteError on a block that is not positive
+    definite; the non-symmetric one-level mode expects the full operator
+    and factors its blocks with sparse LU, raising SingularMatrixError on
+    a singular block.  For the two-level mode a missing coarse basis is
+    built from partition-of-unity constants.
     """
     if mode not in ("one_level_sym", "two_level_sym", "one_level_nonsym"):
         raise ValueError(f"unknown preconditioner mode {mode!r}")
-    for sub in maps.subdomains:
-        if len(sub) > LOCAL_BLOCK_LIMIT:
-            raise ValueError(
-                f"subdomain of size {len(sub)} exceeds the dense local-solve cap {LOCAL_BLOCK_LIMIT}"
-            )
-    locals_ = []
-    for sub in maps.subdomains:
-        block = matrix.submatrix(sub).to_dense()
-        if mode == "one_level_nonsym":
-            locals_.append(scipy.linalg.lu_factor(block))
-        else:
-            locals_.append(cholesky(block))
+    if mode == "one_level_nonsym":
+        factor = sparse_lu_factor
+        csc = matrix.csr.tocsc()
+    else:
+        factor = sparse_spd_factor
+        csc = check_symmetric(matrix.csr).tocsc()
+    locals_ = [factor(csc[sub][:, sub]) for sub in maps.subdomains]
 
     coarse_factor = None
     if mode == "two_level_sym":
-        if coarse_basis is None:
-            coarse_basis = (
-                maps.coarse_basis if maps.coarse_basis is not None
-                else build_coarse_space(maps, matrix)
-            )
-        gram = coarse_basis.T @ (matrix.to_scipy() @ coarse_basis)
-        coarse_factor = cholesky(0.5 * (gram + gram.T))
+        if coarse_basis is None and maps.coarse_basis is None:
+            coarse_basis, gram = _pou_coarse_space(maps, matrix)
+        else:
+            coarse_basis = maps.coarse_basis if coarse_basis is None else coarse_basis
+            gram = _gram(coarse_basis, matrix)
+        coarse_factor = cholesky(gram)
     else:
         coarse_basis = None
 

@@ -12,6 +12,8 @@ from wpkrylov.linalg import (
     densify,
     gen_sym_eig,
     lu_solve,
+    sparse_lu_factor,
+    sparse_spd_factor,
     spmv,
     sym_eig,
 )
@@ -92,6 +94,11 @@ class TestCholesky:
     def test_indefinite_raises_with_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as info:
             cholesky(np.diag([1.0, -1.0, 2.0]))
+        assert info.value.pivot == 1
+
+    def test_sparse_indefinite_raises_with_pivot(self):
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            sparse_spd_factor(np.diag([1.0, -1.0, 2.0]))
         assert info.value.pivot == 1
 
     def test_solve(self):
@@ -189,6 +196,10 @@ class TestLuSolve:
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
             lu_solve(np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([1.0, 1.0]))
+
+    def test_sparse_singular(self):
+        with pytest.raises(SingularMatrixError):
+            sparse_lu_factor(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 class TestOperators:

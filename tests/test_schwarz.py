@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wpkrylov.cdr import CdrProblemSpec, assemble
-from wpkrylov.linalg import CsrMatrix
+from wpkrylov.linalg import CsrMatrix, NotPositiveDefiniteError, SingularMatrixError
 from wpkrylov.schwarz import (
     PartitionSpec,
     build_coarse_space,
@@ -193,3 +194,88 @@ class TestConditionNumber:
         kappa_two = condition_number(two, assembled.m_matrix)
         assert np.isfinite(kappa_two)
         assert kappa_two < kappa_one
+
+
+def dense_reference_apply(precond, matrix: CsrMatrix, v):
+    """H v from dense Cholesky (symmetric modes) or dense LU factors of the
+    same subdomain blocks, and a dense coarse solve on the same basis."""
+    dense = matrix.to_dense()
+    if precond.mode == "one_level_nonsym":
+        factors = [scipy.linalg.lu_factor(dense[np.ix_(sub, sub)])
+                   for sub in precond.maps.subdomains]
+        solve = scipy.linalg.lu_solve
+    else:
+        factors = [scipy.linalg.cho_factor(dense[np.ix_(sub, sub)])
+                   for sub in precond.maps.subdomains]
+        solve = scipy.linalg.cho_solve
+
+    def local_sum(w):
+        out = np.zeros_like(w)
+        for sub, fac in zip(precond.maps.subdomains, factors):
+            out[sub] += solve(fac, w[sub])
+        return out
+
+    if precond.mode != "two_level_sym":
+        return local_sum(v)
+    z = precond.maps.coarse_basis
+    gram = scipy.linalg.cho_factor(z.T @ dense @ z)
+
+    def coarse(w):
+        return z @ scipy.linalg.cho_solve(gram, z.T @ w)
+
+    c = coarse(v)
+    local = local_sum(v - dense @ c)
+    return local - coarse(dense @ local) + c
+
+
+class TestSparseFactors:
+    @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym", "one_level_nonsym"])
+    def test_matches_dense_reference(self, cdr_assembled, mode):
+        assembled = cdr_assembled(20)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        matrix = assembled.full_matrix() if mode == "one_level_nonsym" else assembled.m_matrix
+        precond = build_preconditioner(matrix, maps, mode)
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            v = rng.standard_normal(assembled.dof_count)
+            expected = dense_reference_apply(precond, matrix, v)
+            got = precond.apply(v)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym"])
+    def test_indefinite_block_rejected(self, cdr_assembled, mode):
+        assembled = cdr_assembled(12)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "strips"),
+                               coords=assembled.dof_coords)
+        m_sp = assembled.m_matrix.to_scipy().tolil()
+        m_sp[5, 5] = -m_sp[5, 5]
+        with pytest.raises(NotPositiveDefiniteError):
+            build_preconditioner(CsrMatrix.from_scipy(m_sp), maps, mode)
+
+    @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym"])
+    def test_nonsymmetric_input_rejected(self, cdr_assembled, mode):
+        assembled = cdr_assembled(12)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "strips"),
+                               coords=assembled.dof_coords)
+        with pytest.raises(ValueError, match="not symmetric"):
+            build_preconditioner(assembled.full_matrix(), maps, mode)
+
+    def test_nonsym_singular_block_rejected(self, cdr_assembled):
+        assembled = cdr_assembled(12)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "strips"),
+                               coords=assembled.dof_coords)
+        a_sp = assembled.full_matrix().to_scipy().tolil()
+        a_sp[7, :] = 0.0
+        with pytest.raises(SingularMatrixError):
+            build_preconditioner(CsrMatrix.from_scipy(a_sp), maps, "one_level_nonsym")
+
+    def test_block_larger_than_4096_is_exact_inverse(self, cdr_assembled):
+        assembled = cdr_assembled(70)
+        assert assembled.dof_count > 4096
+        maps = build_partition(assembled.m_matrix, PartitionSpec(1),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "one_level_sym")
+        v = np.random.default_rng(4).standard_normal(assembled.dof_count)
+        residual = assembled.m_matrix.matvec(precond.apply(v)) - v
+        assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(v)

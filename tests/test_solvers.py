@@ -381,6 +381,35 @@ class TestMeshProblemRuns:
         for i, value in enumerate(norms):
             assert value / norms[0] <= report.bound1**i * (1.0 + 1e-10)
 
+    def test_h_application_counts_with_w_equal_h(self, cdr_assembled):
+        # the paper's cost claim: with W = H, whp_gcr applies H once per
+        # iteration (plus two), wp_gcr_right three times (H r, W(A z), W r)
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(40)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return precond.apply(v)
+
+        h = PreconditionerHandle(assembled.dof_count, counted, hermitian_flag=True)
+        w = WeightOperator(assembled.dof_count, counted, validate=False)
+        system = LinearSystem(assembled.operator(), assembled.rhs)
+
+        special = whp_gcr(system, h, SolveConfig())
+        assert special.status == "converged" and special.iterations > 0
+        assert calls[0] == special.iterations + 2
+
+        calls[0] = 0
+        generic = wp_gcr_right(system, h, w, SolveConfig())
+        assert generic.status == "converged"
+        assert generic.iterations == special.iterations
+        assert calls[0] == 3 * generic.iterations + 2
+
 
 class TestGmresOracle:
     def test_identity_one_iteration(self):
