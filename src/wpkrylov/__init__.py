@@ -23,7 +23,6 @@ from .linalg import (
     cholesky,
     gen_sym_eig,
     lu_solve,
-    spmv,
     sym_eig,
 )
 from .schwarz import (

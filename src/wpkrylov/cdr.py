@@ -124,9 +124,8 @@ class AssembledCdr:
         return self.m_matrix.add(self.n_matrix)
 
     def operator(self) -> LinearOperator:
-        m_sp = self.m_matrix.to_scipy()
-        n_sp = self.n_matrix.to_scipy()
-        return LinearOperator(self.dof_count, lambda v: m_sp @ v + n_sp @ v)
+        a = self.m_matrix.csr + self.n_matrix.csr
+        return LinearOperator(self.dof_count, lambda v: a @ v)
 
 
 def _scalar_field(f, x, y):

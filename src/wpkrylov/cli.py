@@ -38,7 +38,6 @@ from .solvers import (
 )
 from .weighting import PreconditionerHandle, WeightOperator
 
-DEFAULT_SEED = 0xC0FFEE
 SOLVE_MESH_BUDGET = 200
 DENSE_EIG_MESH_BUDGET = 50
 
@@ -99,7 +98,6 @@ def build_parser() -> _Parser:
         p.add_argument("--tol", type=float, default=1e-6)
         p.add_argument("--max-iter", type=int, default=500)
         p.add_argument("--stop-norm", default="weighted", choices=["weighted", "euclidean"])
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
         p.add_argument("--force", action="store_true",
                        help="override the desk-scale mesh budgets")
         p.add_argument("--out", help="report output path")
@@ -161,10 +159,9 @@ class _Problem:
         self.rhs = rhs
         self.coords = coords
         self.label = label
-        m_sp = m_matrix.to_scipy()
-        n_sp = n_matrix.to_scipy()
+        a = m_matrix.csr + n_matrix.csr
         self.dim = m_matrix.rows
-        self.operator = LinearOperator(self.dim, lambda v: m_sp @ v + n_sp @ v)
+        self.operator = LinearOperator(self.dim, lambda v: a @ v)
 
     def full_matrix(self) -> CsrMatrix:
         return self.m_matrix.add(self.n_matrix)
@@ -201,6 +198,8 @@ def _load_problem(args) -> _Problem:
             n_part = CsrMatrix.from_scipy((a_sp - a_sp.T) * 0.5)
         if rhs.shape != (m_part.rows,):
             raise UsageError("right-hand side length does not match the matrix")
+        if not np.all(np.isfinite(rhs)):
+            raise UsageError("right-hand side has a non-finite entry")
         return _Problem(m_part, n_part, rhs, None, f"matrix {args.matrix}")
     raise UsageError("provide either --cdr or --matrix")
 

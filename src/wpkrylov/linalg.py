@@ -28,7 +28,6 @@ __all__ = [
     "CholeskyFactor",
     "aslinearoperator",
     "densify",
-    "spmv",
     "cholesky",
     "check_symmetric",
     "sparse_spd_factor",
@@ -237,11 +236,6 @@ class CsrMatrix:
     def submatrix(self, idx) -> "CsrMatrix":
         idx = np.asarray(idx, dtype=np.int64)
         return CsrMatrix.from_scipy(self._scipy[np.ix_(idx, idx)])
-
-
-def spmv(m: CsrMatrix, x) -> np.ndarray:
-    """Sparse matrix-vector product m @ x."""
-    return m.matvec(x)
 
 
 @dataclass

@@ -5,11 +5,19 @@ residual method run in a weighted inner product: search directions p_i
 with images q_i = A p_i kept pairwise W-orthogonal, the residual update
 r <- r - alpha q with alpha = <q, r>_W / <q, q>_W.  Truncated
 (Orthomin(k), minimal-residual) and restarted variants reuse the same
-loop with a direction window.  When the preconditioner is symmetric
-positive definite and doubles as the weight, specialized arrangements
-save applications of it; two storage-lean rearrangements of that scheme
-are provided as well.  A modified-Gram-Schmidt Arnoldi GMRES in the same
-inner product serves as an independent reference implementation.
+loop with a direction window.  Left preconditioning is a reduction: it
+is the right-preconditioned loop on H A x = H b with the identity as
+preconditioner.  When the preconditioner is symmetric positive definite
+and doubles as the weight, specialized arrangements save applications
+of it; two storage-lean rearrangements of that scheme are provided as
+well.  A modified-Gram-Schmidt Arnoldi GMRES in the same inner product
+serves as an independent reference implementation.
+
+Every GCR loop keeps its directions in one blocked store: p_j and the
+vectors held beside it are rows of preallocated row-major (capacity, n)
+blocks, so a projection against all held directions is one
+matrix-vector product for the coefficients and one per block for the
+update, whatever their number.
 
 All solvers report per-iteration residual norms in both the weighted and
 the Euclidean norm, the iteration coefficients, and breakdown events.
@@ -58,7 +66,11 @@ _REORTH_TRIGGER = 1e-6
 
 @dataclass
 class LinearSystem:
-    """The problem A x = b with an optional initial guess."""
+    """The problem A x = b with an optional initial guess.
+
+    A non-finite entry in the right-hand side or the initial guess is
+    rejected with ValueError.
+    """
 
     operator: LinearOperator
     rhs: np.ndarray
@@ -69,10 +81,14 @@ class LinearSystem:
         self.rhs = np.asarray(self.rhs, dtype=float)
         if self.rhs.shape != (self.operator.dim,):
             raise ValueError("right-hand side does not match operator dimension")
+        if not np.all(np.isfinite(self.rhs)):
+            raise ValueError("right-hand side has a non-finite entry")
         if self.x0 is not None:
             self.x0 = np.asarray(self.x0, dtype=float)
             if self.x0.shape != (self.operator.dim,):
                 raise ValueError("initial guess does not match operator dimension")
+            if not np.all(np.isfinite(self.x0)):
+                raise ValueError("initial guess has a non-finite entry")
 
     @property
     def dim(self) -> int:
@@ -147,6 +163,16 @@ class IterationTrace:
 
 @dataclass
 class SolveResult:
+    """Outcome of a solve.
+
+    p_directions/q_directions are the directions the solver held when it
+    stopped, oldest first, as row views of its direction store:
+    every direction for full GCR and the whp family, at most the last k
+    for Orthomin(k) and at most the current cycle for GCR(k), none for
+    the minimal-residual iteration.  q_directions holds the images A p_j
+    (H A p_j for the left form and for whp_gcr_alt_a).
+    """
+
     x: np.ndarray
     trace: IterationTrace
     iterations: int
@@ -169,8 +195,159 @@ class _Stopping:
         return (rw if self.norm == "weighted" else r2) < self.target
 
 
+class _Directions:
+    """The held search directions of a GCR loop, as row-major blocks.
+
+    ``rows`` has shape (capacity, kinds, n).  Row j is the record of one
+    direction: p_j, then the vectors the solver keeps beside it (the
+    image, and the weighted image when there is one).  ``rows[:, i]`` is
+    the (capacity, n) block of kind i, row-major with a row stride of
+    kinds * n, which BLAS takes as it is.  Keeping a record contiguous
+    means a solve touches one growing prefix of the array, not one per
+    kind, so transparent huge pages round up one region only.  The
+    projection coefficients are taken against the last block, and block
+    1 is what SolveResult reports as q_directions.  Rows lo:hi are held,
+    oldest first.
+
+    Full GCR holds every direction.  Orthomin(k) holds the last k in 2k
+    rows and, when the rows run out, moves the newest k - 1 to the front.
+    GCR(k) holds at most k and is cleared at the end of each cycle.  The
+    blocks are allocated once with np.empty; rows never written cost no
+    resident memory.
+    """
+
+    def __init__(self, n: int, kinds: int, cfg: SolveConfig):
+        self.window = cfg.truncation_window
+        self.period = cfg.restart_period
+        if self.period is not None:
+            capacity = self.period
+        elif self.window is not None:
+            capacity = 2 * self.window
+        else:
+            capacity = cfg.max_iterations
+        self.rows = np.empty((min(capacity, cfg.max_iterations), kinds, n))
+        self.delta = np.empty(len(self.rows))
+        self.lo = self.hi = 0
+
+    def __len__(self) -> int:
+        return self.hi - self.lo
+
+    def held(self, kind: int) -> np.ndarray:
+        """The (held, n) rows of one block."""
+        return self.rows[self.lo:self.hi, kind]
+
+    def last(self, kind: int) -> np.ndarray:
+        return self.rows[self.hi - 1, kind]
+
+    def project(self, u: np.ndarray, record: list) -> tuple[np.ndarray, np.ndarray]:
+        """One classical Gram-Schmidt step on the new direction's record.
+
+        The coefficients are phi_j = <row j of the last block, u> and
+        beta_j = phi_j / delta_j; record[i] loses beta_j times row j of
+        block i, for each vector of the record.
+        """
+        if not self:
+            return np.empty(0), np.empty(0)
+        phi = self.held(-1) @ u
+        beta = phi / self.delta[self.lo:self.hi]
+        self._subtract(beta, record)
+        return phi, beta
+
+    def reorthogonalize(self, record: list, beta: np.ndarray) -> tuple[float, np.ndarray]:
+        """Classical Gram-Schmidt can leak; one corrective pass when it does.
+
+        ``record`` is the projected (p, q, ..., weighted image of q).
+        Probes the normalized Gram off-diagonals <row j of the last
+        block, q> and, when the largest exceeds _REORTH_TRIGGER, projects
+        the whole record once more.  Returns delta = <weighted image, q>
+        of the final record and the accumulated coefficients.
+        """
+        q, wq = record[1], record[-1]
+        delta = float(wq @ q)
+        if not self or not delta > 0.0:
+            return delta, beta
+        dots = self.held(-1) @ q
+        held_delta = self.delta[self.lo:self.hi]
+        worst = np.max(np.abs(dots) / np.maximum(np.sqrt(held_delta * delta), 1e-300))
+        if not worst > _REORTH_TRIGGER:
+            return delta, beta
+        extra = dots / held_delta
+        self._subtract(extra, record)
+        return float(wq @ q), beta + extra
+
+    def _subtract(self, beta: np.ndarray, record: list):
+        for kind, vector in enumerate(record):
+            vector -= beta @ self.held(kind)
+
+    def append(self, record: list, delta: float):
+        """Hold a new direction record (no-op for the minimal-residual iteration)."""
+        if self.window == 0:
+            return
+        if self.hi == len(self.delta):  # only a truncation window fills its rows
+            keep = self.window - 1
+            self.rows[:keep] = self.rows[self.hi - keep:self.hi]
+            self.delta[:keep] = self.delta[self.hi - keep:self.hi]
+            self.lo, self.hi = 0, keep
+        for kind, vector in enumerate(record):
+            self.rows[self.hi, kind] = vector
+        self.delta[self.hi] = delta
+        self.hi += 1
+        if self.window is not None:
+            self.lo = max(self.lo, self.hi - self.window)
+
+    def end_iteration(self, done: int, trace: IterationTrace):
+        """Clear the held directions when a restart cycle ends."""
+        if self.period is not None and done % self.period == 0:
+            trace.restart_markers.append(done)
+            self.lo = self.hi = 0
+
+    def result(self, x: np.ndarray, trace: IterationTrace) -> SolveResult:
+        return SolveResult(x, trace, len(trace.alpha), list(self.held(1)), list(self.held(0)))
+
+
 def _clamped_sqrt(value: float) -> float:
     return float(np.sqrt(max(value, 0.0)))
+
+
+def _start(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, rw: float, r2: float,
+           stop: _Stopping) -> bool:
+    """Record the initial residual; True when it already meets the target."""
+    trace.residual_norm_weighted.append(rw)
+    trace.residual_norm_euclidean.append(r2)
+    if cfg.record_iterates:
+        trace.iterates.append(x.copy())
+    if stop.done(rw, r2):
+        trace.status = "converged"
+        return True
+    return False
+
+
+def _record(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, alpha: float,
+            gamma: float, delta: float, beta: np.ndarray, phi: np.ndarray, rw: float,
+            r2: float, az_norm: float | None = None):
+    """Append one iteration (a step, or alpha = 0 after a breakdown) to the trace."""
+    trace.alpha.append(alpha)
+    trace.gamma.append(gamma)
+    trace.delta.append(delta)
+    trace.beta_rows.append(beta.tolist())
+    trace.phi_rows.append(phi.tolist())
+    if az_norm is not None:
+        trace.az_norm_weighted.append(az_norm)
+    trace.residual_norm_weighted.append(rw)
+    trace.residual_norm_euclidean.append(r2)
+    if cfg.record_iterates:
+        trace.iterates.append(x.copy())
+
+
+def _breakdown(trace: IterationTrace, cfg: SolveConfig, iteration: int, gamma: float,
+               degenerate: bool, store: _Directions) -> bool:
+    """Record a breakdown; True when the solve must halt on it."""
+    if trace.breakdown is None:
+        trace.breakdown = BreakdownEvent(iteration=iteration, gamma_value=gamma)
+    if cfg.breakdown_policy == "halt" or (degenerate and not store):
+        trace.status = "breakdown"
+        return True
+    return False
 
 
 def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,
@@ -195,89 +372,42 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
     b = system.rhs
     x = system.initial_guess()
     trace = IterationTrace()
-    result_q: list = []
-    result_p: list = []
-
-    bw = _weighted_norm(w, b)
-    b2 = float(np.linalg.norm(b))
-    stop = _Stopping(cfg, bw, b2)
+    stop = _Stopping(cfg, _weighted_norm(w, b), float(np.linalg.norm(b)))
 
     r = b - a.apply(x)
     rw = _weighted_norm(w, r)
     r2 = float(np.linalg.norm(r))
-    trace.residual_norm_weighted.append(rw)
-    trace.residual_norm_euclidean.append(r2)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
-    if stop.done(rw, r2):
-        trace.status = "converged"
+    if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
-    dirs: list = []  # (p, q, wq, delta)
-    z = h.apply(r)
-    v = z  # source vector for the next direction
+    # records (p, q, W q); for the Euclidean weight W q is q and not kept twice
+    store = _Directions(system.dim, 2 if w.is_identity else 3, cfg)
+    v = h.apply(r)  # source vector for the next direction
 
     for i in range(cfg.max_iterations):
-        p = v.copy()
         az = a.apply(v)
         waz = w.apply(az)
         az_norm = _clamped_sqrt(float(waz @ az))
-        q = az.copy()
-        wq = waz.copy()
-        phi_row = []
-        beta_row = []
-        for pj, qj, wqj, dj in dirs:
-            phi = float(wqj @ az)
-            beta = phi / dj
-            phi_row.append(phi)
-            beta_row.append(beta)
-            p -= beta * pj
-            q -= beta * qj
-            wq -= beta * wqj
-        delta = float(wq @ q)
-        if dirs and delta > 0.0:
-            # classical Gram-Schmidt can leak; one corrective pass when it does
-            worst = max(
-                abs(float(wqj @ q)) / max(np.sqrt(dj * delta), 1e-300)
-                for _, qj, wqj, dj in dirs
-            )
-            if worst > _REORTH_TRIGGER:
-                for k, (pj, qj, wqj, dj) in enumerate(dirs):
-                    beta2 = float(wqj @ q) / dj
-                    beta_row[k] += beta2
-                    p -= beta2 * pj
-                    q -= beta2 * qj
-                    wq -= beta2 * wqj
-                delta = float(wq @ q)
+        p, q = v.copy(), az.copy()
+        record = [p, q] if w.is_identity else [p, q, waz.copy()]
+        wq = record[-1]
+        phi, beta = store.project(az, record)
+        delta, beta = store.reorthogonalize(record, beta)
 
         degenerate = not np.isfinite(delta) or delta <= 0.0 or np.sqrt(max(delta, 0.0)) <= BREAKDOWN_RTOL * az_norm
         gamma = float(wq @ r) if not degenerate else 0.0
         if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
-            if trace.breakdown is None:
-                trace.breakdown = BreakdownEvent(iteration=i, gamma_value=gamma)
-            if cfg.breakdown_policy == "halt" or (degenerate and not dirs):
-                trace.status = "breakdown"
-                return SolveResult(x, trace, len(trace.alpha), result_q, result_p)
+            if _breakdown(trace, cfg, i, gamma, degenerate, store):
+                return store.result(x, trace)
             # Orthodir-style recovery: keep the direction when it is usable,
             # derive the next one from the image of the last direction
-            trace.alpha.append(0.0)
-            trace.gamma.append(gamma)
-            trace.delta.append(delta)
-            trace.beta_rows.append(beta_row)
-            trace.phi_rows.append(phi_row)
-            trace.az_norm_weighted.append(az_norm)
-            trace.residual_norm_weighted.append(rw)
-            trace.residual_norm_euclidean.append(r2)
-            if cfg.record_iterates:
-                trace.iterates.append(x.copy())
+            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
             if not degenerate:
-                dirs.append((p, q, wq, delta))
-                result_p.append(p)
-                result_q.append(q)
-                dirs = _trim_window(dirs, cfg, trace, i + 1)
+                store.append(record, delta)
                 v = h.apply(q)  # Orthodir-style: continue from the image of p
             else:
-                v = h.apply(dirs[-1][1])
+                v = h.apply(store.last(1))
+            store.end_iteration(i + 1, trace)
             continue
 
         alpha = gamma / delta
@@ -285,38 +415,16 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
         r = r - alpha * q
         rw = _weighted_norm(w, r)
         r2 = float(np.linalg.norm(r))
-        trace.alpha.append(alpha)
-        trace.gamma.append(gamma)
-        trace.delta.append(delta)
-        trace.beta_rows.append(beta_row)
-        trace.phi_rows.append(phi_row)
-        trace.az_norm_weighted.append(az_norm)
-        trace.residual_norm_weighted.append(rw)
-        trace.residual_norm_euclidean.append(r2)
-        result_p.append(p)
-        result_q.append(q)
-        if cfg.record_iterates:
-            trace.iterates.append(x.copy())
+        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
+        store.append(record, delta)
         if stop.done(rw, r2):
             trace.status = "converged"
-            return SolveResult(x, trace, len(trace.alpha), result_q, result_p)
-
-        dirs.append((p, q, wq, delta))
-        dirs = _trim_window(dirs, cfg, trace, i + 1)
-        z = h.apply(r)
-        v = z
+            return store.result(x, trace)
+        store.end_iteration(i + 1, trace)
+        v = h.apply(r)
 
     trace.status = "max_iter"
-    return SolveResult(x, trace, len(trace.alpha), result_q, result_p)
-
-
-def _trim_window(dirs: list, cfg: SolveConfig, trace: IterationTrace, next_iter: int) -> list:
-    if cfg.restart_period is not None and next_iter % cfg.restart_period == 0:
-        trace.restart_markers.append(next_iter)
-        return []
-    if cfg.truncation_window is not None:
-        return dirs[-cfg.truncation_window:] if cfg.truncation_window > 0 else []
-    return dirs
+    return store.result(x, trace)
 
 
 def _weighted_norm(w: WeightOperator, x: np.ndarray) -> float:
@@ -364,119 +472,16 @@ def wp_gcr_left(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator
     column of the trace likewise reports ||z||_2, since the plain
     residual never appears in this data flow.  Stopping compares
     against the corresponding norm of H b.
+
+    This is wp_gcr_right on the system (H A) x = H b with the identity
+    preconditioner, so its Orthodir recovery continues from the
+    orthogonalized image H A p.  H is applied twice and A once before
+    the loop, and each once per iteration; q_directions holds H A p_j.
     """
     a = system.operator
-    b = system.rhs
-    x = system.initial_guess()
-    trace = IterationTrace()
-    result_y: list = []
-    result_p: list = []
-
-    hb = h.apply(b)
-    stop = _Stopping(cfg, _weighted_norm(w, hb), float(np.linalg.norm(hb)))
-
-    r = b - a.apply(x)
-    z = h.apply(r)
-    zw = _weighted_norm(w, z)
-    z2 = float(np.linalg.norm(z))
-    trace.residual_norm_weighted.append(zw)
-    trace.residual_norm_euclidean.append(z2)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
-    if stop.done(zw, z2):
-        trace.status = "converged"
-        return SolveResult(x, trace, 0)
-
-    dirs: list = []  # (p, y, wy, delta)
-    v = z
-
-    for i in range(cfg.max_iterations):
-        p = v.copy()
-        hay = h.apply(a.apply(v))
-        why = w.apply(hay)
-        hay_norm = _clamped_sqrt(float(why @ hay))
-        y = hay.copy()
-        wy = why.copy()
-        phi_row = []
-        beta_row = []
-        for pj, yj, wyj, dj in dirs:
-            phi = float(wyj @ hay)
-            beta = phi / dj
-            phi_row.append(phi)
-            beta_row.append(beta)
-            p -= beta * pj
-            y -= beta * yj
-            wy -= beta * wyj
-        delta = float(wy @ y)
-        if dirs and delta > 0.0:
-            worst = max(
-                abs(float(wyj @ y)) / max(np.sqrt(dj * delta), 1e-300)
-                for _, yj, wyj, dj in dirs
-            )
-            if worst > _REORTH_TRIGGER:
-                for k, (pj, yj, wyj, dj) in enumerate(dirs):
-                    beta2 = float(wyj @ y) / dj
-                    beta_row[k] += beta2
-                    p -= beta2 * pj
-                    y -= beta2 * yj
-                    wy -= beta2 * wyj
-                delta = float(wy @ y)
-
-        degenerate = not np.isfinite(delta) or delta <= 0.0 or np.sqrt(max(delta, 0.0)) <= BREAKDOWN_RTOL * hay_norm
-        gamma = float(wy @ z) if not degenerate else 0.0
-        if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * zw:
-            if trace.breakdown is None:
-                trace.breakdown = BreakdownEvent(iteration=i, gamma_value=gamma)
-            if cfg.breakdown_policy == "halt" or (degenerate and not dirs):
-                trace.status = "breakdown"
-                return SolveResult(x, trace, len(trace.alpha), result_y, result_p)
-            trace.alpha.append(0.0)
-            trace.gamma.append(gamma)
-            trace.delta.append(delta)
-            trace.beta_rows.append(beta_row)
-            trace.phi_rows.append(phi_row)
-            trace.az_norm_weighted.append(hay_norm)
-            trace.residual_norm_weighted.append(zw)
-            trace.residual_norm_euclidean.append(z2)
-            if cfg.record_iterates:
-                trace.iterates.append(x.copy())
-            if not degenerate:
-                dirs.append((p, y, wy, delta))
-                result_p.append(p)
-                result_y.append(y)
-                dirs = _trim_window(dirs, cfg, trace, i + 1)
-                v = y  # Orthodir-style: next direction from (HA) p
-            else:
-                v = dirs[-1][1]
-            continue
-
-        alpha = gamma / delta
-        x = x + alpha * p
-        z = z - alpha * y
-        zw = _weighted_norm(w, z)
-        z2 = float(np.linalg.norm(z))
-        trace.alpha.append(alpha)
-        trace.gamma.append(gamma)
-        trace.delta.append(delta)
-        trace.beta_rows.append(beta_row)
-        trace.phi_rows.append(phi_row)
-        trace.az_norm_weighted.append(hay_norm)
-        trace.residual_norm_weighted.append(zw)
-        trace.residual_norm_euclidean.append(z2)
-        result_p.append(p)
-        result_y.append(y)
-        if cfg.record_iterates:
-            trace.iterates.append(x.copy())
-        if stop.done(zw, z2):
-            trace.status = "converged"
-            return SolveResult(x, trace, len(trace.alpha), result_y, result_p)
-
-        dirs.append((p, y, wy, delta))
-        dirs = _trim_window(dirs, cfg, trace, i + 1)
-        v = z
-
-    trace.status = "max_iter"
-    return SolveResult(x, trace, len(trace.alpha), result_y, result_p)
+    left = LinearSystem(LinearOperator(system.dim, lambda v: h.apply(a.apply(v))),
+                        h.apply(system.rhs), system.x0)
+    return wp_gcr_right(left, PreconditionerHandle.identity(system.dim), w, cfg)
 
 
 def _require_spd_preconditioner(h: PreconditionerHandle):
@@ -494,6 +499,14 @@ def _reject_variants(cfg: SolveConfig, name: str):
         )
 
 
+def _whp_start(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig):
+    """Stopping rule and initial residual of the whp family: (stop, r, z = H r)."""
+    b = system.rhs
+    stop = _Stopping(cfg, _clamped_sqrt(float(b @ h.apply(b))), float(np.linalg.norm(b)))
+    r = b - system.operator.apply(system.initial_guess())
+    return stop, r, h.apply(r)
+
+
 def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
     """GCR with an SPD preconditioner H used as the inner-product weight.
 
@@ -506,84 +519,37 @@ def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> 
     _require_spd_preconditioner(h)
     _reject_variants(cfg, "whp_gcr")
     a = system.operator
-    b = system.rhs
     x = system.initial_guess()
     trace = IterationTrace()
-    result_q: list = []
-    result_p: list = []
-
-    hb = h.apply(b)
-    stop = _Stopping(cfg, _clamped_sqrt(float(b @ hb)), float(np.linalg.norm(b)))
-
-    r = b - a.apply(x)
-    z = h.apply(r)
+    stop, r, z = _whp_start(system, h, cfg)
     rw = _clamped_sqrt(float(r @ z))
     r2 = float(np.linalg.norm(r))
-    trace.residual_norm_weighted.append(rw)
-    trace.residual_norm_euclidean.append(r2)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
-    if stop.done(rw, r2):
-        trace.status = "converged"
+    if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
-    dirs: list = []  # (p, q, y, delta)
+    store = _Directions(system.dim, 3, cfg)  # records (p, q, y = H q)
     v = z
 
     for i in range(cfg.max_iterations):
-        p = v.copy()
         az = a.apply(v)
-        q = az.copy()
-        phi_row = []
-        beta_row = []
-        for pj, qj, yj, dj in dirs:
-            phi = float(yj @ az)
-            beta = phi / dj
-            phi_row.append(phi)
-            beta_row.append(beta)
-            p -= beta * pj
-            q -= beta * qj
+        p, q = v.copy(), az.copy()
+        phi, beta = store.project(az, [p, q])
         y = h.apply(q)
-        delta = float(y @ q)
-        if dirs and delta > 0.0:
-            worst = max(
-                abs(float(yj @ q)) / max(np.sqrt(dj * delta), 1e-300)
-                for _, qj, yj, dj in dirs
-            )
-            if worst > _REORTH_TRIGGER:
-                for k, (pj, qj, yj, dj) in enumerate(dirs):
-                    beta2 = float(yj @ q) / dj
-                    beta_row[k] += beta2
-                    p -= beta2 * pj
-                    q -= beta2 * qj
-                    y -= beta2 * yj
-                delta = float(y @ q)
+        record = [p, q, y]
+        delta, beta = store.reorthogonalize(record, beta)
 
         degenerate = (not np.isfinite(delta) or delta <= 0.0
                       or np.linalg.norm(q) <= BREAKDOWN_RTOL * max(np.linalg.norm(az), 1e-300))
         gamma = float(q @ z) if not degenerate else 0.0
         if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
-            if trace.breakdown is None:
-                trace.breakdown = BreakdownEvent(iteration=i, gamma_value=gamma)
-            if cfg.breakdown_policy == "halt" or (degenerate and not dirs):
-                trace.status = "breakdown"
-                return SolveResult(x, trace, len(trace.alpha), result_q, result_p)
-            trace.alpha.append(0.0)
-            trace.gamma.append(gamma)
-            trace.delta.append(delta)
-            trace.beta_rows.append(beta_row)
-            trace.phi_rows.append(phi_row)
-            trace.residual_norm_weighted.append(rw)
-            trace.residual_norm_euclidean.append(r2)
-            if cfg.record_iterates:
-                trace.iterates.append(x.copy())
+            if _breakdown(trace, cfg, i, gamma, degenerate, store):
+                return store.result(x, trace)
+            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2)
             if not degenerate:
-                dirs.append((p, q, y, delta))
-                result_p.append(p)
-                result_q.append(q)
+                store.append(record, delta)
                 v = y  # Orthodir-style: H times the image of p
             else:
-                v = dirs[-1][2]
+                v = store.last(2)
             continue
 
         alpha = gamma / delta
@@ -592,26 +558,15 @@ def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> 
         z = z - alpha * y
         rw = _clamped_sqrt(float(r @ z))
         r2 = float(np.linalg.norm(r))
-        trace.alpha.append(alpha)
-        trace.gamma.append(gamma)
-        trace.delta.append(delta)
-        trace.beta_rows.append(beta_row)
-        trace.phi_rows.append(phi_row)
-        trace.residual_norm_weighted.append(rw)
-        trace.residual_norm_euclidean.append(r2)
-        result_p.append(p)
-        result_q.append(q)
-        if cfg.record_iterates:
-            trace.iterates.append(x.copy())
+        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2)
+        store.append(record, delta)
         if stop.done(rw, r2):
             trace.status = "converged"
-            return SolveResult(x, trace, len(trace.alpha), result_q, result_p)
-
-        dirs.append((p, q, y, delta))
+            return store.result(x, trace)
         v = z
 
     trace.status = "max_iter"
-    return SolveResult(x, trace, len(trace.alpha), result_q, result_p)
+    return store.result(x, trace)
 
 
 def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
@@ -629,67 +584,34 @@ def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
     b = system.rhs
     x = system.initial_guess()
     trace = IterationTrace()
-    result_y: list = []
-    result_p: list = []
-
-    hb = h.apply(b)
-    stop = _Stopping(cfg, _clamped_sqrt(float(b @ hb)), float(np.linalg.norm(b)))
-
-    r0 = b - a.apply(x)
-    z = h.apply(r0)
+    stop, r0, z = _whp_start(system, h, cfg)
     rw2 = max(float(r0 @ z), 0.0)
     rw = _clamped_sqrt(rw2)
     r2 = float(np.linalg.norm(r0))
-    trace.residual_norm_weighted.append(rw)
-    trace.residual_norm_euclidean.append(r2)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
-    if stop.done(rw, r2):
-        trace.status = "converged"
+    if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
-    dirs: list = []  # (p, y, delta)
+    store = _Directions(system.dim, 2, cfg)  # records (p, y)
     v = z
 
     for i in range(cfg.max_iterations):
-        p = v.copy()
         qt = a.apply(v)
-        y = h.apply(qt)
-        phi_row = []
-        beta_row = []
-        for pj, yj, dj in dirs:
-            phi = float(yj @ qt)
-            beta = phi / dj
-            phi_row.append(phi)
-            beta_row.append(beta)
-            p -= beta * pj
-            y -= beta * yj
+        p, y = v.copy(), h.apply(qt)
+        record = [p, y]
+        phi, beta = store.project(qt, record)
         delta = float(y @ qt)
 
         degenerate = not np.isfinite(delta) or delta <= 0.0
         gamma = float(qt @ z) if not degenerate else 0.0
         if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
-            if trace.breakdown is None:
-                trace.breakdown = BreakdownEvent(iteration=i, gamma_value=gamma)
-            if cfg.breakdown_policy == "halt" or (degenerate and not dirs):
-                trace.status = "breakdown"
-                return SolveResult(x, trace, len(trace.alpha), result_y, result_p)
-            trace.alpha.append(0.0)
-            trace.gamma.append(gamma)
-            trace.delta.append(delta)
-            trace.beta_rows.append(beta_row)
-            trace.phi_rows.append(phi_row)
-            trace.residual_norm_weighted.append(rw)
-            trace.residual_norm_euclidean.append(r2)
-            if cfg.record_iterates:
-                trace.iterates.append(x.copy())
+            if _breakdown(trace, cfg, i, gamma, degenerate, store):
+                return store.result(x, trace)
+            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2)
             if not degenerate:
-                dirs.append((p, y, delta))
-                result_p.append(p)
-                result_y.append(y)
+                store.append(record, delta)
                 v = y
             else:
-                v = dirs[-1][1]
+                v = store.last(1)
             continue
 
         alpha = gamma / delta
@@ -698,26 +620,15 @@ def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
         rw2 = max(rw2 - gamma * gamma / delta, 0.0)
         rw = _clamped_sqrt(rw2)
         r2 = float(np.linalg.norm(b - a.apply(x)))
-        trace.alpha.append(alpha)
-        trace.gamma.append(gamma)
-        trace.delta.append(delta)
-        trace.beta_rows.append(beta_row)
-        trace.phi_rows.append(phi_row)
-        trace.residual_norm_weighted.append(rw)
-        trace.residual_norm_euclidean.append(r2)
-        result_p.append(p)
-        result_y.append(y)
-        if cfg.record_iterates:
-            trace.iterates.append(x.copy())
+        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2)
+        store.append(record, delta)
         if stop.done(rw, r2):
             trace.status = "converged"
-            return SolveResult(x, trace, len(trace.alpha), result_y, result_p)
-
-        dirs.append((p, y, delta))
+            return store.result(x, trace)
         v = z
 
     trace.status = "max_iter"
-    return SolveResult(x, trace, len(trace.alpha), result_y, result_p)
+    return store.result(x, trace)
 
 
 def whp_gcr_alt_b(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
@@ -732,70 +643,36 @@ def whp_gcr_alt_b(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
     _require_spd_preconditioner(h)
     _reject_variants(cfg, "whp_gcr_alt_b")
     a = system.operator
-    b = system.rhs
     x = system.initial_guess()
     trace = IterationTrace()
-    result_q: list = []
-    result_p: list = []
-
-    hb = h.apply(b)
-    stop = _Stopping(cfg, _clamped_sqrt(float(b @ hb)), float(np.linalg.norm(b)))
-
-    r = b - a.apply(x)
-    z = h.apply(r)
+    stop, r, z = _whp_start(system, h, cfg)
     rw = _clamped_sqrt(float(r @ z))
     r2 = float(np.linalg.norm(r))
-    trace.residual_norm_weighted.append(rw)
-    trace.residual_norm_euclidean.append(r2)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
-    if stop.done(rw, r2):
-        trace.status = "converged"
+    if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
-    dirs: list = []  # (p, q, delta)
+    store = _Directions(system.dim, 2, cfg)  # records (p, q)
     v = z
 
     for i in range(cfg.max_iterations):
-        p = v.copy()
         qhat = a.apply(v)
         t = h.apply(qhat)
-        q = qhat.copy()
-        phi_row = []
-        beta_row = []
-        for pj, qj, dj in dirs:
-            phi = float(qj @ t)
-            beta = phi / dj
-            phi_row.append(phi)
-            beta_row.append(beta)
-            p -= beta * pj
-            q -= beta * qj
+        p, q = v.copy(), qhat.copy()
+        record = [p, q]
+        phi, beta = store.project(t, record)
         delta = float(t @ q)
 
         degenerate = not np.isfinite(delta) or delta <= 0.0
         gamma = float(q @ z) if not degenerate else 0.0
         if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
-            if trace.breakdown is None:
-                trace.breakdown = BreakdownEvent(iteration=i, gamma_value=gamma)
-            if cfg.breakdown_policy == "halt" or (degenerate and not dirs):
-                trace.status = "breakdown"
-                return SolveResult(x, trace, len(trace.alpha), result_q, result_p)
-            trace.alpha.append(0.0)
-            trace.gamma.append(gamma)
-            trace.delta.append(delta)
-            trace.beta_rows.append(beta_row)
-            trace.phi_rows.append(phi_row)
-            trace.residual_norm_weighted.append(rw)
-            trace.residual_norm_euclidean.append(r2)
-            if cfg.record_iterates:
-                trace.iterates.append(x.copy())
+            if _breakdown(trace, cfg, i, gamma, degenerate, store):
+                return store.result(x, trace)
+            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2)
             if not degenerate:
-                dirs.append((p, q, delta))
-                result_p.append(p)
-                result_q.append(q)
+                store.append(record, delta)
                 v = h.apply(q)
             else:
-                v = h.apply(dirs[-1][1])
+                v = h.apply(store.last(1))
             continue
 
         alpha = gamma / delta
@@ -804,26 +681,15 @@ def whp_gcr_alt_b(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
         z = z - alpha * t
         rw = _clamped_sqrt(float(r @ z))
         r2 = float(np.linalg.norm(r))
-        trace.alpha.append(alpha)
-        trace.gamma.append(gamma)
-        trace.delta.append(delta)
-        trace.beta_rows.append(beta_row)
-        trace.phi_rows.append(phi_row)
-        trace.residual_norm_weighted.append(rw)
-        trace.residual_norm_euclidean.append(r2)
-        result_p.append(p)
-        result_q.append(q)
-        if cfg.record_iterates:
-            trace.iterates.append(x.copy())
+        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2)
+        store.append(record, delta)
         if stop.done(rw, r2):
             trace.status = "converged"
-            return SolveResult(x, trace, len(trace.alpha), result_q, result_p)
-
-        dirs.append((p, q, delta))
+            return store.result(x, trace)
         v = z
 
     trace.status = "max_iter"
-    return SolveResult(x, trace, len(trace.alpha), result_q, result_p)
+    return store.result(x, trace)
 
 
 def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,

@@ -44,6 +44,17 @@ def test_solve_skew_breakdown_exit_code(skew_files, capsys):
     assert "breakdown" in capsys.readouterr().out
 
 
+def test_non_finite_rhs_is_usage_error(tmp_path, capsys):
+    mtx = tmp_path / "a.mtx"
+    rhs = tmp_path / "b.txt"
+    write_matrix_market(CsrMatrix.identity(3), mtx)
+    rhs.write_text("1.0\nnan\n3.0\n", encoding="utf-8")
+    code = main(["solve", "--matrix", str(mtx), "--rhs", str(rhs), "--precond", "identity",
+                 "--weight", "identity"])
+    assert code == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["solve"]) == 1
     assert "error" in capsys.readouterr().err

@@ -14,7 +14,6 @@ from wpkrylov.linalg import (
     lu_solve,
     sparse_lu_factor,
     sparse_spd_factor,
-    spmv,
     sym_eig,
 )
 
@@ -25,20 +24,20 @@ class TestSpmv:
     def test_identity(self):
         m = CsrMatrix.identity(3)
         x = np.array([1.0, 2.0, 3.0])
-        assert np.array_equal(spmv(m, x), x)
+        assert np.array_equal(m.matvec(x), x)
 
     def test_zero_matrix(self):
         m = CsrMatrix.from_coo(3, 3, [], [], [])
-        assert np.array_equal(spmv(m, np.array([4.0, 5.0, 6.0])), np.zeros(3))
+        assert np.array_equal(m.matvec(np.array([4.0, 5.0, 6.0])), np.zeros(3))
 
     def test_hand_example(self):
         m = CsrMatrix.from_dense(np.array([[2.0, 0.0], [1.0, 3.0]]))
-        assert np.array_equal(spmv(m, np.array([1.0, 1.0])), np.array([2.0, 4.0]))
+        assert np.array_equal(m.matvec(np.array([1.0, 1.0])), np.array([2.0, 4.0]))
 
     def test_dimension_mismatch(self):
         m = CsrMatrix.identity(3)
         with pytest.raises(ValueError):
-            spmv(m, np.ones(4))
+            m.matvec(np.ones(4))
 
     def test_matches_dense_on_random_sparse(self):
         rng = np.random.default_rng(7)
@@ -49,7 +48,7 @@ class TestSpmv:
             x = rng.standard_normal(n)
             ref = dense @ x
             scale = max(np.abs(ref).max(), 1.0)
-            assert np.abs(spmv(m, x) - ref).max() <= 1e-13 * scale
+            assert np.abs(m.matvec(x) - ref).max() <= 1e-13 * scale
 
     def test_duplicates_summed(self):
         m = CsrMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])

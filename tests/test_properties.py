@@ -1,0 +1,137 @@
+"""Property tests of the solver identities on random small systems.
+
+Each example draws a nonsymmetric A whose symmetric part is positive
+definite, a symmetric positive definite H and a right-hand side, all from
+one seed.  Examples are derandomized, so every run checks the same ones.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wpkrylov.solvers import (
+    LinearSystem,
+    SolveConfig,
+    whp_gcr,
+    whp_gcr_alt_a,
+    whp_gcr_alt_b,
+    wp_gcr_left,
+    wp_gcr_restarted,
+    wp_gcr_right,
+    wp_orthomin,
+)
+from wpkrylov.weighting import PreconditionerHandle, WeightOperator
+
+from conftest import make_spd
+
+EXAMPLES = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+
+# every residual norm at or above this fraction of the initial one is compared
+NORM_FLOOR = 1e-8
+
+
+def draw_system(seed, n, skew_scale, spd_shift=1.0):
+    rng = np.random.default_rng(seed)
+    sym = make_spd(rng, n, shift=spd_shift)
+    skew = rng.standard_normal((n, n))
+    skew = skew - skew.T
+    a = sym + skew_scale * np.linalg.norm(sym, 2) * skew / max(np.linalg.norm(skew, 2), 1e-300)
+    return a, make_spd(rng, n), rng.standard_normal(n)
+
+
+systems = st.builds(draw_system, seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24),
+                    skew_scale=st.floats(0.0, 1.0))
+# clustered spectra, as in acceptance criterion 09: the storage-lean
+# alternates lose agreement with whp_gcr once the Krylov space runs out
+clustered_systems = st.builds(draw_system, seed=st.integers(0, 2**32 - 1),
+                              n=st.integers(2, 24), skew_scale=st.floats(0.0, 0.2),
+                              spd_shift=st.just(6.0))
+
+
+def handles(h_dense):
+    h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+    return h, WeightOperator.from_dense(h_dense, validate=False)
+
+
+def assert_norms_match(got, expected, rtol, floor=NORM_FLOOR):
+    """Every expected norm above floor * initial is matched, pointwise to rtol."""
+    cutoff = floor * expected[0]
+    needed = sum(1 for value in expected if value >= cutoff)
+    assert len(got) >= needed
+    for x, y in zip(got[:needed], expected[:needed]):
+        assert abs(x - y) <= rtol * max(x, y)
+
+
+@EXAMPLES
+@given(systems)
+def test_whp_gcr_matches_right_gcr_with_w_equal_h(system):
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    cfg = SolveConfig(rel_tolerance=1e-8)
+    generic = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+    special = whp_gcr(LinearSystem(a, b), h, cfg)
+    assert special.status == generic.status == "converged"
+    assert special.iterations == generic.iterations
+    assert_norms_match(special.trace.residual_norm_weighted,
+                       generic.trace.residual_norm_weighted, rtol=1e-7)
+
+
+@EXAMPLES
+@given(clustered_systems)
+def test_alternates_match_right_gcr_with_w_equal_h(system):
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    cfg = SolveConfig(rel_tolerance=1e-6)
+    generic = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+    for solver in (whp_gcr_alt_a, whp_gcr_alt_b):
+        other = solver(LinearSystem(a, b), h, cfg)
+        # alt_a tracks ||r||_H^2 by a one-step recurrence, which cancels
+        # to about sqrt(eps) of the initial norm
+        assert_norms_match(other.trace.residual_norm_weighted,
+                           generic.trace.residual_norm_weighted, rtol=1e-6, floor=1e-4)
+
+
+@EXAMPLES
+@given(systems)
+def test_left_gcr_is_right_gcr_on_preconditioned_system(system):
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    cfg = SolveConfig(rel_tolerance=1e-8)
+    left = wp_gcr_left(LinearSystem(a, b), h, w, cfg)
+    n = len(b)
+    reduced = wp_gcr_right(LinearSystem(h_dense @ a, h_dense @ b),
+                           PreconditionerHandle.identity(n), w, cfg)
+    assert left.status == reduced.status == "converged"
+    assert left.iterations == reduced.iterations
+    assert_norms_match(left.trace.residual_norm_weighted,
+                       reduced.trace.residual_norm_weighted, rtol=1e-9)
+
+
+@EXAMPLES
+@given(systems)
+def test_orthomin_with_a_window_past_the_iterations_is_full_gcr(system):
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    cfg = SolveConfig(rel_tolerance=1e-8)
+    full = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+    for k in (full.iterations, full.iterations + 3):
+        windowed = wp_orthomin(LinearSystem(a, b), h, w, cfg, k=k)
+        assert windowed.iterations == full.iterations
+        assert np.allclose(windowed.trace.residual_norm_weighted,
+                           full.trace.residual_norm_weighted, rtol=1e-12, atol=0.0)
+
+
+@EXAMPLES
+@given(systems, st.integers(0, 3), st.integers(1, 4))
+def test_weighted_residual_never_increases(system, window, period):
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    cfg = SolveConfig(rel_tolerance=1e-8)
+    runs = [wp_gcr_right(LinearSystem(a, b), h, w, cfg),
+            wp_orthomin(LinearSystem(a, b), h, w, cfg, k=window),
+            wp_gcr_restarted(LinearSystem(a, b), h, w, cfg, k=period)]
+    for res in runs:
+        assert res.status == "converged"
+        norms = res.trace.residual_norm_weighted
+        for prev, cur in zip(norms, norms[1:]):
+            assert cur <= prev * (1.0 + 1e-12)

@@ -218,6 +218,121 @@ class TestVariants:
             SolveConfig(stopping_norm="elsewhere")
 
 
+def loop_gcr_residuals(a, h_dense, w_dense, b, cfg):
+    """Reference right GCR with one Python step per held direction: classical
+    Gram-Schmidt against a list trimmed to the window or cleared on restart."""
+    r = b.copy()
+    norms = [np.sqrt(r @ w_dense @ r)]
+    target = cfg.rel_tolerance * norms[0]
+    held = []  # (q, W q, delta)
+    for i in range(cfg.max_iterations):
+        q = a @ (h_dense @ r)
+        wq = w_dense @ q
+        coefficients = [(wqj @ q) / dj for _, wqj, dj in held]
+        for beta, (qj, wqj, _) in zip(coefficients, held):
+            q = q - beta * qj
+            wq = wq - beta * wqj
+        delta = wq @ q
+        r = r - (wq @ r) / delta * q
+        norms.append(np.sqrt(r @ w_dense @ r))
+        if norms[-1] < target:
+            break
+        held.append((q, wq, delta))
+        if cfg.truncation_window is not None:
+            held = held[-cfg.truncation_window:] if cfg.truncation_window else []
+        if cfg.restart_period is not None and (i + 1) % cfg.restart_period == 0:
+            held = []
+    return norms
+
+
+class TestDirectionStore:
+    def test_orthomin_holds_only_its_window(self):
+        a, h_dense, b = make_pd_system(11, n=15)
+        h, w, _ = dense_setup(a, h_dense)
+        res = wp_orthomin(LinearSystem(a, b), h, w, SolveConfig(max_iterations=400), k=2)
+        assert res.status == "converged" and res.iterations >= 10
+        assert len(res.p_directions) == len(res.q_directions) == 2
+
+    def test_restarted_holds_at_most_one_cycle(self):
+        a, h_dense, b = make_pd_system(9, n=15)
+        h, w, _ = dense_setup(a, h_dense)
+        res = wp_gcr_restarted(LinearSystem(a, b), h, w, SolveConfig(), k=5)
+        assert res.status == "converged" and res.iterations > 5
+        assert 1 <= len(res.p_directions) == len(res.q_directions) <= 5
+
+    def test_restart_clears_on_schedule_after_degenerate_recovery(self):
+        # singular A: iteration 7 has a vanishing projected image at a cycle
+        # end; the cycle must still end there and hold at most two directions
+        a = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                      [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
+        b = np.array([-1.0, -1.0, 0.0, 1.0])
+        h, w, _ = identity_setup(4)
+        cfg = SolveConfig(breakdown_policy="restart_orthodir_style", restart_period=2,
+                          max_iterations=12)
+        res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+        assert res.trace.breakdown is not None
+        assert res.trace.restart_markers == [2, 4, 6, 8, 10, 12]
+        assert len(res.q_directions) <= 2
+
+    def test_full_gcr_holds_every_direction(self):
+        a, h_dense, b = make_pd_system(8)
+        h, w, cfg = dense_setup(a, h_dense)
+        res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+        assert len(res.p_directions) == len(res.q_directions) == res.iterations
+        for p, q in zip(res.p_directions, res.q_directions):
+            assert np.allclose(a @ p, q, atol=1e-12 * np.linalg.norm(q))
+
+    def test_window_and_restart_match_reference_loop(self):
+        # windows that fill and shift their rows several times, and restarts
+        a, h_dense, b = make_pd_system(4, n=24, skew_scale=0.5)
+        h, w, _ = dense_setup(a, h_dense)
+        for overrides in ({}, {"truncation_window": 0}, {"truncation_window": 1},
+                          {"truncation_window": 3}, {"restart_period": 1},
+                          {"restart_period": 4}):
+            cfg = SolveConfig(max_iterations=400, rel_tolerance=1e-8, **overrides)
+            res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+            reference = loop_gcr_residuals(a, h_dense, h_dense, b, cfg)
+            assert res.status == "converged", overrides
+            assert len(res.trace.residual_norm_weighted) == len(reference), overrides
+            assert_sequences_close(res.trace.residual_norm_weighted, reference, rtol=1e-8)
+
+
+    def test_corrective_pass_restores_orthogonality(self):
+        # a new image almost inside the span of the held ones: the classical
+        # projection cancels and leaves a visible component, the second pass
+        # removes it
+        from wpkrylov.solvers import _Directions
+
+        rng = np.random.default_rng(5)
+        n = 50
+        basis, _ = np.linalg.qr(rng.standard_normal((n, 2)))
+        store = _Directions(n, 2, SolveConfig(max_iterations=3))  # (p, q), Euclidean
+        for q in basis.T:
+            store.append([q, q], 1.0)
+        u = basis @ np.array([1.0, 1.0]) + 1e-12 * rng.standard_normal(n)
+        p, q = u.copy(), u.copy()
+        _, beta = store.project(u, [p, q])
+
+        def leak():
+            return np.abs(basis.T @ q).max() / np.linalg.norm(q)
+
+        assert leak() > 1e-6
+        delta, beta2 = store.reorthogonalize([p, q], beta)
+        assert leak() <= 1e-12
+        assert np.isclose(delta, q @ q, rtol=1e-14)
+        assert np.array_equal(p, q)
+        assert np.allclose(beta2, [1.0, 1.0], rtol=1e-10)
+
+class TestNonFiniteInput:
+    def test_rhs_rejected(self):
+        with pytest.raises(ValueError, match="right-hand side"):
+            LinearSystem(np.eye(3), np.array([1.0, np.nan, 0.0]))
+
+    def test_initial_guess_rejected(self):
+        with pytest.raises(ValueError, match="initial guess"):
+            LinearSystem(np.eye(3), np.ones(3), x0=np.array([0.0, np.inf, 0.0]))
+
+
 class TestLeftGcr:
     def test_identity_one_iteration(self):
         h, w, cfg = identity_setup(3)
