@@ -2,7 +2,14 @@
 
 Everything here is desk scale: operators are densified (dimension cap in
 :mod:`wpkrylov.linalg`) and handled with dense factorizations.  The
-reported per-iteration contraction factors are
+bound report densifies the preconditioner H once, as one blocked
+application to the identity when its operator has a block action (the
+Schwarz preconditioners do); when the weight W is found to equal H, that
+matrix and its one Cholesky factor serve for W as well.  The distance
+of the numerical range from zero is read in closed form off the
+extreme eigenvalues of the symmetric part, and eigenvectors are formed
+only where they are used (the start points of bound1).  The reported
+per-iteration contraction factors are
 
 * bound1: from the infimum of the normalized quadratic-form quotient of
   the preconditioned operator in the weighted geometry (the sharpest of
@@ -29,6 +36,7 @@ import scipy.optimize
 
 from .linalg import (
     DENSIFY_LIMIT,
+    CholeskyFactor,
     NotPositiveDefiniteError,
     cholesky,
     densify,
@@ -52,11 +60,6 @@ __all__ = [
 # multi-start minimization for bound1 is restricted to modest dimensions
 RAYLEIGH_DIM_LIMIT = 512
 _RAYLEIGH_SEED = 0xC0FFEE
-
-# beyond this dimension the rotation grid collapses to the real axis,
-# which is exact for real operators (their numerical range is symmetric
-# about the real axis, so the distance to zero is attained on it)
-_FOV_SHORTCUT_DIM = 64
 
 
 @dataclass
@@ -93,91 +96,45 @@ def spectral_radius_skew(hs: HermitianSplit) -> float:
     factor = cholesky(hs.m_part)
     y = scipy.linalg.solve_triangular(factor.lower, hs.n_part, lower=True)
     c = scipy.linalg.solve_triangular(factor.lower, y.T, lower=True).T
+    return _spectral_norm(c)
+
+
+def _spectral_norm(c: np.ndarray) -> float:
+    """Largest singular value, from the eigenvalues of C^T C."""
     gram = c.T @ c
-    vals, _ = sym_eig(0.5 * (gram + gram.T))
+    vals = sym_eig(0.5 * (gram + gram.T), vectors=False)
     return float(np.sqrt(max(vals[-1], 0.0)))
 
 
-def _whiten(b_dense: np.ndarray, w_dense: np.ndarray) -> np.ndarray:
+def _whiten(b_dense: np.ndarray, w_factor: CholeskyFactor) -> np.ndarray:
     """Map B to L^T B L^{-T} with W = L L^T, turning W-geometry Euclidean."""
-    factor = cholesky(w_dense)
-    y = scipy.linalg.solve_triangular(factor.lower, b_dense.T, lower=True).T
-    return factor.lower.T @ y
+    y = scipy.linalg.solve_triangular(w_factor.lower, b_dense.T, lower=True).T
+    return w_factor.lower.T @ y
 
 
-def _rotated_min_eig(m_sym: np.ndarray, n_skew: np.ndarray, theta: float) -> float:
-    """Smallest eigenvalue of the Hermitian part of e^{i theta} C.
-
-    Realized through the doubled real embedding of the complex Hermitian
-    matrix cos(theta) M + i sin(theta) N.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    top = np.hstack([c * m_sym, -s * n_skew])
-    bot = np.hstack([s * n_skew, c * m_sym])
-    embed = np.vstack([top, bot])
-    vals = np.linalg.eigvalsh(0.5 * (embed + embed.T))
-    return float(vals[0])
-
-
-def fov_distance(b, w: WeightOperator, grid_size: int = 256,
-                 limit: int = DENSIFY_LIMIT) -> float:
-    """Distance from zero to the W-numerical range of an operator.
-
-    The range is the set of Rayleigh quotients over complex vectors; its
-    distance to the origin is the maximum over rotation angles of the
-    smallest eigenvalue of the rotated operator's Hermitian part,
-    clipped at zero.  A grid of angles with one golden-section
-    refinement is used; for real operators above a small dimension the
-    evaluation collapses to the two real-axis angles, which is exact.
-    Returns 0 whenever zero lies inside the range (the associated
-    residual estimate is then trivial).
-    """
+def _whitened(b, w: WeightOperator, limit: int) -> np.ndarray:
     b_dense = densify(b, limit=limit)
-    w_dense = densify(w, limit=limit) if not w.is_identity else None
-    c = _whiten(b_dense, w_dense) if w_dense is not None else b_dense
-    m_sym = 0.5 * (c + c.T)
-    n_skew = 0.5 * (c - c.T)
-    m_eigs, _ = sym_eig(m_sym)
-    if m_eigs[0] <= 0.0 and m_eigs[-1] >= 0.0:
-        return 0.0  # zero is inside the (real-axis slice of the) range
-    n = c.shape[0]
-    if n > _FOV_SHORTCUT_DIM:
-        return max(0.0, float(m_eigs[0]), float(-m_eigs[-1]))
+    return b_dense if w.is_identity else _whiten(b_dense, cholesky(densify(w, limit=limit)))
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid_size, endpoint=False)
-    values = [_rotated_min_eig(m_sym, n_skew, t) for t in thetas]
-    k = int(np.argmax(values))
-    lo = thetas[(k - 1) % grid_size]
-    hi = thetas[(k + 1) % grid_size]
-    if hi < lo:
-        hi += 2.0 * math.pi
-    # golden-section refinement of the unimodal bracket around the best angle
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a_t, b_t = lo, hi
-    x1 = b_t - inv_phi * (b_t - a_t)
-    x2 = a_t + inv_phi * (b_t - a_t)
-    f1 = _rotated_min_eig(m_sym, n_skew, x1)
-    f2 = _rotated_min_eig(m_sym, n_skew, x2)
-    for _ in range(40):
-        if f1 < f2:
-            a_t, x1, f1 = x1, x2, f2
-            x2 = a_t + inv_phi * (b_t - a_t)
-            f2 = _rotated_min_eig(m_sym, n_skew, x2)
-        else:
-            b_t, x2, f2 = x2, x1, f1
-            x1 = b_t - inv_phi * (b_t - a_t)
-            f1 = _rotated_min_eig(m_sym, n_skew, x1)
-    best = max(max(values), f1, f2)
-    return max(0.0, float(best))
+
+def fov_distance(b, w: WeightOperator, limit: int = DENSIFY_LIMIT) -> float:
+    """Distance from zero to the W-numerical range of a real operator.
+
+    The range is the set of W-Rayleigh quotients over complex vectors,
+    that of C = L^T B L^{-T} (W = L L^T).  It is convex and, C being
+    real, symmetric about the real axis, so its point nearest zero is
+    real; it meets the real axis in [lambda_min(S), lambda_max(S)] with
+    S = sym(C).  The distance is therefore 0 when that interval holds
+    zero, and max(lambda_min(S), -lambda_max(S)) otherwise -- exact, with
+    no search over rotation angles.
+    """
+    c = _whitened(b, w, limit)
+    return _min_abs_over_range(sym_eig(0.5 * (c + c.T), vectors=False))
 
 
 def weighted_operator_norm(b, w: WeightOperator, limit: int = DENSIFY_LIMIT) -> float:
     """Operator norm induced by the W-norm."""
-    b_dense = densify(b, limit=limit)
-    c = b_dense if w.is_identity else _whiten(b_dense, densify(w, limit=limit))
-    gram = c.T @ c
-    vals, _ = sym_eig(0.5 * (gram + gram.T))
-    return float(np.sqrt(max(vals[-1], 0.0)))
+    return _spectral_norm(_whitened(b, w, limit))
 
 
 def _ratio_and_grad(y, s_mat, k_mat):
@@ -191,8 +148,10 @@ def _ratio_and_grad(y, s_mat, k_mat):
     return f, grad
 
 
-def _min_normalized_quotient(c: np.ndarray, n_starts: int, seed: int) -> float:
-    """Numerical infimum of (y^T S y)^2 / (||C y||^2 ||y||^2), S = sym(C).
+def _min_normalized_quotient(c: np.ndarray, s_vals: np.ndarray, s_vecs: np.ndarray,
+                             n_starts: int, seed: int) -> float:
+    """Numerical infimum of (y^T S y)^2 / (||C y||^2 ||y||^2), S = sym(C),
+    given the eigenvalues and eigenvectors of S.
 
     Multi-start L-BFGS over the (scale-invariant) quotient; start points
     are random plus the extreme eigenvectors of S and of the pencil
@@ -200,7 +159,6 @@ def _min_normalized_quotient(c: np.ndarray, n_starts: int, seed: int) -> float:
     """
     s_mat = 0.5 * (c + c.T)
     k_mat = c.T @ c
-    s_vals, s_vecs = sym_eig(s_mat)
     if s_vals[0] <= 0.0:
         return 0.0
     starts = [s_vecs[:, 0], s_vecs[:, -1]]
@@ -289,45 +247,47 @@ def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator,
 
     bound1 needs only an SPD weight; bound2 additionally requires the
     preconditioner to be SPD and equal to the weight; bound3 also needs
-    the symmetric part of A to be positive definite.
+    the symmetric part of A to be positive definite.  Whether W equals H
+    is decided by probing both on random vectors; when it does, H is the
+    only one of the two that is densified and factored.
     """
     a_dense = densify(a, limit=limit)
-    h_dense = densify(h, limit=limit)
     n = a_dense.shape[0]
+    w_is_h = _operators_match(h.apply, w.apply, n)
+    h_dense = densify(h, limit=limit)
     report = BoundReport()
 
     b_dense = a_dense @ h_dense
-    w_dense = None if w.is_identity else densify(w, limit=limit)
-    c = b_dense if w_dense is None else _whiten(b_dense, w_dense)
+    w_factor = None
+    if not w.is_identity:
+        w_factor = cholesky(h_dense if w_is_h else densify(w, limit=limit))
+    c = b_dense if w_factor is None else _whiten(b_dense, w_factor)
 
-    if include_fov:
-        m_eigs, _ = sym_eig(0.5 * (c + c.T))
-        if m_eigs[0] <= 0.0 and m_eigs[-1] >= 0.0:
-            report.fov_distance = 0.0
-        else:
-            report.fov_distance = fov_distance(b_dense, w, limit=limit)
-        gram = c.T @ c
-        vals, _ = sym_eig(0.5 * (gram + gram.T))
-        report.op_norm = float(np.sqrt(max(vals[-1], 0.0)))
-
+    s_mat = 0.5 * (c + c.T)
     if n <= RAYLEIGH_DIM_LIMIT:
-        inf_quotient = _min_normalized_quotient(c, rayleigh_starts, _RAYLEIGH_SEED)
+        s_vals, s_vecs = sym_eig(s_mat)
+        inf_quotient = _min_normalized_quotient(c, s_vals, s_vecs, rayleigh_starts,
+                                                _RAYLEIGH_SEED)
         report.bound1 = float(np.sqrt(np.clip(1.0 - inf_quotient, 0.0, 1.0)))
+    elif include_fov:
+        s_vals = sym_eig(s_mat, vectors=False)
+    if include_fov:
+        report.fov_distance = _min_abs_over_range(s_vals)  # closed form, see fov_distance
+        report.op_norm = _spectral_norm(c)
 
+    if not (h.hermitian_flag and w_is_h):
+        return report
+    if w_factor is not None:
+        h_factor = w_factor  # W = H: the whitening factor is the factor of H
+    else:
+        try:
+            h_factor = cholesky(h_dense)
+        except NotPositiveDefiniteError:
+            return report
     hs = split(a_dense, limit=limit)
-
-    whp_mode = h.hermitian_flag and _operators_match(
-        h.apply, (lambda v: v.copy()) if w.is_identity else w.apply, n
-    )
-    if not whp_mode:
-        return report
-
-    try:
-        lh = cholesky(h_dense).lower
-    except NotPositiveDefiniteError:
-        return report
+    lh = h_factor.lower
     hm = lh.T @ hs.m_part @ lh
-    hm_eigs, _ = sym_eig(0.5 * (hm + hm.T))
+    hm_eigs = sym_eig(0.5 * (hm + hm.T), vectors=False)
     report.lambda_min = float(hm_eigs[0])
     report.lambda_max = float(hm_eigs[-1])
     if hm_eigs[0] > 0.0:
@@ -340,7 +300,7 @@ def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator,
         a_inv = None
     if a_inv is not None:
         m_of_inv = 0.5 * (a_inv + a_inv.T)
-        inv_eigs = gen_sym_eig(m_of_inv, h_dense)
+        inv_eigs = gen_sym_eig(m_of_inv, h_factor)
         inf1 = _min_abs_over_range(inv_eigs)
         inf2 = _min_abs_over_range(hm_eigs)
         report.bound2 = float(np.sqrt(np.clip(1.0 - inf1 * inf2, 0.0, 1.0)))

@@ -124,8 +124,7 @@ class AssembledCdr:
         return self.m_matrix.add(self.n_matrix)
 
     def operator(self) -> LinearOperator:
-        a = self.m_matrix.csr + self.n_matrix.csr
-        return LinearOperator(self.dof_count, lambda v: a @ v)
+        return LinearOperator.from_matrix(self.m_matrix.csr + self.n_matrix.csr)
 
 
 def _scalar_field(f, x, y):

@@ -159,9 +159,8 @@ class _Problem:
         self.rhs = rhs
         self.coords = coords
         self.label = label
-        a = m_matrix.csr + n_matrix.csr
         self.dim = m_matrix.rows
-        self.operator = LinearOperator(self.dim, lambda v: a @ v)
+        self.operator = LinearOperator.from_matrix(m_matrix.csr + n_matrix.csr)
 
     def full_matrix(self) -> CsrMatrix:
         return self.m_matrix.add(self.n_matrix)
@@ -193,7 +192,7 @@ def _load_problem(args) -> _Problem:
             m_part = first
             n_part = matrixio.read_matrix_market(args.matrix_skew)
         else:
-            a_sp = first.to_scipy()
+            a_sp = first.csr
             m_part = CsrMatrix.from_scipy((a_sp + a_sp.T) * 0.5)
             n_part = CsrMatrix.from_scipy((a_sp - a_sp.T) * 0.5)
         if rhs.shape != (m_part.rows,):
@@ -346,12 +345,9 @@ def _iteration_count(args, m, nu, c0, precond, solver, n_sub, layout,
     ns.layout = layout
     assembled = cdr.assemble(cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m))
     if symmetric_only:
-        m_sp = assembled.m_matrix.to_scipy()
-        operator = LinearOperator(assembled.dof_count, lambda v: m_sp @ v)
         problem = _Problem(assembled.m_matrix,
-                           CsrMatrix.from_scipy(0.0 * assembled.n_matrix.to_scipy()),
+                           CsrMatrix.from_scipy(0.0 * assembled.n_matrix.csr),
                            assembled.rhs, assembled.dof_coords, "sym-only")
-        problem.operator = operator
     else:
         problem = _Problem(assembled.m_matrix, assembled.n_matrix, assembled.rhs,
                            assembled.dof_coords, "sweep")

@@ -89,44 +89,75 @@ def check_symmetric(s, rtol: float = 1e-10):
 
 
 class LinearOperator:
-    """A square operator known only through its action on vectors."""
+    """A square operator known only through its action on vectors.
 
-    def __init__(self, dim: int, apply):
+    An optional block action ``matmat`` maps an n x k array to the
+    n x k array of the images of its columns in one call (scipy's
+    ``matmat``); without it, :meth:`matmat` applies the operator column
+    by column.
+    """
+
+    def __init__(self, dim: int, apply, matmat=None):
         self.dim = int(dim)
         self._apply = apply
+        self._matmat = matmat
 
     def apply(self, x) -> np.ndarray:
         return np.asarray(self._apply(_as_vector(x, self.dim)), dtype=float)
 
     __call__ = apply
 
+    def matmat(self, x) -> np.ndarray:
+        """The operator applied to every column of an n x k block."""
+        block = np.asarray(x, dtype=float)
+        if block.ndim != 2 or block.shape[0] != self.dim:
+            raise ValueError(f"expected a block of {self.dim} rows, got shape {block.shape}")
+        if self._matmat is None:
+            out = np.empty_like(block)
+            for j in range(block.shape[1]):
+                out[:, j] = self.apply(block[:, j])
+            return out
+        out = np.asarray(self._matmat(block), dtype=float)
+        if out.shape != block.shape:
+            raise ValueError(f"block action returned shape {out.shape}, expected {block.shape}")
+        return out
+
     @classmethod
     def from_dense(cls, a) -> "LinearOperator":
-        m = _as_square(a)
-        return cls(m.shape[0], lambda x: m @ x)
+        return cls.from_matrix(_as_square(a))
+
+    @classmethod
+    def from_matrix(cls, m) -> "LinearOperator":
+        """The action of a square dense or scipy.sparse matrix, on vectors and blocks."""
+        return cls(m.shape[0], m.dot, matmat=m.dot)
 
     @classmethod
     def identity(cls, dim: int) -> "LinearOperator":
-        return cls(dim, lambda x: x.copy())
+        return cls(dim, np.copy, matmat=np.copy)
 
 
 def aslinearoperator(obj, dim: int | None = None) -> LinearOperator:
-    """Coerce a dense array, CsrMatrix, callable or operator to LinearOperator."""
+    """Coerce a dense array, CsrMatrix, callable or operator to LinearOperator.
+
+    A callable with a ``matmat`` method (a preconditioner handle or a
+    weight) keeps it as the block action.
+    """
     if isinstance(obj, LinearOperator):
         return obj
     if isinstance(obj, CsrMatrix):
-        return LinearOperator(obj.rows, obj.matvec)
+        return LinearOperator(obj.rows, obj.matvec, matmat=obj.csr.dot)
     if callable(obj):
         if dim is None:
             dim = getattr(obj, "dim", None)
         if dim is None:
             raise ValueError("dim is required when wrapping a bare callable")
-        return LinearOperator(dim, obj)
+        return LinearOperator(dim, obj, matmat=getattr(obj, "matmat", None))
     return LinearOperator.from_dense(obj)
 
 
 def densify(op, limit: int = DENSIFY_LIMIT) -> np.ndarray:
-    """Materialize an operator as a dense matrix by applying it to basis vectors."""
+    """Materialize an operator as a dense matrix by applying it to the
+    identity: one call to its block action, or one per column without it."""
     if isinstance(op, np.ndarray):
         return _as_square(op)
     if isinstance(op, CsrMatrix):
@@ -134,13 +165,7 @@ def densify(op, limit: int = DENSIFY_LIMIT) -> np.ndarray:
     lin = aslinearoperator(op)
     if lin.dim > limit:
         raise ValueError(f"refusing to densify operator of dimension {lin.dim} > {limit}")
-    cols = np.empty((lin.dim, lin.dim))
-    e = np.zeros(lin.dim)
-    for j in range(lin.dim):
-        e[j] = 1.0
-        cols[:, j] = lin.apply(e)
-        e[j] = 0.0
-    return cols
+    return lin.matmat(np.eye(lin.dim))
 
 
 @dataclass
@@ -319,10 +344,14 @@ def sparse_lu_factor(a) -> scipy.sparse.linalg.SuperLU:
         raise SingularMatrixError(pivot=-1, message=f"matrix is singular: {exc}") from exc
 
 
-def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
+def sym_eig(s, vectors: bool = True):
+    """Eigenvalues (ascending) of a symmetric matrix, with orthonormal
+    eigenvectors as (values, vectors) unless vectors=False, which returns
+    the values alone and skips the work of forming the vectors."""
     m = check_symmetric(_as_square(s))
     try:
+        if not vectors:
+            return np.linalg.eigvalsh(m)
         vals, vecs = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK non-convergence
         raise EigenSolverError(str(exc)) from exc
@@ -333,14 +362,14 @@ def gen_sym_eig(s, m) -> np.ndarray:
     """Ascending eigenvalues of the pencil S y = lambda M y with M SPD.
 
     Reduces through M = L L^T to the ordinary symmetric problem for
-    L^{-1} S L^{-T}.
+    L^{-1} S L^{-T}.  M may be given as its CholeskyFactor, so a caller
+    that already factored it does not factor it again.
     """
     s = check_symmetric(_as_square(s))
-    factor = cholesky(m)
+    factor = m if isinstance(m, CholeskyFactor) else cholesky(m)
     y = scipy.linalg.solve_triangular(factor.lower, s, lower=True)
     reduced = scipy.linalg.solve_triangular(factor.lower, y.T, lower=True).T
-    vals, _ = sym_eig(0.5 * (reduced + reduced.T))
-    return vals
+    return sym_eig(0.5 * (reduced + reduced.T), vectors=False)
 
 
 def lu_solve(a, b) -> np.ndarray:

@@ -31,7 +31,6 @@ from scipy.linalg.lapack import dpstrf
 
 from .linalg import (
     CsrMatrix,
-    LinearOperator,
     check_symmetric,
     cholesky,
     densify,
@@ -218,6 +217,8 @@ class SchwarzPreconditioner:
         return out
 
     def apply(self, v) -> np.ndarray:
+        """H v for a vector, or H applied to every column of an n x k block
+        at once (SuperLU, the coarse solve and the SpMVs all take blocks)."""
         v = np.asarray(v, dtype=float)
         if self.mode != "two_level_sym":
             return self._local_sum(v)
@@ -236,13 +237,17 @@ class SchwarzPreconditioner:
         v = np.asarray(v, dtype=float)
         return v - self._coarse_solve(self._matrix @ v)
 
+    def matmat(self, v) -> np.ndarray:
+        """H applied to every column of an n x k block, in one apply."""
+        return self.apply(v)
+
     def as_handle(self) -> PreconditionerHandle:
-        return PreconditionerHandle(self.dim, self.apply, hermitian_flag=self.is_symmetric)
+        return PreconditionerHandle(self.dim, self, hermitian_flag=self.is_symmetric)
 
     def as_weight(self, validate: bool = True) -> WeightOperator:
         if not self.is_symmetric:
             raise ValueError("the non-symmetric mode cannot define an inner product")
-        return WeightOperator(self.dim, self.apply, validate=validate)
+        return WeightOperator(self.dim, self, validate=validate)
 
 
 def build_preconditioner(matrix: CsrMatrix, maps: SubdomainMaps, mode: str,
@@ -284,7 +289,7 @@ def build_preconditioner(matrix: CsrMatrix, maps: SubdomainMaps, mode: str,
 def condition_number(precond: SchwarzPreconditioner, m_matrix: CsrMatrix) -> float:
     """Extreme generalized eigenvalue ratio of the preconditioned
     symmetric part, via Cholesky of the densified preconditioner."""
-    h_dense = densify(LinearOperator(precond.dim, precond.apply))
+    h_dense = densify(precond)
     lh = cholesky(0.5 * (h_dense + h_dense.T)).lower
     m_dense = m_matrix.to_dense()
     reduced = lh.T @ m_dense @ lh

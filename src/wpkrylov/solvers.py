@@ -386,7 +386,7 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
 
     for i in range(cfg.max_iterations):
         az = a.apply(v)
-        waz = w.apply(az)
+        waz = az if w.is_identity else w.apply(az)
         az_norm = _clamped_sqrt(float(waz @ az))
         p, q = v.copy(), az.copy()
         record = [p, q] if w.is_identity else [p, q, waz.copy()]

@@ -54,13 +54,14 @@ class WeightOperator:
     apply_w_inv : optional action of W^{-1}; only some bound computations
         can take advantage of it.
     is_identity : marks the Euclidean inner product so callers may skip
-        redundant applications.
+        redundant applications (apply_w is then not used).
     validate : run the probabilistic symmetry/positivity probes.
     """
 
     def __init__(self, dim, apply_w, apply_w_inv=None, *, is_identity=False, validate=True):
         self.dim = int(dim)
-        self._op = aslinearoperator(apply_w, dim=self.dim)
+        self._op = (LinearOperator.identity(self.dim) if is_identity
+                    else aslinearoperator(apply_w, dim=self.dim))
         self.apply_w_inv = (
             aslinearoperator(apply_w_inv, dim=self.dim) if apply_w_inv is not None else None
         )
@@ -74,6 +75,11 @@ class WeightOperator:
         return self._op.apply(x)
 
     __call__ = apply
+
+    def matmat(self, x) -> np.ndarray:
+        """W applied to every column of an n x k block, in one call when
+        the wrapped operator has a block action."""
+        return self._op.matmat(x)
 
     def _probe_spd(self):
         rng = np.random.default_rng(_PROBE_SEED)
@@ -118,9 +124,14 @@ class PreconditionerHandle:
 
     __call__ = apply
 
+    def matmat(self, x) -> np.ndarray:
+        """H applied to every column of an n x k block, in one call when
+        the wrapped operator has a block action."""
+        return self._op.matmat(x)
+
     @classmethod
     def identity(cls, dim: int) -> "PreconditionerHandle":
-        return cls(dim, lambda x: x.copy(), hermitian_flag=True)
+        return cls(dim, LinearOperator.identity(dim), hermitian_flag=True)
 
     @classmethod
     def from_dense(cls, h, *, hermitian_flag=False) -> "PreconditionerHandle":
@@ -173,7 +184,7 @@ def w_gram(w: WeightOperator, vectors) -> np.ndarray:
 
 def full_spd_check(w: WeightOperator, limit: int = DENSIFY_LIMIT) -> bool:
     """Densify the weight and verify SPD-ness by a Cholesky factorization."""
-    dense = densify(LinearOperator(w.dim, w.apply), limit=limit)
+    dense = densify(w, limit=limit)
     scale = max(np.abs(dense).max(), 1.0)
     if np.abs(dense - dense.T).max() > 1e-10 * scale:
         raise InvalidWeightError("densified weight is not symmetric")

@@ -14,7 +14,7 @@ from wpkrylov.bounds import (
     weighted_operator_norm,
 )
 from wpkrylov.cdr import CdrProblemSpec, assemble, reference_problem
-from wpkrylov.linalg import NotPositiveDefiniteError
+from wpkrylov.linalg import LinearOperator, NotPositiveDefiniteError
 from wpkrylov.solvers import LinearSystem, SolveConfig, wp_gcr_right
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 
@@ -232,6 +232,113 @@ class TestBoundReport:
                          SolveConfig())
         assert result.status == "converged"
         assert result.iterations <= predicted
+
+
+class _Counted:
+    """An operator that counts its vector and block applications."""
+
+    def __init__(self, dim, apply):
+        self.dim = dim
+        self._apply = apply
+        self.vectors = 0
+        self.blocks = []
+
+    def __call__(self, v):
+        self.vectors += 1
+        return self._apply(v)
+
+    def matmat(self, x):
+        self.blocks.append(x.shape)
+        return self._apply(x)
+
+
+class TestBlockedReport:
+    # n = 529 is above RAYLEIGH_DIM_LIMIT, so bound1 (a numerical search)
+    # is not part of the comparison
+    @pytest.fixture(scope="class")
+    def schwarz_h(self, cdr_assembled):
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(24)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        return assembled, precond
+
+    def test_w_equal_h_densifies_h_once_as_a_block(self, schwarz_h):
+        assembled, precond = schwarz_h
+        n = precond.dim
+        counted = _Counted(n, precond.apply)
+        handle = PreconditionerHandle(n, counted, hermitian_flag=True)
+        weight = WeightOperator(n, handle.apply, validate=False)
+        report = compute_bound_report(assembled.operator(), handle, weight)
+        # one n-column block, plus 8 probe vectors each through H and through W = H
+        assert counted.blocks == [(n, n)]
+        assert counted.vectors == 16
+        assert report.bound2 is not None and report.bound3 is not None
+
+    def test_w_equal_h_report_matches_column_loop(self, schwarz_h):
+        assembled, precond = schwarz_h
+        n = precond.dim
+        handle = precond.as_handle()
+        report = compute_bound_report(assembled.operator(), handle,
+                                      WeightOperator(n, handle.apply, validate=False))
+        # reference: every operator known only through its vector action
+        loop_h = PreconditionerHandle(n, lambda v: precond.apply(v), hermitian_flag=True)
+        reference = compute_bound_report(
+            LinearOperator(n, assembled.operator().apply), loop_h,
+            WeightOperator(n, lambda v: precond.apply(v), validate=False))
+        got, want = report.to_dict(), reference.to_dict()
+        assert [k for k, v in got.items() if v is None] == ["bound1", "alpha_analytic"]
+        for key, value in want.items():
+            if value is None:
+                assert got[key] is None
+            else:
+                assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
+
+    def test_identity_weight_is_not_densified(self):
+        a, h_dense, _ = make_pd_system(41, n=12)
+        counted = _Counted(12, lambda x: h_dense @ x)
+        h = PreconditionerHandle(12, counted, hermitian_flag=True)
+        report = compute_bound_report(a, h, WeightOperator.identity(12))
+        assert counted.blocks == [(12, 12)]
+        assert counted.vectors == 1  # the W = H probe stops at its first mismatch
+        b_dense = a @ h_dense
+        assert report.fov_distance == pytest.approx(
+            fov_distance(b_dense, WeightOperator.identity(12)), rel=1e-12)
+        assert report.op_norm == pytest.approx(np.linalg.norm(b_dense, 2), rel=1e-12)
+        assert report.kappa is None and report.bound2 is None
+
+    def test_other_spd_weight_is_densified(self):
+        a, h_dense, _ = make_pd_system(42, n=12)
+        w_dense = make_spd(np.random.default_rng(43), 12)
+        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        counted = _Counted(12, lambda x: w_dense @ x)
+        w = WeightOperator(12, counted, validate=False)
+        report = compute_bound_report(a, h, w)
+        assert counted.blocks == [(12, 12)]
+        b_dense = a @ h_dense
+        w_ref = WeightOperator.from_dense(w_dense)
+        assert report.fov_distance == pytest.approx(fov_distance(b_dense, w_ref), rel=1e-12)
+        assert report.op_norm == pytest.approx(weighted_operator_norm(b_dense, w_ref),
+                                               rel=1e-12)
+        assert report.bound1 is not None
+        assert report.kappa is None and report.bound2 is None and report.bound3 is None
+
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
+    def test_report_fov_is_the_closed_form(self, sign):
+        # positive definite, negative definite and indefinite symmetric parts
+        rng = np.random.default_rng(44)
+        skew = rng.standard_normal((6, 6))
+        sym = sign * make_spd(rng, 6) if sign else np.diag([-2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
+        a = sym + 0.3 * (skew - skew.T)
+        w_dense = make_spd(rng, 6)
+        h = PreconditionerHandle.identity(6)
+        for w in (WeightOperator.identity(6), WeightOperator.from_dense(w_dense)):
+            report = compute_bound_report(a, h, w, rayleigh_starts=2)
+            assert report.fov_distance == pytest.approx(fov_distance(a, w), rel=1e-12, abs=0.0)
+            assert (report.fov_distance > 0.0) == bool(sign)
 
 
 class TestJohnsonIdentity:

@@ -223,3 +223,66 @@ class TestOperators:
         op = LinearOperator(5000, lambda x: x)
         with pytest.raises(ValueError):
             densify(op)
+
+
+class TestBlockAction:
+    def test_from_dense_block_densify_matches_column_loop(self):
+        a = np.random.default_rng(24).standard_normal((30, 30))
+        block = densify(LinearOperator.from_dense(a))
+        columns = densify(LinearOperator(30, lambda x: a @ x))
+        assert np.linalg.norm(block - columns) <= 1e-14 * np.linalg.norm(columns)
+        assert np.array_equal(block, a)
+
+    def test_plain_callable_densifies_by_columns(self):
+        a = np.random.default_rng(25).standard_normal((7, 7))
+        calls = []
+
+        def apply(x):
+            calls.append(x.shape)
+            return a @ x
+
+        assert np.allclose(densify(aslinearoperator(apply, dim=7)), a, rtol=0, atol=1e-14)
+        assert calls == [(7,)] * 7
+
+    def test_matmat_without_block_action_loops(self):
+        a = np.random.default_rng(26).standard_normal((6, 6))
+        x = np.random.default_rng(27).standard_normal((6, 3))
+        assert np.allclose(LinearOperator(6, lambda v: a @ v).matmat(x), a @ x,
+                           rtol=0, atol=1e-13)
+
+    def test_wrongly_shaped_block_result_rejected(self):
+        op = LinearOperator(4, lambda x: x, matmat=lambda x: x[:, :-1])
+        with pytest.raises(ValueError):
+            densify(op)
+
+    def test_wrongly_shaped_block_argument_rejected(self):
+        op = LinearOperator.identity(4)
+        for bad in (np.ones(4), np.ones((5, 2)), np.ones((4, 2, 1))):
+            with pytest.raises(ValueError):
+                op.matmat(bad)
+
+    def test_sparse_matrix_operator(self):
+        m = CsrMatrix.from_dense(np.array([[2.0, 0.0], [1.0, 3.0]]))
+        op = LinearOperator.from_matrix(m.csr)
+        assert np.array_equal(op.apply(np.array([1.0, 1.0])), [2.0, 4.0])
+        assert np.array_equal(densify(op), m.to_dense())
+        assert np.array_equal(densify(aslinearoperator(m)), m.to_dense())
+
+
+class TestValuesOnlyEigen:
+    def test_values_match_full_eigendecomposition(self):
+        s = make_spd(np.random.default_rng(28), 12) - 1.5 * np.eye(12)
+        vals, _ = sym_eig(s)
+        assert np.array_equal(sym_eig(s, vectors=False), np.linalg.eigvalsh(s))
+        assert np.allclose(sym_eig(s, vectors=False), vals, rtol=0, atol=1e-13)
+
+    def test_values_only_checks_symmetry(self):
+        with pytest.raises(ValueError):
+            sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), vectors=False)
+
+    def test_pencil_accepts_its_factor(self):
+        rng = np.random.default_rng(29)
+        m = make_spd(rng, 9)
+        s = rng.standard_normal((9, 9))
+        s = s + s.T
+        assert np.array_equal(gen_sym_eig(s, cholesky(m)), gen_sym_eig(s, m))

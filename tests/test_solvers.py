@@ -167,6 +167,32 @@ class TestRightGcr:
         assert np.allclose(a @ res.x, b, atol=1e-5 * np.linalg.norm(b))
 
 
+    def test_euclidean_weight_is_never_applied(self):
+        # with W = I the norms are Euclidean and W(Az) is Az itself
+        a, h_dense, b = make_pd_system(45)
+        n = a.shape[0]
+        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        w = WeightOperator.identity(n)
+        calls = [0]
+        apply = w.apply
+
+        def counted(x):
+            calls[0] += 1
+            return apply(x)
+
+        w.apply = counted
+        res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig())
+        assert res.status == "converged" and res.iterations > 0
+        assert calls[0] == 0
+        # the same solve through the general path, with I as a non-identity weight
+        ref = wp_gcr_right(LinearSystem(a, b), h, WeightOperator.from_dense(np.eye(n)),
+                           SolveConfig())
+        assert ref.iterations == res.iterations
+        assert np.allclose(res.trace.residual_norm_weighted, ref.trace.residual_norm_weighted,
+                           rtol=1e-10, atol=0.0)
+        assert np.allclose(res.x, ref.x, rtol=1e-10, atol=0.0)
+
+
 class TestVariants:
     def test_mr_per_step_identity_exact(self):
         rng = np.random.default_rng(7)
