@@ -258,10 +258,6 @@ class CsrMatrix:
             raise ValueError("shape mismatch")
         return CsrMatrix.from_scipy(self._scipy + other._scipy)
 
-    def submatrix(self, idx) -> "CsrMatrix":
-        idx = np.asarray(idx, dtype=np.int64)
-        return CsrMatrix.from_scipy(self._scipy[np.ix_(idx, idx)])
-
 
 @dataclass
 class CholeskyFactor:

@@ -156,16 +156,13 @@ def build_partition(m_matrix: CsrMatrix, spec: PartitionSpec,
     )
 
 
-def build_coarse_space(maps: SubdomainMaps, m_matrix: CsrMatrix,
-                       kind: str = "pou_constants") -> np.ndarray:
+def build_coarse_space(maps: SubdomainMaps, m_matrix: CsrMatrix) -> np.ndarray:
     """Partition-of-unity coarse basis, one vector per subdomain.
 
     Vectors that make the coarse Gram matrix (numerically) rank
     deficient are dropped by pivoted Cholesky with a relative pivot
     threshold.  The basis is stored on the maps and returned.
     """
-    if kind != "pou_constants":
-        raise ValueError(f"unknown coarse space kind {kind!r}")
     return _pou_coarse_space(maps, m_matrix)[0]
 
 

@@ -7,17 +7,23 @@ r <- r - alpha q with alpha = <q, r>_W / <q, q>_W.  Truncated
 (Orthomin(k), minimal-residual) and restarted variants reuse the same
 loop with a direction window.  Left preconditioning is a reduction: it
 is the right-preconditioned loop on H A x = H b with the identity as
-preconditioner.  When the preconditioner is symmetric positive definite
-and doubles as the weight, specialized arrangements save applications
-of it; two storage-lean rearrangements of that scheme are provided as
-well.  A modified-Gram-Schmidt Arnoldi GMRES in the same inner product
-serves as an independent reference implementation.
+preconditioner.  With a symmetric positive definite H as the weight,
+whp_gcr runs the same loop keeping z = H r (W r, and the next
+direction) by the recurrence z <- z - alpha W q, so H is applied once
+per iteration, not three times; two storage-lean rearrangements keep
+loops of their own.  A modified-Gram-Schmidt Arnoldi GMRES in the same
+inner product serves as an independent reference implementation.
 
 Every GCR loop keeps its directions in one blocked store: p_j and the
 vectors held beside it are rows of preallocated row-major (capacity, n)
 blocks, so a projection against all held directions is one
 matrix-vector product for the coefficients and one per block for the
 update, whatever their number.
+
+Every GCR loop applies one breakdown rule (_degenerate); non-finite data
+raises FloatingPointError.  A loop that reads ||r||_H = sqrt(<r, z>) from
+a z kept by recurrence ends in a breakdown once <r, z> < 0 shows that z
+has drifted from H r, unless ||r||_H, then formed with H, meets the target.
 
 All solvers report per-iteration residual norms in both the weighted and
 the Euclidean norm, the iteration coefficients, and breakdown events.
@@ -55,8 +61,10 @@ __all__ = [
     "gmres_arnoldi_oracle",
 ]
 
-# |gamma| at or below this multiple of ||q||_W ||r||_W counts as a breakdown;
-# relative scaling avoids false positives on badly scaled systems.
+# |gamma| at or below this multiple of ||q||_W ||r||_W counts as a breakdown,
+# and so does a projected image q whose norm ||q||_W is at or below this
+# multiple of ||A z||_W; relative scaling avoids false positives on badly
+# scaled systems.
 BREAKDOWN_RTOL = 1e-14
 
 # a second orthogonalization pass is run when the normalized Gram
@@ -133,6 +141,10 @@ class SolveConfig:
 
 @dataclass
 class BreakdownEvent:
+    """The first breakdown of a solve and the value that failed its test:
+    gamma = <q, r>_W (0 for a degenerate direction), or a negative <r, z>
+    where z, kept by recurrence, has drifted from H r."""
+
     iteration: int
     gamma_value: float
 
@@ -324,15 +336,14 @@ def _start(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, rw: float, r2
 
 def _record(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, alpha: float,
             gamma: float, delta: float, beta: np.ndarray, phi: np.ndarray, rw: float,
-            r2: float, az_norm: float | None = None):
+            r2: float, az_norm: float):
     """Append one iteration (a step, or alpha = 0 after a breakdown) to the trace."""
     trace.alpha.append(alpha)
     trace.gamma.append(gamma)
     trace.delta.append(delta)
     trace.beta_rows.append(beta.tolist())
     trace.phi_rows.append(phi.tolist())
-    if az_norm is not None:
-        trace.az_norm_weighted.append(az_norm)
+    trace.az_norm_weighted.append(az_norm)
     trace.residual_norm_weighted.append(rw)
     trace.residual_norm_euclidean.append(r2)
     if cfg.record_iterates:
@@ -348,6 +359,30 @@ def _breakdown(trace: IterationTrace, cfg: SolveConfig, iteration: int, gamma: f
         trace.status = "breakdown"
         return True
     return False
+
+
+def _degenerate(delta: float, az_norm: float, iteration: int) -> bool:
+    """The breakdown rule of every GCR loop for a projected image q: a
+    non-finite delta = <q, q>_W (non-finite data in A, H or W) raises;
+    delta <= 0 or sqrt(delta) <= BREAKDOWN_RTOL ||A z||_W is degenerate."""
+    if not np.isfinite(delta):
+        raise FloatingPointError(f"non-finite <q, q>_W = {delta} at iteration {iteration}")
+    return delta <= 0.0 or np.sqrt(delta) <= BREAKDOWN_RTOL * az_norm
+
+
+def _recurrence_norm(r: np.ndarray, z: np.ndarray, apply_h) -> tuple[float, float]:
+    """(||r||_H, <r, z>) for z = H r kept by recurrence; once z has drifted
+    so far that <r, z> < 0, the norm is formed with one more H apply."""
+    rz = float(z @ r)
+    return (float(np.sqrt(rz)) if rz >= 0.0 else _clamped_sqrt(float(apply_h(r) @ r))), rz
+
+
+def _drifted(trace: IterationTrace, iteration: int, rz: float) -> bool:
+    """True, with the solve ended in a breakdown, when <r, z> < 0."""
+    if rz < 0.0:
+        trace.breakdown = trace.breakdown or BreakdownEvent(iteration, rz)
+        trace.status = "breakdown"
+    return rz < 0.0
 
 
 def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,
@@ -366,8 +401,17 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
     cfg.breakdown_policy the solve either halts with status "breakdown"
     or keeps the direction set and continues with one replacement
     direction built Orthodir-style from H applied to the image of the
-    last direction.
+    last direction.  Non-finite data raises FloatingPointError.
     """
+    return _gcr(system, h, w, cfg)
+
+
+def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: SolveConfig,
+         *, w_is_h: bool = False) -> SolveResult:
+    """The GCR loop of wp_gcr_right, and of whp_gcr with w_is_h: W is then
+    H and h is not used; z = W r, kept by the recurrence z <- z - alpha W q,
+    is W r for ||r||_W and the next direction, and the Orthodir recovery
+    source H q is the stored W q."""
     a = system.operator
     b = system.rhs
     x = system.initial_guess()
@@ -375,14 +419,15 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
     stop = _Stopping(cfg, _weighted_norm(w, b), float(np.linalg.norm(b)))
 
     r = b - a.apply(x)
-    rw = _weighted_norm(w, r)
+    z = w.apply(r) if w_is_h else None  # H r, kept by recurrence from here on
+    rw = _clamped_sqrt(float(z @ r)) if w_is_h else _weighted_norm(w, r)
     r2 = float(np.linalg.norm(r))
     if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
     # records (p, q, W q); for the Euclidean weight W q is q and not kept twice
     store = _Directions(system.dim, 2 if w.is_identity else 3, cfg)
-    v = h.apply(r)  # source vector for the next direction
+    v = z if w_is_h else h.apply(r)  # source vector for the next direction
 
     for i in range(cfg.max_iterations):
         az = a.apply(v)
@@ -394,34 +439,40 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
         phi, beta = store.project(az, record)
         delta, beta = store.reorthogonalize(record, beta)
 
-        degenerate = not np.isfinite(delta) or delta <= 0.0 or np.sqrt(max(delta, 0.0)) <= BREAKDOWN_RTOL * az_norm
+        degenerate = _degenerate(delta, az_norm, i)
         gamma = float(wq @ r) if not degenerate else 0.0
         if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
             if _breakdown(trace, cfg, i, gamma, degenerate, store):
                 return store.result(x, trace)
             # Orthodir-style recovery: keep the direction when it is usable,
-            # derive the next one from the image of the last direction
+            # derive the next one from H times the image of the last direction
             _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
             if not degenerate:
                 store.append(record, delta)
-                v = h.apply(q)  # Orthodir-style: continue from the image of p
+                v = wq if w_is_h else h.apply(q)
             else:
-                v = h.apply(store.last(1))
+                v = store.last(-1) if w_is_h else h.apply(store.last(1))
             store.end_iteration(i + 1, trace)
             continue
 
         alpha = gamma / delta
         x = x + alpha * p
         r = r - alpha * q
-        rw = _weighted_norm(w, r)
+        if w_is_h:
+            z = z - alpha * wq
+            rw, rz = _recurrence_norm(r, z, w.apply)
+        else:
+            rw = _weighted_norm(w, r)
         r2 = float(np.linalg.norm(r))
         _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
         store.append(record, delta)
         if stop.done(rw, r2):
             trace.status = "converged"
             return store.result(x, trace)
+        if w_is_h and _drifted(trace, i, rz):
+            return store.result(x, trace)
         store.end_iteration(i + 1, trace)
-        v = h.apply(r)
+        v = z if w_is_h else h.apply(r)
 
     trace.status = "max_iter"
     return store.result(x, trace)
@@ -510,63 +561,17 @@ def _whp_start(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig):
 def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
     """GCR with an SPD preconditioner H used as the inner-product weight.
 
-    Produces the iterates of wp_gcr_right(h, w=h) while applying H only
-    once per iteration: the vectors y = H q are stored alongside each
-    direction and the preconditioned residual z = H r is updated by the
-    same recurrence as r.  All inner products reduce to Euclidean dots
-    of stored vectors; ||r||_H comes from <r, z>.
+    The loop of wp_gcr_right(h, w=H), with its iterates, arranged so that
+    H is applied once per iteration: the preconditioned residual z = H r
+    is kept by the same recurrence as r, z <- z - alpha H q, with H q
+    stored beside each direction, and gives ||r||_H = sqrt(<r, z>).  H is
+    applied iterations + 2 times in all (twice before the loop, for
+    ||b||_H and H r_0), once more only when z has drifted so far from H r
+    that <r, z> < 0.  Only full orthogonalization is supported.
     """
     _require_spd_preconditioner(h)
     _reject_variants(cfg, "whp_gcr")
-    a = system.operator
-    x = system.initial_guess()
-    trace = IterationTrace()
-    stop, r, z = _whp_start(system, h, cfg)
-    rw = _clamped_sqrt(float(r @ z))
-    r2 = float(np.linalg.norm(r))
-    if _start(trace, cfg, x, rw, r2, stop):
-        return SolveResult(x, trace, 0)
-
-    store = _Directions(system.dim, 3, cfg)  # records (p, q, y = H q)
-    v = z
-
-    for i in range(cfg.max_iterations):
-        az = a.apply(v)
-        p, q = v.copy(), az.copy()
-        phi, beta = store.project(az, [p, q])
-        y = h.apply(q)
-        record = [p, q, y]
-        delta, beta = store.reorthogonalize(record, beta)
-
-        degenerate = (not np.isfinite(delta) or delta <= 0.0
-                      or np.linalg.norm(q) <= BREAKDOWN_RTOL * max(np.linalg.norm(az), 1e-300))
-        gamma = float(q @ z) if not degenerate else 0.0
-        if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
-            if _breakdown(trace, cfg, i, gamma, degenerate, store):
-                return store.result(x, trace)
-            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2)
-            if not degenerate:
-                store.append(record, delta)
-                v = y  # Orthodir-style: H times the image of p
-            else:
-                v = store.last(2)
-            continue
-
-        alpha = gamma / delta
-        x = x + alpha * p
-        r = r - alpha * q
-        z = z - alpha * y
-        rw = _clamped_sqrt(float(r @ z))
-        r2 = float(np.linalg.norm(r))
-        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2)
-        store.append(record, delta)
-        if stop.done(rw, r2):
-            trace.status = "converged"
-            return store.result(x, trace)
-        v = z
-
-    trace.status = "max_iter"
-    return store.result(x, trace)
+    return _gcr(system, h, h.as_weight(), cfg, w_is_h=True)
 
 
 def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
@@ -597,16 +602,17 @@ def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
     for i in range(cfg.max_iterations):
         qt = a.apply(v)
         p, y = v.copy(), h.apply(qt)
+        az_norm = _clamped_sqrt(float(y @ qt))
         record = [p, y]
         phi, beta = store.project(qt, record)
         delta = float(y @ qt)
 
-        degenerate = not np.isfinite(delta) or delta <= 0.0
+        degenerate = _degenerate(delta, az_norm, i)
         gamma = float(qt @ z) if not degenerate else 0.0
         if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
             if _breakdown(trace, cfg, i, gamma, degenerate, store):
                 return store.result(x, trace)
-            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2)
+            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
             if not degenerate:
                 store.append(record, delta)
                 v = y
@@ -620,7 +626,7 @@ def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
         rw2 = max(rw2 - gamma * gamma / delta, 0.0)
         rw = _clamped_sqrt(rw2)
         r2 = float(np.linalg.norm(b - a.apply(x)))
-        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2)
+        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
         store.append(record, delta)
         if stop.done(rw, r2):
             trace.status = "converged"
@@ -657,17 +663,18 @@ def whp_gcr_alt_b(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
     for i in range(cfg.max_iterations):
         qhat = a.apply(v)
         t = h.apply(qhat)
+        az_norm = _clamped_sqrt(float(t @ qhat))
         p, q = v.copy(), qhat.copy()
         record = [p, q]
         phi, beta = store.project(t, record)
         delta = float(t @ q)
 
-        degenerate = not np.isfinite(delta) or delta <= 0.0
+        degenerate = _degenerate(delta, az_norm, i)
         gamma = float(q @ z) if not degenerate else 0.0
         if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
             if _breakdown(trace, cfg, i, gamma, degenerate, store):
                 return store.result(x, trace)
-            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2)
+            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
             if not degenerate:
                 store.append(record, delta)
                 v = h.apply(q)
@@ -679,12 +686,14 @@ def whp_gcr_alt_b(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
         x = x + alpha * p
         r = r - alpha * q
         z = z - alpha * t
-        rw = _clamped_sqrt(float(r @ z))
+        rw, rz = _recurrence_norm(r, z, h.apply)
         r2 = float(np.linalg.norm(r))
-        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2)
+        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
         store.append(record, delta)
         if stop.done(rw, r2):
             trace.status = "converged"
+            return store.result(x, trace)
+        if _drifted(trace, i, rz):
             return store.result(x, trace)
         v = z
 
@@ -710,26 +719,16 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
         raise ValueError("gmres_arnoldi_oracle does not support truncated orthogonalization")
     a = system.operator
     b = system.rhs
-    x0 = system.initial_guess()
+    x = system.initial_guess()
     trace = IterationTrace()
-
-    bw = _weighted_norm(w, b)
-    b2 = float(np.linalg.norm(b))
-    stop = _Stopping(cfg, bw, b2)
-
+    stop = _Stopping(cfg, _weighted_norm(w, b), float(np.linalg.norm(b)))
     restart = cfg.restart_period or cfg.max_iterations
-    x = x0.copy()
     total_iters = 0
 
     r = b - a.apply(x)
     rw = _weighted_norm(w, r)
     r2 = float(np.linalg.norm(r))
-    trace.residual_norm_weighted.append(rw)
-    trace.residual_norm_euclidean.append(r2)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
-    if stop.done(rw, r2):
-        trace.status = "converged"
+    if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
     while total_iters < cfg.max_iterations:

@@ -51,20 +51,15 @@ class WeightOperator:
     ----------
     dim : dimension of the space.
     apply_w : action of W on a vector.
-    apply_w_inv : optional action of W^{-1}; only some bound computations
-        can take advantage of it.
     is_identity : marks the Euclidean inner product so callers may skip
         redundant applications (apply_w is then not used).
     validate : run the probabilistic symmetry/positivity probes.
     """
 
-    def __init__(self, dim, apply_w, apply_w_inv=None, *, is_identity=False, validate=True):
+    def __init__(self, dim, apply_w, *, is_identity=False, validate=True):
         self.dim = int(dim)
         self._op = (LinearOperator.identity(self.dim) if is_identity
                     else aslinearoperator(apply_w, dim=self.dim))
-        self.apply_w_inv = (
-            aslinearoperator(apply_w_inv, dim=self.dim) if apply_w_inv is not None else None
-        )
         self.is_identity = bool(is_identity)
         if validate and not self.is_identity:
             self._probe_spd()
@@ -96,19 +91,19 @@ class WeightOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "WeightOperator":
-        return cls(dim, lambda x: x, apply_w_inv=lambda x: x, is_identity=True, validate=False)
+        return cls(dim, lambda x: x, is_identity=True, validate=False)
 
     @classmethod
-    def from_dense(cls, w, apply_w_inv=None, validate=True) -> "WeightOperator":
+    def from_dense(cls, w, validate=True) -> "WeightOperator":
         m = np.asarray(w, dtype=float)
-        return cls(m.shape[0], LinearOperator.from_dense(m), apply_w_inv, validate=validate)
+        return cls(m.shape[0], LinearOperator.from_dense(m), validate=validate)
 
     @classmethod
     def from_diagonal(cls, diag) -> "WeightOperator":
         d = np.asarray(diag, dtype=float)
         if np.any(d <= 0):
             raise InvalidWeightError("diagonal weight requires positive entries")
-        return cls(len(d), lambda x: d * x, apply_w_inv=lambda x: x / d, validate=False)
+        return cls(len(d), lambda x: d * x, validate=False)
 
 
 class PreconditionerHandle:

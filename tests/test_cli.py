@@ -55,6 +55,15 @@ def test_non_finite_rhs_is_usage_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_alt_b_drift_exit_code(capsys):
+    # <r, z> of whp-gcr-alt-b turns negative before the true H-norm of the
+    # residual meets the tolerance: a breakdown (exit 3), not a convergence
+    code = main(["solve", "--cdr", "m=30", "--precond", "two-level", "--n-sub", "4",
+                 "--layout", "grid:2x2", "--solver", "whp-gcr-alt-b"])
+    assert code == 3
+    assert "status=breakdown" in capsys.readouterr().out
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["solve"]) == 1
     assert "error" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from wpkrylov.solvers import (
     LinearSystem,
     SolveConfig,
+    gmres_arnoldi_oracle,
     whp_gcr,
     whp_gcr_alt_a,
     whp_gcr_alt_b,
@@ -74,6 +75,20 @@ def test_whp_gcr_matches_right_gcr_with_w_equal_h(system):
     assert special.iterations == generic.iterations
     assert_norms_match(special.trace.residual_norm_weighted,
                        generic.trace.residual_norm_weighted, rtol=1e-7)
+
+
+@EXAMPLES
+@given(systems)
+def test_gmres_oracle_matches_full_gcr(system):
+    # GMRES and GCR minimize ||r||_W over the same Krylov space
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    cfg = SolveConfig(rel_tolerance=1e-8)
+    gcr = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+    oracle = gmres_arnoldi_oracle(LinearSystem(a, b), h, w, cfg)
+    assert gcr.status == oracle.status == "converged"
+    assert_norms_match(oracle.trace.residual_norm_weighted,
+                       gcr.trace.residual_norm_weighted, rtol=1e-9)
 
 
 @EXAMPLES

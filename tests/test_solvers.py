@@ -148,9 +148,11 @@ class TestRightGcr:
     def test_direction_norm_never_exceeds_image_norm(self):
         a, h_dense, b = make_pd_system(12)
         h, w, cfg = dense_setup(a, h_dense)
-        res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
-        for az_norm, delta in zip(res.trace.az_norm_weighted, res.trace.delta):
-            assert np.sqrt(delta) <= az_norm * (1.0 + 1e-12)
+        for res in (wp_gcr_right(LinearSystem(a, b), h, w, cfg),
+                    whp_gcr(LinearSystem(a, b), h, cfg)):
+            assert len(res.trace.az_norm_weighted) == len(res.trace.delta) == res.iterations
+            for az_norm, delta in zip(res.trace.az_norm_weighted, res.trace.delta):
+                assert np.sqrt(delta) <= az_norm * (1.0 + 1e-12)
 
     def test_deltas_positive(self):
         a, h_dense, b = make_pd_system(6)
@@ -358,6 +360,17 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="initial guess"):
             LinearSystem(np.eye(3), np.ones(3), x0=np.array([0.0, np.inf, 0.0]))
 
+    @pytest.mark.parametrize("solver", [wp_gcr_right, whp_gcr, whp_gcr_alt_a, whp_gcr_alt_b],
+                             ids=lambda solver: solver.__name__)
+    def test_nan_in_operator_raises(self, solver):
+        # a NaN in A is not a breakdown: the solve raises, naming the iteration
+        a, h_dense, b = make_pd_system(5, n=8)
+        a[3, 5] = np.nan
+        h, w, cfg = dense_setup(a, h_dense)
+        args = (h, w, cfg) if solver is wp_gcr_right else (h, cfg)
+        with pytest.raises(FloatingPointError, match="at iteration 0"):
+            solver(LinearSystem(a, b), *args)
+
 
 class TestLeftGcr:
     def test_identity_one_iteration(self):
@@ -440,6 +453,23 @@ class TestWhpFamily:
         for xg, xs in zip(generic.trace.iterates[:count], special.trace.iterates[:count]):
             assert np.linalg.norm(xg - xs) <= 1e-10 * max(np.linalg.norm(xg), 1e-30)
 
+    def test_orthodir_recovery_solves_skew_system(self):
+        # H is applied iterations + 2 times also through the recovery step
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return np.array(v, dtype=float)
+
+        h = PreconditionerHandle(2, counted, hermitian_flag=True)
+        cfg = SolveConfig(breakdown_policy="restart_orthodir_style")
+        res = whp_gcr(LinearSystem(a, np.array([1.0, 0.0])), h, cfg)
+        assert res.status == "converged"
+        assert np.allclose(res.x, [0.0, 1.0])
+        assert res.trace.breakdown is not None and res.trace.breakdown.iteration == 0
+        assert calls[0] == res.iterations + 2 == 4
+
     def test_two_by_two_step_ratio(self):
         # unit symmetric part plus unit-strength skew part: the per-step
         # contraction cannot exceed sqrt(1 - 1/2)
@@ -521,6 +551,29 @@ class TestMeshProblemRuns:
         assert report.bound1 is not None and report.bound1 < 1.0
         for i, value in enumerate(norms):
             assert value / norms[0] <= report.bound1**i * (1.0 + 1e-10)
+
+    def test_alt_b_drift_is_a_breakdown(self, cdr_assembled):
+        # at m = 30, <r, z> of whp_gcr_alt_b turns negative at iteration 15
+        # while ||b - A x||_H / ||b||_H is still about 6e-6, above the
+        # tolerance; a norm clamped to 0 there used to read as convergence
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(30)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        b = assembled.rhs
+        cfg = SolveConfig()
+        res = whp_gcr_alt_b(LinearSystem(assembled.operator(), b), precond.as_handle(), cfg)
+        assert res.status == "breakdown"
+        event = res.trace.breakdown
+        assert event is not None and event.iteration == res.iterations - 1
+        assert event.gamma_value < 0.0
+        r = b - assembled.operator().apply(res.x)
+        true_norm = np.sqrt(r @ precond.apply(r))
+        assert true_norm > cfg.rel_tolerance * np.sqrt(b @ precond.apply(b))
+        # the last recorded norm is formed with H, not read from the drifted z
+        assert np.isclose(res.trace.residual_norm_weighted[-1], true_norm, rtol=1e-3)
 
     def test_h_application_counts_with_w_equal_h(self, cdr_assembled):
         # the paper's cost claim: with W = H, whp_gcr applies H once per
