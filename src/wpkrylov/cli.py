@@ -166,6 +166,13 @@ class _Problem:
         return self.m_matrix.add(self.n_matrix)
 
 
+def _read_matrix(path) -> CsrMatrix:
+    try:
+        return matrixio.read_matrix_market(path)
+    except ValueError as exc:  # a non-finite or unparsable entry
+        raise UsageError(f"{path}: {exc}") from exc
+
+
 def _load_problem(args) -> _Problem:
     if args.cdr:
         kv = _parse_kv(args.cdr, "--cdr")
@@ -186,11 +193,11 @@ def _load_problem(args) -> _Problem:
     if args.matrix:
         if not args.rhs:
             raise UsageError("--rhs is required with --matrix")
-        first = matrixio.read_matrix_market(args.matrix)
+        first = _read_matrix(args.matrix)
         rhs = matrixio.read_vector(args.rhs)
         if args.matrix_skew:
             m_part = first
-            n_part = matrixio.read_matrix_market(args.matrix_skew)
+            n_part = _read_matrix(args.matrix_skew)
         else:
             a_sp = first.csr
             m_part = CsrMatrix.from_scipy((a_sp + a_sp.T) * 0.5)

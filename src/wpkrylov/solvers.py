@@ -20,6 +20,17 @@ blocks, so a projection against all held directions is one
 matrix-vector product for the coefficients and one per block for the
 update, whatever their number.
 
+The GCR loop orthogonalizes by classical Gram-Schmidt with the "twice is
+enough" norm test: a second pass runs only when the first one cancelled
+the image A z, that is when ||q||_W < eta ||A z||_W, two norms the loop
+has anyway (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976; Giraud,
+Langou, Rozloznik & van den Eshof, Numer. Math. 2005).  With eta = 1/2 a
+step without the pass lost at most one bit to cancellation, and a step
+with it is orthogonal to working precision unless its image is
+numerically dependent on the held ones.  A step without cancellation
+reads the held directions twice: once for the coefficients, once for
+the update.
+
 Every GCR loop applies one breakdown rule (_degenerate); non-finite data
 raises FloatingPointError.  A loop that reads ||r||_H = sqrt(<r, z>) from
 a z kept by recurrence ends in a breakdown once <r, z> < 0 shows that z
@@ -67,9 +78,12 @@ __all__ = [
 # scaled systems.
 BREAKDOWN_RTOL = 1e-14
 
-# a second orthogonalization pass is run when the normalized Gram
-# off-diagonal of the new direction exceeds this
-_REORTH_TRIGGER = 1e-6
+# the second classical Gram-Schmidt pass runs when the first one cancelled
+# the image below this fraction of its W-norm: ||q||_W < eta ||A z||_W.
+# The DGKS value 1/sqrt(2) fires on about one step in six of full GCR on
+# the m=100 CDR problem with H = I, whose ratios lie in 0.59-0.85 and whose
+# held images are orthogonal to 1e-15 without the pass; 1/2 fires on none.
+_REORTH_ETA = 0.5
 
 
 @dataclass
@@ -157,6 +171,9 @@ class IterationTrace:
     longer than the coefficient lists.  beta_rows[i]/phi_rows[i] are the
     orthogonalization coefficients that built the direction used at
     iteration i (empty for the first direction of a cycle).
+    reorthogonalized lists the iterations whose direction took a second
+    Gram-Schmidt pass, in order; it stays empty unless a first pass
+    cancelled most of an image (the whp alternates never record one).
     """
 
     residual_norm_weighted: list = field(default_factory=list)
@@ -167,6 +184,7 @@ class IterationTrace:
     beta_rows: list = field(default_factory=list)
     phi_rows: list = field(default_factory=list)
     az_norm_weighted: list = field(default_factory=list)
+    reorthogonalized: list = field(default_factory=list)
     restart_markers: list = field(default_factory=list)
     iterates: list = field(default_factory=list)
     breakdown: BreakdownEvent | None = None
@@ -226,6 +244,10 @@ class _Directions:
     GCR(k) holds at most k and is cleared at the end of each cycle.  The
     blocks are allocated once with np.empty; rows never written cost no
     resident memory.
+
+    A new record is projected once (project), and a second time only when
+    the first pass cancelled most of its image (reorthogonalize); that
+    decision reads two norms the loop has, not the held rows.
     """
 
     def __init__(self, n: int, kinds: int, cfg: SolveConfig):
@@ -265,27 +287,30 @@ class _Directions:
         self._subtract(beta, record)
         return phi, beta
 
-    def reorthogonalize(self, record: list, beta: np.ndarray) -> tuple[float, np.ndarray]:
-        """Classical Gram-Schmidt can leak; one corrective pass when it does.
+    def reorthogonalize(self, record: list, beta: np.ndarray,
+                        az_norm: float) -> tuple[float, np.ndarray, bool]:
+        """The "twice is enough" test: a second pass only after cancellation.
 
-        ``record`` is the projected (p, q, ..., weighted image of q).
-        Probes the normalized Gram off-diagonals <row j of the last
-        block, q> and, when the largest exceeds _REORTH_TRIGGER, projects
-        the whole record once more.  Returns delta = <weighted image, q>
-        of the final record and the accumulated coefficients.
+        ``record`` is the projected (p, q, ..., weighted image of q) and
+        az_norm is ||A z||_W, the W-norm of the image before projection.
+        Classical Gram-Schmidt leaves q with a component in the held span
+        of about eps ||A z||_W / ||q||_W relative (Daniel, Gragg, Kaufman &
+        Stewart 1976).  When sqrt(delta) = ||q||_W < _REORTH_ETA * az_norm
+        the whole record is projected once more, as a second classical
+        pass: dots of q against the rows of the last block, one update per
+        stored kind.  Two passes suffice for an image that is numerically
+        independent of the held ones (Giraud, Langou, Rozloznik & van den
+        Eshof 2005).  Otherwise nothing is read or touched.  Returns
+        delta = <weighted image, q> of the final record, the accumulated
+        coefficients and whether the second pass ran.
         """
         q, wq = record[1], record[-1]
         delta = float(wq @ q)
-        if not self or not delta > 0.0:
-            return delta, beta
-        dots = self.held(-1) @ q
-        held_delta = self.delta[self.lo:self.hi]
-        worst = np.max(np.abs(dots) / np.maximum(np.sqrt(held_delta * delta), 1e-300))
-        if not worst > _REORTH_TRIGGER:
-            return delta, beta
-        extra = dots / held_delta
+        if not (self and delta > 0.0 and np.sqrt(delta) < _REORTH_ETA * az_norm):
+            return delta, beta, False
+        extra = (self.held(-1) @ q) / self.delta[self.lo:self.hi]
         self._subtract(extra, record)
-        return float(wq @ q), beta + extra
+        return float(wq @ q), beta + extra, True
 
     def _subtract(self, beta: np.ndarray, record: list):
         for kind, vector in enumerate(record):
@@ -437,7 +462,9 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
         record = [p, q] if w.is_identity else [p, q, waz.copy()]
         wq = record[-1]
         phi, beta = store.project(az, record)
-        delta, beta = store.reorthogonalize(record, beta)
+        delta, beta, twice = store.reorthogonalize(record, beta, az_norm)
+        if twice:
+            trace.reorthogonalized.append(i)
 
         degenerate = _degenerate(delta, az_norm, i)
         gamma = float(wq @ r) if not degenerate else 0.0

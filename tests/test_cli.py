@@ -55,6 +55,19 @@ def test_non_finite_rhs_is_usage_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_non_finite_matrix_is_usage_error(tmp_path, capsys):
+    mtx = tmp_path / "a.mtx"
+    rhs = tmp_path / "b.txt"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 1.0\n",
+                   encoding="utf-8")
+    rhs.write_text("1.0\n1.0\n", encoding="utf-8")
+    code = main(["solve", "--matrix", str(mtx), "--rhs", str(rhs), "--precond", "identity",
+                 "--weight", "identity"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+
+
 def test_alt_b_drift_exit_code(capsys):
     # <r, z> of whp-gcr-alt-b turns negative before the true H-norm of the
     # residual meets the tolerance: a breakdown (exit 3), not a convergence

@@ -91,6 +91,30 @@ def test_gmres_oracle_matches_full_gcr(system):
                        gcr.trace.residual_norm_weighted, rtol=1e-9)
 
 
+def max_normalized_off_diagonal(vectors, weight):
+    """Largest |<v_i, v_j>_W| / (||v_i||_W ||v_j||_W) over i != j."""
+    block = np.array(vectors)
+    gram = block @ weight @ block.T
+    scale = np.sqrt(np.diag(gram))
+    off = np.abs(gram) / np.outer(scale, scale)
+    np.fill_diagonal(off, 0.0)
+    return off.max()
+
+
+@EXAMPLES
+@given(systems)
+def test_held_images_stay_w_orthogonal(system):
+    # the second Gram-Schmidt pass runs only after cancellation; the held
+    # images must still be W-orthogonal to working precision
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    cfg = SolveConfig(rel_tolerance=1e-8)
+    for res in (wp_gcr_right(LinearSystem(a, b), h, w, cfg),
+                whp_gcr(LinearSystem(a, b), h, cfg)):
+        assert res.status == "converged"
+        assert max_normalized_off_diagonal(res.q_directions, h_dense) <= 1e-12
+
+
 @EXAMPLES
 @given(clustered_systems)
 def test_alternates_match_right_gcr_with_w_equal_h(system):

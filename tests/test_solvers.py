@@ -345,11 +345,60 @@ class TestDirectionStore:
             return np.abs(basis.T @ q).max() / np.linalg.norm(q)
 
         assert leak() > 1e-6
-        delta, beta2 = store.reorthogonalize([p, q], beta)
+        delta, beta2, twice = store.reorthogonalize([p, q], beta, np.linalg.norm(u))
+        assert twice
         assert leak() <= 1e-12
         assert np.isclose(delta, q @ q, rtol=1e-14)
         assert np.array_equal(p, q)
         assert np.allclose(beta2, [1.0, 1.0], rtol=1e-10)
+
+    def test_no_second_pass_without_cancellation(self):
+        # the first pass keeps 1/sqrt(1.5) of the image's norm, above eta:
+        # no dot against the held rows, no vector touched
+        from wpkrylov.solvers import _REORTH_ETA, _Directions
+
+        rng = np.random.default_rng(6)
+        n = 50
+        basis, _ = np.linalg.qr(rng.standard_normal((n, 3)))
+        store = _Directions(n, 2, SolveConfig(max_iterations=3))  # (p, q), Euclidean
+        for q in basis.T[:2]:
+            store.append([q, q], 1.0)
+        u = basis @ np.array([0.5, 0.5, 1.0])
+        p, q = u.copy(), u.copy()
+        _, beta = store.project(u, [p, q])
+        projected, coefficients = q.copy(), beta.copy()
+        assert np.sqrt(q @ q) >= _REORTH_ETA * np.linalg.norm(u)
+
+        held_calls = []
+        held = store.held
+        store.held = lambda kind: held_calls.append(kind) or held(kind)
+        delta, beta2, twice = store.reorthogonalize([p, q], beta, np.linalg.norm(u))
+        assert not twice
+        assert held_calls == []
+        assert np.array_equal(q, projected) and np.array_equal(p, projected)
+        assert np.array_equal(beta2, coefficients)
+        assert delta == q @ q
+
+    def test_second_pass_is_traced_on_a_near_dependent_image(self):
+        # the shear maps r_1, orthogonal to q_0 = A b, almost onto q_0: the
+        # first pass keeps 1 % of the second image's norm
+        a = np.array([[1.0, 10.0], [0.0, 1.0]])
+        b = np.ones(2)
+        h, w, _ = identity_setup(2)
+        res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(rel_tolerance=1e-12))
+        assert res.status == "converged" and res.iterations == 2
+        assert res.trace.reorthogonalized == [1]
+        q0, q1 = res.q_directions
+        assert abs(q0 @ q1) <= 1e-12 * np.linalg.norm(q0) * np.linalg.norm(q1)
+
+    def test_no_second_pass_on_a_well_conditioned_solve(self):
+        a, h_dense, b = make_pd_system(8)
+        h, w, cfg = dense_setup(a, h_dense)
+        for res in (wp_gcr_right(LinearSystem(a, b), h, w, cfg),
+                    whp_gcr(LinearSystem(a, b), h, cfg)):
+            assert res.status == "converged" and res.iterations > 5
+            assert res.trace.reorthogonalized == []
+
 
 class TestNonFiniteInput:
     def test_rhs_rejected(self):
