@@ -5,11 +5,9 @@ Everything here is desk scale: operators are densified (dimension cap in
 bound report densifies the preconditioner H once, as one blocked
 application to the identity when its operator has a block action (the
 Schwarz preconditioners do); when the weight W is found to equal H, that
-matrix and its one Cholesky factor serve for W as well.  The distance
-of the numerical range from zero is read in closed form off the
-extreme eigenvalues of the symmetric part, and eigenvectors are formed
-only where they are used (the start points of bound1).  The reported
-per-iteration contraction factors are
+matrix and its one Cholesky factor serve for W as well.  Only eigenvalues
+are computed, never eigenvectors.  The reported per-iteration
+contraction factors are
 
 * bound1: from the infimum of the normalized quadratic-form quotient of
   the preconditioned operator in the weighted geometry (the sharpest of
@@ -20,9 +18,16 @@ per-iteration contraction factors are
   number and the skewness measure rho, additionally requiring a positive
   definite symmetric part.
 
-bound1 has no closed eigen-form; it is evaluated by multi-start
-quasi-Newton minimization and is therefore a numerical infimum (an upper
-bound on the true one).
+With C the whitened preconditioned operator, S = sym(C) and K = C^T C,
+two quantities are exact without a search in n dimensions.  The
+distance of the numerical range of C from zero is a closed form in the
+extreme eigenvalues of S.  The infimum behind bound1 equals, by duality, the maximum over t >= 0
+of the concave smallest eigenvalue of t S - t^2 K / 4, a search in one
+variable.  There is no duality gap because the joint range of the two
+quadratic forms is convex (Toeplitz-Hausdorff; for real vectors
+Brickman, Proc. AMS 12 (1961) 61-66).  See K. Gustafson, *Antieigenvalue
+Analysis* (World Scientific 2012) for the quotient, and Eisenstat, Elman
+and Schultz (SIAM J. Numer. Anal. 20, 1983) for the one-step GCR bound.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ import scipy.linalg
 import scipy.optimize
 
 from .linalg import (
-    DENSIFY_LIMIT,
     CholeskyFactor,
     NotPositiveDefiniteError,
     cholesky,
@@ -57,9 +61,10 @@ __all__ = [
     "analytic_rho_bound",
 ]
 
-# multi-start minimization for bound1 is restricted to modest dimensions
+# bound1 is computed up to this dimension.  Its dual search costs one
+# smallest-eigenvalue solve per step: at n = 841, the size of the m = 30
+# two-level report, 26 solves of 0.03 s would about double the report.
 RAYLEIGH_DIM_LIMIT = 512
-_RAYLEIGH_SEED = 0xC0FFEE
 
 
 @dataclass
@@ -80,9 +85,9 @@ class HermitianSplit:
         return self.m_part.shape[0]
 
 
-def split(a, limit: int = DENSIFY_LIMIT) -> HermitianSplit:
+def split(a) -> HermitianSplit:
     """Split a (densifiable) operator into symmetric and skew parts."""
-    dense = densify(a, limit=limit)
+    dense = densify(a)
     return HermitianSplit(m_part=0.5 * (dense + dense.T), n_part=0.5 * (dense - dense.T))
 
 
@@ -112,12 +117,12 @@ def _whiten(b_dense: np.ndarray, w_factor: CholeskyFactor) -> np.ndarray:
     return w_factor.lower.T @ y
 
 
-def _whitened(b, w: WeightOperator, limit: int) -> np.ndarray:
-    b_dense = densify(b, limit=limit)
-    return b_dense if w.is_identity else _whiten(b_dense, cholesky(densify(w, limit=limit)))
+def _whitened(b, w: WeightOperator) -> np.ndarray:
+    b_dense = densify(b)
+    return b_dense if w.is_identity else _whiten(b_dense, cholesky(densify(w)))
 
 
-def fov_distance(b, w: WeightOperator, limit: int = DENSIFY_LIMIT) -> float:
+def fov_distance(b, w: WeightOperator) -> float:
     """Distance from zero to the W-numerical range of a real operator.
 
     The range is the set of W-Rayleigh quotients over complex vectors,
@@ -128,59 +133,48 @@ def fov_distance(b, w: WeightOperator, limit: int = DENSIFY_LIMIT) -> float:
     zero, and max(lambda_min(S), -lambda_max(S)) otherwise -- exact, with
     no search over rotation angles.
     """
-    c = _whitened(b, w, limit)
+    c = _whitened(b, w)
     return _min_abs_over_range(sym_eig(0.5 * (c + c.T), vectors=False))
 
 
-def weighted_operator_norm(b, w: WeightOperator, limit: int = DENSIFY_LIMIT) -> float:
+def weighted_operator_norm(b, w: WeightOperator) -> float:
     """Operator norm induced by the W-norm."""
-    return _spectral_norm(_whitened(b, w, limit))
+    return _spectral_norm(_whitened(b, w))
 
 
-def _ratio_and_grad(y, s_mat, k_mat):
-    sy = s_mat @ y
-    ky = k_mat @ y
-    u = float(y @ sy)
-    v = float(y @ ky)
-    wn = float(y @ y)
-    f = (u * u) / (v * wn)
-    grad = (4.0 * u * sy * (v * wn) - u * u * (2.0 * ky * wn + 2.0 * v * y)) / (v * wn) ** 2
-    return f, grad
+def _min_normalized_quotient(c: np.ndarray, s_vals: np.ndarray) -> float:
+    """Infimum over y of (y^T S y)^2 / (||C y||^2 ||y||^2), S = sym(C),
+    given the eigenvalues of S.
 
-
-def _min_normalized_quotient(c: np.ndarray, s_vals: np.ndarray, s_vecs: np.ndarray,
-                             n_starts: int, seed: int) -> float:
-    """Numerical infimum of (y^T S y)^2 / (||C y||^2 ||y||^2), S = sym(C),
-    given the eigenvalues and eigenvectors of S.
-
-    Multi-start L-BFGS over the (scale-invariant) quotient; start points
-    are random plus the extreme eigenvectors of S and of the pencil
-    (S, C^T C).  The achieved value upper-bounds the true infimum.
+    The quotient is unchanged by C -> -C, so a negative definite S is
+    handled as -S; when [lambda_min, lambda_max] holds zero, some y has
+    y^T S y = 0 and the infimum is 0.  Otherwise it is exactly the
+    maximum over t >= 0 of the concave phi(t) = lambda_min(t S - t^2 K / 4),
+    K = C^T C.  With u = y^T S y and v = ||C y||^2 for a unit y,
+    u^2/v >= t u - t^2 v / 4 for every t, with equality at t = 2u/v, so
+    phi(t) never exceeds the quotient.  The maximum of phi is the
+    infimum of the convex u^2/v over the convex hull of the joint range
+    of (u, v).  For n >= 3 that range is convex itself (Brickman 1961).
+    For n = 2 it is an ellipse, and its hull adds only interior points,
+    where u^2/v > 0 has no minimum.  The maximizer is t* = 2u/v at the
+    minimizing y, and t* <= 2/sigma_min(C) <= 2/lambda_min(S) brackets
+    the bounded scalar search.
     """
-    s_mat = 0.5 * (c + c.T)
-    k_mat = c.T @ c
-    if s_vals[0] <= 0.0:
+    d = _min_abs_over_range(s_vals)
+    if d == 0.0:
         return 0.0
-    starts = [s_vecs[:, 0], s_vecs[:, -1]]
-    try:
-        _, pencil_vecs = scipy.linalg.eigh(s_mat, 0.5 * (k_mat + k_mat.T))
-        starts += [pencil_vecs[:, 0], pencil_vecs[:, -1]]
-    except scipy.linalg.LinAlgError:
-        pass
-    rng = np.random.default_rng(seed)
-    starts += [rng.standard_normal(c.shape[0]) for _ in range(n_starts)]
-    best = np.inf
-    for y0 in starts:
-        res = scipy.optimize.minimize(
-            _ratio_and_grad,
-            y0 / np.linalg.norm(y0),
-            args=(s_mat, k_mat),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": 500, "gtol": 1e-14, "ftol": 1e-16},
-        )
-        best = min(best, float(res.fun))
-    return float(np.clip(best, 0.0, 1.0))
+    s_mat = math.copysign(0.5, s_vals[0]) * (c + c.T)
+    k_mat = c.T @ c
+
+    def neg_phi(t):
+        m = t * s_mat - (0.25 * t * t) * k_mat
+        return -scipy.linalg.eigvalsh(m, subset_by_index=[0, 0])[0]
+
+    # no absolute tolerance: the search stops on its relative step
+    # sqrt(eps) * t, since t* may lie far inside the bracket
+    res = scipy.optimize.minimize_scalar(neg_phi, bounds=(0.0, 2.0 / d), method="bounded",
+                                         options={"xatol": 0.0})
+    return float(np.clip(-res.fun, 0.0, 1.0))
 
 
 @dataclass
@@ -239,10 +233,7 @@ def _operators_match(first, second, dim: int, probes: int = 8) -> bool:
     return True
 
 
-def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator,
-                         include_fov: bool = True,
-                         rayleigh_starts: int = 64,
-                         limit: int = DENSIFY_LIMIT) -> BoundReport:
+def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator) -> BoundReport:
     """Evaluate every bound quantity the given (A, H, W) triple supports.
 
     bound1 needs only an SPD weight; bound2 additionally requires the
@@ -251,29 +242,24 @@ def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator,
     is decided by probing both on random vectors; when it does, H is the
     only one of the two that is densified and factored.
     """
-    a_dense = densify(a, limit=limit)
+    a_dense = densify(a)
     n = a_dense.shape[0]
     w_is_h = _operators_match(h.apply, w.apply, n)
-    h_dense = densify(h, limit=limit)
+    h_dense = densify(h)
     report = BoundReport()
 
     b_dense = a_dense @ h_dense
     w_factor = None
     if not w.is_identity:
-        w_factor = cholesky(h_dense if w_is_h else densify(w, limit=limit))
+        w_factor = cholesky(h_dense if w_is_h else densify(w))
     c = b_dense if w_factor is None else _whiten(b_dense, w_factor)
 
-    s_mat = 0.5 * (c + c.T)
+    s_vals = sym_eig(0.5 * (c + c.T), vectors=False)
+    report.fov_distance = _min_abs_over_range(s_vals)  # closed form, see fov_distance
+    report.op_norm = _spectral_norm(c)
     if n <= RAYLEIGH_DIM_LIMIT:
-        s_vals, s_vecs = sym_eig(s_mat)
-        inf_quotient = _min_normalized_quotient(c, s_vals, s_vecs, rayleigh_starts,
-                                                _RAYLEIGH_SEED)
-        report.bound1 = float(np.sqrt(np.clip(1.0 - inf_quotient, 0.0, 1.0)))
-    elif include_fov:
-        s_vals = sym_eig(s_mat, vectors=False)
-    if include_fov:
-        report.fov_distance = _min_abs_over_range(s_vals)  # closed form, see fov_distance
-        report.op_norm = _spectral_norm(c)
+        inf_quotient = _min_normalized_quotient(c, s_vals)
+        report.bound1 = float(np.sqrt(1.0 - inf_quotient))
 
     if not (h.hermitian_flag and w_is_h):
         return report
@@ -284,7 +270,7 @@ def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator,
             h_factor = cholesky(h_dense)
         except NotPositiveDefiniteError:
             return report
-    hs = split(a_dense, limit=limit)
+    hs = split(a_dense)
     lh = h_factor.lower
     hm = lh.T @ hs.m_part @ lh
     hm_eigs = sym_eig(0.5 * (hm + hm.T), vectors=False)

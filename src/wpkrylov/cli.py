@@ -166,11 +166,13 @@ class _Problem:
         return self.m_matrix.add(self.n_matrix)
 
 
-def _read_matrix(path) -> CsrMatrix:
+def _read_file(reader, path):
     try:
-        return matrixio.read_matrix_market(path)
-    except ValueError as exc:  # a non-finite or unparsable entry
+        return reader(path)
+    except ValueError as exc:  # every malformed matrix or vector file
         raise UsageError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise UsageError(f"{path}: {exc.strerror}") from exc
 
 
 def _load_problem(args) -> _Problem:
@@ -193,11 +195,11 @@ def _load_problem(args) -> _Problem:
     if args.matrix:
         if not args.rhs:
             raise UsageError("--rhs is required with --matrix")
-        first = _read_matrix(args.matrix)
-        rhs = matrixio.read_vector(args.rhs)
+        first = _read_file(matrixio.read_matrix_market, args.matrix)
+        rhs = _read_file(matrixio.read_vector, args.rhs)
         if args.matrix_skew:
             m_part = first
-            n_part = _read_matrix(args.matrix_skew)
+            n_part = _read_file(matrixio.read_matrix_market, args.matrix_skew)
         else:
             a_sp = first.csr
             m_part = CsrMatrix.from_scipy((a_sp + a_sp.T) * 0.5)

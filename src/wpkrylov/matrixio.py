@@ -33,15 +33,15 @@ __all__ = [
 _FLOAT_FMT = "{:.17g}"
 
 
-class MalformedHeaderError(Exception):
+class MalformedHeaderError(ValueError):
     """The Matrix Market banner or size line could not be parsed."""
 
 
-class IndexOutOfRangeError(Exception):
+class IndexOutOfRangeError(ValueError):
     """A coordinate entry lies outside the declared matrix shape."""
 
 
-class NonRealFieldError(Exception):
+class NonRealFieldError(ValueError):
     """Only real-valued Matrix Market files are supported."""
 
 
@@ -49,20 +49,21 @@ def read_matrix_market(path) -> CsrMatrix:
     """Read a real coordinate Matrix Market file into CSR form.
 
     Symmetric and skew-symmetric storage are expanded to full; indices
-    are converted from 1-based; duplicate entries are summed.
+    are converted from 1-based; duplicate entries are summed.  Every
+    malformed file raises a ValueError (the three errors above included).
     """
     with open(path, "r", encoding="utf-8") as handle:
         banner = handle.readline()
         parts = banner.strip().split()
         if len(parts) != 5 or parts[0] != "%%MatrixMarket":
-            raise MalformedHeaderError(f"{path}: bad banner {banner.strip()!r}")
+            raise MalformedHeaderError(f"bad banner {banner.strip()!r}")
         _, obj, fmt, fld, sym = (p.lower() for p in parts)
         if obj != "matrix" or fmt != "coordinate":
-            raise MalformedHeaderError(f"{path}: only coordinate matrices are supported")
+            raise MalformedHeaderError("only coordinate matrices are supported")
         if fld != "real":
-            raise NonRealFieldError(f"{path}: field {fld!r} is not supported (real only)")
+            raise NonRealFieldError(f"field {fld!r} is not supported (real only)")
         if sym not in ("general", "symmetric", "skew-symmetric"):
-            raise MalformedHeaderError(f"{path}: unsupported symmetry {sym!r}")
+            raise MalformedHeaderError(f"unsupported symmetry {sym!r}")
 
         size_line = None
         for line in handle:
@@ -71,11 +72,11 @@ def read_matrix_market(path) -> CsrMatrix:
                 size_line = stripped
                 break
         if size_line is None:
-            raise MalformedHeaderError(f"{path}: missing size line")
+            raise MalformedHeaderError("missing size line")
         try:
             rows, cols, nnz = (int(tok) for tok in size_line.split())
         except ValueError as exc:
-            raise MalformedHeaderError(f"{path}: bad size line {size_line!r}") from exc
+            raise MalformedHeaderError(f"bad size line {size_line!r}") from exc
 
         ii: list[int] = []
         jj: list[int] = []
@@ -87,11 +88,11 @@ def read_matrix_market(path) -> CsrMatrix:
                 continue
             toks = stripped.split()
             if len(toks) != 3:
-                raise MalformedHeaderError(f"{path}: bad entry line {stripped!r}")
+                raise MalformedHeaderError(f"bad entry line {stripped!r}")
             i, j = int(toks[0]), int(toks[1])
             v = float(toks[2])
             if not (1 <= i <= rows and 1 <= j <= cols):
-                raise IndexOutOfRangeError(f"{path}: entry ({i}, {j}) outside {rows}x{cols}")
+                raise IndexOutOfRangeError(f"entry ({i}, {j}) outside {rows}x{cols}")
             count += 1
             ii.append(i - 1)
             jj.append(j - 1)
@@ -105,7 +106,7 @@ def read_matrix_market(path) -> CsrMatrix:
                 jj.append(i - 1)
                 vv.append(-v)
         if count != nnz:
-            raise MalformedHeaderError(f"{path}: expected {nnz} entries, found {count}")
+            raise MalformedHeaderError(f"expected {nnz} entries, found {count}")
     return CsrMatrix.from_coo(rows, cols, ii, jj, vv)
 
 

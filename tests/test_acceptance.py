@@ -75,7 +75,7 @@ def seed_bound_reports():
         a, h_dense, _ = make_pd_system(seed)
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
         w = WeightOperator.from_dense(h_dense)
-        reports[seed] = compute_bound_report(a, h, w, include_fov=False)
+        reports[seed] = compute_bound_report(a, h, w)
     return reports
 
 

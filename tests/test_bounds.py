@@ -3,6 +3,7 @@ import pytest
 
 from wpkrylov.bounds import (
     BoundReport,
+    _min_normalized_quotient,
     HermitianSplit,
     analytic_rho_bound,
     compute_bound_report,
@@ -210,6 +211,26 @@ class TestBoundReport:
         for i, value in enumerate(norms):
             assert value / norms[0] <= report.bound1**i * (1.0 + 1e-10)
 
+    def test_bound1_is_invariant_under_negation(self):
+        # a negative definite symmetric part gives the same quotient as its
+        # negation; a 0 infimum there would make bound1 the trivial 1
+        rng = np.random.default_rng(45)
+        n = 10
+        skew = rng.standard_normal((n, n))
+        a = make_spd(rng, n) + 0.4 * (skew - skew.T)
+        h = PreconditionerHandle.identity(n)
+        w = WeightOperator.identity(n)
+        plus = compute_bound_report(a, h, w).bound1
+        minus = compute_bound_report(-a, h, w).bound1
+        assert 0.0 < plus < 1.0
+        assert minus == pytest.approx(plus, rel=1e-14, abs=0.0)
+        res = wp_gcr_right(LinearSystem(-a, rng.standard_normal(n)), h, w,
+                           SolveConfig(rel_tolerance=1e-8))
+        assert res.status == "converged"
+        norms = res.trace.residual_norm_weighted
+        for i, value in enumerate(norms):
+            assert value / norms[0] <= minus**i * (1.0 + 1e-10)
+
     def test_roundtrip_dict(self):
         report = BoundReport(kappa=2.0, rho=0.5, bound3=0.9)
         again = BoundReport.from_dict(report.to_dict())
@@ -225,7 +246,7 @@ class TestBoundReport:
         precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
         h = precond.as_handle()
         w = precond.as_weight(validate=False)
-        report = compute_bound_report(assembled.operator(), h, w, include_fov=False)
+        report = compute_bound_report(assembled.operator(), h, w)
         assert report.bound3 is not None and report.bound3 < 1.0
         predicted = report.predicted_iterations(1e-6)
         result = whp_gcr(LinearSystem(assembled.operator(), assembled.rhs), h,
@@ -253,8 +274,8 @@ class _Counted:
 
 
 class TestBlockedReport:
-    # n = 529 is above RAYLEIGH_DIM_LIMIT, so bound1 (a numerical search)
-    # is not part of the comparison
+    # n = 529 is above RAYLEIGH_DIM_LIMIT, so bound1 is not computed and
+    # not part of the comparison
     @pytest.fixture(scope="class")
     def schwarz_h(self, cdr_assembled):
         from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
@@ -336,9 +357,74 @@ class TestBlockedReport:
         w_dense = make_spd(rng, 6)
         h = PreconditionerHandle.identity(6)
         for w in (WeightOperator.identity(6), WeightOperator.from_dense(w_dense)):
-            report = compute_bound_report(a, h, w, rayleigh_starts=2)
+            report = compute_bound_report(a, h, w)
             assert report.fov_distance == pytest.approx(fov_distance(a, w), rel=1e-12, abs=0.0)
             assert (report.fov_distance > 0.0) == bool(sign)
+
+
+def _quotient(c, y):
+    """(y^T C y)^2 / (||C y||^2 ||y||^2)."""
+    u = y @ c @ y
+    return u * u / (np.sum((c @ y) ** 2) * (y @ y))
+
+
+def _random_c(rng, n):
+    """A square C whose symmetric part is definite, of either sign."""
+    skew = rng.standard_normal((n, n))
+    sym = make_spd(rng, n, shift=rng.uniform(0.1, 2.0))
+    return rng.choice([-1.0, 1.0]) * sym + rng.uniform(0.0, 2.0) * (skew - skew.T)
+
+
+def _dual_argmax(s, k, hi, points=21, rounds=16):
+    """Maximizer of the concave lambda_min(t S - t^2 K / 4) over [0, hi],
+    by a grid refined about its best point."""
+    lo = 0.0
+    for _ in range(rounds):
+        ts = np.linspace(lo, hi, points)
+        phi = [np.linalg.eigvalsh(t * s - 0.25 * t * t * k)[0] for t in ts]
+        best = int(np.argmax(phi))
+        lo, hi = ts[max(best - 1, 0)], ts[min(best + 1, points - 1)]
+    return 0.5 * (lo + hi)
+
+
+class TestMinNormalizedQuotient:
+    """The dual value is the infimum: below every sampled quotient, and
+    attained by the eigenvector at the dual maximizer."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 30])
+    def test_value_is_attained_and_a_lower_bound(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(4):
+            c = _random_c(rng, n)
+            s_vals, s_vecs = np.linalg.eigh(0.5 * (c + c.T))
+            value = _min_normalized_quotient(c, s_vals)
+            assert 0.0 < value <= 1.0
+            samples = list(s_vecs.T) + list(rng.standard_normal((20, n)))
+            for y in samples:
+                assert value <= _quotient(c, y) * (1.0 + 1e-12)
+            # t* from a grid search, independent of the solver's own search
+            s = np.sign(s_vals[0]) * 0.5 * (c + c.T)
+            k = c.T @ c
+            t_star = _dual_argmax(s, k, 2.0 / np.abs(s_vals).min())
+            _, vecs = np.linalg.eigh(t_star * s - 0.25 * t_star**2 * k)
+            assert _quotient(c, vecs[:, 0]) == pytest.approx(value, rel=1e-10, abs=0.0)
+
+    def test_two_by_two_matches_angle_scan(self):
+        c = np.array([[2.0, 3.0], [-1.0, 1.0]])  # sym(C) = [[2, 1], [1, 1]] is definite
+        theta = np.linspace(0.0, np.pi, 200_001)
+        ys = np.stack([np.cos(theta), np.sin(theta)])
+        u = np.einsum("it,ij,jt->t", ys, c, ys)
+        scan = np.min(u * u / np.sum((c @ ys) ** 2, axis=0))
+        value = _min_normalized_quotient(c, np.linalg.eigvalsh(0.5 * (c + c.T)))
+        assert value > 0.0
+        assert value <= scan * (1.0 + 1e-12)
+        assert value == pytest.approx(scan, rel=1e-8)
+
+    def test_indefinite_symmetric_part_gives_zero(self):
+        rng = np.random.default_rng(46)
+        skew = rng.standard_normal((6, 6))
+        c = np.diag([-2.0, -1.0, 1.0, 2.0, 3.0, 4.0]) + 0.3 * (skew - skew.T)
+        assert _min_normalized_quotient(c, np.linalg.eigvalsh(0.5 * (c + c.T))) == 0.0
 
 
 class TestJohnsonIdentity:

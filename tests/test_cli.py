@@ -55,17 +55,37 @@ def test_non_finite_rhs_is_usage_error(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_non_finite_matrix_is_usage_error(tmp_path, capsys):
-    mtx = tmp_path / "a.mtx"
-    rhs = tmp_path / "b.txt"
-    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 1.0\n",
-                   encoding="utf-8")
-    rhs.write_text("1.0\n1.0\n", encoding="utf-8")
-    code = main(["solve", "--matrix", str(mtx), "--rhs", str(rhs), "--precond", "identity",
-                 "--weight", "identity"])
+GOOD_MTX = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n"
+
+
+@pytest.mark.parametrize("bad, mtx_text, rhs_text, fragment", [
+    ("mtx", "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 nan\n2 2 1.0\n",
+     "1.0\n1.0\n", "finite"),
+    ("mtx", "garbage\n", "1.0\n1.0\n", "bad banner"),
+    ("mtx", "%%MatrixMarket matrix coordinate real general\n2 2\n", "1.0\n1.0\n",
+     "bad size line"),
+    ("mtx", "%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0 0.0\n",
+     "1.0\n1.0\n", "real only"),
+    ("mtx", "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
+     "1.0\n1.0\n", "outside 2x2"),
+    ("mtx", "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 x 1.0\n",
+     "1.0\n1.0\n", "invalid literal"),
+    ("rhs", GOOD_MTX, "1.0\nabc\n", "could not convert"),
+    ("rhs", GOOD_MTX, None, "No such file"),
+], ids=["non-finite", "banner", "size-line", "complex-field", "index-range", "entry",
+        "rhs-entry", "rhs-missing"])
+def test_non_finite_matrix_is_usage_error(tmp_path, capsys, bad, mtx_text, rhs_text, fragment):
+    # every malformed or missing input file is an error line naming the
+    # file, not a traceback
+    paths = {"mtx": tmp_path / "a.mtx", "rhs": tmp_path / "b.txt"}
+    for key, text in (("mtx", mtx_text), ("rhs", rhs_text)):
+        if text is not None:
+            paths[key].write_text(text, encoding="utf-8")
+    code = main(["solve", "--matrix", str(paths["mtx"]), "--rhs", str(paths["rhs"]),
+                 "--precond", "identity", "--weight", "identity"])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "finite" in err
+    assert err.startswith(f"error: {paths[bad]}: ") and fragment in err
 
 
 def test_alt_b_drift_exit_code(capsys):

@@ -1,4 +1,4 @@
-"""Property tests of the solver identities on random small systems.
+"""Property tests of the solver identities and bounds on random small systems.
 
 Each example draws a nonsymmetric A whose symmetric part is positive
 definite, a symmetric positive definite H and a right-hand side, all from
@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpkrylov.bounds import compute_bound_report
 from wpkrylov.solvers import (
     LinearSystem,
     SolveConfig,
@@ -174,3 +175,21 @@ def test_weighted_residual_never_increases(system, window, period):
         norms = res.trace.residual_norm_weighted
         for prev, cur in zip(norms, norms[1:]):
             assert cur <= prev * (1.0 + 1e-12)
+
+
+@EXAMPLES
+@given(systems)
+def test_bound1_dominates_each_gcr_step(system):
+    # one step of minimal residual along A H r already contracts ||r||_W by
+    # bound1; full GCR minimizes over a space that holds that direction
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    bound1 = compute_bound_report(a, h, w).bound1
+    assert bound1 < 1.0
+    for window in (None, 0):
+        cfg = SolveConfig(rel_tolerance=1e-8, truncation_window=window)
+        norms = wp_gcr_right(LinearSystem(a, b), h, w, cfg).trace.residual_norm_weighted
+        cutoff = NORM_FLOOR * norms[0]
+        for prev, cur in zip(norms, norms[1:]):
+            if prev >= cutoff:
+                assert cur <= bound1 * prev * (1.0 + 1e-10)

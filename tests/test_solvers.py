@@ -596,7 +596,7 @@ class TestMeshProblemRuns:
         norms = res.trace.residual_norm_weighted
         for prev, cur in zip(norms, norms[1:]):
             assert cur <= prev * (1.0 + 1e-12)
-        report = compute_bound_report(assembled.operator(), h, w, include_fov=False)
+        report = compute_bound_report(assembled.operator(), h, w)
         assert report.bound1 is not None and report.bound1 < 1.0
         for i, value in enumerate(norms):
             assert value / norms[0] <= report.bound1**i * (1.0 + 1e-10)
