@@ -1,13 +1,34 @@
 """Convergence-bound quantities for the weighted, preconditioned solvers.
 
-Everything here is desk scale: operators are densified (dimension cap in
-:mod:`wpkrylov.linalg`) and handled with dense factorizations.  The
-bound report densifies the preconditioner H once, as one blocked
-application to the identity when its operator has a block action (the
-Schwarz preconditioners do); when the weight W is found to equal H, that
-matrix and its one Cholesky factor serve for W as well.  Only eigenvalues
-are computed, never eigenvectors.  The reported per-iteration
-contraction factors are
+When the weight W equals the preconditioner H and H is symmetric
+positive definite -- the paper's arrangement -- the report is matrix
+free.  It reads A = M + N (M symmetric, N skew) from the matrix its
+operator keeps, or from its densified action when it keeps none, and
+applies H only to vectors.  Every field but bound1 is an extreme
+eigenvalue of an operator T that is self-adjoint in an inner product X
+the code can apply, found by Lanczos with full reorthogonalization
+(Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM
+2003, section 6.7.3):
+
+* lambda_min and lambda_max of T = H M, with X = M or -M when either is
+  positive definite (sparse factor), X = M H M otherwise;
+* ||C||^2 = lambda_max of T = H A^T H A, with X = A^T H A;
+* the infimum behind bound2, 1 / lambda_max of T = H A^T M^{-1} A with
+  X = A^T M^{-1} A (signs taken so that X is positive definite), since
+  sym(A^{-1}) = A^{-1} M A^{-T};
+* rho^2 = lambda_max of T = M^{-1} N^T M^{-1} N, with X = M.
+
+Here C = L^T A L (H = L L^T) is the preconditioned operator whitened by
+W = H, and S = sym(C) = L^T M L is congruent to M.  By Sylvester's law
+of inertia S is definite exactly when M is, which fixes the signs above
+and makes the distance of the numerical range from zero exact.
+
+bound1, and every field for any other weight, come from the dense C =
+L^T (A H) L^{-T} with W = L L^T (dimension cap in :mod:`wpkrylov.linalg`).
+The operators are densified, H in one blocked application to the
+identity when its operator has a block action (the Schwarz
+preconditioners do).  Only eigenvalues are computed, never eigenvectors.
+The reported per-iteration contraction factors are
 
 * bound1: from the infimum of the normalized quadratic-form quotient of
   the preconditioned operator in the weighted geometry (the sharpest of
@@ -18,11 +39,11 @@ contraction factors are
   number and the skewness measure rho, additionally requiring a positive
   definite symmetric part.
 
-With C the whitened preconditioned operator, S = sym(C) and K = C^T C,
-two quantities are exact without a search in n dimensions.  The
-distance of the numerical range of C from zero is a closed form in the
-extreme eigenvalues of S.  The infimum behind bound1 equals, by duality, the maximum over t >= 0
-of the concave smallest eigenvalue of t S - t^2 K / 4, a search in one
+With S = sym(C) and K = C^T C, two quantities are exact without a
+search in n dimensions.  The distance of the numerical range of C from
+zero is a closed form in the extreme eigenvalues of S.  The infimum
+behind bound1 equals, by duality, the maximum over t >= 0 of the
+concave smallest eigenvalue of t S - t^2 K / 4, a search in one
 variable.  There is no duality gap because the joint range of the two
 quadratic forms is convex (Toeplitz-Hausdorff; for real vectors
 Brickman, Proc. AMS 12 (1961) 61-66).  See K. Gustafson, *Antieigenvalue
@@ -38,13 +59,20 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from .linalg import (
     CholeskyFactor,
+    EigenSolverError,
     NotPositiveDefiniteError,
+    SingularMatrixError,
+    aslinearoperator,
+    check_symmetric,
     cholesky,
     densify,
     gen_sym_eig,
+    sparse_lu_factor,
+    sparse_spd_factor,
     sym_eig,
 )
 from .weighting import PreconditionerHandle, WeightOperator
@@ -62,21 +90,40 @@ __all__ = [
 ]
 
 # bound1 is computed up to this dimension.  Its dual search costs one
-# smallest-eigenvalue solve per step: at n = 841, the size of the m = 30
-# two-level report, 26 solves of 0.03 s would about double the report.
+# dense smallest-eigenvalue solve per step: at n = 841, the size of the
+# m = 30 two-level report, 26 solves took 0.96 s, about 15 times the
+# rest of the report.
 RAYLEIGH_DIM_LIMIT = 512
+
+# Lanczos stops with EigenSolverError after this many steps unless the
+# dimension is reached first, where its Ritz values are exact.
+LANCZOS_STEP_LIMIT = 500
+# a needed Ritz value theta_j is accepted once beta_k |s_kj| <= this * |theta_j|
+_LANCZOS_RTOL = 1e-12
+# a new Lanczos vector this short against the part of T v inside the
+# basis is round-off: the Krylov space is invariant and its Ritz values
+# are eigenvalues
+_LANCZOS_INVARIANT = 1e-14
+_LANCZOS_SEED = 0x1A2C
+
+
+def _as_part(part):
+    if scipy.sparse.issparse(part):
+        return part.tocsr().astype(float)
+    return np.asarray(part, dtype=float)
 
 
 @dataclass
 class HermitianSplit:
-    """Symmetric part and skew-symmetric part of a real operator."""
+    """Symmetric part and skew-symmetric part of a real operator, as
+    dense arrays or scipy.sparse matrices (kept in CSR form)."""
 
-    m_part: np.ndarray
-    n_part: np.ndarray
+    m_part: np.ndarray | scipy.sparse.csr_matrix
+    n_part: np.ndarray | scipy.sparse.csr_matrix
 
     def __post_init__(self):
-        self.m_part = np.asarray(self.m_part, dtype=float)
-        self.n_part = np.asarray(self.n_part, dtype=float)
+        self.m_part = _as_part(self.m_part)
+        self.n_part = _as_part(self.n_part)
         if self.m_part.shape != self.n_part.shape or self.m_part.ndim != 2:
             raise ValueError("split parts must be square matrices of equal shape")
 
@@ -85,23 +132,107 @@ class HermitianSplit:
         return self.m_part.shape[0]
 
 
+def _matrix(a):
+    """The matrix of an operator: a scipy.sparse matrix as it is, the
+    matrix a LinearOperator was built from, or else its densified action."""
+    if scipy.sparse.issparse(a):
+        return a
+    lin = aslinearoperator(a)
+    return densify(lin) if lin.matrix is None else lin.matrix
+
+
+def _dense(mat) -> np.ndarray:
+    return mat.toarray() if scipy.sparse.issparse(mat) else mat
+
+
 def split(a) -> HermitianSplit:
-    """Split a (densifiable) operator into symmetric and skew parts."""
-    dense = densify(a)
-    return HermitianSplit(m_part=0.5 * (dense + dense.T), n_part=0.5 * (dense - dense.T))
+    """Split an operator into symmetric and skew parts; they are sparse
+    when it keeps a sparse matrix, dense otherwise."""
+    mat = _matrix(a)
+    return HermitianSplit(m_part=0.5 * (mat + mat.T), n_part=0.5 * (mat - mat.T))
+
+
+def _x_norm(u: np.ndarray, xu: np.ndarray) -> float:
+    """sqrt(u^T X u) given xu = X u; round-off below zero reads as 0, and
+    NotPositiveDefiniteError when the value is negative beyond it."""
+    square = float(u @ xu)
+    if square >= 0.0:
+        return math.sqrt(square)
+    if square < -1e-12 * np.linalg.norm(u) * np.linalg.norm(xu):
+        raise NotPositiveDefiniteError(
+            pivot=-1, message="Lanczos inner product is not positive semidefinite")
+    return 0.0
+
+
+def _lanczos_extremes(apply_t, apply_x, n: int, ends) -> np.ndarray:
+    """Extreme eigenvalues of an operator T that is self-adjoint in the
+    inner product <u, v>_X = u^T X v, X positive semidefinite.
+
+    ``ends`` are indices into the ascending eigenvalues (0 the smallest,
+    -1 the largest); the Ritz values at those indices are returned.
+    Lanczos runs in the X inner product with full reorthogonalization
+    (classical Gram-Schmidt twice per step) from a fixed random vector.
+    Each step applies T once, and X once to the new vector after its
+    orthogonalization; X times every basis vector is kept beside it, so
+    no inner product needs another application.  (Updating that image by
+    the recurrence of the vector instead of applying X amplifies its
+    error by about 1/beta per step.)  It stops when every needed Ritz
+    value theta_j has the residual bound beta_k |s_kj| <= 1e-12 |theta_j|
+    (s_kj the last entry of its eigenvector of the tridiagonal matrix),
+    when the Krylov space is invariant to working precision, or at step
+    n.  Beyond min(n, LANCZOS_STEP_LIMIT) steps it raises EigenSolverError.
+
+    With X singular, T maps null(X) into itself (X T = T^T X) and the
+    values are those of T on the quotient space by null(X).  When X
+    vanishes on the start vector, all of them are taken as 0.
+    """
+    ends = list(ends)
+    limit = min(n, LANCZOS_STEP_LIMIT)
+    basis = np.empty((limit, n))
+    images = np.empty((limit, n))  # X times each basis vector
+    alpha = np.zeros(limit)
+    beta = np.zeros(limit)
+    v = np.random.default_rng(_LANCZOS_SEED).standard_normal(n)
+    xv = apply_x(v)
+    norm = _x_norm(v, xv)
+    if norm == 0.0:
+        return np.zeros(len(ends))
+    for k in range(limit):
+        basis[k] = v / norm
+        images[k] = xv / norm
+        w = np.array(apply_t(basis[k]), dtype=float)  # a copy: it is updated in place
+        for _ in range(2):
+            coeffs = images[:k + 1] @ w
+            w -= coeffs @ basis[:k + 1]
+            alpha[k] += coeffs[k]
+        xw = apply_x(w)
+        beta[k] = _x_norm(w, xw)
+        # the X-norm of the part of T v_k inside the basis
+        in_basis = math.hypot(alpha[k], beta[k - 1]) if k else abs(alpha[k])
+        theta, vecs = scipy.linalg.eigh_tridiagonal(alpha[:k + 1], beta[:k])
+        picked = theta[ends]
+        if (k + 1 == n or beta[k] <= _LANCZOS_INVARIANT * in_basis
+                or np.all(beta[k] * np.abs(vecs[-1, ends]) <= _LANCZOS_RTOL * np.abs(picked))):
+            return picked
+        v, xv, norm = w, xw, beta[k]
+    raise EigenSolverError(f"Lanczos did not converge in {limit} steps")
 
 
 def spectral_radius_skew(hs: HermitianSplit) -> float:
     """Spectral radius of M^{-1} N for the split A = M + N, M SPD.
 
-    The eigenvalues of M^{-1} N are purely imaginary pairs; their largest
-    modulus equals the largest singular value of L^{-1} N L^{-T} where
-    M = L L^T, which keeps all arithmetic real and symmetric.
+    The eigenvalues of M^{-1} N are purely imaginary pairs +-i mu, and
+    mu^2 are the eigenvalues of M^{-1} N^T M^{-1} N = -(M^{-1} N)^2,
+    which is self-adjoint and positive semidefinite in the M inner
+    product.  Lanczos finds the largest with one sparse factorization of
+    M, for dense and sparse parts alike; NotPositiveDefiniteError when M
+    is not positive definite.
     """
-    factor = cholesky(hs.m_part)
-    y = scipy.linalg.solve_triangular(factor.lower, hs.n_part, lower=True)
-    c = scipy.linalg.solve_triangular(factor.lower, y.T, lower=True).T
-    return _spectral_norm(c)
+    factor = sparse_spd_factor(check_symmetric(hs.m_part))
+    m_part, n_part = hs.m_part, hs.n_part
+    (top,) = _lanczos_extremes(lambda v: factor.solve(n_part.T @ factor.solve(n_part @ v)),
+                               lambda v: m_part @ v, hs.dim, (-1,))
+    return math.sqrt(max(top, 0.0))
 
 
 def _spectral_norm(c: np.ndarray) -> float:
@@ -144,7 +275,7 @@ def weighted_operator_norm(b, w: WeightOperator) -> float:
 
 def _min_normalized_quotient(c: np.ndarray, s_vals: np.ndarray) -> float:
     """Infimum over y of (y^T S y)^2 / (||C y||^2 ||y||^2), S = sym(C),
-    given the eigenvalues of S.
+    given the extreme eigenvalues of S (ascending; the ends are used).
 
     The quotient is unchanged by C -> -C, so a negative definite S is
     handled as -S; when [lambda_min, lambda_max] holds zero, some y has
@@ -233,70 +364,111 @@ def _operators_match(first, second, dim: int, probes: int = 8) -> bool:
     return True
 
 
+def _definiteness(m_part):
+    """(sign, factor): sign * M is positive definite and factor is its
+    sparse factor, or (0, None) when M is neither positive nor negative
+    definite."""
+    for sign in (1, -1):
+        try:
+            return sign, sparse_spd_factor(m_part if sign > 0 else -m_part)
+        except NotPositiveDefiniteError:
+            pass
+    return 0, None
+
+
+def _hm_extremes(apply_h, m_part, sign: int) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of H M for H SPD, given the
+    definiteness sign of M (see :func:`_definiteness`).
+
+    H M is self-adjoint in the inner product of sign * M when that is
+    positive definite, and of M H M always.  M H M is singular with M,
+    and Lanczos then finds only the eigenvalues off null(M), where H M
+    vanishes.  A matrix M that is not definite gives L^T M L, and so H M,
+    an eigenvalue <= 0 and one >= 0 (inertia), so 0 joins the range.
+    """
+    def hm(v):
+        return apply_h(m_part @ v)
+
+    if sign:
+        def inner(v):
+            return sign * (m_part @ v)
+    else:
+        def inner(v):
+            return m_part @ hm(v)
+
+    lo, hi = _lanczos_extremes(hm, inner, m_part.shape[0], (0, -1))
+    return (float(lo), float(hi)) if sign else (min(float(lo), 0.0), max(float(hi), 0.0))
+
+
+def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
+    """Every field but bound1 for W = H with H SPD, from Lanczos solves
+    that apply H to vectors only (see the module docstring)."""
+    n = a_mat.shape[0]
+    hs = split(a_mat)
+    sign, m_factor = _definiteness(hs.m_part)
+    lo, hi = _hm_extremes(h.apply, hs.m_part, sign)
+    report = BoundReport(lambda_min=lo, lambda_max=hi, fov_distance=_min_abs_over_range((lo, hi)))
+    if lo > 0.0:
+        report.kappa = hi / lo
+
+    def gram(v):  # A^T H A
+        return a_mat.T @ h.apply(a_mat @ v)
+
+    (top,) = _lanczos_extremes(lambda v: h.apply(gram(v)), gram, n, (-1,))
+    report.op_norm = math.sqrt(max(float(top), 0.0))
+
+    # bound2's first infimum: min |lambda| over the pencil sym(A^{-1}) y = lambda H y
+    inf1 = None
+    if sign:
+        def inv_gram(v):  # A^T (sign M)^{-1} A, positive definite
+            return a_mat.T @ m_factor.solve(a_mat @ v)
+
+        (top,) = _lanczos_extremes(lambda v: h.apply(inv_gram(v)), inv_gram, n, (-1,))
+        inf1 = 1.0 / float(top)
+    else:
+        # sym(A^{-1}) has the inertia of M: its range holds 0 when A is invertible
+        try:
+            sparse_lu_factor(a_mat)
+            inf1 = 0.0
+        except SingularMatrixError:
+            pass
+    if inf1 is not None:
+        report.bound2 = float(np.sqrt(np.clip(1.0 - inf1 * report.fov_distance, 0.0, 1.0)))
+
+    if sign > 0:
+        report.rho = spectral_radius_skew(hs)
+    if report.rho is not None and report.kappa is not None:
+        report.bound3 = direct_bound3(report.kappa, report.rho)
+    return report
+
+
 def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator) -> BoundReport:
     """Evaluate every bound quantity the given (A, H, W) triple supports.
 
     bound1 needs only an SPD weight; bound2 additionally requires the
     preconditioner to be SPD and equal to the weight; bound3 also needs
     the symmetric part of A to be positive definite.  Whether W equals H
-    is decided by probing both on random vectors; when it does, H is the
-    only one of the two that is densified and factored.
+    is decided by probing both on random vectors.  When it does, and H is
+    marked SPD, every field but bound1 is computed matrix free; H is
+    densified only for bound1, up to RAYLEIGH_DIM_LIMIT.
     """
-    a_dense = densify(a)
-    n = a_dense.shape[0]
-    w_is_h = _operators_match(h.apply, w.apply, n)
-    h_dense = densify(h)
-    report = BoundReport()
-
-    b_dense = a_dense @ h_dense
-    w_factor = None
-    if not w.is_identity:
-        w_factor = cholesky(h_dense if w_is_h else densify(w))
-    c = b_dense if w_factor is None else _whiten(b_dense, w_factor)
-
-    s_vals = sym_eig(0.5 * (c + c.T), vectors=False)
-    report.fov_distance = _min_abs_over_range(s_vals)  # closed form, see fov_distance
-    report.op_norm = _spectral_norm(c)
-    if n <= RAYLEIGH_DIM_LIMIT:
-        inf_quotient = _min_normalized_quotient(c, s_vals)
-        report.bound1 = float(np.sqrt(1.0 - inf_quotient))
-
-    if not (h.hermitian_flag and w_is_h):
-        return report
-    if w_factor is not None:
-        h_factor = w_factor  # W = H: the whitening factor is the factor of H
-    else:
-        try:
-            h_factor = cholesky(h_dense)
-        except NotPositiveDefiniteError:
+    a_mat = _matrix(a)
+    n = a_mat.shape[0]
+    if h.hermitian_flag and _operators_match(h.apply, w.apply, n):
+        report = _w_equal_h_report(a_mat, h)
+        if n > RAYLEIGH_DIM_LIMIT:
             return report
-    hs = split(a_dense)
-    lh = h_factor.lower
-    hm = lh.T @ hs.m_part @ lh
-    hm_eigs = sym_eig(0.5 * (hm + hm.T), vectors=False)
-    report.lambda_min = float(hm_eigs[0])
-    report.lambda_max = float(hm_eigs[-1])
-    if hm_eigs[0] > 0.0:
-        report.kappa = float(hm_eigs[-1] / hm_eigs[0])
-
-    # second estimate: product of the two generalized infima
-    try:
-        a_inv = np.linalg.inv(a_dense)
-    except np.linalg.LinAlgError:
-        a_inv = None
-    if a_inv is not None:
-        m_of_inv = 0.5 * (a_inv + a_inv.T)
-        inv_eigs = gen_sym_eig(m_of_inv, h_factor)
-        inf1 = _min_abs_over_range(inv_eigs)
-        inf2 = _min_abs_over_range(hm_eigs)
-        report.bound2 = float(np.sqrt(np.clip(1.0 - inf1 * inf2, 0.0, 1.0)))
-
-    try:
-        report.rho = spectral_radius_skew(hs)
-    except NotPositiveDefiniteError:
-        report.rho = None
-    if report.rho is not None and report.kappa is not None:
-        report.bound3 = direct_bound3(report.kappa, report.rho)
+        lh = cholesky(densify(h)).lower
+        c = lh.T @ _dense(a_mat) @ lh  # L^T (A H) L^{-T} with W = H = L L^T
+        s_ends = np.array([report.lambda_min, report.lambda_max])
+    else:
+        b_dense = _dense(a_mat) @ densify(h)
+        c = b_dense if w.is_identity else _whiten(b_dense, cholesky(densify(w)))
+        s_ends = sym_eig(0.5 * (c + c.T), vectors=False)
+        report = BoundReport(fov_distance=_min_abs_over_range(s_ends),  # see fov_distance
+                             op_norm=_spectral_norm(c))
+    if n <= RAYLEIGH_DIM_LIMIT:
+        report.bound1 = float(np.sqrt(1.0 - _min_normalized_quotient(c, s_ends)))
     return report
 
 
@@ -313,10 +485,11 @@ def johnson_identity_check(hs: HermitianSplit, a_inv) -> tuple[float, float]:
 
     Returns (lhs, rhs): the smallest generalized eigenvalue of the
     pencil (sym part of A^{-1}, inverse of sym part of A), and
-    1 / (1 + rho^2).  For positive definite A the two agree.
+    1 / (1 + rho^2).  For positive definite A the two agree.  Dense
+    throughout: a sparse M is densified.
     """
     a_inv = np.asarray(a_inv, dtype=float)
-    factor = cholesky(hs.m_part)
+    factor = cholesky(_dense(hs.m_part))
     m_inverse = factor.solve(np.eye(hs.dim))
     m_of_inv = 0.5 * (a_inv + a_inv.T)
     eigs = gen_sym_eig(m_of_inv, 0.5 * (m_inverse + m_inverse.T))

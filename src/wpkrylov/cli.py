@@ -22,7 +22,13 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import cdr, matrixio, schwarz
-from .linalg import CsrMatrix, LinearOperator
+from .linalg import (
+    CsrMatrix,
+    EigenSolverError,
+    LinearOperator,
+    NotPositiveDefiniteError,
+    SingularMatrixError,
+)
 from .solvers import (
     LinearSystem,
     SolveConfig,
@@ -115,7 +121,6 @@ def build_parser() -> _Parser:
     p_rho.add_argument("--m-list", default="10,30")
     p_rho.add_argument("--nu", type=float, default=1.0)
     p_rho.add_argument("--c0", type=float, default=1.0)
-    p_rho.add_argument("--force", action="store_true")
     p_rho.add_argument("--out", help="CSV output path")
 
     p_sweep = sub.add_parser("sweep", help="iteration-count tables")
@@ -225,7 +230,10 @@ def _build_preconditioner(args, problem: _Problem):
         "one-level-nonsym": "one_level_nonsym",
     }[args.precond]
     matrix = problem.full_matrix() if mode == "one_level_nonsym" else problem.m_matrix
-    precond = schwarz.build_preconditioner(matrix, maps, mode)
+    try:
+        precond = schwarz.build_preconditioner(matrix, maps, mode)
+    except (NotPositiveDefiniteError, SingularMatrixError) as exc:
+        raise UsageError(f"--precond {args.precond}: {exc}") from exc
     return precond.as_handle(), precond
 
 
@@ -320,14 +328,9 @@ def cmd_rho_table(args) -> int:
     rows = []
     print(f"rho of the preconditioned skew part, nu={args.nu} c0={args.c0}")
     for m in m_values:
-        if m > DENSE_EIG_MESH_BUDGET and not args.force:
-            print(f"h=1/{m}: skipped (dense-eigen budget m<={DENSE_EIG_MESH_BUDGET}, "
-                  "use --force)")
-            continue
         assembled = cdr.assemble(cdr.reference_problem(nu=args.nu, c0=args.c0,
                                                         mesh_divisions=m))
-        hs = bounds_mod.HermitianSplit(assembled.m_matrix.to_dense(),
-                                       assembled.n_matrix.to_dense())
+        hs = bounds_mod.HermitianSplit(assembled.m_matrix.csr, assembled.n_matrix.csr)
         rho = bounds_mod.spectral_radius_skew(hs)
         rows.append((m, rho))
         print(f"h=1/{m}: rho={rho:.4f}")
@@ -436,11 +439,17 @@ def cmd_bounds(args) -> int:
         return 0
 
     problem = _load_problem(args)
-    if problem.dim > (DENSE_EIG_MESH_BUDGET - 1) ** 2 and not args.force:
-        raise UsageError("problem too large for dense bound computations (use --force)")
+    # only a weight other than H makes the report densify H and W
+    densified = args.weight == "identity" and args.precond != "identity"
+    if densified and problem.dim > (DENSE_EIG_MESH_BUDGET - 1) ** 2 and not args.force:
+        raise UsageError("problem too large for dense bound computations with --weight "
+                         "identity (use --force)")
     handle, _ = _build_preconditioner(args, problem)
     weight = _build_weight(args, handle, problem.dim)
-    report = bounds_mod.compute_bound_report(problem.operator, handle, weight)
+    try:
+        report = bounds_mod.compute_bound_report(problem.operator, handle, weight)
+    except EigenSolverError as exc:
+        raise UsageError(f"bound report: {exc}") from exc
     if args.cdr:
         kv = _parse_kv(args.cdr, "--cdr")
         spec = cdr.reference_problem(nu=float(kv.get("nu", 1.0)),

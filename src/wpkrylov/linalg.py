@@ -94,13 +94,15 @@ class LinearOperator:
     An optional block action ``matmat`` maps an n x k array to the
     n x k array of the images of its columns in one call (scipy's
     ``matmat``); without it, :meth:`matmat` applies the operator column
-    by column.
+    by column.  An operator built from a matrix keeps it as ``matrix``
+    (shared, not copied: read it only); otherwise ``matrix`` is None.
     """
 
-    def __init__(self, dim: int, apply, matmat=None):
+    def __init__(self, dim: int, apply, matmat=None, matrix=None):
         self.dim = int(dim)
         self._apply = apply
         self._matmat = matmat
+        self.matrix = matrix
 
     def apply(self, x) -> np.ndarray:
         return np.asarray(self._apply(_as_vector(x, self.dim)), dtype=float)
@@ -129,7 +131,7 @@ class LinearOperator:
     @classmethod
     def from_matrix(cls, m) -> "LinearOperator":
         """The action of a square dense or scipy.sparse matrix, on vectors and blocks."""
-        return cls(m.shape[0], m.dot, matmat=m.dot)
+        return cls(m.shape[0], m.dot, matmat=m.dot, matrix=m)
 
     @classmethod
     def identity(cls, dim: int) -> "LinearOperator":
@@ -145,7 +147,7 @@ def aslinearoperator(obj, dim: int | None = None) -> LinearOperator:
     if isinstance(obj, LinearOperator):
         return obj
     if isinstance(obj, CsrMatrix):
-        return LinearOperator(obj.rows, obj.matvec, matmat=obj.csr.dot)
+        return LinearOperator(obj.rows, obj.matvec, matmat=obj.csr.dot, matrix=obj.csr)
     if callable(obj):
         if dim is None:
             dim = getattr(obj, "dim", None)

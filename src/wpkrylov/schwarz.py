@@ -29,11 +29,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpstrf
 
+from .bounds import _definiteness, _hm_extremes
 from .linalg import (
     CsrMatrix,
     check_symmetric,
     cholesky,
-    densify,
     sparse_lu_factor,
     sparse_spd_factor,
 )
@@ -284,16 +284,16 @@ def build_preconditioner(matrix: CsrMatrix, maps: SubdomainMaps, mode: str,
 
 
 def condition_number(precond: SchwarzPreconditioner, m_matrix: CsrMatrix) -> float:
-    """Extreme generalized eigenvalue ratio of the preconditioned
-    symmetric part, via Cholesky of the densified preconditioner."""
-    h_dense = densify(precond)
-    lh = cholesky(0.5 * (h_dense + h_dense.T)).lower
-    m_dense = m_matrix.to_dense()
-    reduced = lh.T @ m_dense @ lh
-    vals = np.linalg.eigvalsh(0.5 * (reduced + reduced.T))
-    if vals[0] <= 0.0:
-        raise ValueError("preconditioned symmetric part is not positive definite")
-    return float(vals[-1] / vals[0])
+    """Ratio of the extreme eigenvalues of the preconditioned symmetric
+    part H M, by Lanczos in the M inner product; H is applied to vectors
+    only.  ValueError unless M and H M are positive definite."""
+    m = check_symmetric(m_matrix.csr)
+    sign, _ = _definiteness(m)
+    if sign > 0:
+        lo, hi = _hm_extremes(precond.apply, m, sign)
+        if lo > 0.0:
+            return hi / lo
+    raise ValueError("preconditioned symmetric part is not positive definite")
 
 
 def dump_partition_json(maps: SubdomainMaps, path) -> None:

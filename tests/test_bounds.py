@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
+import scipy.linalg
+
+from wpkrylov import bounds
 from wpkrylov.bounds import (
+    RAYLEIGH_DIM_LIMIT,
     BoundReport,
+    _lanczos_extremes,
+    _min_abs_over_range,
     _min_normalized_quotient,
     HermitianSplit,
     analytic_rho_bound,
@@ -15,7 +21,15 @@ from wpkrylov.bounds import (
     weighted_operator_norm,
 )
 from wpkrylov.cdr import CdrProblemSpec, assemble, reference_problem
-from wpkrylov.linalg import LinearOperator, NotPositiveDefiniteError
+from wpkrylov.linalg import (
+    EigenSolverError,
+    LinearOperator,
+    NotPositiveDefiniteError,
+    cholesky,
+    densify,
+    gen_sym_eig,
+    sym_eig,
+)
 from wpkrylov.solvers import LinearSystem, SolveConfig, wp_gcr_right
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 
@@ -286,16 +300,18 @@ class TestBlockedReport:
         precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
         return assembled, precond
 
-    def test_w_equal_h_densifies_h_once_as_a_block(self, schwarz_h):
+    def test_w_equal_h_never_gives_h_an_n_column_block(self, schwarz_h):
         assembled, precond = schwarz_h
         n = precond.dim
+        assert n > RAYLEIGH_DIM_LIMIT
         counted = _Counted(n, precond.apply)
         handle = PreconditionerHandle(n, counted, hermitian_flag=True)
         weight = WeightOperator(n, handle.apply, validate=False)
         report = compute_bound_report(assembled.operator(), handle, weight)
-        # one n-column block, plus 8 probe vectors each through H and through W = H
-        assert counted.blocks == [(n, n)]
-        assert counted.vectors == 16
+        # H is applied to vectors only: 8 probes each through H and W = H,
+        # then the Lanczos steps
+        assert all(shape[1] < n for shape in counted.blocks)
+        assert counted.vectors > 16
         assert report.bound2 is not None and report.bound3 is not None
 
     def test_w_equal_h_report_matches_column_loop(self, schwarz_h):
@@ -360,6 +376,167 @@ class TestBlockedReport:
             report = compute_bound_report(a, h, w)
             assert report.fov_distance == pytest.approx(fov_distance(a, w), rel=1e-12, abs=0.0)
             assert (report.fov_distance > 0.0) == bool(sign)
+
+
+def dense_w_equal_h_report(a, h_dense):
+    """The report for W = H from the dense formulas the matrix-free one
+    replaced: C = L^T A L with H = L L^T, eigenvalues of sym(C), of
+    C^T C, of the pencil (sym(A^{-1}), H) and of L_M^{-1} N L_M^{-T}."""
+    n = a.shape[0]
+    lh = cholesky(h_dense).lower
+    c = lh.T @ a @ lh
+    s_vals = sym_eig(0.5 * (c + c.T), vectors=False)
+    gram = c.T @ c
+    report = BoundReport(
+        lambda_min=float(s_vals[0]), lambda_max=float(s_vals[-1]),
+        fov_distance=_min_abs_over_range(s_vals),
+        op_norm=float(np.sqrt(sym_eig(0.5 * (gram + gram.T), vectors=False)[-1])))
+    if s_vals[0] > 0.0:
+        report.kappa = float(s_vals[-1] / s_vals[0])
+    if n <= RAYLEIGH_DIM_LIMIT:
+        report.bound1 = float(np.sqrt(1.0 - _min_normalized_quotient(c, s_vals)))
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        a_inv = None
+    if a_inv is not None:
+        inv_eigs = gen_sym_eig(0.5 * (a_inv + a_inv.T), cholesky(h_dense))
+        inf1 = _min_abs_over_range(inv_eigs)
+        report.bound2 = float(np.sqrt(np.clip(1.0 - inf1 * report.fov_distance, 0.0, 1.0)))
+    try:
+        m_lower = cholesky(0.5 * (a + a.T)).lower
+    except NotPositiveDefiniteError:
+        m_lower = None
+    if m_lower is not None:
+        y = scipy.linalg.solve_triangular(m_lower, 0.5 * (a - a.T), lower=True)
+        skew = scipy.linalg.solve_triangular(m_lower, y.T, lower=True).T
+        report.rho = float(np.linalg.norm(skew, 2))
+    if report.rho is not None and report.kappa is not None:
+        report.bound3 = direct_bound3(report.kappa, report.rho)
+    return report
+
+
+def assert_reports_agree(got, want, rtol=1e-10):
+    """Same None fields; the others equal to rtol relative, lambda_min and
+    lambda_max relative to op_norm = ||C|| >= |lambda| (they are round-off
+    when M = 0)."""
+    got, want = got.to_dict(), want.to_dict()
+    assert [k for k, v in got.items() if v is None] == [k for k, v in want.items() if v is None]
+    scale = want["op_norm"]
+    for key, value in want.items():
+        if value is None:
+            continue
+        if key in ("lambda_min", "lambda_max"):
+            assert abs(got[key] - value) <= rtol * scale, key
+        else:
+            assert got[key] == pytest.approx(value, rel=rtol, abs=0.0), key
+
+
+def _with_symmetric_part(rng, n, eigs, skew_scale=0.5):
+    """A = M + N with M of the given eigenvalues in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sym = (q * np.asarray(eigs, dtype=float)) @ q.T
+    skew = rng.standard_normal((n, n))
+    return 0.5 * (sym + sym.T) + skew_scale * (skew - skew.T)
+
+
+def _exactly_singular(rng, n):
+    """An indefinite symmetric part bordered by a zero row and column."""
+    a = np.zeros((n, n))
+    a[1:, 1:] = _with_symmetric_part(rng, n - 1, np.linspace(-2.0, 3.0, n - 1))
+    return a
+
+
+SPECIAL_SYSTEMS = {
+    "negative-definite": lambda rng: _with_symmetric_part(rng, 12, -np.linspace(0.5, 4.0, 12)),
+    "indefinite": lambda rng: _with_symmetric_part(rng, 12, np.linspace(-2.0, 3.0, 12)),
+    "singular-m": lambda rng: _with_symmetric_part(rng, 12, np.r_[-1.0, 0.0, np.ones(10)]),
+    "zero-m": lambda rng: _with_symmetric_part(rng, 12, np.zeros(12)),
+    "singular-a": lambda rng: _exactly_singular(rng, 12),
+}
+
+
+class TestMatrixFreeReport:
+    """The report for W = H against the dense formulas it replaced."""
+
+    def test_criterion_06_systems(self):
+        from conftest import make_pd_system
+
+        for seed in range(20):
+            a, h_dense, _ = make_pd_system(seed)
+            h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+            got = compute_bound_report(a, h, WeightOperator.from_dense(h_dense))
+            assert_reports_agree(got, dense_w_equal_h_report(a, h_dense))
+
+    @pytest.mark.parametrize("m", [24, 30])
+    def test_schwarz_reports(self, cdr_assembled, m):
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(m)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        handle = precond.as_handle()
+        got = compute_bound_report(assembled.operator(), handle,
+                                   WeightOperator(precond.dim, handle.apply, validate=False))
+        h_dense = densify(precond)
+        want = dense_w_equal_h_report(assembled.full_matrix().to_dense(),
+                                      0.5 * (h_dense + h_dense.T))
+        assert_reports_agree(got, want)
+
+    @pytest.mark.parametrize("name", sorted(SPECIAL_SYSTEMS))
+    def test_symmetric_part_not_positive_definite(self, name):
+        rng = np.random.default_rng(47)
+        a = SPECIAL_SYSTEMS[name](rng)
+        h_dense = make_spd(rng, a.shape[0])
+        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        got = compute_bound_report(a, h, WeightOperator.from_dense(h_dense))
+        assert_reports_agree(got, dense_w_equal_h_report(a, h_dense))
+        assert got.rho is None and got.bound3 is None
+        assert (got.bound2 is None) == (name == "singular-a")
+
+    def test_semidefinite_symmetric_part_puts_zero_in_the_range(self):
+        # H M has an exact eigenvalue 0 that Lanczos in the M H M inner
+        # product cannot see; the report adds it (the dense eigenvalue is
+        # round-off of either sign, so kappa is compared by hand)
+        rng = np.random.default_rng(48)
+        a = _with_symmetric_part(rng, 12, np.r_[0.0, np.linspace(1.0, 3.0, 11)])
+        h_dense = make_spd(rng, 12)
+        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        got = compute_bound_report(a, h, WeightOperator.from_dense(h_dense))
+        want = dense_w_equal_h_report(a, h_dense)
+        assert got.lambda_min == 0.0 and got.fov_distance == 0.0
+        assert abs(want.lambda_min) <= 1e-12 * want.lambda_max
+        assert got.lambda_max == pytest.approx(want.lambda_max, rel=1e-10)
+        assert got.op_norm == pytest.approx(want.op_norm, rel=1e-10)
+        assert got.kappa is None and got.rho is None and got.bound3 is None
+        assert got.bound2 == 1.0 and got.bound1 == 1.0
+
+
+class TestLanczosExtremes:
+    def test_step_limit_raises(self, monkeypatch):
+        diag = np.arange(1.0, 41.0)
+        monkeypatch.setattr(bounds, "LANCZOS_STEP_LIMIT", 3)
+        with pytest.raises(EigenSolverError):
+            _lanczos_extremes(lambda v: diag * v, np.copy, 40, (0, -1))
+        # at the dimension the Ritz values are exact, whatever the limit
+        small = diag[:3]
+        got = _lanczos_extremes(lambda v: small * v, np.copy, 3, (0, -1))
+        assert np.allclose(got, [1.0, 3.0], rtol=1e-14, atol=0.0)
+
+    def test_narrow_spectrum_far_from_zero(self):
+        # beta / alpha starts near 1e-6 here: small, but not round-off
+        diag = 1e3 + np.linspace(0.0, 1e-2, 30)
+        got = _lanczos_extremes(lambda v: diag * v, np.copy, 30, (0, -1))
+        assert np.allclose(got, [diag[0], diag[-1]], rtol=1e-12, atol=0.0)
+
+    def test_zero_inner_product_gives_zero(self):
+        got = _lanczos_extremes(np.zeros_like, np.zeros_like, 5, (0, -1))
+        assert list(got) == [0.0, 0.0]
+
+    def test_negative_inner_product_is_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            _lanczos_extremes(np.copy, np.negative, 3, (-1,))
 
 
 def _quotient(c, y):

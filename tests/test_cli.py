@@ -121,17 +121,63 @@ def test_bounds_trivial_direct_mode(capsys):
     assert "predicted iterations to 1e-6: 1" in capsys.readouterr().out
 
 
-def test_rho_table_with_budget_skip(tmp_path, capsys):
+def test_rho_table_reaches_m60(tmp_path, capsys):
+    # rho comes from sparse Lanczos, so m = 60 (n = 3481) is no longer skipped
     out = tmp_path / "rho.csv"
     code = main(["rho-table", "--m-list", "10,30,60", "--out", str(out)])
     assert code == 0
     text = capsys.readouterr().out
     assert "h=1/10: rho=0.31" in text
     assert "h=1/30: rho=0.33" in text
-    assert "skipped" in text
+    assert "h=1/60: rho=0.33" in text
+    assert "skipped" not in text
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "m,h,rho"
-    assert len(lines) == 3  # only the within-budget rows
+    assert len(lines) == 4
+    assert float(lines[3].split(",")[2]) == pytest.approx(0.34, abs=0.005)
+
+
+def test_bounds_w_equal_h_has_no_dense_size_guard(capsys):
+    # m = 60 gives n = 3481, above the (50 - 1)^2 guard of the dense report
+    flags = ["bounds", "--cdr", "m=60", "--precond", "two-level", "--n-sub", "4",
+             "--layout", "grid:2x2"]
+    assert main(flags) == 0
+    assert "bound3=" in capsys.readouterr().out
+    assert main(flags + ["--weight", "identity"]) == 1
+    assert "too large" in capsys.readouterr().err
+
+
+def test_unconverged_bound_report_is_an_error_line(monkeypatch, capsys):
+    from wpkrylov import bounds
+
+    monkeypatch.setattr(bounds, "LANCZOS_STEP_LIMIT", 2)
+    code = main(["bounds", "--cdr", "m=10", "--precond", "two-level", "--n-sub", "4",
+                 "--layout", "grid:2x2"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: bound report: Lanczos did not converge")
+
+
+# symmetric part diag(1, -1, 2): its local block is not positive definite
+INDEFINITE = np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 2.0]])
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+@pytest.mark.parametrize("precond, matrix, fragment", [
+    ("one-level", INDEFINITE, "not positive definite"),
+    ("two-level", INDEFINITE, "not positive definite"),
+    ("one-level-nonsym", np.diag([1.0, 0.0, 2.0]), "singular"),
+], ids=["one-level", "two-level", "one-level-nonsym"])
+def test_failed_preconditioner_factorization_is_usage_error(tmp_path, capsys, command,
+                                                            precond, matrix, fragment):
+    mtx = tmp_path / "a.mtx"
+    rhs = tmp_path / "b.txt"
+    write_matrix_market(CsrMatrix.from_dense(matrix), mtx)
+    write_vector(np.ones(3), rhs)
+    code = main([command, "--matrix", str(mtx), "--rhs", str(rhs), "--precond", precond,
+                 "--n-sub", "1"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --precond {precond}: ") and fragment in err
 
 
 def test_max_iter_exit_code():

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpkrylov.bounds import compute_bound_report
+from wpkrylov.bounds import _lanczos_extremes, compute_bound_report
 from wpkrylov.solvers import (
     LinearSystem,
     SolveConfig,
@@ -193,3 +193,43 @@ def test_bound1_dominates_each_gcr_step(system):
         for prev, cur in zip(norms, norms[1:]):
             if prev >= cutoff:
                 assert cur <= bound1 * prev * (1.0 + 1e-10)
+
+
+def draw_symmetric_pair(seed, n, kind):
+    """An SPD H and a symmetric G, positive definite, negative definite or
+    (for n >= 2) indefinite, with eigenvalue moduli in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    eigs = rng.uniform(0.1, 10.0, n)
+    if kind == "negative":
+        eigs = -eigs
+    elif kind == "indefinite" and n >= 2:
+        eigs *= rng.permutation(np.r_[-1.0, 1.0, rng.choice([-1.0, 1.0], n - 2)])
+    g = (q * eigs) @ q.T
+    return make_spd(rng, n), 0.5 * (g + g.T), kind
+
+
+symmetric_pairs = st.builds(draw_symmetric_pair, seed=st.integers(0, 2**32 - 1),
+                            n=st.integers(1, 30),
+                            kind=st.sampled_from(["positive", "negative", "indefinite"]))
+
+
+@EXAMPLES
+@given(symmetric_pairs)
+def test_lanczos_extremes_match_dense_eigenvalues(pair):
+    # H G is self-adjoint in the inner product of G or -G when that is
+    # positive definite, and of G H G for any nonsingular G
+    h, g, kind = pair
+    sign = {"positive": 1.0, "negative": -1.0}.get(kind)
+    if sign is None:
+        def inner(v):
+            return g @ (h @ (g @ v))
+    else:
+        def inner(v):
+            return sign * (g @ v)
+    got = _lanczos_extremes(lambda v: h @ (g @ v), inner, len(g), (0, -1))
+    lower = np.linalg.cholesky(h)
+    dense = np.linalg.eigvalsh(lower.T @ g @ lower)
+    radius = np.abs(dense).max()
+    assert abs(got[0] - dense[0]) <= 1e-10 * radius
+    assert abs(got[1] - dense[-1]) <= 1e-10 * radius

@@ -190,6 +190,22 @@ class TestConditionNumber:
         m = CsrMatrix.from_dense(np.diag(np.arange(1.0, 11.0)))
         assert condition_number(handle, m) == pytest.approx(10.0, rel=1e-10)
 
+    def test_matches_dense_reference(self, cdr_assembled):
+        assembled = cdr_assembled(20)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        h_dense = densify(precond)
+        lh = np.linalg.cholesky(0.5 * (h_dense + h_dense.T))
+        vals = np.linalg.eigvalsh(lh.T @ assembled.m_matrix.to_dense() @ lh)
+        kappa = condition_number(precond, assembled.m_matrix)
+        assert kappa == pytest.approx(vals[-1] / vals[0], rel=1e-10)
+
+    def test_indefinite_symmetric_part_is_rejected(self):
+        handle = PreconditionerHandle.identity(3)
+        with pytest.raises(ValueError):
+            condition_number(handle, CsrMatrix.from_dense(np.diag([1.0, -1.0, 2.0])))
+
     def test_two_level_improves_on_one_level(self, cdr_assembled):
         assembled = cdr_assembled(30)
         maps = build_partition(assembled.m_matrix, PartitionSpec(4, "strips"),
