@@ -164,12 +164,14 @@ def _x_norm(u: np.ndarray, xu: np.ndarray) -> float:
     return 0.0
 
 
-def _lanczos_extremes(apply_t, apply_x, n: int, ends) -> np.ndarray:
+def _lanczos_extremes(apply_t, apply_x, n: int, ends, after_x: bool = False) -> np.ndarray:
     """Extreme eigenvalues of an operator T that is self-adjoint in the
     inner product <u, v>_X = u^T X v, X positive semidefinite.
 
     ``ends`` are indices into the ascending eigenvalues (0 the smallest,
     -1 the largest); the Ritz values at those indices are returned.
+    With ``after_x``, T = F X and ``apply_t`` is F: it is applied to the
+    X-image the routine already holds for the basis vector.
     Lanczos runs in the X inner product with full reorthogonalization
     (classical Gram-Schmidt twice per step) from a fixed random vector.
     Each step applies T once, and X once to the new vector after its
@@ -200,7 +202,8 @@ def _lanczos_extremes(apply_t, apply_x, n: int, ends) -> np.ndarray:
     for k in range(limit):
         basis[k] = v / norm
         images[k] = xv / norm
-        w = np.array(apply_t(basis[k]), dtype=float)  # a copy: it is updated in place
+        # a copy: it is updated in place
+        w = np.array(apply_t(images[k] if after_x else basis[k]), dtype=float)
         for _ in range(2):
             coeffs = images[:k + 1] @ w
             w -= coeffs @ basis[:k + 1]
@@ -414,7 +417,7 @@ def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
     def gram(v):  # A^T H A
         return a_mat.T @ h.apply(a_mat @ v)
 
-    (top,) = _lanczos_extremes(lambda v: h.apply(gram(v)), gram, n, (-1,))
+    (top,) = _lanczos_extremes(h.apply, gram, n, (-1,), after_x=True)
     report.op_norm = math.sqrt(max(float(top), 0.0))
 
     # bound2's first infimum: min |lambda| over the pencil sym(A^{-1}) y = lambda H y
@@ -423,7 +426,7 @@ def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
         def inv_gram(v):  # A^T (sign M)^{-1} A, positive definite
             return a_mat.T @ m_factor.solve(a_mat @ v)
 
-        (top,) = _lanczos_extremes(lambda v: h.apply(inv_gram(v)), inv_gram, n, (-1,))
+        (top,) = _lanczos_extremes(h.apply, inv_gram, n, (-1,), after_x=True)
         inf1 = 1.0 / float(top)
     else:
         # sym(A^{-1}) has the inertia of M: its range holds 0 when A is invertible

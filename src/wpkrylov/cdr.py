@@ -170,16 +170,16 @@ def assemble(problem: CdrProblemSpec) -> AssembledCdr:
     area = 0.5 * det
     weight = area / 3.0
 
-    # gradients of the three nodal basis functions on each triangle
-    inv_jt = np.empty((ntri, 2, 2))
-    inv_jt[:, 0, 0] = e2[:, 1] / det
-    inv_jt[:, 0, 1] = -e1[:, 1] / det
-    inv_jt[:, 1, 0] = -e2[:, 0] / det
-    inv_jt[:, 1, 1] = e1[:, 0] / det
-    grads = np.einsum("tij,kj->tki", inv_jt, _GRAD_REF)
+    # x and y components of the gradients of the three nodal basis
+    # functions on each triangle, (nt, 3) each: rows of J^{-T} times the
+    # reference gradients
+    inv_jt_x = np.column_stack([e2[:, 1], -e1[:, 1]]) / det[:, None]
+    inv_jt_y = np.column_stack([-e2[:, 0], e1[:, 0]]) / det[:, None]
+    grad_x = inv_jt_x @ _GRAD_REF.T
+    grad_y = inv_jt_y @ _GRAD_REF.T
 
-    qx = np.einsum("qk,tk->tq", _LAMBDA_Q, pts[:, :, 0])
-    qy = np.einsum("qk,tk->tq", _LAMBDA_Q, pts[:, :, 1])
+    qx = pts[:, :, 0] @ _LAMBDA_Q.T
+    qy = pts[:, :, 1] @ _LAMBDA_Q.T
 
     nu_q = _scalar_field(problem.nu, qx, qy)
     react_q = _scalar_field(problem.c0, qx, qy) + 0.5 * _divergence(problem.a_field, qx, qy)
@@ -193,26 +193,27 @@ def assemble(problem: CdrProblemSpec) -> AssembledCdr:
     if np.any(react_q < 0.0):
         raise ValueError("reaction plus half the convection divergence must be nonnegative")
 
-    gram = np.einsum("tki,tli->tkl", grads, grads)
-    ke = (weight * nu_q.sum(axis=1))[:, None, None] * gram
-    me = np.einsum("t,tq,qk,ql->tkl", weight, react_q, _LAMBDA_Q, _LAMBDA_Q)
-    # adg[t, q, k] = a(q) . grad(basis_k) on triangle t
-    adg = ax_q[:, :, None] * grads[:, None, :, 0] + ay_q[:, :, None] * grads[:, None, :, 1]
-    ne = 0.5 * (
-        np.einsum("t,qk,tql->tkl", weight, _LAMBDA_Q, adg)
-        - np.einsum("t,tqk,ql->tkl", weight, adg, _LAMBDA_Q)
-    )
-    be = np.einsum("t,tq,qk->tk", weight, f_q, _LAMBDA_Q)
+    # element matrices as (nt, 3, 3) arrays of entry (k, l)
+    stiffness = (weight * nu_q.sum(axis=1))[:, None, None] * (
+        grad_x[:, :, None] * grad_x[:, None, :] + grad_y[:, :, None] * grad_y[:, None, :])
+    # mass: sum_q weight react(q) lambda_k(q) lambda_l(q)
+    lambda_kl = (_LAMBDA_Q[:, :, None] * _LAMBDA_Q[:, None, :]).reshape(3, 9)
+    me = (weight[:, None] * (react_q @ lambda_kl)).reshape(-1, 3, 3)
+    # conv[t, l, k] = sum_q lambda_k(q) a(q) . grad(basis_l); the skew part
+    # is half its transpose minus itself
+    conv = (grad_x[:, :, None] * (ax_q @ _LAMBDA_Q)[:, None, :]
+            + grad_y[:, :, None] * (ay_q @ _LAMBDA_Q)[:, None, :])
+    ne = (0.5 * weight)[:, None, None] * (conv.transpose(0, 2, 1) - conv)
+    be = weight[:, None] * (f_q @ _LAMBDA_Q)
 
     nvtx = mesh.vertices.shape[0]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
     m_full = scipy.sparse.coo_matrix(
-        ((ke + me).ravel(), (rows, cols)), shape=(nvtx, nvtx)
+        ((stiffness + me).ravel(), (rows, cols)), shape=(nvtx, nvtx)
     ).tocsr()
     n_full = scipy.sparse.coo_matrix((ne.ravel(), (rows, cols)), shape=(nvtx, nvtx)).tocsr()
-    load = np.zeros(nvtx)
-    np.add.at(load, tri.ravel(), be.ravel())
+    load = np.bincount(tri.ravel(), weights=be.ravel(), minlength=nvtx)
 
     if problem.bc == "elimination":
         keep = mesh.interior_indices
@@ -226,10 +227,8 @@ def assemble(problem: CdrProblemSpec) -> AssembledCdr:
         if weight_pen is None:
             weight_pen = 1e10 * float(m_full.diagonal().max())
         boundary = np.flatnonzero(mesh.boundary_mask)
-        m_bc = m_full.tolil()
-        for bidx in boundary:
-            m_bc[bidx, bidx] += weight_pen
-        m_bc = m_bc.tocsr()
+        m_bc = (m_full + scipy.sparse.csr_matrix(
+            (np.full(len(boundary), weight_pen), (boundary, boundary)), shape=m_full.shape)).tocsr()
         n_bc = n_full
         rhs = load.copy()
         rhs[boundary] = 0.0

@@ -44,7 +44,9 @@ from .solvers import (
 )
 from .weighting import PreconditionerHandle, WeightOperator
 
-SOLVE_MESH_BUDGET = 200
+# a desk-scale limit, not an algorithmic one: at m = 400 (n = 159201)
+# set-up plus a two-level whp_gcr solve takes a few seconds on one core
+SOLVE_MESH_BUDGET = 400
 DENSE_EIG_MESH_BUDGET = 50
 
 _EXIT_BY_STATUS = {"converged": 0, "max_iter": 2, "breakdown": 3}

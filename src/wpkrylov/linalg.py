@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 __all__ = [
     "DENSIFY_LIMIT",
@@ -272,8 +272,11 @@ class CholeskyFactor:
         return self.lower.shape[0]
 
     def solve(self, b) -> np.ndarray:
-        y = scipy.linalg.solve_triangular(self.lower, np.asarray(b, dtype=float), lower=True)
-        return scipy.linalg.solve_triangular(self.lower.T, y, lower=False)
+        """The solution for a vector, or for every column of a block."""
+        x, info = dpotrs(self.lower, np.asarray(b, dtype=float), lower=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpotrs")
+        return x
 
     def reconstruct(self) -> np.ndarray:
         return self.lower @ self.lower.T
@@ -309,7 +312,8 @@ def sparse_spd_factor(s) -> scipy.sparse.linalg.SuperLU:
     Cholesky.  Symmetry is the caller's to check (check_symmetric), once
     for a whole matrix rather than per block.  Fails with
     NotPositiveDefiniteError when SuperLU has to pivot off the diagonal
-    or meets a singular column, or when a pivot falls at or below
+    or meets a singular column (its pivot is then the index of a zero row
+    or column, when there is one), or when a pivot falls at or below
     dim * eps * max(diag) -- the threshold of :func:`cholesky`.
     """
     s = scipy.sparse.csc_matrix(s)
@@ -320,7 +324,8 @@ def sparse_spd_factor(s) -> scipy.sparse.linalg.SuperLU:
             options={"SymmetricMode": True},
         )
     except RuntimeError as exc:  # "Factor is exactly singular"
-        raise NotPositiveDefiniteError(pivot=-1, message=f"matrix is singular: {exc}") from exc
+        raise NotPositiveDefiniteError(pivot=_empty_line(s),
+                                       message=f"matrix is singular: {exc}") from exc
     if not np.array_equal(factor.perm_r, factor.perm_c):
         raise NotPositiveDefiniteError(
             pivot=-1, message="matrix is not positive definite (off-diagonal pivot)")
@@ -335,11 +340,24 @@ def sparse_spd_factor(s) -> scipy.sparse.linalg.SuperLU:
 def sparse_lu_factor(a) -> scipy.sparse.linalg.SuperLU:
     """Sparse LU factor of a square matrix with SuperLU's default
     threshold partial pivoting; SingularMatrixError when it is exactly
-    singular."""
+    singular, with the index of a zero row or column as its pivot when
+    there is one (SuperLU does not report the failed column)."""
+    a = scipy.sparse.csc_matrix(a)
     try:
-        return scipy.sparse.linalg.splu(scipy.sparse.csc_matrix(a))
+        return scipy.sparse.linalg.splu(a)
     except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SingularMatrixError(pivot=-1, message=f"matrix is singular: {exc}") from exc
+        raise SingularMatrixError(pivot=_empty_line(a),
+                                  message=f"matrix is singular: {exc}") from exc
+
+
+def _empty_line(a: scipy.sparse.csc_matrix) -> int:
+    """The first index whose row or column of a square sparse matrix
+    holds no nonzero value, or -1."""
+    nonzero = a.copy()
+    nonzero.eliminate_zeros()
+    empty = ((np.diff(nonzero.indptr) == 0)
+             | (np.bincount(nonzero.indices, minlength=a.shape[0]) == 0))
+    return int(np.argmax(empty)) if empty.any() else -1
 
 
 def sym_eig(s, vectors: bool = True):

@@ -2,36 +2,54 @@
 
 Subdomains come from a deterministic structured partition (contiguous
 strips or a p x q grid of the lattice), grown by graph adjacency of the
-matrix sparsity for overlap.  Local blocks are sliced from the sparse
-matrix and factored by SuperLU (sparse direct): the symmetric modes
-factor blocks of the symmetric part in symmetric mode with diagonal
-pivots, so an indefinite or singular block is rejected as it would be
-by Cholesky; the non-symmetric one-level mode factors blocks of the
-full operator with partial pivoting.  The two-level mode adds a coarse
-solve together with its deflation projector: with coarse basis Z and
-G = Z^T M Z (small and dense, factored by dense Cholesky),
+matrix sparsity for overlap.  Every stage works on all subdomains at
+once, in time linear in the number of unknowns and stored entries:
 
-    apply(v) = P [sum_s R_s^T (R_s M R_s^T)^{-1} R_s] P^T v
-               + Z G^{-1} Z^T v,      P = I - Z G^{-1} Z^T M.
+* the partition labels each unknown with its core by binning the
+  coordinates once, and grows the overlap from the columns of the cores'
+  own unknowns;
+* the local blocks R_s M R_s^T are gathered, in one pass over the rows
+  of the concatenated index R = [R_1; ...; R_N], into one block-diagonal
+  matrix B, which is factored once by SuperLU (sparse direct).  The
+  symmetric modes factor blocks of the symmetric part in symmetric mode
+  with diagonal pivots, so an indefinite or singular block is rejected as
+  it would be by Cholesky; the non-symmetric one-level mode factors
+  blocks of the full operator with partial pivoting.  A failed pivot is
+  reported as the global unknown it belongs to.
+
+The local sum is then R^T B^{-1} R v, with R v the gather v[index].  The
+two-level mode adds a coarse solve together with its deflation
+projector: with coarse basis Z and G = Z^T M Z (small and dense,
+factored by dense Cholesky),
+
+    apply(v) = P R^T B^{-1} R P^T v + Z G^{-1} Z^T v,
+    P = I - Z G^{-1} Z^T M.
+
+With c = G^{-1} Z^T v and l = R^T B^{-1} R (v - MZ c) this is
+l + Z (c - G^{-1} (MZ)^T l), so the sparse product MZ, formed once,
+replaces every SpMV with M in the apply.
 
 The coarse space is spanned by partition-of-unity indicator vectors, one
-per subdomain (entry 1/membership-count inside the subdomain); their sum
-is exactly the all-ones vector.  This substitutes for a spectral coarse
-space, preserving the two-level structure at the cost of a weaker
-condition-number guarantee.
+per subdomain (entry 1/membership-count inside the subdomain), stored as
+a sparse n x N matrix; their sum is exactly the all-ones vector.  This
+substitutes for a spectral coarse space, preserving the two-level
+structure at the cost of a weaker condition-number guarantee.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 from scipy.linalg.lapack import dpstrf
 
 from .bounds import _definiteness, _hm_extremes
 from .linalg import (
     CsrMatrix,
+    NotPositiveDefiniteError,
+    SingularMatrixError,
     check_symmetric,
     cholesky,
     sparse_lu_factor,
@@ -75,12 +93,16 @@ class PartitionSpec:
 
 @dataclass
 class SubdomainMaps:
-    """Overlapped subdomain index sets with their coloring data."""
+    """Overlapped subdomain index sets with their coloring data.
+
+    coarse_basis, once built, is the sparse (scipy.sparse.csr_array)
+    n x N partition-of-unity basis.
+    """
 
     subdomains: list
     membership_counts: np.ndarray
     color_count: int
-    coarse_basis: np.ndarray | None = None
+    coarse_basis: scipy.sparse.csr_array | None = None
 
 
 def _near_square_factors(n: int) -> tuple[int, int]:
@@ -88,13 +110,40 @@ def _near_square_factors(n: int) -> tuple[int, int]:
     return n // q, q
 
 
-def _grow_overlap(indices: np.ndarray, adjacency, layers: int) -> np.ndarray:
-    mask = np.zeros(adjacency.shape[0], dtype=bool)
-    mask[indices] = True
+def _bands(values: np.ndarray, count: int) -> np.ndarray:
+    """The band of each value when its distinct values, ascending, are
+    split into count contiguous bands as np.array_split splits them."""
+    distinct, which = np.unique(values, return_inverse=True)
+    sizes = np.full(count, len(distinct) // count)
+    sizes[:len(distinct) % count] += 1
+    return np.repeat(np.arange(count), sizes)[which]
+
+
+def _entries(indptr: np.ndarray, lines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored entry of the given rows (CSR) or columns (CSC) of a
+    compressed matrix: (position in ``lines`` it came from, position in
+    the matrix's indices and data)."""
+    starts = indptr[lines]
+    lengths = indptr[lines + 1] - starts
+    source = np.repeat(np.arange(len(lines)), lengths)
+    first = np.cumsum(lengths) - lengths
+    return source, np.arange(len(source)) + np.repeat(starts - first, lengths)
+
+
+def _grow_overlap(keys: np.ndarray, core_of: np.ndarray, csc, layers: int) -> np.ndarray:
+    """Add, per layer, every unknown i with a stored entry (i, j) for some
+    j already in the subdomain.  ``keys`` encode (subdomain s, unknown j)
+    as s * n + j, sorted, so each subdomain's unknowns are ascending and
+    together; they stay so."""
+    n = len(core_of)
     for _ in range(layers):
-        reached = adjacency @ mask.astype(float) > 0.0
-        mask |= reached
-    return np.flatnonzero(mask)
+        source, flat = _entries(csc.indptr, keys % n)
+        owner, reached = (keys // n)[source], csc.indices[flat]
+        outside = core_of[reached] != owner  # a subdomain holds its core already
+        # sort and drop repeats (np.union1d is an order of magnitude slower here)
+        keys = np.sort(np.concatenate([keys, owner[outside] * n + reached[outside]]))
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+    return keys
 
 
 def build_partition(m_matrix: CsrMatrix, spec: PartitionSpec,
@@ -104,135 +153,151 @@ def build_partition(m_matrix: CsrMatrix, spec: PartitionSpec,
     Strips are contiguous bands: bands of lattice rows when coordinates
     are supplied, contiguous index ranges otherwise (equivalent for
     lexicographically ordered lattice unknowns).  The grid layout needs
-    coordinates and bins them into p x q blocks.  Overlap is grown
-    through the sparsity graph of the matrix, one adjacency layer at a
-    time, so every unknown coupled to a subdomain joins it.
+    coordinates and bins them into p x q blocks, numbered row of blocks
+    by row of blocks.  Overlap is grown through the sparsity graph of the
+    matrix, one adjacency layer at a time, so every unknown coupled to a
+    subdomain joins it.
     """
     n = m_matrix.rows
-    if spec.n_subdomains > n:
+    count = spec.n_subdomains
+    if count > n:
         raise ValueError("more subdomains than unknowns")
     if spec.layout == "strips":
         if coords is not None:
-            rows = np.unique(np.round(coords[:, 1], 12))
-            bands = np.array_split(rows, spec.n_subdomains)
-            row_of = np.round(coords[:, 1], 12)
-            cores = [np.flatnonzero(np.isin(row_of, band)) for band in bands]
+            core_of = _bands(np.round(coords[:, 1], 12), count)
         else:
-            cores = np.array_split(np.arange(n), spec.n_subdomains)
+            core_of = _bands(np.arange(n), count)
     else:
         if coords is None:
             raise ValueError("grid layout requires coordinates")
-        p, q = spec.grid_shape if spec.grid_shape is not None else _near_square_factors(
-            spec.n_subdomains
-        )
-        xs = np.unique(np.round(coords[:, 0], 12))
-        ys = np.unique(np.round(coords[:, 1], 12))
-        x_bands = np.array_split(xs, p)
-        y_bands = np.array_split(ys, q)
-        x_of = np.round(coords[:, 0], 12)
-        y_of = np.round(coords[:, 1], 12)
-        cores = [
-            np.flatnonzero(np.isin(x_of, xb) & np.isin(y_of, yb))
-            for yb in y_bands
-            for xb in x_bands
-        ]
-    for core in cores:
-        if len(core) == 0:
-            raise ValueError("a subdomain core came out empty; reduce n_subdomains")
+        p, q = spec.grid_shape if spec.grid_shape is not None else _near_square_factors(count)
+        core_of = (_bands(np.round(coords[:, 1], 12), q) * p
+                   + _bands(np.round(coords[:, 0], 12), p))
+    if np.bincount(core_of, minlength=count).min() == 0:
+        raise ValueError("a subdomain core came out empty; reduce n_subdomains")
 
-    adjacency = m_matrix.to_scipy()
-    adjacency.data = np.ones_like(adjacency.data)
-    subdomains = [_grow_overlap(core, adjacency, spec.overlap_layers) for core in cores]
-
-    counts = np.zeros(n, dtype=int)
-    for sub in subdomains:
-        counts[sub] += 1
-    if counts.min() == 0:
-        raise ValueError("partition does not cover every unknown")
+    keys = _grow_overlap(np.sort(core_of * n + np.arange(n)), core_of, m_matrix.csr.tocsc(),
+                         spec.overlap_layers)
+    owner, index = np.divmod(keys, n)
+    ends = np.cumsum(np.bincount(owner, minlength=count))
+    counts = np.bincount(index, minlength=n)
     return SubdomainMaps(
-        subdomains=subdomains,
+        subdomains=np.split(index, ends[:-1]),
         membership_counts=counts,
         color_count=int(counts.max()),
     )
 
 
-def build_coarse_space(maps: SubdomainMaps, m_matrix: CsrMatrix) -> np.ndarray:
-    """Partition-of-unity coarse basis, one vector per subdomain.
+def _concatenated(maps: SubdomainMaps, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, owner): the subdomains' unknowns one after another, and the
+    subdomain each position belongs to.  ValueError unless every index is
+    an unknown and every unknown lies in some subdomain."""
+    sizes = np.array([len(sub) for sub in maps.subdomains], dtype=np.int64)
+    index = np.concatenate(maps.subdomains).astype(np.int64)
+    if len(index) and (index.min() < 0 or index.max() >= n):
+        raise ValueError(f"a subdomain holds an index outside 0..{n - 1}")
+    uncovered = np.flatnonzero(np.bincount(index, minlength=n) == 0)
+    if len(uncovered):
+        raise ValueError(f"unknown {uncovered[0]} lies in no subdomain "
+                         f"({len(uncovered)} uncovered)")
+    return index, np.repeat(np.arange(len(sizes)), sizes)
+
+
+def build_coarse_space(maps: SubdomainMaps, m_matrix: CsrMatrix) -> scipy.sparse.csr_array:
+    """Partition-of-unity coarse basis, one vector per subdomain, as a
+    sparse n x N matrix.
 
     Vectors that make the coarse Gram matrix (numerically) rank
     deficient are dropped by pivoted Cholesky with a relative pivot
     threshold.  The basis is stored on the maps and returned.
     """
-    return _pou_coarse_space(maps, m_matrix)[0]
+    return _pou_coarse_space(maps, m_matrix.csr, *_concatenated(maps, m_matrix.rows))[0]
 
 
-def _pou_coarse_space(maps: SubdomainMaps, m_matrix: CsrMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """The rank-filtered coarse basis Z (also stored on the maps) and its
-    Gram matrix Z^T M Z."""
-    n = m_matrix.rows
-    z = np.zeros((n, len(maps.subdomains)))
-    for k, sub in enumerate(maps.subdomains):
-        z[sub, k] = 1.0 / maps.membership_counts[sub]
-    gram = _gram(z, m_matrix)
+def _pou_coarse_space(maps: SubdomainMaps, m_csr, index: np.ndarray, owner: np.ndarray):
+    """The rank-filtered coarse basis Z (also stored on the maps), M Z and
+    the dense Gram matrix Z^T M Z."""
+    n = m_csr.shape[0]
+    counts = np.bincount(index, minlength=n)
+    z = scipy.sparse.csr_array((1.0 / counts[index], (index, owner)),
+                               shape=(n, len(maps.subdomains)))
+    mz = scipy.sparse.csr_array(m_csr @ z)
+    gram = _gram(z, mz)
     _, piv, rank, _ = dpstrf(gram, lower=1, tol=1e-12 * max(gram.diagonal().max(), 0.0))
     if rank == 0:
         raise ValueError("coarse space is empty after rank filtering")
-    keep = np.sort(piv[:rank] - 1)
-    maps.coarse_basis = z[:, keep]
-    return maps.coarse_basis, gram[np.ix_(keep, keep)]
+    if rank < z.shape[1]:
+        keep = np.sort(piv[:rank] - 1)
+        z, mz, gram = z[:, keep], mz[:, keep], gram[np.ix_(keep, keep)]
+    maps.coarse_basis = z
+    return z, mz, gram
 
 
-def _gram(z: np.ndarray, m_matrix: CsrMatrix) -> np.ndarray:
-    gram = z.T @ (m_matrix.csr @ z)
+def _gram(z, mz) -> np.ndarray:
+    gram = (z.T @ mz).toarray()
     return 0.5 * (gram + gram.T)
+
+
+def _local_blocks(csr, index: np.ndarray, owner: np.ndarray):
+    """The block-diagonal matrix of the blocks R_s A R_s^T, in CSC form,
+    with rows and columns in the order of the concatenated index: entry
+    (a, b) is A[index[a], index[b]] when a and b belong to one subdomain.
+    Each row of A is read once per subdomain holding its unknown."""
+    n = csr.shape[0]
+    keys = owner * n + index
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    rows, flat = _entries(csr.indptr, index)
+    wanted = owner[rows] * n + csr.indices[flat]
+    at = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
+    inside = sorted_keys[at] == wanted
+    size = len(index)
+    return scipy.sparse.csc_matrix(
+        (csr.data[flat[inside]], (rows[inside], order[at[inside]])), shape=(size, size))
 
 
 class SchwarzPreconditioner:
     """Assembled additive Schwarz operator in one of three modes."""
 
-    def __init__(self, mode, matrix: CsrMatrix, maps: SubdomainMaps,
-                 coarse_basis: np.ndarray | None, local_factors, coarse_factor):
+    def __init__(self, mode, dim: int, maps: SubdomainMaps, index: np.ndarray, local_factor,
+                 coarse=None):
         self.mode = mode
-        self.dim = matrix.rows
+        self.dim = dim
         self.maps = maps
-        self._matrix = matrix.csr
-        self._locals = local_factors
-        self._coarse_basis = coarse_basis
-        self._coarse_factor = coarse_factor
+        self._index = index
+        # R^T: adds each local value into the unknown it came from
+        self._scatter = scipy.sparse.csr_array(
+            (np.ones(len(index)), (index, np.arange(len(index)))), shape=(self.dim, len(index)))
+        self._local = local_factor
+        self._z, self._mz, self._coarse_factor = coarse if coarse is not None else (None,) * 3
+        if coarse is not None:  # Z^T and (MZ)^T in CSR: a transpose view costs more per apply
+            self._zt, self._mzt = self._z.T.tocsr(), self._mz.T.tocsr()
 
     @property
     def is_symmetric(self) -> bool:
         return self.mode in ("one_level_sym", "two_level_sym")
 
-    def _coarse_solve(self, v: np.ndarray) -> np.ndarray:
-        return self._coarse_basis @ self._coarse_factor.solve(self._coarse_basis.T @ v)
-
     def _local_sum(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v)
-        for sub, fac in zip(self.maps.subdomains, self._locals):
-            out[sub] += fac.solve(v[sub])
-        return out
+        return self._scatter @ self._local.solve(v[self._index])
 
     def apply(self, v) -> np.ndarray:
         """H v for a vector, or H applied to every column of an n x k block
         at once (SuperLU, the coarse solve and the SpMVs all take blocks)."""
         v = np.asarray(v, dtype=float)
-        if self.mode != "two_level_sym":
+        if self._z is None:
             return self._local_sum(v)
-        coarse = self._coarse_solve(v)
-        deflated = v - self._matrix @ coarse  # P^T v
-        local = self._local_sum(deflated)
-        projected = local - self._coarse_solve(self._matrix @ local)  # P (.)
-        return projected + coarse
+        coarse = self._coarse_factor.solve(self._zt @ v)  # G^{-1} Z^T v
+        local = self._local_sum(v - self._mz @ coarse)
+        return local + self._z @ (coarse - self._coarse_factor.solve(self._mzt @ local))
 
     __call__ = apply
 
     def project_deflation(self, v) -> np.ndarray:
         """The deflation projector P = I - Z G^{-1} Z^T M applied to v."""
-        if self._coarse_basis is None:
+        if self._z is None:
             raise ValueError("no coarse space attached")
         v = np.asarray(v, dtype=float)
-        return v - self._coarse_solve(self._matrix @ v)
+        return v - self._z @ self._coarse_factor.solve(self._mzt @ v)
 
     def matmat(self, v) -> np.ndarray:
         """H applied to every column of an n x k block, in one apply."""
@@ -248,7 +313,7 @@ class SchwarzPreconditioner:
 
 
 def build_preconditioner(matrix: CsrMatrix, maps: SubdomainMaps, mode: str,
-                         coarse_basis: np.ndarray | None = None) -> SchwarzPreconditioner:
+                         coarse_basis=None) -> SchwarzPreconditioner:
     """Factor the local (and coarse) blocks and return the preconditioner.
 
     Symmetric modes expect the symmetric part of the operator (ValueError
@@ -256,31 +321,40 @@ def build_preconditioner(matrix: CsrMatrix, maps: SubdomainMaps, mode: str,
     raising NotPositiveDefiniteError on a block that is not positive
     definite; the non-symmetric one-level mode expects the full operator
     and factors its blocks with sparse LU, raising SingularMatrixError on
-    a singular block.  For the two-level mode a missing coarse basis is
-    built from partition-of-unity constants.
+    a singular block.  The error's ``pivot`` is the global unknown where
+    the factorization failed when it can be named, else -1.  ValueError
+    when the maps leave an unknown in no subdomain.  For the two-level
+    mode a missing coarse basis (dense or sparse, n x N) is built from
+    partition-of-unity constants.
     """
     if mode not in ("one_level_sym", "two_level_sym", "one_level_nonsym"):
         raise ValueError(f"unknown preconditioner mode {mode!r}")
+    index, owner = _concatenated(maps, matrix.rows)
     if mode == "one_level_nonsym":
-        factor = sparse_lu_factor
-        csc = matrix.csr.tocsc()
+        factor, local_matrix = sparse_lu_factor, matrix.csr
     else:
-        factor = sparse_spd_factor
-        csc = check_symmetric(matrix.csr).tocsc()
-    locals_ = [factor(csc[sub][:, sub]) for sub in maps.subdomains]
+        factor, local_matrix = sparse_spd_factor, check_symmetric(matrix.csr).tocsr()
+    try:
+        local_factor = factor(_local_blocks(local_matrix, index, owner))
+    except (NotPositiveDefiniteError, SingularMatrixError) as exc:
+        if exc.pivot < 0:
+            raise
+        dof = int(index[exc.pivot])
+        failure = "singular" if isinstance(exc, SingularMatrixError) else "not positive definite"
+        raise type(exc)(dof, f"the local block of subdomain {owner[exc.pivot]} is {failure} "
+                             f"(pivot at unknown {dof})") from exc
 
-    coarse_factor = None
+    coarse = None
     if mode == "two_level_sym":
         if coarse_basis is None and maps.coarse_basis is None:
-            coarse_basis, gram = _pou_coarse_space(maps, matrix)
+            z, mz, gram = _pou_coarse_space(maps, local_matrix, index, owner)
         else:
-            coarse_basis = maps.coarse_basis if coarse_basis is None else coarse_basis
-            gram = _gram(coarse_basis, matrix)
-        coarse_factor = cholesky(gram)
-    else:
-        coarse_basis = None
-
-    return SchwarzPreconditioner(mode, matrix, maps, coarse_basis, locals_, coarse_factor)
+            z = scipy.sparse.csr_array(maps.coarse_basis if coarse_basis is None
+                                       else coarse_basis)
+            mz = scipy.sparse.csr_array(local_matrix @ z)
+            gram = _gram(z, mz)
+        coarse = (z, mz, cholesky(gram))
+    return SchwarzPreconditioner(mode, matrix.rows, maps, index, local_factor, coarse)
 
 
 def condition_number(precond: SchwarzPreconditioner, m_matrix: CsrMatrix) -> float:

@@ -607,8 +607,10 @@ def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
     The image of the new direction is used fresh (never stored), the
     plain residual is not updated at all, and ||r||_H^2 is tracked by the
     one-step recurrence.  The Euclidean residual column of the trace is
-    recomputed as b - A x for reporting; the iteration itself never
-    forms it.  Iterates coincide with whp_gcr in exact arithmetic.
+    recomputed as b - A x for reporting.  When the recurrence meets the
+    target, ||b - A x||_H is formed with one H apply and decides instead;
+    if it misses, the loop goes on from z = H (b - A x).  Iterates
+    coincide with whp_gcr in exact arithmetic.
     """
     _require_spd_preconditioner(h)
     _reject_variants(cfg, "whp_gcr_alt_a")
@@ -652,7 +654,14 @@ def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
         z = z - alpha * y
         rw2 = max(rw2 - gamma * gamma / delta, 0.0)
         rw = _clamped_sqrt(rw2)
-        r2 = float(np.linalg.norm(b - a.apply(x)))
+        r = b - a.apply(x)
+        r2 = float(np.linalg.norm(r))
+        if stop.done(rw, r2):
+            # the clamped recurrence drifts and may read 0: confirm on the
+            # true residual, and go on from it (z = H r) when it misses
+            z = h.apply(r)
+            rw2 = max(float(r @ z), 0.0)
+            rw = _clamped_sqrt(rw2)
         _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
         store.append(record, delta)
         if stop.done(rw, r2):

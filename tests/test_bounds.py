@@ -314,6 +314,36 @@ class TestBlockedReport:
         assert counted.vectors > 16
         assert report.bound2 is not None and report.bound3 is not None
 
+    def test_op_norm_solve_applies_h_twice_per_step(self, schwarz_h, monkeypatch):
+        assembled, precond = schwarz_h
+        n = precond.dim
+        counted = _Counted(n, precond.apply)
+        handle = PreconditionerHandle(n, counted, hermitian_flag=True)
+        solves = []  # (steps, H applies) of each Lanczos solve
+        lanczos = bounds._lanczos_extremes
+
+        def recorded(apply_t, *args, **kwargs):
+            steps = []
+            before = counted.vectors
+
+            def stepped(v):
+                steps.append(1)
+                return apply_t(v)
+
+            out = lanczos(stepped, *args, **kwargs)
+            solves.append((len(steps), counted.vectors - before))
+            return out
+
+        monkeypatch.setattr(bounds, "_lanczos_extremes", recorded)
+        report = compute_bound_report(assembled.operator(), handle,
+                                      WeightOperator(n, handle.apply, validate=False))
+        assert report.op_norm is not None
+        # the solves run as H M, H A^T H A (op_norm), H A^T M^{-1} A, M^{-1} N^T M^{-1} N;
+        # op_norm applies H once in T and once in X per step, plus X on the start vector
+        steps, h_applies = solves[1]
+        assert steps > 1
+        assert h_applies == 2 * steps + 1
+
     def test_w_equal_h_report_matches_column_loop(self, schwarz_h):
         assembled, precond = schwarz_h
         n = precond.dim

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from wpkrylov.cdr import CdrProblemSpec, assemble
 from wpkrylov.linalg import (
@@ -14,6 +15,7 @@ from wpkrylov.linalg import (
 )
 from wpkrylov.schwarz import (
     PartitionSpec,
+    SubdomainMaps,
     build_coarse_space,
     build_partition,
     build_preconditioner,
@@ -22,6 +24,34 @@ from wpkrylov.schwarz import (
 )
 from wpkrylov.solvers import LinearSystem, SolveConfig, whp_gcr
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
+
+
+def reference_partition(m_matrix, spec, coords):
+    """Subdomains as one np.isin per core and one n-length SpMV per
+    subdomain and overlap layer."""
+    n = m_matrix.rows
+    if spec.layout == "strips" and coords is None:
+        cores = np.array_split(np.arange(n), spec.n_subdomains)
+    elif spec.layout == "strips":
+        row_of = np.round(coords[:, 1], 12)
+        cores = [np.flatnonzero(np.isin(row_of, band))
+                 for band in np.array_split(np.unique(row_of), spec.n_subdomains)]
+    else:
+        p, q = spec.grid_shape
+        x_of, y_of = np.round(coords[:, 0], 12), np.round(coords[:, 1], 12)
+        cores = [np.flatnonzero(np.isin(x_of, xb) & np.isin(y_of, yb))
+                 for yb in np.array_split(np.unique(y_of), q)
+                 for xb in np.array_split(np.unique(x_of), p)]
+    adjacency = m_matrix.to_scipy()
+    adjacency.data = np.ones_like(adjacency.data)
+    subdomains = []
+    for core in cores:
+        mask = np.zeros(n, dtype=bool)
+        mask[core] = True
+        for _ in range(spec.overlap_layers):
+            mask |= adjacency @ mask.astype(float) > 0.0
+        subdomains.append(np.flatnonzero(mask))
+    return subdomains
 
 
 class TestPartition:
@@ -63,6 +93,24 @@ class TestPartition:
         with pytest.raises(ValueError):
             build_partition(m, PartitionSpec(5))
 
+    @pytest.mark.parametrize("overlap", [0, 1, 2])
+    @pytest.mark.parametrize("count, layout, grid_shape, with_coords",
+                             [(3, "strips", None, True), (5, "strips", None, False),
+                              (6, "grid", (3, 2), True)])
+    def test_matches_isin_and_spmv_growth(self, cdr_assembled, count, layout, grid_shape,
+                                          with_coords, overlap):
+        assembled = cdr_assembled(13)
+        coords = assembled.dof_coords if with_coords else None
+        spec = PartitionSpec(count, layout, grid_shape=grid_shape, overlap_layers=overlap)
+        maps = build_partition(assembled.m_matrix, spec, coords=coords)
+        expected = reference_partition(assembled.m_matrix, spec, coords)
+        assert len(maps.subdomains) == len(expected)
+        for got, want in zip(maps.subdomains, expected):
+            assert np.array_equal(got, want)
+        counts = np.bincount(np.concatenate(expected), minlength=assembled.dof_count)
+        assert np.array_equal(maps.membership_counts, counts)
+        assert maps.color_count == counts.max()
+
     def test_dump_json(self, cdr_assembled, tmp_path):
         assembled = cdr_assembled(6)
         maps = build_partition(assembled.m_matrix, PartitionSpec(2, "strips"),
@@ -80,7 +128,7 @@ class TestCoarseSpace:
         assembled = cdr_assembled(6)
         maps = build_partition(assembled.m_matrix, PartitionSpec(1),
                                coords=assembled.dof_coords)
-        basis = build_coarse_space(maps, assembled.m_matrix)
+        basis = build_coarse_space(maps, assembled.m_matrix).toarray()
         assert basis.shape[1] == 1
         assert np.allclose(basis[:, 0], 1.0)
 
@@ -88,7 +136,7 @@ class TestCoarseSpace:
         assembled = cdr_assembled(8)
         spec = PartitionSpec(2, "strips", overlap_layers=0)
         maps = build_partition(assembled.m_matrix, spec, coords=assembled.dof_coords)
-        basis = build_coarse_space(maps, assembled.m_matrix)
+        basis = build_coarse_space(maps, assembled.m_matrix).toarray()
         gram = basis.T @ basis
         off = gram - np.diag(np.diag(gram))
         assert np.abs(off).max() == 0.0
@@ -98,6 +146,16 @@ class TestCoarseSpace:
         maps = build_partition(assembled.m_matrix, PartitionSpec(4, "strips"),
                                coords=assembled.dof_coords)
         basis = build_coarse_space(maps, assembled.m_matrix)
+        assert np.array_equal(basis.sum(axis=1), np.ones(assembled.dof_count))
+
+    def test_preconditioner_basis_is_sparse_partition_of_unity(self, cdr_assembled):
+        assembled = cdr_assembled(20)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(9, "grid"),
+                               coords=assembled.dof_coords)
+        build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        basis = maps.coarse_basis
+        assert scipy.sparse.issparse(basis) and basis.shape == (assembled.dof_count, 9)
+        assert basis.nnz == sum(len(sub) for sub in maps.subdomains)
         assert np.array_equal(basis.sum(axis=1), np.ones(assembled.dof_count))
 
 
@@ -272,8 +330,12 @@ class TestSparseFactors:
                                coords=assembled.dof_coords)
         m_sp = assembled.m_matrix.to_scipy().tolil()
         m_sp[5, 5] = -m_sp[5, 5]
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(NotPositiveDefiniteError) as info:
             build_preconditioner(CsrMatrix.from_scipy(m_sp), maps, mode)
+        # the pivot is a global unknown of a subdomain that holds unknown 5
+        holding_5 = [sub for sub in maps.subdomains if 5 in sub]
+        assert holding_5 and any(info.value.pivot in sub for sub in holding_5)
+        assert f"unknown {info.value.pivot}" in str(info.value)
 
     @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym"])
     def test_nonsymmetric_input_rejected(self, cdr_assembled, mode):
@@ -289,8 +351,19 @@ class TestSparseFactors:
                                coords=assembled.dof_coords)
         a_sp = assembled.full_matrix().to_scipy().tolil()
         a_sp[7, :] = 0.0
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError) as info:
             build_preconditioner(CsrMatrix.from_scipy(a_sp), maps, "one_level_nonsym")
+        assert info.value.pivot == 7  # the zero row, as a global unknown
+
+    @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym", "one_level_nonsym"])
+    def test_uncovered_unknown_rejected(self, cdr_assembled, mode):
+        assembled = cdr_assembled(8)
+        n = assembled.dof_count
+        maps = SubdomainMaps(subdomains=[np.arange(0, 20), np.arange(21, n)],
+                             membership_counts=np.ones(n, dtype=int), color_count=1)
+        matrix = assembled.full_matrix() if mode == "one_level_nonsym" else assembled.m_matrix
+        with pytest.raises(ValueError, match="unknown 20 lies in no subdomain"):
+            build_preconditioner(matrix, maps, mode)
 
     def test_block_larger_than_4096_is_exact_inverse(self, cdr_assembled):
         assembled = cdr_assembled(70)
@@ -323,6 +396,19 @@ class TestBlockApply:
         block = densify(precond.as_handle())
         assert blocks == [(precond.dim, precond.dim)]
         assert np.linalg.norm(block - columns) <= 1e-14 * np.linalg.norm(columns)
+
+    @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym", "one_level_nonsym"])
+    def test_three_column_block_matches_column_applies(self, cdr_assembled, mode):
+        assembled = cdr_assembled(20)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        matrix = assembled.full_matrix() if mode == "one_level_nonsym" else assembled.m_matrix
+        precond = build_preconditioner(matrix, maps, mode)
+        block = np.random.default_rng(5).standard_normal((precond.dim, 3))
+        columns = np.column_stack([precond.apply(block[:, j]) for j in range(3)])
+        got = precond.apply(block)
+        assert got.shape == block.shape
+        assert np.linalg.norm(got - columns) <= 1e-14 * np.linalg.norm(columns)
 
     def test_cdr_operator_block_densify_matches_column_loop(self, cdr_assembled):
         op = cdr_assembled(20).operator()
