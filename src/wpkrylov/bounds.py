@@ -231,9 +231,13 @@ def spectral_radius_skew(hs: HermitianSplit) -> float:
     M, for dense and sparse parts alike; NotPositiveDefiniteError when M
     is not positive definite.
     """
-    factor = sparse_spd_factor(check_symmetric(hs.m_part))
+    return _skew_radius(hs, sparse_spd_factor(check_symmetric(hs.m_part)))
+
+
+def _skew_radius(hs: HermitianSplit, m_factor) -> float:
+    """spectral_radius_skew given a factor of M (its ``solve``)."""
     m_part, n_part = hs.m_part, hs.n_part
-    (top,) = _lanczos_extremes(lambda v: factor.solve(n_part.T @ factor.solve(n_part @ v)),
+    (top,) = _lanczos_extremes(lambda v: m_factor.solve(n_part.T @ m_factor.solve(n_part @ v)),
                                lambda v: m_part @ v, hs.dim, (-1,))
     return math.sqrt(max(top, 0.0))
 
@@ -439,7 +443,7 @@ def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
         report.bound2 = float(np.sqrt(np.clip(1.0 - inf1 * report.fov_distance, 0.0, 1.0)))
 
     if sign > 0:
-        report.rho = spectral_radius_skew(hs)
+        report.rho = _skew_radius(hs, m_factor)
     if report.rho is not None and report.kappa is not None:
         report.bound3 = direct_bound3(report.kappa, report.rho)
     return report

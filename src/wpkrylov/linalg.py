@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, dpotrs
 
 __all__ = [
     "DENSIFY_LIMIT",
@@ -26,11 +26,13 @@ __all__ = [
     "LinearOperator",
     "CsrMatrix",
     "CholeskyFactor",
+    "BandedCholesky",
     "aslinearoperator",
     "densify",
     "cholesky",
     "check_symmetric",
     "sparse_spd_factor",
+    "banded_spd_factor",
     "sparse_lu_factor",
     "sym_eig",
     "gen_sym_eig",
@@ -335,6 +337,91 @@ def sparse_spd_factor(s) -> scipy.sparse.linalg.SuperLU:
         # column j of U is column i of s where perm_c[i] == j
         raise NotPositiveDefiniteError(pivot=int(np.argsort(factor.perm_c)[np.argmin(pivots)]))
     return factor
+
+
+@dataclass
+class BandedCholesky:
+    """Band Cholesky factor U^T U of P^T S P, S symmetric positive definite.
+
+    ``upper`` is U in LAPACK's upper band storage, (bandwidth + 1) x n
+    and Fortran-ordered; ``perm`` maps each position of the factored
+    order to the row of S there (P v = v[perm]), or is None when S is
+    factored in its own order.
+    """
+
+    upper: np.ndarray
+    perm: np.ndarray | None = None
+
+    @property
+    def bandwidth(self) -> int:
+        return self.upper.shape[0] - 1
+
+    def solve(self, b) -> np.ndarray:
+        """The solution for a vector, or for every column of an n x k block."""
+        b = np.asarray(b, dtype=float)
+        permuted = self.perm is not None
+        x, info = dpbtrs(self.upper, b[self.perm] if permuted else b, lower=0,
+                         overwrite_b=permuted)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+        if not permuted:
+            return x
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+
+def _bandwidth(rows: np.ndarray, cols: np.ndarray) -> int:
+    return int(np.abs(rows - cols).max()) if len(rows) else 0
+
+
+def banded_spd_factor(s) -> BandedCholesky:
+    """Band Cholesky factor of a sparse symmetric positive definite matrix.
+
+    This is the envelope method for matrices from a lattice (George & Liu,
+    *Computer Solution of Large Sparse Positive Definite Systems*, 1981):
+    the factor fills the band and nothing outside it, so it takes
+    n * (bandwidth + 1) entries and the solve is two band triangular
+    sweeps (LAPACK dpbtrf/dpbtrs, upper form).  The order is the
+    matrix's own or its reverse Cuthill-McKee order, whichever has the
+    smaller bandwidth; RCM keeps each diagonal block of a block-diagonal
+    matrix contiguous.  Symmetry is the caller's to check
+    (check_symmetric).  Fails with NotPositiveDefiniteError when a
+    leading minor is not positive definite, or when a pivot falls at or
+    below dim * eps * max(diag) -- the threshold of :func:`cholesky`; its
+    pivot is an index in the caller's order.
+    """
+    # imported here: the graph package costs about 1 MB, which a program
+    # without Schwarz preconditioners has no use for
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    s = scipy.sparse.csc_matrix(s)
+    n = s.shape[0]
+    coo = s.tocoo()
+    rows, cols = coo.row, coo.col
+    perm = reverse_cuthill_mckee(s, symmetric_mode=True)
+    position = np.empty(n, dtype=perm.dtype)
+    position[perm] = np.arange(n)
+    own, reordered = _bandwidth(rows, cols), _bandwidth(position[rows], position[cols])
+    if reordered < own:
+        rows, cols, width = position[rows], position[cols], reordered
+    else:
+        perm, width = None, own
+    upper = rows <= cols
+    band = np.zeros((width + 1, n), order="F")
+    band[width + rows[upper] - cols[upper], cols[upper]] = coo.data[upper]
+    factor, info = dpbtrf(band, lower=0, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpbtrf")
+    if info == 0:
+        pivots = factor[width] ** 2
+        threshold = n * np.finfo(float).eps * max(s.diagonal().max(), 0.0)
+        failed = int(np.argmin(pivots)) if pivots.min() <= threshold else -1
+    else:
+        failed = info - 1
+    if failed >= 0:
+        raise NotPositiveDefiniteError(pivot=failed if perm is None else int(perm[failed]))
+    return BandedCholesky(factor, perm)
 
 
 def sparse_lu_factor(a) -> scipy.sparse.linalg.SuperLU:

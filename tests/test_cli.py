@@ -89,8 +89,10 @@ def test_non_finite_matrix_is_usage_error(tmp_path, capsys, bad, mtx_text, rhs_t
 
 
 def test_alt_b_drift_exit_code(capsys):
-    # <r, z> of whp-gcr-alt-b turns negative before the true H-norm of the
-    # residual meets the tolerance: a breakdown (exit 3), not a convergence
+    # whp-gcr-alt-b breaks down near iteration 15, on a degenerate delta or
+    # a negative <r, z> as round-off in H decides, before the true H-norm
+    # of the residual meets the tolerance: a breakdown (exit 3), not a
+    # convergence
     code = main(["solve", "--cdr", "m=30", "--precond", "two-level", "--n-sub", "4",
                  "--layout", "grid:2x2", "--solver", "whp-gcr-alt-b"])
     assert code == 3

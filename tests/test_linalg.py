@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 
 from wpkrylov.linalg import (
     CsrMatrix,
@@ -8,6 +10,7 @@ from wpkrylov.linalg import (
     NotPositiveDefiniteError,
     SingularMatrixError,
     aslinearoperator,
+    banded_spd_factor,
     cholesky,
     densify,
     gen_sym_eig,
@@ -16,6 +19,7 @@ from wpkrylov.linalg import (
     sparse_spd_factor,
     sym_eig,
 )
+from wpkrylov.schwarz import PartitionSpec, build_partition
 
 from conftest import make_spd
 
@@ -107,6 +111,81 @@ class TestCholesky:
         b = rng.standard_normal(10)
         assert np.allclose(s @ fac.solve(b), b)
 
+
+
+def local_blocks(matrix, subdomains):
+    """The block-diagonal matrix of the blocks R_s M R_s^T."""
+    m = matrix.csr
+    return scipy.sparse.block_diag([m[sub][:, sub] for sub in subdomains], format="csr")
+
+
+def bandwidth(s, order):
+    """Bandwidth of a sparse matrix with its rows and columns in ``order``."""
+    position = np.argsort(order)
+    coo = s.tocoo()
+    return int(np.abs(position[coo.row] - position[coo.col]).max())
+
+
+class TestBandedCholesky:
+    def test_solves_match_dense_cholesky(self, cdr_assembled):
+        assembled = cdr_assembled(12)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        s = local_blocks(assembled.m_matrix, maps.subdomains)
+        factor = banded_spd_factor(s)
+        dense = scipy.linalg.cho_factor(s.toarray())
+        rng = np.random.default_rng(11)
+        for b in (rng.standard_normal(s.shape[0]), rng.standard_normal((s.shape[0], 3))):
+            want = scipy.linalg.cho_solve(dense, b)
+            got = factor.solve(b)
+            assert got.shape == b.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("count, layout, with_coords", [(6, "strips", False),
+                                                           (3, "strips", True),
+                                                           (4, "grid", True)])
+    def test_band_is_the_narrower_of_two_orders(self, cdr_assembled, count, layout,
+                                                with_coords):
+        assembled = cdr_assembled(30)
+        coords = assembled.dof_coords if with_coords else None
+        maps = build_partition(assembled.m_matrix, PartitionSpec(count, layout), coords=coords)
+        s = local_blocks(assembled.m_matrix, maps.subdomains)
+        own = bandwidth(s, np.arange(s.shape[0]))
+        rcm = bandwidth(s, scipy.sparse.csgraph.reverse_cuthill_mckee(s, symmetric_mode=True))
+        factor = banded_spd_factor(s)
+        assert factor.bandwidth == min(own, rcm)
+        if not with_coords:
+            # strips of a few lattice rows: RCM numbers across the strip
+            assert factor.perm is not None and rcm < own
+
+    @pytest.mark.parametrize("scramble", [False, True])
+    def test_indefinite_block_is_named_in_the_callers_order(self, scramble):
+        rng = np.random.default_rng(12)
+        blocks = [make_spd(rng, 5) for _ in range(3)]
+        blocks[0][2, 2] = -10.0
+        s = scipy.sparse.block_diag(blocks, format="csr")
+        inside = np.arange(5)
+        if scramble:  # a random order, which RCM narrows; it puts the first block last
+            order = rng.permutation(15)
+            s = s[order][:, order]
+            inside = np.flatnonzero(np.isin(order, inside))
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            banded_spd_factor(s)
+        assert info.value.pivot in inside
+
+    def test_semidefinite_input_trips_the_pivot_threshold(self):
+        # the second pivot is 2 eps > 0, which LAPACK accepts, at or below
+        # dim * eps * max(diag)
+        eps = np.finfo(float).eps
+        s = np.array([[1.0, 1.0, 0.0], [1.0, 1.0 + 2 * eps, 0.0], [0.0, 0.0, 1.0]])
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            banded_spd_factor(s)
+        assert info.value.pivot == 1
+
+    def test_indefinite_raises_with_pivot(self):
+        with pytest.raises(NotPositiveDefiniteError) as info:
+            banded_spd_factor(np.diag([1.0, -1.0, 2.0]))
+        assert info.value.pivot == 1
 
 class TestSymEig:
     def test_diagonal(self):

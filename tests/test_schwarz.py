@@ -122,6 +122,24 @@ class TestPartition:
         assert len(payload["memberships"]) == assembled.dof_count
         assert all(payload["memberships"])
 
+    @pytest.mark.parametrize("overlap", [0, 2])
+    @pytest.mark.parametrize("count, layout, grid_shape", [(3, "strips", None),
+                                                           (6, "grid", (3, 2))])
+    def test_dump_json_matches_membership_loop(self, cdr_assembled, tmp_path, count, layout,
+                                               grid_shape, overlap):
+        assembled = cdr_assembled(13)
+        spec = PartitionSpec(count, layout, grid_shape=grid_shape, overlap_layers=overlap)
+        maps = build_partition(assembled.m_matrix, spec, coords=assembled.dof_coords)
+        memberships = [[] for _ in range(assembled.dof_count)]
+        for s, sub in enumerate(maps.subdomains):
+            for dof in sub:
+                memberships[int(dof)].append(s)
+        expected = {"n_subdomains": count, "color_count": maps.color_count,
+                    "memberships": memberships}
+        path = tmp_path / "partition.json"
+        dump_partition_json(maps, path)
+        assert path.read_text(encoding="utf-8") == json.dumps(expected)
+
 
 class TestCoarseSpace:
     def test_single_subdomain_constant(self, cdr_assembled):
