@@ -16,7 +16,6 @@ from .bounds import (
 from .cdr import AssembledCdr, CdrProblemSpec, StructuredMesh, assemble, build_mesh, reference_problem
 from .linalg import (
     CholeskyFactor,
-    CsrMatrix,
     LinearOperator,
     NotPositiveDefiniteError,
     SingularMatrixError,

@@ -109,17 +109,18 @@ _LANCZOS_SEED = 0x1A2C
 
 def _as_part(part):
     if scipy.sparse.issparse(part):
-        return part.tocsr().astype(float)
+        return scipy.sparse.csr_array(part, dtype=float)
     return np.asarray(part, dtype=float)
 
 
 @dataclass
 class HermitianSplit:
     """Symmetric part and skew-symmetric part of a real operator, as
-    dense arrays or scipy.sparse matrices (kept in CSR form)."""
+    dense arrays or scipy.sparse.csr_array (any scipy.sparse input is
+    converted; a float64 csr_array is kept as it is, not copied)."""
 
-    m_part: np.ndarray | scipy.sparse.csr_matrix
-    n_part: np.ndarray | scipy.sparse.csr_matrix
+    m_part: np.ndarray | scipy.sparse.csr_array
+    n_part: np.ndarray | scipy.sparse.csr_array
 
     def __post_init__(self):
         self.m_part = _as_part(self.m_part)

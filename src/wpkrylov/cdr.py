@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .linalg import CsrMatrix, LinearOperator
+from .linalg import LinearOperator, _validated_csr
 
 __all__ = [
     "CdrProblemSpec",
@@ -107,12 +107,20 @@ def build_mesh(m: int) -> StructuredMesh:
     return StructuredMesh(m, h, vertices, triangles, boundary_mask, interior)
 
 
+class _FullMatrix(scipy.sparse.csr_array):
+    """A csr_array whose ``to_scipy()`` returns a copy of it."""
+
+    # kept for perfbench/workloads.py; goes once it calls .tocsc() on full_matrix()
+    def to_scipy(self) -> scipy.sparse.csr_array:
+        return self.copy()
+
+
 @dataclass
 class AssembledCdr:
     """Discrete symmetric part, skew part and load vector of the problem."""
 
-    m_matrix: CsrMatrix
-    n_matrix: CsrMatrix
+    m_matrix: scipy.sparse.csr_array
+    n_matrix: scipy.sparse.csr_array
     rhs: np.ndarray
     dof_count: int
     dof_coords: np.ndarray
@@ -120,11 +128,11 @@ class AssembledCdr:
     mesh: StructuredMesh
     problem: CdrProblemSpec
 
-    def full_matrix(self) -> CsrMatrix:
-        return self.m_matrix.add(self.n_matrix)
+    def full_matrix(self) -> scipy.sparse.csr_array:
+        return _FullMatrix(self.m_matrix + self.n_matrix)
 
     def operator(self) -> LinearOperator:
-        return LinearOperator.from_matrix(self.m_matrix.csr + self.n_matrix.csr)
+        return LinearOperator.from_matrix(self.m_matrix + self.n_matrix)
 
 
 def _scalar_field(f, x, y):
@@ -155,7 +163,8 @@ def assemble(problem: CdrProblemSpec) -> AssembledCdr:
 
     Coefficient positivity (nu > 0 and c0 + div(a)/2 > 0) is checked at
     every quadrature point, since it is what makes the symmetric part
-    positive definite.
+    positive definite; a non-finite nu, c0 or convection value ends in
+    ValueError from the finiteness check of the assembled matrices.
     """
     mesh = build_mesh(problem.mesh_divisions)
     tri = mesh.triangles
@@ -209,17 +218,17 @@ def assemble(problem: CdrProblemSpec) -> AssembledCdr:
     nvtx = mesh.vertices.shape[0]
     rows = np.repeat(tri, 3, axis=1).ravel()
     cols = np.tile(tri, (1, 3)).ravel()
-    m_full = scipy.sparse.coo_matrix(
+    m_full = scipy.sparse.coo_array(
         ((stiffness + me).ravel(), (rows, cols)), shape=(nvtx, nvtx)
     ).tocsr()
-    n_full = scipy.sparse.coo_matrix((ne.ravel(), (rows, cols)), shape=(nvtx, nvtx)).tocsr()
+    n_full = scipy.sparse.coo_array((ne.ravel(), (rows, cols)), shape=(nvtx, nvtx)).tocsr()
     load = np.bincount(tri.ravel(), weights=be.ravel(), minlength=nvtx)
 
     if problem.bc == "elimination":
         keep = mesh.interior_indices
         sel = np.ix_(keep, keep)
-        m_bc = m_full[sel].tocsr()
-        n_bc = n_full[sel].tocsr()
+        m_bc = m_full[sel]
+        n_bc = n_full[sel]
         rhs = load[keep]
         dof_vertices = keep
     else:
@@ -227,16 +236,16 @@ def assemble(problem: CdrProblemSpec) -> AssembledCdr:
         if weight_pen is None:
             weight_pen = 1e10 * float(m_full.diagonal().max())
         boundary = np.flatnonzero(mesh.boundary_mask)
-        m_bc = (m_full + scipy.sparse.csr_matrix(
-            (np.full(len(boundary), weight_pen), (boundary, boundary)), shape=m_full.shape)).tocsr()
+        m_bc = m_full + scipy.sparse.csr_array(
+            (np.full(len(boundary), weight_pen), (boundary, boundary)), shape=m_full.shape)
         n_bc = n_full
         rhs = load.copy()
         rhs[boundary] = 0.0
         dof_vertices = np.arange(nvtx)
 
     return AssembledCdr(
-        m_matrix=CsrMatrix.from_scipy(m_bc),
-        n_matrix=CsrMatrix.from_scipy(n_bc),
+        m_matrix=_validated_csr(m_bc),
+        n_matrix=_validated_csr(n_bc),
         rhs=rhs,
         dof_count=len(dof_vertices),
         dof_coords=mesh.vertices[dof_vertices],

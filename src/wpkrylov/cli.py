@@ -19,11 +19,11 @@ import sys
 import time
 
 import numpy as np
+import scipy.sparse
 
 from . import bounds as bounds_mod
 from . import cdr, matrixio, schwarz
 from .linalg import (
-    CsrMatrix,
     EigenSolverError,
     LinearOperator,
     NotPositiveDefiniteError,
@@ -166,11 +166,11 @@ class _Problem:
         self.rhs = rhs
         self.coords = coords
         self.label = label
-        self.dim = m_matrix.rows
-        self.operator = LinearOperator.from_matrix(m_matrix.csr + n_matrix.csr)
+        self.dim = m_matrix.shape[0]
+        self.operator = LinearOperator.from_matrix(m_matrix + n_matrix)
 
-    def full_matrix(self) -> CsrMatrix:
-        return self.m_matrix.add(self.n_matrix)
+    def full_matrix(self) -> scipy.sparse.csr_array:
+        return self.m_matrix + self.n_matrix
 
 
 def _read_file(reader, path):
@@ -208,10 +208,9 @@ def _load_problem(args) -> _Problem:
             m_part = first
             n_part = _read_file(matrixio.read_matrix_market, args.matrix_skew)
         else:
-            a_sp = first.csr
-            m_part = CsrMatrix.from_scipy((a_sp + a_sp.T) * 0.5)
-            n_part = CsrMatrix.from_scipy((a_sp - a_sp.T) * 0.5)
-        if rhs.shape != (m_part.rows,):
+            m_part = (first + first.T) * 0.5
+            n_part = (first - first.T) * 0.5
+        if rhs.shape != (m_part.shape[0],):
             raise UsageError("right-hand side length does not match the matrix")
         if not np.all(np.isfinite(rhs)):
             raise UsageError("right-hand side has a non-finite entry")
@@ -332,7 +331,7 @@ def cmd_rho_table(args) -> int:
     for m in m_values:
         assembled = cdr.assemble(cdr.reference_problem(nu=args.nu, c0=args.c0,
                                                         mesh_divisions=m))
-        hs = bounds_mod.HermitianSplit(assembled.m_matrix.csr, assembled.n_matrix.csr)
+        hs = bounds_mod.HermitianSplit(assembled.m_matrix, assembled.n_matrix)
         rho = bounds_mod.spectral_radius_skew(hs)
         rows.append((m, rho))
         print(f"h=1/{m}: rho={rho:.4f}")
@@ -359,8 +358,7 @@ def _iteration_count(args, m, nu, c0, precond, solver, n_sub, layout,
     ns.layout = layout
     assembled = cdr.assemble(cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m))
     if symmetric_only:
-        problem = _Problem(assembled.m_matrix,
-                           CsrMatrix.from_scipy(0.0 * assembled.n_matrix.csr),
+        problem = _Problem(assembled.m_matrix, scipy.sparse.csr_array(assembled.m_matrix.shape),
                            assembled.rhs, assembled.dof_coords, "sym-only")
     else:
         problem = _Problem(assembled.m_matrix, assembled.n_matrix, assembled.rhs,

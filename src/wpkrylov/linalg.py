@@ -1,10 +1,13 @@
 """Dense and sparse kernels shared by the whole toolkit.
 
 Vectors are 1-D float64 numpy arrays, dense matrices are 2-D float64
-arrays in row-major order.  Factorizations and eigensolves delegate to
-LAPACK (via numpy/scipy) behind the small wrappers below, which add the
-dimension checks, pivot thresholds and error types the rest of the
-package relies on.
+arrays in row-major order, and sparse matrices are scipy.sparse
+csr_array objects, used as they are.  A matrix from outside the program
+(a Matrix Market file or the finite element assembly) is checked once,
+where it enters, by ``_validated_csr``.  Factorizations and eigensolves
+delegate to LAPACK (via numpy/scipy) behind the small wrappers below,
+which add the dimension checks, pivot thresholds and error types the
+rest of the package relies on.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ __all__ = [
     "SingularMatrixError",
     "EigenSolverError",
     "LinearOperator",
-    "CsrMatrix",
     "CholeskyFactor",
     "BandedCholesky",
     "aslinearoperator",
@@ -141,15 +143,15 @@ class LinearOperator:
 
 
 def aslinearoperator(obj, dim: int | None = None) -> LinearOperator:
-    """Coerce a dense array, CsrMatrix, callable or operator to LinearOperator.
+    """Coerce a dense array, scipy.sparse matrix, callable or operator to LinearOperator.
 
     A callable with a ``matmat`` method (a preconditioner handle or a
     weight) keeps it as the block action.
     """
     if isinstance(obj, LinearOperator):
         return obj
-    if isinstance(obj, CsrMatrix):
-        return LinearOperator(obj.rows, obj.matvec, matmat=obj.csr.dot, matrix=obj.csr)
+    if scipy.sparse.issparse(obj):
+        return LinearOperator.from_matrix(obj)
     if callable(obj):
         if dim is None:
             dim = getattr(obj, "dim", None)
@@ -164,103 +166,23 @@ def densify(op, limit: int = DENSIFY_LIMIT) -> np.ndarray:
     identity: one call to its block action, or one per column without it."""
     if isinstance(op, np.ndarray):
         return _as_square(op)
-    if isinstance(op, CsrMatrix):
-        return op.to_dense()
+    if scipy.sparse.issparse(op):
+        return op.toarray()
     lin = aslinearoperator(op)
     if lin.dim > limit:
         raise ValueError(f"refusing to densify operator of dimension {lin.dim} > {limit}")
     return lin.matmat(np.eye(lin.dim))
 
 
-@dataclass
-class CsrMatrix:
-    """Compressed sparse row storage.
-
-    row_offsets has length rows+1 and is nondecreasing; within each row
-    the column indices are strictly increasing.  Duplicate entries in
-    assembly input are summed by :meth:`from_coo`.
-    """
-
-    rows: int
-    cols: int
-    row_offsets: np.ndarray
-    col_indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.row_offsets = np.asarray(self.row_offsets, dtype=np.int64)
-        self.col_indices = np.asarray(self.col_indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.row_offsets.shape != (self.rows + 1,):
-            raise ValueError("row_offsets must have length rows+1")
-        if self.row_offsets[0] != 0 or np.any(np.diff(self.row_offsets) < 0):
-            raise ValueError("row_offsets must start at 0 and be nondecreasing")
-        if self.row_offsets[-1] != len(self.values) or len(self.col_indices) != len(self.values):
-            raise ValueError("nnz mismatch between row_offsets, col_indices and values")
-        if len(self.col_indices) and (
-            self.col_indices.min() < 0 or self.col_indices.max() >= self.cols
-        ):
-            raise ValueError("column index out of range")
-        if len(self.col_indices) > 1:
-            row_of = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-            same_row = row_of[:-1] == row_of[1:]
-            if np.any(same_row & (np.diff(self.col_indices) <= 0)):
-                bad = int(row_of[:-1][same_row & (np.diff(self.col_indices) <= 0)][0])
-                raise ValueError(f"column indices not strictly increasing in row {bad}")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("matrix entries must be finite")
-        self._scipy = scipy.sparse.csr_matrix(
-            (self.values, self.col_indices, self.row_offsets), shape=(self.rows, self.cols)
-        )
-
-    @property
-    def nnz(self) -> int:
-        return len(self.values)
-
-    @classmethod
-    def from_coo(cls, rows: int, cols: int, i, j, v) -> "CsrMatrix":
-        """Build from triplets; duplicate (i, j) entries are summed."""
-        coo = scipy.sparse.coo_matrix(
-            (np.asarray(v, dtype=float), (np.asarray(i), np.asarray(j))), shape=(rows, cols)
-        )
-        return cls.from_scipy(coo.tocsr())
-
-    @classmethod
-    def from_scipy(cls, m) -> "CsrMatrix":
-        m = m.tocsr()
-        m.sum_duplicates()
-        m.sort_indices()
-        return cls(m.shape[0], m.shape[1], m.indptr.copy(), m.indices.copy(), m.data.copy())
-
-    @classmethod
-    def from_dense(cls, a, drop_tol: float = 0.0) -> "CsrMatrix":
-        m = np.asarray(a, dtype=float)
-        if drop_tol > 0.0:
-            m = np.where(np.abs(m) > drop_tol, m, 0.0)
-        return cls.from_scipy(scipy.sparse.csr_matrix(m))
-
-    @classmethod
-    def identity(cls, n: int) -> "CsrMatrix":
-        return cls.from_scipy(scipy.sparse.identity(n, format="csr"))
-
-    def matvec(self, x) -> np.ndarray:
-        return self._scipy @ _as_vector(x, self.cols)
-
-    def to_dense(self) -> np.ndarray:
-        return self._scipy.toarray()
-
-    def to_scipy(self) -> scipy.sparse.csr_matrix:
-        return self._scipy.copy()
-
-    @property
-    def csr(self) -> scipy.sparse.csr_matrix:
-        """The scipy form of this matrix, shared rather than copied: read it only."""
-        return self._scipy
-
-    def add(self, other: "CsrMatrix") -> "CsrMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
-        return CsrMatrix.from_scipy(self._scipy + other._scipy)
+def _validated_csr(m) -> scipy.sparse.csr_array:
+    """A scipy.sparse matrix from outside the program as a canonical
+    float64 csr_array: duplicate entries summed, column indices sorted.
+    ValueError unless every entry is finite."""
+    m = scipy.sparse.csr_array(m, dtype=float)
+    m.sum_duplicates()  # sorts the indices of every row first
+    if not np.all(np.isfinite(m.data)):
+        raise ValueError("matrix entries must be finite")
+    return m
 
 
 @dataclass

@@ -13,8 +13,9 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
-from .linalg import CsrMatrix
+from .linalg import _validated_csr
 
 __all__ = [
     "MalformedHeaderError",
@@ -45,12 +46,13 @@ class NonRealFieldError(ValueError):
     """Only real-valued Matrix Market files are supported."""
 
 
-def read_matrix_market(path) -> CsrMatrix:
-    """Read a real coordinate Matrix Market file into CSR form.
+def read_matrix_market(path) -> scipy.sparse.csr_array:
+    """Read a real coordinate Matrix Market file into a csr_array.
 
     Symmetric and skew-symmetric storage are expanded to full; indices
     are converted from 1-based; duplicate entries are summed.  Every
-    malformed file raises a ValueError (the three errors above included).
+    malformed file raises a ValueError (the three errors above included,
+    and a non-finite entry).
     """
     with open(path, "r", encoding="utf-8") as handle:
         banner = handle.readline()
@@ -107,22 +109,25 @@ def read_matrix_market(path) -> CsrMatrix:
                 vv.append(-v)
         if count != nnz:
             raise MalformedHeaderError(f"expected {nnz} entries, found {count}")
-    return CsrMatrix.from_coo(rows, cols, ii, jj, vv)
+    return _validated_csr(scipy.sparse.coo_array((vv, (ii, jj)), shape=(rows, cols)))
 
 
-def write_matrix_market(m: CsrMatrix, path, comment: str | None = None) -> None:
-    """Write CSR contents as a general real coordinate Matrix Market file."""
+def write_matrix_market(m, path, comment: str | None = None) -> None:
+    """Write a scipy.sparse matrix as a general real coordinate Matrix
+    Market file, row by row from its canonical CSR form (duplicates
+    summed, columns ascending; stored zeros are written)."""
+    csr = scipy.sparse.csr_array(m, dtype=float, copy=True)
+    csr.sum_duplicates()  # sorts the indices of every row first
+    rows, cols = csr.shape
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("%%MatrixMarket matrix coordinate real general\n")
         if comment:
             for line in comment.splitlines():
                 handle.write(f"%{line}\n")
-        handle.write(f"{m.rows} {m.cols} {m.nnz}\n")
-        for r in range(m.rows):
-            lo, hi = m.row_offsets[r], m.row_offsets[r + 1]
-            for k in range(lo, hi):
-                value = _FLOAT_FMT.format(m.values[k])
-                handle.write(f"{r + 1} {m.col_indices[k] + 1} {value}\n")
+        handle.write(f"{rows} {cols} {csr.nnz}\n")
+        row_of = np.repeat(np.arange(rows), np.diff(csr.indptr))
+        for r, c, v in zip(row_of.tolist(), csr.indices.tolist(), csr.data.tolist()):
+            handle.write(f"{r + 1} {c + 1} {_FLOAT_FMT.format(v)}\n")
 
 
 def read_vector(path) -> np.ndarray:

@@ -53,7 +53,6 @@ from scipy.linalg.lapack import dpstrf
 
 from .bounds import _definiteness, _hm_extremes
 from .linalg import (
-    CsrMatrix,
     NotPositiveDefiniteError,
     SingularMatrixError,
     banded_spd_factor,
@@ -152,7 +151,7 @@ def _grow_overlap(keys: np.ndarray, core_of: np.ndarray, csc, layers: int) -> np
     return keys
 
 
-def build_partition(m_matrix: CsrMatrix, spec: PartitionSpec,
+def build_partition(m_matrix: scipy.sparse.csr_array, spec: PartitionSpec,
                     coords: np.ndarray | None = None) -> SubdomainMaps:
     """Partition the unknowns of a matrix into overlapped subdomains.
 
@@ -164,7 +163,7 @@ def build_partition(m_matrix: CsrMatrix, spec: PartitionSpec,
     matrix, one adjacency layer at a time, so every unknown coupled to a
     subdomain joins it.
     """
-    n = m_matrix.rows
+    n = m_matrix.shape[0]
     count = spec.n_subdomains
     if count > n:
         raise ValueError("more subdomains than unknowns")
@@ -182,7 +181,7 @@ def build_partition(m_matrix: CsrMatrix, spec: PartitionSpec,
     if np.bincount(core_of, minlength=count).min() == 0:
         raise ValueError("a subdomain core came out empty; reduce n_subdomains")
 
-    keys = _grow_overlap(np.sort(core_of * n + np.arange(n)), core_of, m_matrix.csr.tocsc(),
+    keys = _grow_overlap(np.sort(core_of * n + np.arange(n)), core_of, m_matrix.tocsc(),
                          spec.overlap_layers)
     owner, index = np.divmod(keys, n)
     ends = np.cumsum(np.bincount(owner, minlength=count))
@@ -209,7 +208,8 @@ def _concatenated(maps: SubdomainMaps, n: int) -> tuple[np.ndarray, np.ndarray]:
     return index, np.repeat(np.arange(len(sizes)), sizes)
 
 
-def build_coarse_space(maps: SubdomainMaps, m_matrix: CsrMatrix) -> scipy.sparse.csr_array:
+def build_coarse_space(maps: SubdomainMaps,
+                       m_matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
     """Partition-of-unity coarse basis, one vector per subdomain, as a
     sparse n x N matrix.
 
@@ -217,7 +217,7 @@ def build_coarse_space(maps: SubdomainMaps, m_matrix: CsrMatrix) -> scipy.sparse
     deficient are dropped by pivoted Cholesky with a relative pivot
     threshold.  The basis is stored on the maps and returned.
     """
-    return _pou_coarse_space(maps, m_matrix.csr, *_concatenated(maps, m_matrix.rows))[0]
+    return _pou_coarse_space(maps, m_matrix, *_concatenated(maps, m_matrix.shape[0]))[0]
 
 
 def _pou_coarse_space(maps: SubdomainMaps, m_csr, index: np.ndarray, owner: np.ndarray):
@@ -318,7 +318,7 @@ class SchwarzPreconditioner:
         return WeightOperator(self.dim, self, validate=validate)
 
 
-def build_preconditioner(matrix: CsrMatrix, maps: SubdomainMaps, mode: str,
+def build_preconditioner(matrix: scipy.sparse.csr_array, maps: SubdomainMaps, mode: str,
                          coarse_basis=None) -> SchwarzPreconditioner:
     """Factor the local (and coarse) blocks and return the preconditioner.
 
@@ -337,11 +337,11 @@ def build_preconditioner(matrix: CsrMatrix, maps: SubdomainMaps, mode: str,
     """
     if mode not in ("one_level_sym", "two_level_sym", "one_level_nonsym"):
         raise ValueError(f"unknown preconditioner mode {mode!r}")
-    index, owner = _concatenated(maps, matrix.rows)
+    index, owner = _concatenated(maps, matrix.shape[0])
     if mode == "one_level_nonsym":
-        factor, local_matrix = sparse_lu_factor, matrix.csr
+        factor, local_matrix = sparse_lu_factor, matrix.tocsr()
     else:
-        factor, local_matrix = banded_spd_factor, check_symmetric(matrix.csr).tocsr()
+        factor, local_matrix = banded_spd_factor, check_symmetric(matrix).tocsr()
     try:
         local_factor = factor(_local_blocks(local_matrix, index, owner))
     except (NotPositiveDefiniteError, SingularMatrixError) as exc:
@@ -362,14 +362,15 @@ def build_preconditioner(matrix: CsrMatrix, maps: SubdomainMaps, mode: str,
             mz = scipy.sparse.csr_array(local_matrix @ z)
             gram = _gram(z, mz)
         coarse = (z, mz, cholesky(gram))
-    return SchwarzPreconditioner(mode, matrix.rows, maps, index, local_factor, coarse)
+    return SchwarzPreconditioner(mode, matrix.shape[0], maps, index, local_factor, coarse)
 
 
-def condition_number(precond: SchwarzPreconditioner, m_matrix: CsrMatrix) -> float:
+def condition_number(precond: SchwarzPreconditioner,
+                     m_matrix: scipy.sparse.csr_array) -> float:
     """Ratio of the extreme eigenvalues of the preconditioned symmetric
     part H M, by Lanczos in the M inner product; H is applied to vectors
     only.  ValueError unless M and H M are positive definite."""
-    m = check_symmetric(m_matrix.csr)
+    m = check_symmetric(m_matrix)
     sign, _ = _definiteness(m)
     if sign > 0:
         lo, hi = _hm_extremes(precond.apply, m, sign)

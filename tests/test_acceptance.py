@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from wpkrylov.bounds import (
     HermitianSplit,
@@ -21,7 +22,7 @@ from wpkrylov.bounds import (
 )
 from wpkrylov.cdr import CdrProblemSpec, assemble, l2_error, reference_problem
 from wpkrylov.cli import main as cli_main
-from wpkrylov.linalg import CsrMatrix, LinearOperator, lu_solve
+from wpkrylov.linalg import LinearOperator, lu_solve
 from wpkrylov.matrixio import write_matrix_market, write_vector
 from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
 from wpkrylov.solvers import (
@@ -106,7 +107,7 @@ def test_criterion_01_rho_table(cdr_assembled):
     values = {}
     for m in (10, 30):
         assembled = cdr_assembled(m)
-        hs = HermitianSplit(assembled.m_matrix.to_dense(), assembled.n_matrix.to_dense())
+        hs = HermitianSplit(assembled.m_matrix.toarray(), assembled.n_matrix.toarray())
         values[m] = spectral_radius_skew(hs)
     elapsed = time.perf_counter() - start
     ok = (
@@ -123,7 +124,7 @@ def test_criterion_02_analytic_bound(cdr_assembled):
     rhos = {}
     for m in (10, 20, 30):
         assembled = cdr_assembled(m)
-        hs = HermitianSplit(assembled.m_matrix.to_dense(), assembled.n_matrix.to_dense())
+        hs = HermitianSplit(assembled.m_matrix.toarray(), assembled.n_matrix.toarray())
         rhos[m] = spectral_radius_skew(hs)
     ratio = bound / rhos[30]
     ok = (
@@ -276,7 +277,7 @@ def test_criterion_09_alternate_equivalence(cdr_assembled):
 def test_criterion_10_breakdown_detection(tmp_path, variant_runs, oracle_runs):
     mtx = tmp_path / "skew.mtx"
     rhs = tmp_path / "e1.txt"
-    write_matrix_market(CsrMatrix.from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]])), mtx)
+    write_matrix_market(scipy.sparse.csr_array(np.array([[0.0, 1.0], [-1.0, 0.0]])), mtx)
     write_vector(np.array([1.0, 0.0]), rhs)
     code = cli_main(["solve", "--matrix", str(mtx), "--rhs", str(rhs),
                      "--precond", "identity", "--weight", "identity",
@@ -320,7 +321,7 @@ def test_criterion_12_coefficient_trend():
         counts[coeff] = whp_gcr(system, handle, SolveConfig()).iterations
     assembled = assemble(reference_problem(nu=10.0, c0=10.0, mesh_divisions=40))
     handle = two_level_handle(assembled, 4, "strips")
-    m_sp = assembled.m_matrix.to_scipy()
+    m_sp = assembled.m_matrix
     sym_system = LinearSystem(
         LinearOperator(assembled.dof_count, lambda v: m_sp @ v), assembled.rhs
     )
@@ -377,7 +378,7 @@ def test_criterion_15_fem_convergence_order():
             f_rhs=lambda x, y: 2.0 * np.pi**2 * np.sin(np.pi * x) * np.sin(np.pi * y),
         )
         assembled = assemble(spec)
-        u = lu_solve(assembled.m_matrix.to_dense(), assembled.rhs)
+        u = lu_solve(assembled.m_matrix.toarray(), assembled.rhs)
         errors[m] = l2_error(assembled, u,
                              lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     order = np.log2(errors[8] / errors[16])

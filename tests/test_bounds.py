@@ -74,7 +74,7 @@ class TestSpectralRadiusSkew:
 
     def test_reference_problem_coarse_mesh(self, cdr_assembled):
         assembled = cdr_assembled(10)
-        hs = HermitianSplit(assembled.m_matrix.to_dense(), assembled.n_matrix.to_dense())
+        hs = HermitianSplit(assembled.m_matrix.toarray(), assembled.n_matrix.toarray())
         assert spectral_radius_skew(hs) == pytest.approx(0.3136, abs=0.01)
 
     def test_scaling_invariance(self):
@@ -97,10 +97,10 @@ class TestSpectralRadiusSkew:
         base = cdr_assembled(10)
         scaled = assemble(reference_problem(nu=4.0, c0=4.0, mesh_divisions=10))
         rho_base = spectral_radius_skew(
-            HermitianSplit(base.m_matrix.to_dense(), base.n_matrix.to_dense())
+            HermitianSplit(base.m_matrix.toarray(), base.n_matrix.toarray())
         )
         rho_scaled = spectral_radius_skew(
-            HermitianSplit(scaled.m_matrix.to_dense(), scaled.n_matrix.to_dense())
+            HermitianSplit(scaled.m_matrix.toarray(), scaled.n_matrix.toarray())
         )
         assert rho_scaled == pytest.approx(rho_base / 4.0, rel=1e-10)
 
@@ -510,7 +510,7 @@ class TestMatrixFreeReport:
         got = compute_bound_report(assembled.operator(), handle,
                                    WeightOperator(precond.dim, handle.apply, validate=False))
         h_dense = densify(precond)
-        want = dense_w_equal_h_report(assembled.full_matrix().to_dense(),
+        want = dense_w_equal_h_report(assembled.full_matrix().toarray(),
                                       0.5 * (h_dense + h_dense.T))
         assert_reports_agree(got, want)
 

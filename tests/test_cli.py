@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from wpkrylov.cli import main
-from wpkrylov.linalg import CsrMatrix
 from wpkrylov.matrixio import read_report_json, write_matrix_market, write_vector
 
 
@@ -10,7 +10,7 @@ from wpkrylov.matrixio import read_report_json, write_matrix_market, write_vecto
 def identity_files(tmp_path):
     mtx = tmp_path / "eye.mtx"
     rhs = tmp_path / "b.txt"
-    write_matrix_market(CsrMatrix.identity(3), mtx)
+    write_matrix_market(scipy.sparse.eye_array(3, format="csr"), mtx)
     write_vector(np.array([1.0, 2.0, 3.0]), rhs)
     return str(mtx), str(rhs)
 
@@ -19,7 +19,7 @@ def identity_files(tmp_path):
 def skew_files(tmp_path):
     mtx = tmp_path / "skew.mtx"
     rhs = tmp_path / "e1.txt"
-    write_matrix_market(CsrMatrix.from_dense(np.array([[0.0, 1.0], [-1.0, 0.0]])), mtx)
+    write_matrix_market(scipy.sparse.csr_array(np.array([[0.0, 1.0], [-1.0, 0.0]])), mtx)
     write_vector(np.array([1.0, 0.0]), rhs)
     return str(mtx), str(rhs)
 
@@ -47,7 +47,7 @@ def test_solve_skew_breakdown_exit_code(skew_files, capsys):
 def test_non_finite_rhs_is_usage_error(tmp_path, capsys):
     mtx = tmp_path / "a.mtx"
     rhs = tmp_path / "b.txt"
-    write_matrix_market(CsrMatrix.identity(3), mtx)
+    write_matrix_market(scipy.sparse.eye_array(3, format="csr"), mtx)
     rhs.write_text("1.0\nnan\n3.0\n", encoding="utf-8")
     code = main(["solve", "--matrix", str(mtx), "--rhs", str(rhs), "--precond", "identity",
                  "--weight", "identity"])
@@ -173,7 +173,7 @@ def test_failed_preconditioner_factorization_is_usage_error(tmp_path, capsys, co
                                                             precond, matrix, fragment):
     mtx = tmp_path / "a.mtx"
     rhs = tmp_path / "b.txt"
-    write_matrix_market(CsrMatrix.from_dense(matrix), mtx)
+    write_matrix_market(scipy.sparse.csr_array(matrix), mtx)
     write_vector(np.ones(3), rhs)
     code = main([command, "--matrix", str(mtx), "--rhs", str(rhs), "--precond", precond,
                  "--n-sub", "1"])
@@ -245,8 +245,8 @@ def test_solve_budget_guard():
 
 
 def test_matrix_skew_pair_input(tmp_path):
-    m_part = CsrMatrix.from_dense(np.array([[2.0, 0.0], [0.0, 3.0]]))
-    n_part = CsrMatrix.from_dense(np.array([[0.0, 0.5], [-0.5, 0.0]]))
+    m_part = scipy.sparse.csr_array(np.array([[2.0, 0.0], [0.0, 3.0]]))
+    n_part = scipy.sparse.csr_array(np.array([[0.0, 0.5], [-0.5, 0.0]]))
     m_path = tmp_path / "m.mtx"
     n_path = tmp_path / "n.mtx"
     rhs = tmp_path / "b.txt"

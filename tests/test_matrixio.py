@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
-from wpkrylov.linalg import CsrMatrix
 from wpkrylov.matrixio import (
     ExperimentReport,
     IndexOutOfRangeError,
@@ -31,7 +31,7 @@ class TestMatrixMarketRead:
             "2 2 1.0",
         ])
         m = read_matrix_market(path)
-        assert np.allclose(m.to_dense(), np.eye(2))
+        assert np.allclose(m.toarray(), np.eye(2))
 
     def test_symmetric_expansion(self, tmp_path):
         path = tmp_path / "sym.mtx"
@@ -42,7 +42,7 @@ class TestMatrixMarketRead:
             "2 1 3.5",
         ])
         m = read_matrix_market(path)
-        assert np.allclose(m.to_dense(), [[0.0, 3.5], [3.5, 0.0]])
+        assert np.allclose(m.toarray(), [[0.0, 3.5], [3.5, 0.0]])
 
     def test_skew_expansion(self, tmp_path):
         path = tmp_path / "skew.mtx"
@@ -52,7 +52,7 @@ class TestMatrixMarketRead:
             "2 1 -1.0",
         ])
         m = read_matrix_market(path)
-        assert np.allclose(m.to_dense(), [[0.0, 1.0], [-1.0, 0.0]])
+        assert np.allclose(m.toarray(), [[0.0, 1.0], [-1.0, 0.0]])
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.mtx"
@@ -89,7 +89,7 @@ class TestMatrixMarketRead:
             "1 1 2.5",
         ])
         m = read_matrix_market(path)
-        assert m.to_dense()[0, 0] == pytest.approx(4.0)
+        assert m.toarray()[0, 0] == pytest.approx(4.0)
 
 
 class TestRoundTrips:
@@ -97,12 +97,25 @@ class TestRoundTrips:
         rng = np.random.default_rng(0)
         dense = rng.standard_normal((50, 50))
         dense[rng.random((50, 50)) > 0.05] = 0.0
-        m = CsrMatrix.from_dense(dense)
+        m = scipy.sparse.csr_array(dense)
         path = tmp_path / "m.mtx"
         write_matrix_market(m, path, comment="roundtrip")
         again = read_matrix_market(path)
-        assert again.rows == m.rows and again.cols == m.cols
-        assert np.array_equal(again.to_dense(), m.to_dense())
+        assert again.shape == m.shape
+        assert np.array_equal(again.toarray(), m.toarray())
+
+    def test_any_sparse_format_writes_the_csr_text(self, tmp_path):
+        # duplicates summed and columns ascending, whatever the input format
+        coo = scipy.sparse.coo_array(([1.5, 2.0, 0.25, -3.0], ([1, 0, 1, 1], [2, 1, 0, 2])),
+                                     shape=(2, 3))
+        want = ["%%MatrixMarket matrix coordinate real general", "2 3 3",
+                "1 2 2", "2 1 0.25", "2 3 -1.5"]
+        raw = scipy.sparse.csr_array(([2.0, 1.5, 0.25, -3.0], [1, 2, 0, 2], [0, 1, 4]),
+                                     shape=(2, 3))  # row 2 unsorted, with a duplicate
+        for m in (coo, coo.tocsc(), raw, scipy.sparse.csr_matrix(coo.toarray())):
+            path = tmp_path / "m.mtx"
+            write_matrix_market(m, path)
+            assert path.read_text().splitlines() == want
 
     def test_vector_roundtrip(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -119,10 +132,10 @@ class TestRoundTrips:
         write_matrix_market(assembled.m_matrix, m_path)
         write_matrix_market(assembled.n_matrix, n_path)
         write_vector(assembled.rhs, b_path)
-        assert np.array_equal(read_matrix_market(m_path).to_dense(),
-                              assembled.m_matrix.to_dense())
-        assert np.array_equal(read_matrix_market(n_path).to_dense(),
-                              assembled.n_matrix.to_dense())
+        assert np.array_equal(read_matrix_market(m_path).toarray(),
+                              assembled.m_matrix.toarray())
+        assert np.array_equal(read_matrix_market(n_path).toarray(),
+                              assembled.n_matrix.toarray())
         assert np.array_equal(read_vector(b_path), assembled.rhs)
 
     def test_report_roundtrip(self, tmp_path):

@@ -7,7 +7,6 @@ import scipy.sparse
 
 from wpkrylov.cdr import CdrProblemSpec, assemble
 from wpkrylov.linalg import (
-    CsrMatrix,
     LinearOperator,
     NotPositiveDefiniteError,
     SingularMatrixError,
@@ -29,7 +28,7 @@ from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 def reference_partition(m_matrix, spec, coords):
     """Subdomains as one np.isin per core and one n-length SpMV per
     subdomain and overlap layer."""
-    n = m_matrix.rows
+    n = m_matrix.shape[0]
     if spec.layout == "strips" and coords is None:
         cores = np.array_split(np.arange(n), spec.n_subdomains)
     elif spec.layout == "strips":
@@ -42,7 +41,7 @@ def reference_partition(m_matrix, spec, coords):
         cores = [np.flatnonzero(np.isin(x_of, xb) & np.isin(y_of, yb))
                  for yb in np.array_split(np.unique(y_of), q)
                  for xb in np.array_split(np.unique(x_of), p)]
-    adjacency = m_matrix.to_scipy()
+    adjacency = m_matrix.copy()
     adjacency.data = np.ones_like(adjacency.data)
     subdomains = []
     for core in cores:
@@ -89,7 +88,7 @@ class TestPartition:
             build_partition(assembled.m_matrix, PartitionSpec(4, "grid"))
 
     def test_too_many_subdomains(self):
-        m = CsrMatrix.identity(3)
+        m = scipy.sparse.eye_array(3, format="csr")
         with pytest.raises(ValueError):
             build_partition(m, PartitionSpec(5))
 
@@ -184,7 +183,7 @@ class TestPreconditioner:
                                coords=assembled.dof_coords)
         precond = build_preconditioner(assembled.m_matrix, maps, "one_level_sym")
         # symmetric system preconditioned by its exact inverse
-        m_sp = assembled.m_matrix.to_scipy()
+        m_sp = assembled.m_matrix
         system = LinearSystem(
             assembled.operator().__class__(assembled.dof_count, lambda v: m_sp @ v),
             assembled.rhs,
@@ -234,7 +233,7 @@ class TestPreconditioner:
         basis = build_coarse_space(maps, assembled.m_matrix)
         precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym",
                                        coarse_basis=basis)
-        m_sp = assembled.m_matrix.to_scipy()
+        m_sp = assembled.m_matrix
         rng = np.random.default_rng(2)
         for _ in range(5):
             v = rng.standard_normal(assembled.dof_count)
@@ -263,7 +262,7 @@ class TestConditionNumber:
 
     def test_identity_preconditioner_diagonal_matrix(self):
         handle = PreconditionerHandle.identity(10)
-        m = CsrMatrix.from_dense(np.diag(np.arange(1.0, 11.0)))
+        m = scipy.sparse.csr_array(np.diag(np.arange(1.0, 11.0)))
         assert condition_number(handle, m) == pytest.approx(10.0, rel=1e-10)
 
     def test_matches_dense_reference(self, cdr_assembled):
@@ -273,14 +272,14 @@ class TestConditionNumber:
         precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
         h_dense = densify(precond)
         lh = np.linalg.cholesky(0.5 * (h_dense + h_dense.T))
-        vals = np.linalg.eigvalsh(lh.T @ assembled.m_matrix.to_dense() @ lh)
+        vals = np.linalg.eigvalsh(lh.T @ assembled.m_matrix.toarray() @ lh)
         kappa = condition_number(precond, assembled.m_matrix)
         assert kappa == pytest.approx(vals[-1] / vals[0], rel=1e-10)
 
     def test_indefinite_symmetric_part_is_rejected(self):
         handle = PreconditionerHandle.identity(3)
         with pytest.raises(ValueError):
-            condition_number(handle, CsrMatrix.from_dense(np.diag([1.0, -1.0, 2.0])))
+            condition_number(handle, scipy.sparse.csr_array(np.diag([1.0, -1.0, 2.0])))
 
     def test_two_level_improves_on_one_level(self, cdr_assembled):
         assembled = cdr_assembled(30)
@@ -294,10 +293,10 @@ class TestConditionNumber:
         assert kappa_two < kappa_one
 
 
-def dense_reference_apply(precond, matrix: CsrMatrix, v):
+def dense_reference_apply(precond, matrix, v):
     """H v from dense Cholesky (symmetric modes) or dense LU factors of the
     same subdomain blocks, and a dense coarse solve on the same basis."""
-    dense = matrix.to_dense()
+    dense = matrix.toarray()
     if precond.mode == "one_level_nonsym":
         factors = [scipy.linalg.lu_factor(dense[np.ix_(sub, sub)])
                    for sub in precond.maps.subdomains]
@@ -346,10 +345,10 @@ class TestSparseFactors:
         assembled = cdr_assembled(12)
         maps = build_partition(assembled.m_matrix, PartitionSpec(4, "strips"),
                                coords=assembled.dof_coords)
-        m_sp = assembled.m_matrix.to_scipy().tolil()
+        m_sp = assembled.m_matrix.tolil()
         m_sp[5, 5] = -m_sp[5, 5]
         with pytest.raises(NotPositiveDefiniteError) as info:
-            build_preconditioner(CsrMatrix.from_scipy(m_sp), maps, mode)
+            build_preconditioner(m_sp.tocsr(), maps, mode)
         # the pivot is a global unknown of a subdomain that holds unknown 5
         holding_5 = [sub for sub in maps.subdomains if 5 in sub]
         assert holding_5 and any(info.value.pivot in sub for sub in holding_5)
@@ -367,10 +366,10 @@ class TestSparseFactors:
         assembled = cdr_assembled(12)
         maps = build_partition(assembled.m_matrix, PartitionSpec(4, "strips"),
                                coords=assembled.dof_coords)
-        a_sp = assembled.full_matrix().to_scipy().tolil()
+        a_sp = assembled.full_matrix().tolil()
         a_sp[7, :] = 0.0
         with pytest.raises(SingularMatrixError) as info:
-            build_preconditioner(CsrMatrix.from_scipy(a_sp), maps, "one_level_nonsym")
+            build_preconditioner(a_sp.tocsr(), maps, "one_level_nonsym")
         assert info.value.pivot == 7  # the zero row, as a global unknown
 
     @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym", "one_level_nonsym"])
@@ -390,7 +389,7 @@ class TestSparseFactors:
                                coords=assembled.dof_coords)
         precond = build_preconditioner(assembled.m_matrix, maps, "one_level_sym")
         v = np.random.default_rng(4).standard_normal(assembled.dof_count)
-        residual = assembled.m_matrix.matvec(precond.apply(v)) - v
+        residual = assembled.m_matrix @ precond.apply(v) - v
         assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(v)
 
 

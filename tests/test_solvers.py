@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
+
+from wpkrylov.linalg import aslinearoperator, densify
 
 from wpkrylov.solvers import (
     IterationTrace,
@@ -754,3 +757,17 @@ class TestGmresOracle:
         res = gmres_arnoldi_oracle(LinearSystem(a, b), h, w,
                                    SolveConfig(restart_period=4, max_iterations=300))
         assert res.status == "converged"
+
+
+@pytest.mark.parametrize("sparse", [scipy.sparse.csr_matrix, scipy.sparse.csr_array,
+                                    scipy.sparse.csc_array])
+def test_scipy_sparse_operator_is_accepted(sparse):
+    a, h_dense, b = make_pd_system(seed=41)
+    a[np.abs(a) < 0.05] = 0.0
+    m = sparse(a)
+    assert np.array_equal(densify(m), m.toarray())
+    assert np.array_equal(densify(aslinearoperator(m)), m.toarray())
+    h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+    result = whp_gcr(LinearSystem(m, b), h, SolveConfig(rel_tolerance=1e-8))
+    assert result.status == "converged"
+    assert np.linalg.norm(a @ result.x - b) <= 1e-6 * np.linalg.norm(b)
