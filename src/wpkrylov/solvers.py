@@ -10,9 +10,11 @@ is the right-preconditioned loop on H A x = H b with the identity as
 preconditioner.  With a symmetric positive definite H as the weight,
 whp_gcr runs the same loop keeping z = H r (W r, and the next
 direction) by the recurrence z <- z - alpha W q, so H is applied once
-per iteration, not three times; two storage-lean rearrangements keep
-loops of their own.  A modified-Gram-Schmidt Arnoldi GMRES in the same
-inner product serves as an independent reference implementation.
+per iteration, not three times.  It holds q and W q beside p; the
+storage-lean whp_gcr_alt_a holds W q only and uses q = A z unprojected,
+whp_gcr_alt_b holds q only and uses W A z unprojected.  A
+modified-Gram-Schmidt Arnoldi GMRES in the same inner product serves as
+an independent reference implementation.
 
 Every GCR loop keeps its directions in one blocked store: p_j and the
 vectors held beside it are rows of preallocated row-major (capacity, n)
@@ -230,7 +232,7 @@ class _Directions:
 
     ``rows`` has shape (capacity, kinds, n).  Row j is the record of one
     direction: p_j, then the vectors the solver keeps beside it (the
-    image, and the weighted image when there is one).  ``rows[:, i]`` is
+    image, its weighted image, or both).  ``rows[:, i]`` is
     the (capacity, n) block of kind i, row-major with a row stride of
     kinds * n, which BLAS takes as it is.  Keeping a record contiguous
     means a solve touches one growing prefix of the array, not one per
@@ -432,11 +434,20 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
 
 
 def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: SolveConfig,
-         *, w_is_h: bool = False) -> SolveResult:
-    """The GCR loop of wp_gcr_right, and of whp_gcr with w_is_h: W is then
-    H and h is not used; z = W r, kept by the recurrence z <- z - alpha W q,
-    is W r for ||r||_W and the next direction, and the Orthodir recovery
-    source H q is the stored W q."""
+         *, w_is_h: bool = False, held: tuple = ("q", "wq")) -> SolveResult:
+    """The GCR loop of wp_gcr_right, and of the whp family with w_is_h: W
+    is then H; z = W r, kept by the recurrence z <- z - alpha W q, is W r
+    for ||r||_W and the next direction.
+
+    held names which of q and W q the direction store keeps beside p.  A
+    vector that is not held is used as computed, without projection: the
+    image q = A z (r is then formed as b - A x) or W q = W A z.  The
+    coefficients are <held row, A z> when W q is held and <held row,
+    W A z> otherwise; the second Gram-Schmidt pass runs only when both
+    are held.  The Orthodir recovery source of whp is W q, or H times the
+    last held q after a degenerate direction when W q is not held.
+    """
+    hold_q, hold_wq = "q" in held, "wq" in held
     a = system.operator
     b = system.rhs
     x = system.initial_guess()
@@ -450,21 +461,28 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
     if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
-    # records (p, q, W q); for the Euclidean weight W q is q and not kept twice
-    store = _Directions(system.dim, 2 if w.is_identity else 3, cfg)
+    # records (p, q, W q) less what is not held; for the Euclidean weight
+    # W q is q and not kept twice
+    kinds = 1 + hold_q + (hold_wq and not w.is_identity)
+    store = _Directions(system.dim, kinds, cfg)
     v = z if w_is_h else h.apply(r)  # source vector for the next direction
 
     for i in range(cfg.max_iterations):
         az = a.apply(v)
         waz = az if w.is_identity else w.apply(az)
         az_norm = _clamped_sqrt(float(waz @ az))
-        p, q = v.copy(), az.copy()
-        record = [p, q] if w.is_identity else [p, q, waz.copy()]
-        wq = record[-1]
-        phi, beta = store.project(az, record)
-        delta, beta, twice = store.reorthogonalize(record, beta, az_norm)
-        if twice:
-            trace.reorthogonalized.append(i)
+        record = [v.copy(), az.copy()] if hold_q else [v.copy()]
+        if hold_wq and not w.is_identity:
+            record.append(waz.copy())
+        p, q = record[0], record[1] if hold_q else az
+        wq = record[-1] if hold_wq else waz
+        phi, beta = store.project(az if hold_wq else waz, record)
+        if hold_q and hold_wq:
+            delta, beta, twice = store.reorthogonalize(record, beta, az_norm)
+            if twice:
+                trace.reorthogonalized.append(i)
+        else:
+            delta = float(wq @ q)
 
         degenerate = _degenerate(delta, az_norm, i)
         gamma = float(wq @ r) if not degenerate else 0.0
@@ -478,13 +496,13 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
                 store.append(record, delta)
                 v = wq if w_is_h else h.apply(q)
             else:
-                v = store.last(-1) if w_is_h else h.apply(store.last(1))
+                v = store.last(-1) if w_is_h and hold_wq else h.apply(store.last(1))
             store.end_iteration(i + 1, trace)
             continue
 
         alpha = gamma / delta
         x = x + alpha * p
-        r = r - alpha * q
+        r = r - alpha * q if hold_q else b - a.apply(x)
         if w_is_h:
             z = z - alpha * wq
             rw, rz = _recurrence_norm(r, z, w.apply)
@@ -562,27 +580,19 @@ def wp_gcr_left(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator
     return wp_gcr_right(left, PreconditionerHandle.identity(system.dim), w, cfg)
 
 
-def _require_spd_preconditioner(h: PreconditionerHandle):
+def _whp(name: str, system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig,
+         held: tuple = ("q", "wq")) -> SolveResult:
+    """Check the inputs of a whp solver and run _gcr with W = H."""
     if not h.hermitian_flag:
         raise NotHermitianPreconditionerError(
             "this solver requires a symmetric positive definite preconditioner"
         )
-
-
-def _reject_variants(cfg: SolveConfig, name: str):
     if cfg.restart_period is not None or cfg.truncation_window is not None:
         raise ValueError(
             f"{name} runs with full orthogonalization; use wp_orthomin/wp_gcr_restarted "
             "with w set to the preconditioner for truncated or restarted runs"
         )
-
-
-def _whp_start(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig):
-    """Stopping rule and initial residual of the whp family: (stop, r, z = H r)."""
-    b = system.rhs
-    stop = _Stopping(cfg, _clamped_sqrt(float(b @ h.apply(b))), float(np.linalg.norm(b)))
-    r = b - system.operator.apply(system.initial_guess())
-    return stop, r, h.apply(r)
+    return _gcr(system, h, h.as_weight(), cfg, w_is_h=True, held=held)
 
 
 def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
@@ -596,145 +606,33 @@ def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> 
     ||b||_H and H r_0), once more only when z has drifted so far from H r
     that <r, z> < 0.  Only full orthogonalization is supported.
     """
-    _require_spd_preconditioner(h)
-    _reject_variants(cfg, "whp_gcr")
-    return _gcr(system, h, h.as_weight(), cfg, w_is_h=True)
+    return _whp("whp_gcr", system, h, cfg)
 
 
 def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
-    """Storage-lean rearrangement that orthogonalizes p and y = H q only.
+    """The whp_gcr loop storing y = H q beside p, and no q.
 
-    The image of the new direction is used fresh (never stored), the
-    plain residual is not updated at all, and ||r||_H^2 is tracked by the
-    one-step recurrence.  The Euclidean residual column of the trace is
-    recomputed as b - A x for reporting.  When the recurrence meets the
-    target, ||b - A x||_H is formed with one H apply and decides instead;
-    if it misses, the loop goes on from z = H (b - A x).  Iterates
+    The image q = A z of each new direction is used as computed, without
+    projection, in delta = <y, q>; the residual is formed as r = b - A x,
+    which costs one more A apply per iteration.  z = H r and ||r||_H are
+    kept as in whp_gcr, so H is applied iterations + 2 times.  Iterates
     coincide with whp_gcr in exact arithmetic.
     """
-    _require_spd_preconditioner(h)
-    _reject_variants(cfg, "whp_gcr_alt_a")
-    a = system.operator
-    b = system.rhs
-    x = system.initial_guess()
-    trace = IterationTrace()
-    stop, r0, z = _whp_start(system, h, cfg)
-    rw2 = max(float(r0 @ z), 0.0)
-    rw = _clamped_sqrt(rw2)
-    r2 = float(np.linalg.norm(r0))
-    if _start(trace, cfg, x, rw, r2, stop):
-        return SolveResult(x, trace, 0)
-
-    store = _Directions(system.dim, 2, cfg)  # records (p, y)
-    v = z
-
-    for i in range(cfg.max_iterations):
-        qt = a.apply(v)
-        p, y = v.copy(), h.apply(qt)
-        az_norm = _clamped_sqrt(float(y @ qt))
-        record = [p, y]
-        phi, beta = store.project(qt, record)
-        delta = float(y @ qt)
-
-        degenerate = _degenerate(delta, az_norm, i)
-        gamma = float(qt @ z) if not degenerate else 0.0
-        if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
-            if _breakdown(trace, cfg, i, gamma, degenerate, store):
-                return store.result(x, trace)
-            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
-            if not degenerate:
-                store.append(record, delta)
-                v = y
-            else:
-                v = store.last(1)
-            continue
-
-        alpha = gamma / delta
-        x = x + alpha * p
-        z = z - alpha * y
-        rw2 = max(rw2 - gamma * gamma / delta, 0.0)
-        rw = _clamped_sqrt(rw2)
-        r = b - a.apply(x)
-        r2 = float(np.linalg.norm(r))
-        if stop.done(rw, r2):
-            # the clamped recurrence drifts and may read 0: confirm on the
-            # true residual, and go on from it (z = H r) when it misses
-            z = h.apply(r)
-            rw2 = max(float(r @ z), 0.0)
-            rw = _clamped_sqrt(rw2)
-        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
-        store.append(record, delta)
-        if stop.done(rw, r2):
-            trace.status = "converged"
-            return store.result(x, trace)
-        v = z
-
-    trace.status = "max_iter"
-    return store.result(x, trace)
+    return _whp("whp_gcr_alt_a", system, h, cfg, held=("wq",))
 
 
 def whp_gcr_alt_b(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
-    """Storage-lean rearrangement that orthogonalizes p and q only.
+    """The whp_gcr loop storing q beside p, and no H q.
 
-    H is applied once per iteration to the not-yet-orthogonalized image
-    t = H(A z); the orthogonalization coefficients come from <q_j, t>,
-    and the preconditioned residual update reuses t.  The drift this
-    introduces into z stays inside the span of retired directions, so
-    iterates again match whp_gcr in exact arithmetic.
+    The weighted image t = H(A z) of each new direction is used as
+    computed, without projection: the coefficients are <q_j, t>, and t
+    enters gamma, delta and the update of z = H r.  Iterates coincide
+    with whp_gcr in exact arithmetic, but once the held q_j lose
+    H-orthogonality delta is no longer ||q||_H^2, and the solve can end
+    in a breakdown (a degenerate delta or a drifted z) before it
+    converges.
     """
-    _require_spd_preconditioner(h)
-    _reject_variants(cfg, "whp_gcr_alt_b")
-    a = system.operator
-    x = system.initial_guess()
-    trace = IterationTrace()
-    stop, r, z = _whp_start(system, h, cfg)
-    rw = _clamped_sqrt(float(r @ z))
-    r2 = float(np.linalg.norm(r))
-    if _start(trace, cfg, x, rw, r2, stop):
-        return SolveResult(x, trace, 0)
-
-    store = _Directions(system.dim, 2, cfg)  # records (p, q)
-    v = z
-
-    for i in range(cfg.max_iterations):
-        qhat = a.apply(v)
-        t = h.apply(qhat)
-        az_norm = _clamped_sqrt(float(t @ qhat))
-        p, q = v.copy(), qhat.copy()
-        record = [p, q]
-        phi, beta = store.project(t, record)
-        delta = float(t @ q)
-
-        degenerate = _degenerate(delta, az_norm, i)
-        gamma = float(q @ z) if not degenerate else 0.0
-        if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
-            if _breakdown(trace, cfg, i, gamma, degenerate, store):
-                return store.result(x, trace)
-            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
-            if not degenerate:
-                store.append(record, delta)
-                v = h.apply(q)
-            else:
-                v = h.apply(store.last(1))
-            continue
-
-        alpha = gamma / delta
-        x = x + alpha * p
-        r = r - alpha * q
-        z = z - alpha * t
-        rw, rz = _recurrence_norm(r, z, h.apply)
-        r2 = float(np.linalg.norm(r))
-        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
-        store.append(record, delta)
-        if stop.done(rw, r2):
-            trace.status = "converged"
-            return store.result(x, trace)
-        if _drifted(trace, i, rz):
-            return store.result(x, trace)
-        v = z
-
-    trace.status = "max_iter"
-    return store.result(x, trace)
+    return _whp("whp_gcr_alt_b", system, h, cfg, held=("q",))
 
 
 def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,

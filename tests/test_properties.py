@@ -43,8 +43,11 @@ def draw_system(seed, n, skew_scale, spd_shift=1.0):
 
 systems = st.builds(draw_system, seed=st.integers(0, 2**32 - 1), n=st.integers(2, 24),
                     skew_scale=st.floats(0.0, 1.0))
-# clustered spectra, as in acceptance criterion 09: the storage-lean
-# alternates lose agreement with whp_gcr once the Krylov space runs out
+# clustered spectra, as in acceptance criterion 09: only whp_gcr_alt_b
+# needs them.  It holds q but not H q, so once the held q_j lose
+# H-orthogonality delta = <H A z, q> is no longer ||q||_H^2, and on a run
+# that exhausts the Krylov space it breaks down or strays from whp_gcr
+# (ROADMAP item 4); clustering ends the run well before that
 clustered_systems = st.builds(draw_system, seed=st.integers(0, 2**32 - 1),
                               n=st.integers(2, 24), skew_scale=st.floats(0.0, 0.2),
                               spd_shift=st.just(6.0))
@@ -71,11 +74,12 @@ def test_whp_gcr_matches_right_gcr_with_w_equal_h(system):
     h, w = handles(h_dense)
     cfg = SolveConfig(rel_tolerance=1e-8)
     generic = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
-    special = whp_gcr(LinearSystem(a, b), h, cfg)
-    assert special.status == generic.status == "converged"
-    assert special.iterations == generic.iterations
-    assert_norms_match(special.trace.residual_norm_weighted,
-                       generic.trace.residual_norm_weighted, rtol=1e-7)
+    for solver in (whp_gcr, whp_gcr_alt_a):
+        special = solver(LinearSystem(a, b), h, cfg)
+        assert special.status == generic.status == "converged"
+        assert special.iterations == generic.iterations
+        assert_norms_match(special.trace.residual_norm_weighted,
+                           generic.trace.residual_norm_weighted, rtol=1e-7)
 
 
 @EXAMPLES
@@ -125,8 +129,8 @@ def test_alternates_match_right_gcr_with_w_equal_h(system):
     generic = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
     for solver in (whp_gcr_alt_a, whp_gcr_alt_b):
         other = solver(LinearSystem(a, b), h, cfg)
-        # alt_a tracks ||r||_H^2 by a one-step recurrence, which cancels
-        # to about sqrt(eps) of the initial norm
+        # alt_b's delta = <H A z, q> drifts from ||q||_H^2 as the held q_j
+        # lose H-orthogonality, so its late norms are not compared
         assert_norms_match(other.trace.residual_norm_weighted,
                            generic.trace.residual_norm_weighted, rtol=1e-6, floor=1e-4)
 

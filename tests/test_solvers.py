@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from wpkrylov.linalg import aslinearoperator, densify
+from wpkrylov.linalg import LinearOperator, aslinearoperator, densify
 
 from wpkrylov.solvers import (
     IterationTrace,
@@ -508,8 +508,11 @@ class TestWhpFamily:
         for xg, xs in zip(generic.trace.iterates[:count], special.trace.iterates[:count]):
             assert np.linalg.norm(xg - xs) <= 1e-10 * max(np.linalg.norm(xg), 1e-30)
 
-    def test_orthodir_recovery_solves_skew_system(self):
-        # H is applied iterations + 2 times also through the recovery step
+    @pytest.mark.parametrize("solver", [whp_gcr, whp_gcr_alt_a, whp_gcr_alt_b],
+                             ids=lambda solver: solver.__name__)
+    def test_orthodir_recovery_solves_skew_system(self, solver):
+        # H is applied iterations + 2 times also through the recovery step:
+        # it continues from the H q of the step, held or as computed
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         calls = [0]
 
@@ -519,7 +522,7 @@ class TestWhpFamily:
 
         h = PreconditionerHandle(2, counted, hermitian_flag=True)
         cfg = SolveConfig(breakdown_policy="restart_orthodir_style")
-        res = whp_gcr(LinearSystem(a, np.array([1.0, 0.0])), h, cfg)
+        res = solver(LinearSystem(a, np.array([1.0, 0.0])), h, cfg)
         assert res.status == "converged"
         assert np.allclose(res.x, [0.0, 1.0])
         assert res.trace.breakdown is not None and res.trace.breakdown.iteration == 0
@@ -682,32 +685,45 @@ class TestMeshProblemRuns:
 
     def test_h_application_counts_with_w_equal_h(self, cdr_assembled):
         # the paper's cost claim: with W = H, whp_gcr applies H once per
-        # iteration (plus two), wp_gcr_right three times (H r, W(A z), W r)
+        # iteration (plus two), wp_gcr_right three times (H r, W(A z), W r).
+        # whp_gcr_alt_a applies H as whp_gcr does, and A twice per
+        # iteration, since it forms r = b - A x.  whp_gcr_alt_b breaks down
+        # on this problem; its H count is checked on the skew system.
         from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
 
         assembled = cdr_assembled(40)
         maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
                                coords=assembled.dof_coords)
         precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
-        calls = [0]
+        operator = assembled.operator()
+        calls = {"h": 0, "a": 0}
 
-        def counted(v):
-            calls[0] += 1
-            return precond.apply(v)
+        def counted(kind, apply):
+            def wrapped(v):
+                calls[kind] += 1
+                return apply(v)
+            return wrapped
 
-        h = PreconditionerHandle(assembled.dof_count, counted, hermitian_flag=True)
-        w = WeightOperator(assembled.dof_count, counted, validate=False)
-        system = LinearSystem(assembled.operator(), assembled.rhs)
+        h = PreconditionerHandle(assembled.dof_count, counted("h", precond.apply),
+                                 hermitian_flag=True)
+        w = WeightOperator(assembled.dof_count, counted("h", precond.apply), validate=False)
+        system = LinearSystem(LinearOperator(assembled.dof_count, counted("a", operator.apply)),
+                              assembled.rhs)
 
-        special = whp_gcr(system, h, SolveConfig())
-        assert special.status == "converged" and special.iterations > 0
-        assert calls[0] == special.iterations + 2
+        def run(solver, *args):
+            calls.update(h=0, a=0)
+            res = solver(system, *args, SolveConfig())
+            assert res.status == "converged" and res.iterations > 0
+            return res.iterations
 
-        calls[0] = 0
-        generic = wp_gcr_right(system, h, w, SolveConfig())
-        assert generic.status == "converged"
-        assert generic.iterations == special.iterations
-        assert calls[0] == 3 * generic.iterations + 2
+        k = run(whp_gcr, h)
+        assert calls == {"h": k + 2, "a": k + 1}
+
+        assert run(whp_gcr_alt_a, h) == k
+        assert calls == {"h": k + 2, "a": 2 * k + 1}
+
+        assert run(wp_gcr_right, h, w) == k
+        assert calls == {"h": 3 * k + 2, "a": k + 1}
 
 
 class TestGmresOracle:
