@@ -204,9 +204,16 @@ def _load_problem(args) -> _Problem:
             raise UsageError("--rhs is required with --matrix")
         first = _read_file(matrixio.read_matrix_market, args.matrix)
         rhs = _read_file(matrixio.read_vector, args.rhs)
+        if first.shape[0] != first.shape[1]:
+            raise UsageError(f"{args.matrix}: matrix is {first.shape[0]}x{first.shape[1]}, "
+                             "not square")
         if args.matrix_skew:
             m_part = first
             n_part = _read_file(matrixio.read_matrix_market, args.matrix_skew)
+            if n_part.shape != first.shape:
+                raise UsageError(f"{args.matrix_skew}: matrix is {n_part.shape[0]}x"
+                                 f"{n_part.shape[1]}, --matrix is {first.shape[0]}x"
+                                 f"{first.shape[1]}")
         else:
             m_part = (first + first.T) * 0.5
             n_part = (first - first.T) * 0.5

@@ -10,17 +10,29 @@ is the right-preconditioned loop on H A x = H b with the identity as
 preconditioner.  With a symmetric positive definite H as the weight,
 whp_gcr runs the same loop keeping z = H r (W r, and the next
 direction) by the recurrence z <- z - alpha W q, so H is applied once
-per iteration, not three times.  It holds q and W q beside p; the
-storage-lean whp_gcr_alt_a holds W q only and uses q = A z unprojected,
-whp_gcr_alt_b holds q only and uses W A z unprojected.  A
+per iteration, not three times.  It holds q and W q beside the source
+of p; the storage-lean whp_gcr_alt_a holds W q only and uses q = A z
+unprojected, whp_gcr_alt_b holds q only and uses W A z unprojected.  A
 modified-Gram-Schmidt Arnoldi GMRES in the same inner product serves as
 an independent reference implementation.
 
-Every GCR loop keeps its directions in one blocked store: p_j and the
-vectors held beside it are rows of preallocated row-major (capacity, n)
+Every GCR loop keeps its directions in one blocked store: the source
+z_j of each direction (H r, or the Orthodir recovery vector) and the
+images held beside it are rows of preallocated row-major (capacity, n)
 blocks, so a projection against all held directions is one
-matrix-vector product for the coefficients and one per block for the
-update, whatever their number.
+matrix-vector product for the coefficients and one per held image for
+the update, whatever their number.  Only the images are projected.
+Neither p_j = z_j - sum_i beta_ji p_i nor x is updated per step: the
+store keeps each step's coefficients as a row of a unit lower-triangular
+L, with Z = L P, and its step length alpha_j, and a fold forms
+x = x_0 + P^T alpha = x_0 + Z^T L^-T alpha in one pass over the sources
+(the simpler-GMRES form of Walker & Zhou, Numer. Linear Algebra Appl.
+1994; Jiranek, Rozloznik & Gutknecht, SIAM J. Matrix Anal. Appl. 2008,
+compare its attainable accuracy with GCR's).  The loop folds at return
+and at the end of a GCR(k) cycle.  A loop that reads x at every step
+(record_iterates, or r = b - A x) folds at every step, and Orthomin(k)
+before it moves its rows; that fold forms p_j against the held p as the
+step is taken.  p_directions is formed from the sources when first read.
 
 The GCR loop orthogonalizes by classical Gram-Schmidt with the "twice is
 enough" norm test: a second pass runs only when the first one cancelled
@@ -30,8 +42,8 @@ Langou, Rozloznik & van den Eshof, Numer. Math. 2005).  With eta = 1/2 a
 step without the pass lost at most one bit to cancellation, and a step
 with it is orthogonal to working precision unless its image is
 numerically dependent on the held ones.  A step without cancellation
-reads the held directions twice: once for the coefficients, once for
-the update.
+reads the held images twice: once for the coefficients, once for their
+update; p and x are formed once, at a fold.
 
 Every GCR loop applies one breakdown rule (_degenerate); non-finite data
 raises FloatingPointError.  A loop that reads ||r||_H = sqrt(<r, z>) from
@@ -86,6 +98,10 @@ BREAKDOWN_RTOL = 1e-14
 # the m=100 CDR problem with H = I, whose ratios lie in 0.59-0.85 and whose
 # held images are orthogonal to 1e-15 without the pass; 1/2 fires on none.
 _REORTH_ETA = 0.5
+
+# columns per forward-substitution chunk when p_directions is formed from
+# the held sources: a (held, chunk) slab is copied, never (held, n)
+_FORWARD_CHUNK = 1024
 
 
 @dataclass
@@ -202,18 +218,24 @@ class SolveResult:
     every direction for full GCR and the whp family, at most the last k
     for Orthomin(k) and at most the current cycle for GCR(k), none for
     the minimal-residual iteration.  q_directions holds the images A p_j
-    (H A p_j for the left form and for whp_gcr_alt_a).
+    (H A p_j for the left form and for whp_gcr_alt_a).  The loop does not
+    form p_j (see _Directions): p_directions turns the held sources into
+    p_j, in place, on first read.
     """
 
     x: np.ndarray
     trace: IterationTrace
     iterations: int
     q_directions: list = field(default_factory=list)
-    p_directions: list = field(default_factory=list)
+    _store: _Directions | None = field(default=None, repr=False, compare=False)
 
     @property
     def status(self) -> str:
         return self.trace.status
+
+    @property
+    def p_directions(self) -> list:
+        return [] if self._store is None else self._store.directions()
 
 
 class _Stopping:
@@ -228,31 +250,49 @@ class _Stopping:
 
 
 class _Directions:
-    """The held search directions of a GCR loop, as row-major blocks.
+    """The held search directions of a GCR loop, and the iterate they build.
 
     ``rows`` has shape (capacity, kinds, n).  Row j is the record of one
-    direction: p_j, then the vectors the solver keeps beside it (the
-    image, its weighted image, or both).  ``rows[:, i]`` is
-    the (capacity, n) block of kind i, row-major with a row stride of
+    direction: its source z_j (the vector it was built from: H r, or the
+    Orthodir recovery vector), then the images the solver keeps beside it
+    (q_j = A p_j, its weighted image, or both).  ``rows[:, i]`` is the
+    (capacity, n) block of kind i, row-major with a row stride of
     kinds * n, which BLAS takes as it is.  Keeping a record contiguous
     means a solve touches one growing prefix of the array, not one per
     kind, so transparent huge pages round up one region only.  The
     projection coefficients are taken against the last block, and block
     1 is what SolveResult reports as q_directions.  Rows lo:hi are held,
-    oldest first.
+    oldest first; every read of a block goes through ``block``.
+
+    Only the images are projected.  The direction p_j = z_j - sum_i
+    beta_ji p_i is not formed when it is taken: row j of the unit
+    lower-triangular ``coefficients`` L keeps its beta_j (both
+    Gram-Schmidt passes, zero left of its window), so Z = L P, and
+    ``alpha`` keeps its step length.  The steps reach ``x`` in a fold.
+    At the end of a solve or of a GCR(k) cycle, while every row still
+    holds its source, the fold is one pass over block 0: x += y^T Z with
+    L^T y = alpha (the x = x_0 + Z U^-1 alpha form of Walker & Zhou's
+    simpler GMRES, Numer. Linear Algebra Appl. 1994).  Otherwise it turns
+    the unfolded sources into p_j, one row at a time as the unfolded loop
+    did, and adds alpha_j p_j: a loop that reads x every step folds every
+    step, and Orthomin(k) folds before it moves its rows.  Rows 0:folded
+    have their step in x; rows 0:explicit hold p_j, the others z_j.
+    SolveResult.p_directions turns the sources into p_j on first read.
 
     Full GCR holds every direction.  Orthomin(k) holds the last k in 2k
     rows and, when the rows run out, moves the newest k - 1 to the front.
     GCR(k) holds at most k and is cleared at the end of each cycle.  The
     blocks are allocated once with np.empty; rows never written cost no
-    resident memory.
+    resident memory.  ``coefficients`` grows with the held rows, so it
+    costs O(held^2) doubles whatever max_iterations is.
 
     A new record is projected once (project), and a second time only when
     the first pass cancelled most of its image (reorthogonalize); that
     decision reads two norms the loop has, not the held rows.
     """
 
-    def __init__(self, n: int, kinds: int, cfg: SolveConfig):
+    def __init__(self, x: np.ndarray, kinds: int, cfg: SolveConfig):
+        self.x = x
         self.window = cfg.truncation_window
         self.period = cfg.restart_period
         if self.period is not None:
@@ -261,26 +301,34 @@ class _Directions:
             capacity = 2 * self.window
         else:
             capacity = cfg.max_iterations
-        self.rows = np.empty((min(capacity, cfg.max_iterations), kinds, n))
-        self.delta = np.empty(len(self.rows))
+        capacity = min(capacity, cfg.max_iterations)
+        self.rows = np.empty((capacity, kinds, len(x)))
+        self.delta = np.empty(capacity)
+        self.alpha = np.empty(capacity)
+        self.coefficients = np.zeros((min(capacity, 64),) * 2)
         self.lo = self.hi = 0
+        self.folded = self.explicit = 0
 
     def __len__(self) -> int:
         return self.hi - self.lo
 
+    def block(self, kind: int, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of one block."""
+        return self.rows[start:stop, kind]
+
     def held(self, kind: int) -> np.ndarray:
         """The (held, n) rows of one block."""
-        return self.rows[self.lo:self.hi, kind]
+        return self.block(kind, self.lo, self.hi)
 
     def last(self, kind: int) -> np.ndarray:
         return self.rows[self.hi - 1, kind]
 
     def project(self, u: np.ndarray, record: list) -> tuple[np.ndarray, np.ndarray]:
-        """One classical Gram-Schmidt step on the new direction's record.
+        """One classical Gram-Schmidt step on the new record's images.
 
         The coefficients are phi_j = <row j of the last block, u> and
         beta_j = phi_j / delta_j; record[i] loses beta_j times row j of
-        block i, for each vector of the record.
+        block i for each image, the source record[0] nothing.
         """
         if not self:
             return np.empty(0), np.empty(0)
@@ -293,18 +341,18 @@ class _Directions:
                         az_norm: float) -> tuple[float, np.ndarray, bool]:
         """The "twice is enough" test: a second pass only after cancellation.
 
-        ``record`` is the projected (p, q, ..., weighted image of q) and
+        ``record`` is the projected (z, q, ..., weighted image of q) and
         az_norm is ||A z||_W, the W-norm of the image before projection.
         Classical Gram-Schmidt leaves q with a component in the held span
         of about eps ||A z||_W / ||q||_W relative (Daniel, Gragg, Kaufman &
         Stewart 1976).  When sqrt(delta) = ||q||_W < _REORTH_ETA * az_norm
-        the whole record is projected once more, as a second classical
-        pass: dots of q against the rows of the last block, one update per
-        stored kind.  Two passes suffice for an image that is numerically
+        the images are projected once more, as a second classical pass:
+        dots of q against the rows of the last block, one update per
+        held image.  Two passes suffice for an image that is numerically
         independent of the held ones (Giraud, Langou, Rozloznik & van den
         Eshof 2005).  Otherwise nothing is read or touched.  Returns
-        delta = <weighted image, q> of the final record, the accumulated
-        coefficients and whether the second pass ran.
+        delta = <weighted image, q> of the final record, the coefficients
+        of both passes summed and whether the second pass ran.
         """
         q, wq = record[1], record[-1]
         delta = float(wq @ q)
@@ -315,18 +363,27 @@ class _Directions:
         return float(wq @ q), beta + extra, True
 
     def _subtract(self, beta: np.ndarray, record: list):
-        for kind, vector in enumerate(record):
-            vector -= beta @ self.held(kind)
+        for kind in range(1, len(record)):
+            record[kind] -= beta @ self.held(kind)
 
-    def append(self, record: list, delta: float):
-        """Hold a new direction record (no-op for the minimal-residual iteration)."""
+    def append(self, record: list, delta: float, alpha: float, beta: np.ndarray):
+        """Hold a new direction record, taken with step length alpha and
+        projected with the coefficients beta against the held rows.  The
+        minimal-residual iteration holds nothing: its step alpha z goes
+        straight into x."""
         if self.window == 0:
+            self.x += alpha * record[0]
             return
         if self.hi == len(self.delta):  # only a truncation window fills its rows
-            keep = self.window - 1
-            self.rows[:keep] = self.rows[self.hi - keep:self.hi]
-            self.delta[:keep] = self.delta[self.hi - keep:self.hi]
-            self.lo, self.hi = 0, keep
+            self._compact(record, alpha, beta)
+        else:
+            if self.hi == len(self.coefficients):
+                grown = np.zeros((min(2 * self.hi, len(self.delta)),) * 2)
+                grown[:self.hi, :self.hi] = self.coefficients
+                self.coefficients = grown
+            self.coefficients[self.hi, :self.lo] = 0.0
+            self.coefficients[self.hi, self.lo:self.hi] = beta
+            self.alpha[self.hi] = alpha
         for kind, vector in enumerate(record):
             self.rows[self.hi, kind] = vector
         self.delta[self.hi] = delta
@@ -334,14 +391,73 @@ class _Directions:
         if self.window is not None:
             self.lo = max(self.lo, self.hi - self.window)
 
+    def _compact(self, record: list, alpha: float, beta: np.ndarray):
+        """Make room in a full window: fold every row, and the new record
+        against its whole window, the oldest row included, then move the
+        newest k - 1 rows to the front; the new record follows them."""
+        self.fold()
+        record[0] -= beta @ self.held(0)
+        self.x += alpha * record[0]
+        keep = self.window - 1
+        self.rows[:keep] = self.rows[self.hi - keep:self.hi]
+        self.delta[:keep] = self.delta[self.hi - keep:self.hi]
+        self.lo, self.hi = 0, keep
+        self.folded = self.explicit = keep + 1
+
+    def fold(self):
+        """Turn each unfolded source into p_j against its window and add
+        alpha_j p_j to x, in the order the steps were taken."""
+        for j in range(self.folded, self.hi):
+            start = self._window_start(j)
+            p = self.rows[j, 0]
+            if start < j:
+                p -= self.coefficients[j, start:j] @ self.block(0, start, j)
+            self.x += self.alpha[j] * p
+        self.folded = self.explicit = self.hi
+
+    def _window_start(self, j: int) -> int:
+        """The first row that row j was projected against."""
+        return max(j - self.window, 0) if self.window else 0
+
+    def _fold_all(self):
+        """Fold every step into x at the end of a solve or of a cycle: in one
+        pass over the sources while no row holds p_j, else row by row."""
+        if self.folded:
+            self.fold()
+            return
+        k = self.hi
+        if k:
+            y = scipy.linalg.solve_triangular(self.coefficients[:k, :k], self.alpha[:k],
+                                              trans="T", lower=True, unit_diagonal=True,
+                                              check_finite=False)
+            self.x += y @ self.block(0, 0, k)
+        self.folded = k
+
+    def directions(self) -> list:
+        """The held p_j, oldest first.  Sources are turned into p_j in place
+        on first read, by the recursion of fold run over column chunks, so
+        no (held, n) copy is made and each chunk is read from cache."""
+        if self.explicit < self.hi:  # then no row holds p_j yet
+            sources = self.block(0, 0, self.hi)
+            for c in range(0, sources.shape[1], _FORWARD_CHUNK):
+                chunk = sources[:, c:c + _FORWARD_CHUNK]
+                for j in range(1, self.hi):
+                    start = self._window_start(j)
+                    chunk[j] -= self.coefficients[j, start:j] @ chunk[start:j]
+            self.explicit = self.hi
+        return list(self.held(0))
+
     def end_iteration(self, done: int, trace: IterationTrace):
-        """Clear the held directions when a restart cycle ends."""
+        """Fold the steps and clear the held directions when a restart
+        cycle ends."""
         if self.period is not None and done % self.period == 0:
             trace.restart_markers.append(done)
-            self.lo = self.hi = 0
+            self._fold_all()
+            self.lo = self.hi = self.folded = self.explicit = 0
 
-    def result(self, x: np.ndarray, trace: IterationTrace) -> SolveResult:
-        return SolveResult(x, trace, len(trace.alpha), list(self.held(1)), list(self.held(0)))
+    def result(self, trace: IterationTrace) -> SolveResult:
+        self._fold_all()
+        return SolveResult(self.x, trace, len(trace.alpha), list(self.held(1)), self)
 
 
 def _clamped_sqrt(value: float) -> float:
@@ -439,13 +555,14 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
     is then H; z = W r, kept by the recurrence z <- z - alpha W q, is W r
     for ||r||_W and the next direction.
 
-    held names which of q and W q the direction store keeps beside p.  A
-    vector that is not held is used as computed, without projection: the
-    image q = A z (r is then formed as b - A x) or W q = W A z.  The
-    coefficients are <held row, A z> when W q is held and <held row,
-    W A z> otherwise; the second Gram-Schmidt pass runs only when both
-    are held.  The Orthodir recovery source of whp is W q, or H times the
-    last held q after a degenerate direction when W q is not held.
+    held names which of q and W q the direction store keeps beside the
+    source z of each direction.  A vector that is not held is used as
+    computed, without projection: the image q = A z (r is then formed as
+    b - A x, so x is folded every step) or W q = W A z.  The coefficients
+    are <held row, A z> when W q is held and <held row, W A z> otherwise;
+    the second Gram-Schmidt pass runs only when both are held.  The
+    Orthodir recovery source of whp is W q, or H times the last held q
+    after a degenerate direction when W q is not held.
     """
     hold_q, hold_wq = "q" in held, "wq" in held
     a = system.operator
@@ -461,10 +578,11 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
     if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
-    # records (p, q, W q) less what is not held; for the Euclidean weight
+    # records (z, q, W q) less what is not held; for the Euclidean weight
     # W q is q and not kept twice
     kinds = 1 + hold_q + (hold_wq and not w.is_identity)
-    store = _Directions(system.dim, kinds, cfg)
+    store = _Directions(x, kinds, cfg)  # owns x from here on
+    every_step = cfg.record_iterates or not hold_q  # x is read at every step
     v = z if w_is_h else h.apply(r)  # source vector for the next direction
 
     for i in range(cfg.max_iterations):
@@ -474,7 +592,7 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
         record = [v.copy(), az.copy()] if hold_q else [v.copy()]
         if hold_wq and not w.is_identity:
             record.append(waz.copy())
-        p, q = record[0], record[1] if hold_q else az
+        q = record[1] if hold_q else az
         wq = record[-1] if hold_wq else waz
         phi, beta = store.project(az if hold_wq else waz, record)
         if hold_q and hold_wq:
@@ -488,12 +606,12 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
         gamma = float(wq @ r) if not degenerate else 0.0
         if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
             if _breakdown(trace, cfg, i, gamma, degenerate, store):
-                return store.result(x, trace)
+                return store.result(trace)
             # Orthodir-style recovery: keep the direction when it is usable,
             # derive the next one from H times the image of the last direction
-            _record(trace, cfg, x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
+            _record(trace, cfg, store.x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
             if not degenerate:
-                store.append(record, delta)
+                store.append(record, delta, 0.0, beta)
                 v = wq if w_is_h else h.apply(q)
             else:
                 v = store.last(-1) if w_is_h and hold_wq else h.apply(store.last(1))
@@ -501,26 +619,27 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
             continue
 
         alpha = gamma / delta
-        x = x + alpha * p
-        r = r - alpha * q if hold_q else b - a.apply(x)
+        store.append(record, delta, alpha, beta)
+        if every_step:
+            store.fold()
+        r = r - alpha * q if hold_q else b - a.apply(store.x)
         if w_is_h:
             z = z - alpha * wq
             rw, rz = _recurrence_norm(r, z, w.apply)
         else:
             rw = _weighted_norm(w, r)
         r2 = float(np.linalg.norm(r))
-        _record(trace, cfg, x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
-        store.append(record, delta)
+        _record(trace, cfg, store.x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
         if stop.done(rw, r2):
             trace.status = "converged"
-            return store.result(x, trace)
+            return store.result(trace)
         if w_is_h and _drifted(trace, i, rz):
-            return store.result(x, trace)
+            return store.result(trace)
         store.end_iteration(i + 1, trace)
         v = z if w_is_h else h.apply(r)
 
     trace.status = "max_iter"
-    return store.result(x, trace)
+    return store.result(trace)
 
 
 def _weighted_norm(w: WeightOperator, x: np.ndarray) -> float:

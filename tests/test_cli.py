@@ -88,6 +88,31 @@ def test_non_finite_matrix_is_usage_error(tmp_path, capsys, bad, mtx_text, rhs_t
     assert err.startswith(f"error: {paths[bad]}: ") and fragment in err
 
 
+def test_non_square_matrix_is_usage_error(tmp_path, capsys):
+    mtx = tmp_path / "a.mtx"
+    rhs = tmp_path / "b.txt"
+    mtx.write_text("%%MatrixMarket matrix coordinate real general\n2 3 2\n1 1 1.0\n2 2 1.0\n",
+                   encoding="utf-8")
+    rhs.write_text("1.0\n1.0\n", encoding="utf-8")
+    code = main(["solve", "--matrix", str(mtx), "--rhs", str(rhs), "--precond", "identity",
+                 "--weight", "identity"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {mtx}: matrix is 2x3, not square\n"
+
+
+def test_skew_part_of_another_shape_is_usage_error(tmp_path, capsys):
+    m_path = tmp_path / "m.mtx"
+    n_path = tmp_path / "n.mtx"
+    rhs = tmp_path / "b.txt"
+    write_matrix_market(scipy.sparse.eye_array(2, format="csr"), m_path)
+    write_matrix_market(scipy.sparse.eye_array(3, format="csr"), n_path)
+    write_vector(np.array([1.0, 1.0]), rhs)
+    code = main(["solve", "--matrix", str(m_path), "--matrix-skew", str(n_path),
+                 "--rhs", str(rhs), "--precond", "identity", "--weight", "identity"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {n_path}: matrix is 3x3, --matrix is 2x2\n"
+
+
 def test_alt_b_drift_exit_code(capsys):
     # whp-gcr-alt-b breaks down near iteration 15, on a degenerate delta or
     # a negative <r, z> as round-off in H decides, before the true H-norm

@@ -17,8 +17,10 @@ from wpkrylov.solvers import (
     wp_gcr_right,
     wp_mr,
     wp_orthomin,
+    _Directions,
     _drifted,
     _recurrence_norm,
+    _REORTH_ETA,
 )
 from wpkrylov.weighting import (
     NotHermitianPreconditionerError,
@@ -252,31 +254,60 @@ class TestVariants:
             SolveConfig(stopping_norm="elsewhere")
 
 
-def loop_gcr_residuals(a, h_dense, w_dense, b, cfg):
+def loop_gcr(a, h_dense, w_dense, b, cfg):
     """Reference right GCR with one Python step per held direction: classical
-    Gram-Schmidt against a list trimmed to the window or cleared on restart."""
+    Gram-Schmidt against a list trimmed to the window or cleared on restart.
+    Returns the weighted residual norms and the iterates, x0 = 0 first."""
     r = b.copy()
-    norms = [np.sqrt(r @ w_dense @ r)]
+    x = np.zeros_like(b)
+    norms, iterates = [np.sqrt(r @ w_dense @ r)], [x]
     target = cfg.rel_tolerance * norms[0]
-    held = []  # (q, W q, delta)
+    held = []  # (p, q, W q, delta)
     for i in range(cfg.max_iterations):
-        q = a @ (h_dense @ r)
+        p = h_dense @ r
+        q = a @ p
         wq = w_dense @ q
-        coefficients = [(wqj @ q) / dj for _, wqj, dj in held]
-        for beta, (qj, wqj, _) in zip(coefficients, held):
+        coefficients = [(wqj @ q) / dj for _, _, wqj, dj in held]
+        for beta, (pj, qj, wqj, _) in zip(coefficients, held):
+            p = p - beta * pj
             q = q - beta * qj
             wq = wq - beta * wqj
         delta = wq @ q
-        r = r - (wq @ r) / delta * q
+        alpha = (wq @ r) / delta
+        x = x + alpha * p
+        r = r - alpha * q
         norms.append(np.sqrt(r @ w_dense @ r))
+        iterates.append(x)
         if norms[-1] < target:
             break
-        held.append((q, wq, delta))
+        held.append((p, q, wq, delta))
         if cfg.truncation_window is not None:
             held = held[-cfg.truncation_window:] if cfg.truncation_window else []
         if cfg.restart_period is not None and (i + 1) % cfg.restart_period == 0:
             held = []
-    return norms
+    return norms, iterates
+
+
+def assert_vectors_close(got, expected, rtol):
+    assert np.linalg.norm(got - expected) <= rtol * np.linalg.norm(expected)
+
+
+class BlockReads:
+    """Every read of a direction-store block during a solve, as (kind,
+    start, stop) with kind counted from 0, in order."""
+
+    def __init__(self, monkeypatch):
+        self.reads = []
+        block = _Directions.block
+
+        def counted(store, kind, start, stop):
+            self.reads.append((kind % store.rows.shape[1], start, stop))
+            return block(store, kind, start, stop)
+
+        monkeypatch.setattr(_Directions, "block", counted)
+
+    def of(self, kind):
+        return [read for read in self.reads if read[0] == kind]
 
 
 class TestDirectionStore:
@@ -316,84 +347,191 @@ class TestDirectionStore:
         for p, q in zip(res.p_directions, res.q_directions):
             assert np.allclose(a @ p, q, atol=1e-12 * np.linalg.norm(q))
 
+    def test_held_directions_map_to_held_images(self):
+        # p_j is formed from its source only when read: A p_j = q_j must hold
+        # for Orthomin(k) after its rows moved, for GCR(k) within a cycle and
+        # for whp_gcr
+        a, h_dense, b = make_pd_system(11, n=15)
+        h, w, _ = dense_setup(a, h_dense)
+        system = LinearSystem(a, b)
+        cfg = SolveConfig(max_iterations=400)
+        orthomin = wp_orthomin(system, h, w, cfg, k=3)
+        restarted = wp_gcr_restarted(system, h, w, cfg, k=6)
+        whp = whp_gcr(system, h, cfg)
+        assert orthomin.iterations > 2 * 6  # the 6 rows of the window moved twice
+        assert restarted.iterations % 6 != 0  # it stopped within a cycle
+        for res, held in ((orthomin, 3), (restarted, restarted.iterations % 6),
+                          (whp, whp.iterations)):
+            assert res.status == "converged"
+            assert len(res.p_directions) == len(res.q_directions) == held
+            for p, q in zip(res.p_directions, res.q_directions):
+                assert np.allclose(a @ p, q, atol=1e-12 * np.linalg.norm(q))
+
     def test_window_and_restart_match_reference_loop(self):
-        # windows that fill and shift their rows several times, and restarts
+        # windows that fill and shift their rows several times, and restarts:
+        # the residual norms, and x, the sum of the steps along the held
+        # directions, which no norm of the trace reads
         a, h_dense, b = make_pd_system(4, n=24, skew_scale=0.5)
         h, w, _ = dense_setup(a, h_dense)
+        system = LinearSystem(a, b)
         for overrides in ({}, {"truncation_window": 0}, {"truncation_window": 1},
-                          {"truncation_window": 3}, {"restart_period": 1},
+                          {"truncation_window": 2}, {"truncation_window": 3},
+                          {"truncation_window": 5}, {"restart_period": 1},
                           {"restart_period": 4}):
-            cfg = SolveConfig(max_iterations=400, rel_tolerance=1e-8, **overrides)
-            res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
-            reference = loop_gcr_residuals(a, h_dense, h_dense, b, cfg)
-            assert res.status == "converged", overrides
-            assert len(res.trace.residual_norm_weighted) == len(reference), overrides
-            assert_sequences_close(res.trace.residual_norm_weighted, reference, rtol=1e-8)
+            for record in (False, True):
+                cfg = SolveConfig(max_iterations=400, rel_tolerance=1e-8,
+                                  record_iterates=record, **overrides)
+                res = wp_gcr_right(system, h, w, cfg)
+                reference, iterates = loop_gcr(a, h_dense, h_dense, b, cfg)
+                assert res.status == "converged", overrides
+                assert len(res.trace.residual_norm_weighted) == len(reference), overrides
+                assert_sequences_close(res.trace.residual_norm_weighted, reference, rtol=1e-8)
+                assert_vectors_close(res.x, iterates[-1], 1e-12)
+                if record:
+                    assert len(res.trace.iterates) == len(iterates)
+                    for got, expected in zip(res.trace.iterates[1:], iterates[1:]):
+                        assert_vectors_close(got, expected, 1e-12)
+        # whp_gcr and whp_gcr_alt_a take the steps of GCR with W = H
+        cfg = SolveConfig(max_iterations=400, rel_tolerance=1e-8)
+        reference, iterates = loop_gcr(a, h_dense, h_dense, b, cfg)
+        for solver in (whp_gcr, whp_gcr_alt_a):
+            res = solver(system, h, cfg)
+            assert res.status == "converged" and res.iterations == len(reference) - 1
+            assert_vectors_close(res.x, iterates[-1], 1e-12)
+        # whp_gcr_alt_b breaks down on this draw; its x must still carry the
+        # residual its trace reports last
+        res = whp_gcr_alt_b(system, h, cfg)
+        assert res.iterations > 10
+        r = b - a @ res.x
+        assert np.isclose(np.sqrt(r @ h_dense @ r), res.trace.residual_norm_weighted[-1],
+                          rtol=1e-7, atol=0.0)
+
+    def test_store_memory_is_bounded(self):
+        # a window of 2 moves its rows about 190 times; neither its rows nor
+        # its coefficients grow with the iterations or max_iterations
+        a, _, b = make_pd_system(11, n=100, skew_scale=3.0, spd_shift=0.05)
+        n = len(b)
+        h, w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
+        cfg = SolveConfig(max_iterations=10**6, rel_tolerance=1e-10)
+        res = wp_orthomin(LinearSystem(a, b), h, w, cfg, k=2)
+        assert res.status == "converged" and res.iterations > 300
+        assert res._store.rows.shape[0] == 4 and res._store.coefficients.shape == (4, 4)
+        assert np.linalg.norm(b - a @ res.x) <= 1.1e-10 * np.linalg.norm(b)
+        # full GCR: the coefficients double with the held rows (64, then
+        # 128 for 97 of them), not max_iterations squared
+        res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(max_iterations=10**4))
+        assert res.status == "converged" and 64 < res.iterations <= 128
+        assert res._store.coefficients.shape == (128, 128)
 
 
     def test_corrective_pass_restores_orthogonality(self):
         # a new image almost inside the span of the held ones: the classical
         # projection cancels and leaves a visible component, the second pass
-        # removes it
-        from wpkrylov.solvers import _Directions
-
+        # removes it.  The source z is never projected; the coefficients of
+        # both passes, summed, are what turns it into p
         rng = np.random.default_rng(5)
         n = 50
         basis, _ = np.linalg.qr(rng.standard_normal((n, 2)))
-        store = _Directions(n, 2, SolveConfig(max_iterations=3))  # (p, q), Euclidean
+        store = _Directions(np.zeros(n), 2, SolveConfig(max_iterations=3))  # (z, q), Euclidean
         for q in basis.T:
-            store.append([q, q], 1.0)
+            store.append([q, q], 1.0, 0.0, np.zeros(len(store)))
         u = basis @ np.array([1.0, 1.0]) + 1e-12 * rng.standard_normal(n)
-        p, q = u.copy(), u.copy()
-        _, beta = store.project(u, [p, q])
+        z, q = u.copy(), u.copy()
+        _, beta = store.project(u, [z, q])
 
         def leak():
             return np.abs(basis.T @ q).max() / np.linalg.norm(q)
 
         assert leak() > 1e-6
-        delta, beta2, twice = store.reorthogonalize([p, q], beta, np.linalg.norm(u))
+        delta, beta2, twice = store.reorthogonalize([z, q], beta, np.linalg.norm(u))
         assert twice
         assert leak() <= 1e-12
         assert np.isclose(delta, q @ q, rtol=1e-14)
-        assert np.array_equal(p, q)
+        assert np.array_equal(z, u)
         assert np.allclose(beta2, [1.0, 1.0], rtol=1e-10)
+        assert not np.array_equal(beta2, beta)
+        assert np.allclose(u - beta2 @ basis.T, q, rtol=0.0, atol=1e-15 * np.linalg.norm(u))
 
     def test_no_second_pass_without_cancellation(self):
         # the first pass keeps 1/sqrt(1.5) of the image's norm, above eta:
         # no dot against the held rows, no vector touched
-        from wpkrylov.solvers import _REORTH_ETA, _Directions
-
         rng = np.random.default_rng(6)
         n = 50
         basis, _ = np.linalg.qr(rng.standard_normal((n, 3)))
-        store = _Directions(n, 2, SolveConfig(max_iterations=3))  # (p, q), Euclidean
+        store = _Directions(np.zeros(n), 2, SolveConfig(max_iterations=3))  # (z, q), Euclidean
         for q in basis.T[:2]:
-            store.append([q, q], 1.0)
+            store.append([q, q], 1.0, 0.0, np.zeros(len(store)))
         u = basis @ np.array([0.5, 0.5, 1.0])
-        p, q = u.copy(), u.copy()
-        _, beta = store.project(u, [p, q])
+        z, q = u.copy(), u.copy()
+        _, beta = store.project(u, [z, q])
         projected, coefficients = q.copy(), beta.copy()
         assert np.sqrt(q @ q) >= _REORTH_ETA * np.linalg.norm(u)
+        assert np.array_equal(z, u)
 
         held_calls = []
         held = store.held
         store.held = lambda kind: held_calls.append(kind) or held(kind)
-        delta, beta2, twice = store.reorthogonalize([p, q], beta, np.linalg.norm(u))
+        delta, beta2, twice = store.reorthogonalize([z, q], beta, np.linalg.norm(u))
         assert not twice
         assert held_calls == []
-        assert np.array_equal(q, projected) and np.array_equal(p, projected)
+        assert np.array_equal(q, projected) and np.array_equal(z, u)
         assert np.array_equal(beta2, coefficients)
         assert delta == q @ q
 
-    def test_second_pass_is_traced_on_a_near_dependent_image(self):
+    def test_full_gcr_reads_its_sources_once(self, monkeypatch):
+        # a step without a second pass reads the coefficient block twice, for
+        # the coefficients and for the update of the images; the sources
+        # (block 0) are read once, by the fold that forms x at the end.  The
+        # result then takes its q_directions as views of block 1
+        a, h_dense, b = make_pd_system(8)
+        h, w, cfg = dense_setup(a, h_dense)
+        for weight, kinds in ((WeightOperator.identity(len(b)), 2), (w, 3)):
+            blocks = BlockReads(monkeypatch)
+            res = wp_gcr_right(LinearSystem(a, b), h, weight, cfg)
+            k = res.iterations
+            assert res.status == "converged" and k > 5 and res.trace.reorthogonalized == []
+            loop, end = blocks.reads[:-2], blocks.reads[-2:]
+            assert end == [(0, 0, k), (1, 0, k)]
+            steps = [[(kind, 0, j) for kind in (kinds - 1, *range(1, kinds))]
+                     for j in range(1, k)]
+            assert loop == [read for step in steps for read in step]
+
+    def test_restarted_gcr_folds_once_per_cycle(self, monkeypatch):
+        a, h_dense, b = make_pd_system(4, n=24, skew_scale=0.5)
+        h, w, _ = dense_setup(a, h_dense)
+        blocks = BlockReads(monkeypatch)
+        res = wp_gcr_restarted(LinearSystem(a, b), h, w,
+                               SolveConfig(rel_tolerance=1e-8), k=4)
+        cycles = len(res.trace.restart_markers)
+        assert res.status == "converged" and cycles > 3 and res.iterations % 4
+        assert blocks.of(0) == [(0, 0, 4)] * cycles + [(0, 0, res.iterations % 4)]
+
+    def test_a_loop_reading_x_folds_every_step(self, monkeypatch):
+        # record_iterates and whp_gcr_alt_a, which forms r = b - A x, form each
+        # p_j against the held p as the step is taken: one read of block 0
+        # per step after the first, and none at the end
+        a, h_dense, b = make_pd_system(8)
+        h, w, cfg = dense_setup(a, h_dense)
+        for solve in (lambda: wp_gcr_right(LinearSystem(a, b), h, w,
+                                           SolveConfig(record_iterates=True)),
+                      lambda: whp_gcr_alt_a(LinearSystem(a, b), h, cfg)):
+            blocks = BlockReads(monkeypatch)
+            res = solve()
+            assert res.status == "converged" and res.iterations > 5
+            assert blocks.of(0) == [(0, 0, j) for j in range(1, res.iterations)]
+
+    def test_second_pass_is_traced_on_a_near_dependent_image(self, monkeypatch):
         # the shear maps r_1, orthogonal to q_0 = A b, almost onto q_0: the
-        # first pass keeps 1 % of the second image's norm
+        # first pass keeps 1 % of the second image's norm.  The second pass
+        # reads the held images twice more, the sources are read at the end
         a = np.array([[1.0, 10.0], [0.0, 1.0]])
         b = np.ones(2)
         h, w, _ = identity_setup(2)
+        blocks = BlockReads(monkeypatch)
         res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(rel_tolerance=1e-12))
         assert res.status == "converged" and res.iterations == 2
         assert res.trace.reorthogonalized == [1]
+        assert blocks.reads == [(1, 0, 1)] * 4 + [(0, 0, 2), (1, 0, 2)]
         q0, q1 = res.q_directions
         assert abs(q0 @ q1) <= 1e-12 * np.linalg.norm(q0) * np.linalg.norm(q1)
 
