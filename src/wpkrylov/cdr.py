@@ -12,6 +12,17 @@ and skew-symmetric parts of the discrete operator by construction.
 All variable-coefficient terms use the three-point mid-edge quadrature
 rule, exact for quadratics; with an affine convection field the skew
 term is integrated exactly.
+
+Assembly uses the uniform lattice throughout: every triangle is one of
+two shapes with constant gradients and area, so no Jacobian is formed.
+Each coefficient, and the finite-difference divergence of the
+convection field, is evaluated once per distinct mid-edge point
+(3 m^2 + 2 m of them, each shared by the triangles of its edge).  The
+element contributions are summed per edge and per vertex on (m, m)-sized
+arrays and written straight into the fixed 7-point pattern of the kept
+unknowns (self and the E, W, N, S, NE and SW neighbours), whose row
+pointers and column indices follow by arithmetic: the interior vertices
+under elimination, all of them under penalization.
 """
 
 from __future__ import annotations
@@ -33,9 +44,7 @@ __all__ = [
     "l2_error",
 ]
 
-# reference-element data: gradients of the barycentric basis and its
-# values at the mid-edge quadrature points
-_GRAD_REF = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+# values of the barycentric basis at the mid-edge quadrature points
 _LAMBDA_Q = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 _DIV_STEP = 1e-6
@@ -90,14 +99,11 @@ def build_mesh(m: int) -> StructuredMesh:
     xs, ys = np.meshgrid(grid, grid, indexing="xy")
     vertices = np.column_stack([xs.ravel(), ys.ravel()])
 
-    ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="xy")
-    v00 = (jj * (m + 1) + ii).ravel()
-    v10 = v00 + 1
-    v01 = v00 + (m + 1)
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    triangles = np.vstack([lower, upper])
+    # the lower triangles (v00, v10, v11) of every cell, then the upper
+    # ones (v00, v11, v01), v00 the bottom-left vertex of the cell
+    v00 = (np.arange(0, m * (m + 1), m + 1)[:, None] + np.arange(m)).ravel()
+    corners = np.array([[0, 1, m + 2], [0, m + 2, m + 1]])
+    triangles = (v00[None, :, None] + corners[:, None, :]).reshape(-1, 3)
 
     on_edge = np.zeros((m + 1, m + 1), dtype=bool)
     on_edge[0, :] = on_edge[-1, :] = True
@@ -136,18 +142,14 @@ class AssembledCdr:
 
 
 def _scalar_field(f, x, y):
-    if callable(f):
-        return np.broadcast_to(np.asarray(f(x, y), dtype=float), np.shape(x)).copy()
-    return np.full(np.shape(x), float(f))
+    """f at the points, as a read-only array of their shape."""
+    values = f(x, y) if callable(f) else f
+    return np.broadcast_to(np.asarray(values, dtype=float), np.shape(x))
 
 
 def _vector_field(a, x, y):
     ax, ay = a(x, y)
-    shape = np.shape(x)
-    return (
-        np.broadcast_to(np.asarray(ax, dtype=float), shape).copy(),
-        np.broadcast_to(np.asarray(ay, dtype=float), shape).copy(),
-    )
+    return _scalar_field(ax, x, y), _scalar_field(ay, x, y)
 
 
 def _divergence(a, x, y, step: float = _DIV_STEP):
@@ -158,90 +160,210 @@ def _divergence(a, x, y, step: float = _DIV_STEP):
     return (axp - axm) / (2.0 * step) + (ayp - aym) / (2.0 * step)
 
 
+class _Edges:
+    """The 3 m^2 + 2 m distinct mid-edge points of the lattice.
+
+    A value per point is held as three arrays indexed [j, i]: ``h`` on
+    the (m+1, m) horizontal edges from vertex (i, j) to (i+1, j), ``v``
+    on the (m, m+1) vertical edges from (i, j) to (i, j+1) and ``d`` on
+    the (m, m) diagonal edges from (i, j) to (i+1, j+1).  Cell (i, j)
+    holds the lower triangle (i, j), (i+1, j), (i+1, j+1), with edges
+    h[j, i], v[j, i+1] and d[j, i], and the upper triangle (i, j),
+    (i+1, j+1), (i, j+1), with edges d[j, i], h[j+1, i] and v[j, i].
+    """
+
+    def __init__(self, grid: np.ndarray):
+        m = len(grid) - 1
+        mid = 0.5 * (grid[:-1] + grid[1:])  # bitwise the midpoint the mesh's triangles give
+        self.shapes = ((m + 1, m), (m, m + 1), (m, m))
+        along = (mid, grid, mid)
+        across = (grid, mid, mid)
+        self.x = np.concatenate([np.broadcast_to(a, s).ravel()
+                                 for a, s in zip(along, self.shapes)])
+        self.y = np.concatenate([np.broadcast_to(a[:, None], s).ravel()
+                                 for a, s in zip(across, self.shapes)])
+        self.splits = np.cumsum([s[0] * s[1] for s in self.shapes])[:-1]
+
+    def split(self, values: np.ndarray) -> list:
+        """Flat values at the points as their h, v and d arrays."""
+        return [part.reshape(s) for part, s in zip(np.split(values, self.splits), self.shapes)]
+
+
+def _vertex_sum(h_vals, v_vals, d_vals) -> np.ndarray:
+    """(m+1, m+1) sums, at each vertex, of an edge quantity over its (up to
+    six) incident edges."""
+    out = np.zeros((h_vals.shape[0],) * 2)
+    out[:, :-1] += h_vals
+    out[:, 1:] += h_vals
+    out[:-1] += v_vals
+    out[1:] += v_vals
+    out[:-1, :-1] += d_vals
+    out[1:, 1:] += d_vals
+    return out
+
+
+def _stencil_csr(diag, sym, skew, lo: int, hi: int):
+    """The symmetric and skew matrices of the unknowns at the lattice
+    vertices (i, j) with lo <= i, j <= hi, numbered row by row, in the
+    7-point pattern of the diagonal split.
+
+    diag is the (m+1, m+1) diagonal; sym and skew are the (h, v, d) edge
+    values of the two parts, each entry the one in the row of the lower
+    numbered end (the other row takes it, or its negative for skew).
+    Each row holds, in column order, its SW, S, W, self, E, N and NE
+    entries, less the neighbours outside the range.
+    """
+    w = hi - lo + 1
+    inner = slice(lo, hi + 1)
+    short = slice(lo, hi)
+    mask = np.ones((w, w, 7), dtype=bool)
+    mask[0, :, :2] = mask[:, 0, [0, 2]] = False
+    mask[-1, :, 5:] = mask[:, -1, [4, 6]] = False
+    counts = np.full((w, w), 7)
+    counts[0] -= 2
+    counts[-1] -= 2
+    counts[:, 0] -= 2
+    counts[:, -1] -= 2
+    counts[0, 0] += 1  # SW is missed once there, not twice; likewise NE
+    counts[-1, -1] += 1
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    columns = np.empty((w, w, 7), dtype=np.int64)
+    vertex = np.arange(w * w).reshape(w, w)
+    for slot, offset in enumerate((-w - 1, -w, -1, 0, 1, w, w + 1)):
+        np.add(vertex, offset, out=columns[:, :, slot])
+    indices = columns[mask]
+
+    def csr(edge_vals, sign, centre, pattern):
+        e_h, e_v, e_d = edge_vals
+        slots = np.empty((w, w, 7))  # what the mask drops is never written
+        slots[1:, 1:, 0] = sign * e_d[short, short]
+        slots[1:, :, 1] = sign * e_v[short, inner]
+        slots[:, 1:, 2] = sign * e_h[inner, short]
+        slots[:, :, 3] = centre
+        slots[:, :-1, 4] = e_h[inner, short]
+        slots[:-1, :, 5] = e_v[short, inner]
+        slots[:-1, :-1, 6] = e_d[short, short]
+        return scipy.sparse.csr_array((slots[mask], *pattern), shape=(w * w, w * w))
+
+    # the skew part gets its own index arrays, so neither matrix aliases the other
+    return (csr(sym, 1.0, diag[inner, inner], (indices, indptr)),
+            csr(skew, -1.0, 0.0, (indices.copy(), indptr.copy())))
+
+
+def _stiffness(nu_h, nu_v, nu_d) -> tuple[np.ndarray, np.ndarray]:
+    """The stiffness entries of the horizontal and vertical edges.
+
+    A triangle adds (nu summed over its three points) g_k.g_l / 6, with
+    the constant gradients g / h of its shape: lower (-1, 0), (1, -1),
+    (0, 1), upper (0, -1), (1, 0), (-1, 1).  That is -1/6 of its sum on
+    its horizontal and vertical edges and 0 on its diagonal one; each
+    row sums to zero.
+    """
+    m = nu_d.shape[0]
+    nu_lower = nu_h[:-1] + nu_v[:, 1:] + nu_d
+    nu_upper = nu_d + nu_h[1:] + nu_v[:, :-1]
+    stiff_h = np.zeros((m + 1, m))
+    stiff_h[:-1] -= nu_lower
+    stiff_h[1:] -= nu_upper
+    stiff_v = np.zeros((m, m + 1))
+    stiff_v[:, 1:] -= nu_lower
+    stiff_v[:, :-1] -= nu_upper
+    return stiff_h / 6.0, stiff_v / 6.0
+
+
+def _skew(a_h, a_v, a_d, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The skew entries of every edge, from the (2, ...) convection arrays.
+
+    A triangle adds (h/24) (A_k.g_l - A_l.g_k) in row k, column l, with A_k
+    the convection summed over its two points on the edges at vertex k
+    and g the gradients of _stiffness.
+    """
+    m = a_d.shape[1]
+    # lower triangle of cell (i, j): A_0, A_1, A_2 at (i, j), (i+1, j), (i+1, j+1)
+    s0, s1, s2 = a_h[:, :-1] + a_d, a_h[:, :-1] + a_v[:, :, 1:], a_v[:, :, 1:] + a_d
+    lower_01 = s0[0] - s0[1] + s1[0]
+    lower_12 = s1[1] - s2[0] + s2[1]
+    lower_02 = s0[1] + s2[0]
+    # upper triangle of cell (i, j): A_0, A_1, A_2 at (i, j), (i+1, j+1), (i, j+1)
+    s0, s1, s2 = a_d + a_v[:, :, :-1], a_d + a_h[:, 1:], a_h[:, 1:] + a_v[:, :, :-1]
+    upper_01 = s0[0] + s1[1]
+    upper_12 = s1[1] - s1[0] - s2[0]
+    upper_02 = s0[1] - s0[0] + s2[1]
+    skew_h = np.zeros((m + 1, m))
+    skew_h[:-1] += lower_01
+    skew_h[1:] -= upper_12
+    skew_v = np.zeros((m, m + 1))
+    skew_v[:, :-1] += upper_02
+    skew_v[:, 1:] += lower_12
+    scale = h / 24.0
+    return skew_h * scale, skew_v * scale, (lower_02 + upper_01) * scale
+
+
 def assemble(problem: CdrProblemSpec) -> AssembledCdr:
     """Assemble the symmetric part, skew part and load vector.
 
-    Coefficient positivity (nu > 0 and c0 + div(a)/2 > 0) is checked at
+    Every coefficient is evaluated once per distinct mid-edge point, and
+    the element contributions of the two triangle shapes are summed per
+    edge straight into the 7-point pattern of the kept unknowns.
+    Coefficient positivity (nu > 0 and c0 + div(a)/2 >= 0) is checked at
     every quadrature point, since it is what makes the symmetric part
-    positive definite; a non-finite nu, c0 or convection value ends in
-    ValueError from the finiteness check of the assembled matrices.
+    positive definite; a non-finite nu, c0 or convection value there, or
+    a non-finite assembled entry, raises ValueError.
     """
     mesh = build_mesh(problem.mesh_divisions)
-    tri = mesh.triangles
-    pts = mesh.vertices[tri]  # (nt, 3, 2)
-    ntri = tri.shape[0]
+    m, h = mesh.divisions, mesh.h
+    edges = _Edges(mesh.vertices[: m + 1, 0])
+    x, y = edges.x, edges.y
 
-    e1 = pts[:, 1, :] - pts[:, 0, :]
-    e2 = pts[:, 2, :] - pts[:, 0, :]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    if np.any(det <= 0.0):
-        raise ValueError("triangulation must be positively oriented")
-    area = 0.5 * det
-    weight = area / 3.0
+    nu = _scalar_field(problem.nu, x, y)
+    react = _scalar_field(problem.c0, x, y) + 0.5 * _divergence(problem.a_field, x, y)
+    f = _scalar_field(problem.f_rhs, x, y)
+    ax, ay = _vector_field(problem.a_field, x, y)
 
-    # x and y components of the gradients of the three nodal basis
-    # functions on each triangle, (nt, 3) each: rows of J^{-T} times the
-    # reference gradients
-    inv_jt_x = np.column_stack([e2[:, 1], -e1[:, 1]]) / det[:, None]
-    inv_jt_y = np.column_stack([-e2[:, 0], e1[:, 0]]) / det[:, None]
-    grad_x = inv_jt_x @ _GRAD_REF.T
-    grad_y = inv_jt_y @ _GRAD_REF.T
-
-    qx = pts[:, :, 0] @ _LAMBDA_Q.T
-    qy = pts[:, :, 1] @ _LAMBDA_Q.T
-
-    nu_q = _scalar_field(problem.nu, qx, qy)
-    react_q = _scalar_field(problem.c0, qx, qy) + 0.5 * _divergence(problem.a_field, qx, qy)
-    f_q = _scalar_field(problem.f_rhs, qx, qy)
-    ax_q, ay_q = _vector_field(problem.a_field, qx, qy)
-
-    if np.any(nu_q <= 0.0):
+    if np.any(nu <= 0.0):
         raise ValueError("viscosity must be positive at every quadrature point")
     # zero reaction is allowed (pure diffusion keeps the symmetric part SPD
     # under Dirichlet conditions); a negative one would break it
-    if np.any(react_q < 0.0):
+    if np.any(react < 0.0):
         raise ValueError("reaction plus half the convection divergence must be nonnegative")
+    if not all(np.isfinite(c).all() for c in (nu, react, ax, ay)):
+        raise ValueError("coefficients must be finite at every quadrature point")
 
-    # element matrices as (nt, 3, 3) arrays of entry (k, l)
-    stiffness = (weight * nu_q.sum(axis=1))[:, None, None] * (
-        grad_x[:, :, None] * grad_x[:, None, :] + grad_y[:, :, None] * grad_y[:, None, :])
-    # mass: sum_q weight react(q) lambda_k(q) lambda_l(q)
-    lambda_kl = (_LAMBDA_Q[:, :, None] * _LAMBDA_Q[:, None, :]).reshape(3, 9)
-    me = (weight[:, None] * (react_q @ lambda_kl)).reshape(-1, 3, 3)
-    # conv[t, l, k] = sum_q lambda_k(q) a(q) . grad(basis_l); the skew part
-    # is half its transpose minus itself
-    conv = (grad_x[:, :, None] * (ax_q @ _LAMBDA_Q)[:, None, :]
-            + grad_y[:, :, None] * (ay_q @ _LAMBDA_Q)[:, None, :])
-    ne = (0.5 * weight)[:, None, None] * (conv.transpose(0, 2, 1) - conv)
-    be = weight[:, None] * (f_q @ _LAMBDA_Q)
+    stiff_h, stiff_v = _stiffness(*edges.split(nu))
+    skew = _skew(*(np.stack(pair) for pair in zip(edges.split(ax), edges.split(ay))), h)
+    # The mid-edge rule weighs each point area/3 = h^2/6 in a triangle, and
+    # the basis functions of an edge's two ends are 1/2 there, the third 0.
+    # So a point adds h^2/24 per triangle of its edge to the mass entry of
+    # the edge and to the diagonal entries of its ends, and twice that to
+    # the load of each end.  An edge lies in two triangles, on the boundary
+    # in one.
+    weight = np.full(len(x), h * h / 12.0)
+    w_h, w_v, _ = edges.split(weight)  # views of weight
+    w_h[[0, -1]] *= 0.5
+    w_v[:, [0, -1]] *= 0.5
+    mass_h, mass_v, mass_d = edges.split(weight * react)
+    load = 2.0 * _vertex_sum(*edges.split(weight * f))
 
-    nvtx = mesh.vertices.shape[0]
-    rows = np.repeat(tri, 3, axis=1).ravel()
-    cols = np.tile(tri, (1, 3)).ravel()
-    m_full = scipy.sparse.coo_array(
-        ((stiffness + me).ravel(), (rows, cols)), shape=(nvtx, nvtx)
-    ).tocsr()
-    n_full = scipy.sparse.coo_array((ne.ravel(), (rows, cols)), shape=(nvtx, nvtx)).tocsr()
-    load = np.bincount(tri.ravel(), weights=be.ravel(), minlength=nvtx)
+    diag = _vertex_sum(mass_h - stiff_h, mass_v - stiff_v, mass_d)
+    sym = (stiff_h + mass_h, stiff_v + mass_v, mass_d)
 
     if problem.bc == "elimination":
-        keep = mesh.interior_indices
-        sel = np.ix_(keep, keep)
-        m_bc = m_full[sel]
-        n_bc = n_full[sel]
-        rhs = load[keep]
-        dof_vertices = keep
+        m_bc, n_bc = _stencil_csr(diag, sym, skew, 1, m - 1)
+        rhs = load[1:-1, 1:-1].ravel()
+        dof_vertices = mesh.interior_indices
     else:
         weight_pen = problem.penalty_weight
         if weight_pen is None:
-            weight_pen = 1e10 * float(m_full.diagonal().max())
-        boundary = np.flatnonzero(mesh.boundary_mask)
-        m_bc = m_full + scipy.sparse.csr_array(
-            (np.full(len(boundary), weight_pen), (boundary, boundary)), shape=m_full.shape)
-        n_bc = n_full
-        rhs = load.copy()
-        rhs[boundary] = 0.0
-        dof_vertices = np.arange(nvtx)
+            weight_pen = 1e10 * float(diag.max())
+        boundary = mesh.boundary_mask.reshape(m + 1, m + 1)
+        diag[boundary] += weight_pen
+        m_bc, n_bc = _stencil_csr(diag, sym, skew, 0, m)
+        # M stores no exact zero in this mode: a NE or SW entry is left out
+        # where the reaction vanishes on that diagonal edge
+        m_bc.eliminate_zeros()
+        rhs = load.ravel()
+        rhs[mesh.boundary_mask] = 0.0
+        dof_vertices = np.arange(len(rhs))
 
     return AssembledCdr(
         m_matrix=_validated_csr(m_bc),

@@ -355,7 +355,7 @@ def _auto_grid(n_sub: int) -> str:
     return f"grid:{p}x{q}"
 
 
-def _iteration_count(args, m, nu, c0, precond, solver, n_sub, layout,
+def _iteration_count(args, assembled, precond, solver, n_sub, layout,
                      stop_norm="weighted", symmetric_only=False):
     ns = argparse.Namespace(**vars(args))
     ns.cdr = None
@@ -363,7 +363,6 @@ def _iteration_count(args, m, nu, c0, precond, solver, n_sub, layout,
     ns.precond = precond
     ns.n_sub = n_sub
     ns.layout = layout
-    assembled = cdr.assemble(cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m))
     if symmetric_only:
         problem = _Problem(assembled.m_matrix, scipy.sparse.csr_array(assembled.m_matrix.shape),
                            assembled.rhs, assembled.dof_coords, "sym-only")
@@ -382,6 +381,15 @@ def _iteration_count(args, m, nu, c0, precond, solver, n_sub, layout,
 
 def cmd_sweep(args) -> int:
     lines = []
+    assembled = {}
+
+    def problem(m, nu=1.0, c0=1.0) -> cdr.AssembledCdr:
+        """The reference problem at (m, nu, c0), assembled once per sweep."""
+        if (m, nu, c0) not in assembled:
+            assembled[m, nu, c0] = cdr.assemble(
+                cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m))
+        return assembled[m, nu, c0]
+
     if args.axis == "n-subdomains":
         m = int(_parse_kv(args.cdr, "--cdr").get("m", 60)) if args.cdr else 60
         if m > SOLVE_MESH_BUDGET and not args.force:
@@ -389,7 +397,7 @@ def cmd_sweep(args) -> int:
         print(f"scalability sweep: two-level, m={m}")
         for n_sub in _parse_int_list(args.n_sub_list):
             layout = args.layout if args.layout != "strips" else _auto_grid(n_sub)
-            iters, status = _iteration_count(args, m, 1.0, 1.0, "two-level", "whp-gcr",
+            iters, status = _iteration_count(args, problem(m), "two-level", "whp-gcr",
                                              n_sub, layout)
             lines.append((f"N={n_sub}", iters, status))
     elif args.axis == "mesh":
@@ -397,7 +405,7 @@ def cmd_sweep(args) -> int:
             if m > SOLVE_MESH_BUDGET and not args.force:
                 print(f"m={m}: skipped (budget)")
                 continue
-            iters, status = _iteration_count(args, m, 1.0, 1.0, "two-level", "whp-gcr",
+            iters, status = _iteration_count(args, problem(m), "two-level", "whp-gcr",
                                              args.n_sub, _auto_grid(args.n_sub))
             lines.append((f"m={m}", iters, status))
         print(f"mesh sweep: two-level, N={args.n_sub}")
@@ -405,10 +413,10 @@ def cmd_sweep(args) -> int:
         m = int(_parse_kv(args.cdr, "--cdr").get("m", 40)) if args.cdr else 40
         print(f"coefficient sweep: two-level strips, m={m}, N={args.n_sub}")
         for coeff in _parse_float_list(args.coeff_list):
-            iters, status = _iteration_count(args, m, coeff, coeff, "two-level",
+            iters, status = _iteration_count(args, problem(m, coeff, coeff), "two-level",
                                              "whp-gcr", args.n_sub, "strips")
             lines.append((f"c0=nu={coeff}", iters, status))
-        iters, status = _iteration_count(args, m, 10.0, 10.0, "two-level", "whp-gcr",
+        iters, status = _iteration_count(args, problem(m, 10.0, 10.0), "two-level", "whp-gcr",
                                          args.n_sub, "strips", symmetric_only=True)
         lines.append(("symmetric-part-only", iters, status))
     else:  # inner-product
@@ -416,10 +424,10 @@ def cmd_sweep(args) -> int:
         print(f"inner-product sweep: two-level, m={m}, Euclidean stopping")
         for n_sub in _parse_int_list(args.n_sub_list):
             layout = _auto_grid(n_sub)
-            g_iters, g_status = _iteration_count(args, m, 1.0, 1.0, "two-level",
+            g_iters, g_status = _iteration_count(args, problem(m), "two-level",
                                                  "gmres-oracle", n_sub, layout,
                                                  stop_norm="euclidean")
-            w_iters, w_status = _iteration_count(args, m, 1.0, 1.0, "two-level",
+            w_iters, w_status = _iteration_count(args, problem(m), "two-level",
                                                  "whp-gcr", n_sub, layout,
                                                  stop_norm="euclidean")
             lines.append((f"N={n_sub} gmres", g_iters, g_status))

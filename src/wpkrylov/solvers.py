@@ -21,7 +21,9 @@ z_j of each direction (H r, or the Orthodir recovery vector) and the
 images held beside it are rows of preallocated row-major (capacity, n)
 blocks, so a projection against all held directions is one
 matrix-vector product for the coefficients and one per held image for
-the update, whatever their number.  Only the images are projected.
+the update, whatever their number.  A new record is written once,
+straight into its row, and projected there.  Only the images are
+projected.
 Neither p_j = z_j - sum_i beta_ji p_i nor x is updated per step: the
 store keeps each step's coefficients as a row of a unit lower-triangular
 L, with Z = L P, and its step length alpha_j, and a fold forms
@@ -252,11 +254,11 @@ class _Stopping:
 class _Directions:
     """The held search directions of a GCR loop, and the iterate they build.
 
-    ``rows`` has shape (capacity, kinds, n).  Row j is the record of one
+    ``rows`` has shape (capacity + 1, kinds, n).  Row j is the record of one
     direction: its source z_j (the vector it was built from: H r, or the
     Orthodir recovery vector), then the images the solver keeps beside it
     (q_j = A p_j, its weighted image, or both).  ``rows[:, i]`` is the
-    (capacity, n) block of kind i, row-major with a row stride of
+    (capacity + 1, n) block of kind i, row-major with a row stride of
     kinds * n, which BLAS takes as it is.  Keeping a record contiguous
     means a solve touches one growing prefix of the array, not one per
     kind, so transparent huge pages round up one region only.  The
@@ -280,15 +282,20 @@ class _Directions:
     SolveResult.p_directions turns the sources into p_j on first read.
 
     Full GCR holds every direction.  Orthomin(k) holds the last k in 2k
-    rows and, when the rows run out, moves the newest k - 1 to the front.
-    GCR(k) holds at most k and is cleared at the end of each cycle.  The
-    blocks are allocated once with np.empty; rows never written cost no
-    resident memory.  ``coefficients`` grows with the held rows, so it
-    costs O(held^2) doubles whatever max_iterations is.
+    rows and, when the rows run out, moves the newest k - 1 and the new
+    record to the front.  GCR(k) holds at most k and is cleared at the end
+    of each cycle.  One row past the capacity takes the record built while
+    the rows are full.  The blocks are allocated once with np.empty; rows
+    never written cost no resident memory.  ``coefficients`` grows with
+    the held rows, so it costs O(held^2) doubles whatever max_iterations
+    is.
 
-    A new record is projected once (project), and a second time only when
-    the first pass cancelled most of its image (reorthogonalize); that
-    decision reads two norms the loop has, not the held rows.
+    A new record is written once, into row hi (``record``), and built
+    there: its images are projected once (project), and a second time
+    only when the first pass cancelled most of the image
+    (reorthogonalize); that decision reads two norms the loop has, not
+    the held rows.  ``append`` then holds it, or the next record
+    overwrites it.
     """
 
     def __init__(self, x: np.ndarray, kinds: int, cfg: SolveConfig):
@@ -301,11 +308,11 @@ class _Directions:
             capacity = 2 * self.window
         else:
             capacity = cfg.max_iterations
-        capacity = min(capacity, cfg.max_iterations)
-        self.rows = np.empty((capacity, kinds, len(x)))
-        self.delta = np.empty(capacity)
-        self.alpha = np.empty(capacity)
-        self.coefficients = np.zeros((min(capacity, 64),) * 2)
+        self.capacity = min(capacity, cfg.max_iterations)
+        self.rows = np.empty((self.capacity + 1, kinds, len(x)))
+        self.delta = np.empty(self.capacity + 1)
+        self.alpha = np.empty(self.capacity + 1)
+        self.coefficients = np.zeros((min(self.capacity, 64),) * 2)
         self.lo = self.hi = 0
         self.folded = self.explicit = 0
 
@@ -322,6 +329,10 @@ class _Directions:
 
     def last(self, kind: int) -> np.ndarray:
         return self.rows[self.hi - 1, kind]
+
+    def record(self) -> np.ndarray:
+        """The (kinds, n) row the next record is written and built in."""
+        return self.rows[self.hi]
 
     def project(self, u: np.ndarray, record: list) -> tuple[np.ndarray, np.ndarray]:
         """One classical Gram-Schmidt step on the new record's images.
@@ -366,43 +377,42 @@ class _Directions:
         for kind in range(1, len(record)):
             record[kind] -= beta @ self.held(kind)
 
-    def append(self, record: list, delta: float, alpha: float, beta: np.ndarray):
-        """Hold a new direction record, taken with step length alpha and
+    def append(self, delta: float, alpha: float, beta: np.ndarray):
+        """Hold the record built in row hi, taken with step length alpha and
         projected with the coefficients beta against the held rows.  The
         minimal-residual iteration holds nothing: its step alpha z goes
         straight into x."""
         if self.window == 0:
-            self.x += alpha * record[0]
+            self.x += alpha * self.rows[self.hi, 0]
             return
-        if self.hi == len(self.delta):  # only a truncation window fills its rows
-            self._compact(record, alpha, beta)
+        self.delta[self.hi] = delta
+        if self.hi == self.capacity:  # only a truncation window fills its rows
+            self._compact(alpha, beta)
         else:
             if self.hi == len(self.coefficients):
-                grown = np.zeros((min(2 * self.hi, len(self.delta)),) * 2)
+                grown = np.zeros((min(2 * self.hi, self.capacity),) * 2)
                 grown[:self.hi, :self.hi] = self.coefficients
                 self.coefficients = grown
             self.coefficients[self.hi, :self.lo] = 0.0
             self.coefficients[self.hi, self.lo:self.hi] = beta
             self.alpha[self.hi] = alpha
-        for kind, vector in enumerate(record):
-            self.rows[self.hi, kind] = vector
-        self.delta[self.hi] = delta
-        self.hi += 1
+            self.hi += 1
         if self.window is not None:
             self.lo = max(self.lo, self.hi - self.window)
 
-    def _compact(self, record: list, alpha: float, beta: np.ndarray):
+    def _compact(self, alpha: float, beta: np.ndarray):
         """Make room in a full window: fold every row, and the new record
         against its whole window, the oldest row included, then move the
-        newest k - 1 rows to the front; the new record follows them."""
+        newest k - 1 rows and the new record to the front."""
         self.fold()
-        record[0] -= beta @ self.held(0)
-        self.x += alpha * record[0]
-        keep = self.window - 1
-        self.rows[:keep] = self.rows[self.hi - keep:self.hi]
-        self.delta[:keep] = self.delta[self.hi - keep:self.hi]
+        p = self.rows[self.hi, 0]
+        p -= beta @ self.held(0)
+        self.x += alpha * p
+        keep = self.window
+        self.rows[:keep] = self.rows[self.hi + 1 - keep:self.hi + 1]
+        self.delta[:keep] = self.delta[self.hi + 1 - keep:self.hi + 1]
         self.lo, self.hi = 0, keep
-        self.folded = self.explicit = keep + 1
+        self.folded = self.explicit = keep
 
     def fold(self):
         """Turn each unfolded source into p_j against its window and add
@@ -589,9 +599,12 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
         az = a.apply(v)
         waz = az if w.is_identity else w.apply(az)
         az_norm = _clamped_sqrt(float(waz @ az))
-        record = [v.copy(), az.copy()] if hold_q else [v.copy()]
+        record = store.record()
+        record[0] = v
+        if hold_q:
+            record[1] = az
         if hold_wq and not w.is_identity:
-            record.append(waz.copy())
+            record[-1] = waz
         q = record[1] if hold_q else az
         wq = record[-1] if hold_wq else waz
         phi, beta = store.project(az if hold_wq else waz, record)
@@ -611,7 +624,7 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
             # derive the next one from H times the image of the last direction
             _record(trace, cfg, store.x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
             if not degenerate:
-                store.append(record, delta, 0.0, beta)
+                store.append(delta, 0.0, beta)
                 v = wq if w_is_h else h.apply(q)
             else:
                 v = store.last(-1) if w_is_h and hold_wq else h.apply(store.last(1))
@@ -619,7 +632,7 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
             continue
 
         alpha = gamma / delta
-        store.append(record, delta, alpha, beta)
+        store.append(delta, alpha, beta)
         if every_step:
             store.fold()
         r = r - alpha * q if hold_q else b - a.apply(store.x)
@@ -766,7 +779,15 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
     problem is solved exactly and counts as convergence.
 
     The coefficient lists of the trace stay empty; only residual norms
-    (and iterates on request) are recorded.
+    (and iterates on request) are recorded.  x is formed at the end of a
+    cycle, and at every step only for record_iterates or at a happy
+    breakdown, so H is otherwise applied iterations + 1 times.  The
+    Euclidean norm of step j comes from the Arnoldi relation instead:
+    r_j = g_j V u_j, with V the basis v_0 ... v_j, g_j the last entry of
+    the rotated right-hand side and u_j the last column of the
+    transposed rotations.  The W-unit vector V u_j follows the j-th
+    rotation (c_j, s_j) as c_j v_j - s_j V u_{j-1}, one vector update per
+    step.  For W = I it is a unit vector, so the 2-norm is |g_j|.
     """
     if cfg.truncation_window is not None:
         raise ValueError("gmres_arnoldi_oracle does not support truncated orthogonalization")
@@ -795,6 +816,7 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
         sn = np.zeros(cycle)
         g = np.zeros(cycle + 1)
         g[0] = beta
+        unit = basis[0]  # V u of the Arnoldi relation above
         j = 0
         happy = False
         for j in range(cycle):
@@ -823,19 +845,16 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
             rw = abs(float(g[j + 1]))
             total_iters += 1
 
-            need_x = (
-                cfg.record_iterates
-                or not w.is_identity
-                or cfg.stopping_norm == "euclidean"
-                or happy
-            )
-            if need_x:
+            xk = None
+            if cfg.record_iterates or happy:
                 y = scipy.linalg.solve_triangular(hess[: j + 1, : j + 1], g[: j + 1], lower=False)
                 xk = x + h.apply(np.column_stack(basis[: j + 1]) @ y)
                 r2 = float(np.linalg.norm(b - a.apply(xk)))
+            elif w.is_identity:
+                r2 = rw
             else:
-                xk = None
-                r2 = rw  # Euclidean inner product: the Givens estimate is the 2-norm
+                unit = cs[j] * basis[j + 1] - sn[j] * unit
+                r2 = rw * float(np.linalg.norm(unit))
             trace.residual_norm_weighted.append(rw)
             trace.residual_norm_euclidean.append(r2)
             if cfg.record_iterates:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wpkrylov.bounds import HermitianSplit, spectral_radius_skew
 from wpkrylov.cdr import (
@@ -11,6 +13,8 @@ from wpkrylov.cdr import (
     reference_problem,
 )
 from wpkrylov.linalg import lu_solve
+
+from cdr_reference import reference_assemble
 
 
 class TestMesh:
@@ -84,7 +88,7 @@ class TestAssembly:
     @pytest.mark.parametrize("bc", ["elimination", "penalization"])
     def test_rejects_non_finite_viscosity(self, bc):
         # NaN passes the nu > 0 check, since it compares false; the
-        # finiteness check of the assembled matrices rejects it
+        # finiteness check of the coefficients rejects it
         def nu(x, y):
             return np.where(np.asarray(x) > 0.5, np.nan, 1.0)
 
@@ -143,3 +147,130 @@ class TestManufacturedSolution:
                 assembled, u, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
             )
         assert errors[8] / errors[16] >= 3.5
+
+
+# cdr.assemble against the triangle-by-triangle COO assembly of
+# tests/cdr_reference.py, on draws in the style of test_properties.py
+EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+# the two assemblies sum the same element terms in another order
+ENTRY_RTOL = 1e-13
+
+
+def draw_problem(m, bc, nu, c0, expansion, f):
+    """A problem with constant or variable nu, c0 and f, and a rotating
+    convection field whose divergence is expansion * (1 + 2 x), so that
+    c0 + div(a)/2 stays nonnegative."""
+    def convection(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return (-3.0 * (y - 0.4) + expansion * x * x, 3.0 * (x - 0.6) + expansion * y)
+
+    return CdrProblemSpec(mesh_divisions=m, nu=nu, c0=c0, a_field=convection, f_rhs=f, bc=bc)
+
+
+def variable(scale):
+    return lambda x, y: scale * (1.0 + 0.5 * np.sin(3.0 * np.asarray(x) + np.asarray(y)))
+
+
+def constant_or_variable(low, high):
+    scales = st.floats(low, high)
+    return scales | scales.map(variable)
+
+
+problems = st.builds(
+    draw_problem,
+    m=st.integers(2, 24),
+    bc=st.sampled_from(["elimination", "penalization"]),
+    nu=constant_or_variable(0.01, 10.0),
+    c0=st.just(0.0) | constant_or_variable(0.0, 10.0),
+    expansion=st.just(0.0) | st.floats(0.1, 3.0),
+    f=constant_or_variable(-2.0, 2.0),
+)
+
+
+def assert_entries_close(got, expected):
+    """Same pattern, and each entry within ENTRY_RTOL of its row's largest."""
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    # every row holds its diagonal entry, so none is empty
+    row_max = np.maximum.reduceat(np.abs(expected.data), expected.indptr[:-1])
+    bound = ENTRY_RTOL * np.repeat(row_max, np.diff(expected.indptr))
+    assert np.all(np.abs(got.data - expected.data) <= bound)
+
+
+@EXAMPLES
+@given(problems)
+def test_assembly_matches_the_triangle_by_triangle_reference(problem):
+    got = assemble(problem)
+    expected = reference_assemble(problem)
+    assert_entries_close(got.m_matrix, expected.m_matrix)
+    assert_entries_close(got.n_matrix, expected.n_matrix)
+    assert np.abs(got.rhs - expected.rhs).max() <= ENTRY_RTOL * np.abs(expected.rhs).max()
+    assert np.array_equal(got.dof_vertices, expected.dof_vertices)
+    m_dense = got.m_matrix.toarray()
+    n_dense = got.n_matrix.toarray()
+    assert np.array_equal(m_dense, m_dense.T)
+    assert np.array_equal(n_dense, -n_dense.T)
+
+
+def nan_right_half(x, y):
+    return np.where(np.asarray(x) > 0.5, np.nan, 1.0)
+
+
+def contracting(x, y):
+    # divergence -4: c0 + div(a)/2 < 0 wherever c0 < 2
+    return -2.0 * np.asarray(x, dtype=float), -2.0 * np.asarray(y, dtype=float)
+
+
+BAD_INPUTS = {
+    "viscosity": (dict(nu=-1.0), "viscosity must be positive"),
+    "variable viscosity": (dict(nu=lambda x, y: np.asarray(x) - 0.5), "viscosity must be positive"),
+    "reaction": (dict(c0=lambda x, y: np.asarray(y) - 0.5), "must be nonnegative"),
+    "contraction": (dict(c0=1.0, a_field=contracting), "must be nonnegative"),
+    "nan viscosity": (dict(nu=nan_right_half), "finite"),
+    "nan reaction": (dict(c0=nan_right_half), "finite"),
+    # only the mass entries of the bottom edges see it, and elimination drops them
+    "nan reaction on the boundary": (dict(c0=lambda x, y: np.where(np.asarray(y) == 0.0,
+                                                                 np.nan, 1.0)), "finite"),
+    "nan convection": (dict(a_field=lambda x, y: (nan_right_half(x, y), 0.0)), "finite"),
+}
+
+
+@EXAMPLES
+@given(st.integers(2, 24), st.sampled_from(["elimination", "penalization"]),
+       st.sampled_from(sorted(BAD_INPUTS)))
+def test_assembly_rejects_what_the_reference_rejects(m, bc, kind):
+    fields, message = BAD_INPUTS[kind]
+    problem = CdrProblemSpec(mesh_divisions=m, bc=bc, **fields)
+    for assembly in (assemble, reference_assemble):
+        with pytest.raises(ValueError, match=message):
+            assembly(problem)
+
+
+def test_each_coefficient_sees_each_mid_edge_point_once():
+    m = 9
+    seen = {"nu": [], "c0": [], "f": [], "a": []}
+
+    def recording(name, value):
+        def field(x, y):
+            seen[name].append(np.column_stack([np.ravel(x), np.ravel(y)]))
+            return value(x, y)
+        return field
+
+    problem = reference_problem(mesh_divisions=m)
+    problem.nu = recording("nu", lambda x, y: 1.0 + np.asarray(x))
+    problem.c0 = recording("c0", lambda x, y: 1.0 + np.asarray(y))
+    problem.f_rhs = recording("f", problem.f_rhs)
+    problem.a_field = recording("a", problem.a_field)
+    assemble(problem)
+
+    mesh = build_mesh(m)
+    pts = mesh.vertices[mesh.triangles]
+    mid_edges = np.unique((0.5 * (pts[:, [0, 1, 0]] + pts[:, [1, 2, 2]])).reshape(-1, 2), axis=0)
+    assert len(mid_edges) == 3 * m * m + 2 * m
+    for name in ("nu", "c0", "f"):
+        points = np.concatenate(seen[name])
+        assert len(points) == len(mid_edges)
+        assert np.array_equal(np.unique(points, axis=0), mid_edges)
+    assert sum(len(p) for p in seen["a"]) <= 5 * len(mid_edges)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 
+from wpkrylov import cdr
 from wpkrylov.cli import main
 from wpkrylov.matrixio import read_report_json, write_matrix_market, write_vector
 
@@ -282,3 +283,18 @@ def test_matrix_skew_pair_input(tmp_path):
                  "--rhs", str(rhs), "--solver", "whp-gcr", "--precond", "one-level",
                  "--n-sub", "1"])
     assert code == 0
+
+
+@pytest.mark.parametrize("axis", ["n-subdomains", "inner-product"])
+def test_sweep_assembles_once(monkeypatch, capsys, axis):
+    calls = []
+    assemble = cdr.assemble
+
+    def counted(problem):
+        calls.append(problem.mesh_divisions)
+        return assemble(problem)
+
+    monkeypatch.setattr(cdr, "assemble", counted)
+    assert main(["sweep", "--axis", axis, "--cdr", "m=12", "--n-sub-list", "4,9"]) == 0
+    assert calls == [12]
+    assert "N=9" in capsys.readouterr().out

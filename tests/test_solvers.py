@@ -407,15 +407,16 @@ class TestDirectionStore:
                           rtol=1e-7, atol=0.0)
 
     def test_store_memory_is_bounded(self):
-        # a window of 2 moves its rows about 190 times; neither its rows nor
-        # its coefficients grow with the iterations or max_iterations
+        # a window of 2 moves its rows about 190 times; neither its rows (2k,
+        # and the one the new record is built in) nor its coefficients grow
+        # with the iterations or max_iterations
         a, _, b = make_pd_system(11, n=100, skew_scale=3.0, spd_shift=0.05)
         n = len(b)
         h, w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
         cfg = SolveConfig(max_iterations=10**6, rel_tolerance=1e-10)
         res = wp_orthomin(LinearSystem(a, b), h, w, cfg, k=2)
         assert res.status == "converged" and res.iterations > 300
-        assert res._store.rows.shape[0] == 4 and res._store.coefficients.shape == (4, 4)
+        assert res._store.rows.shape[0] == 5 and res._store.coefficients.shape == (4, 4)
         assert np.linalg.norm(b - a @ res.x) <= 1.1e-10 * np.linalg.norm(b)
         # full GCR: the coefficients double with the held rows (64, then
         # 128 for 97 of them), not max_iterations squared
@@ -434,7 +435,8 @@ class TestDirectionStore:
         basis, _ = np.linalg.qr(rng.standard_normal((n, 2)))
         store = _Directions(np.zeros(n), 2, SolveConfig(max_iterations=3))  # (z, q), Euclidean
         for q in basis.T:
-            store.append([q, q], 1.0, 0.0, np.zeros(len(store)))
+            store.record()[:] = q
+            store.append(1.0, 0.0, np.zeros(len(store)))
         u = basis @ np.array([1.0, 1.0]) + 1e-12 * rng.standard_normal(n)
         z, q = u.copy(), u.copy()
         _, beta = store.project(u, [z, q])
@@ -460,7 +462,8 @@ class TestDirectionStore:
         basis, _ = np.linalg.qr(rng.standard_normal((n, 3)))
         store = _Directions(np.zeros(n), 2, SolveConfig(max_iterations=3))  # (z, q), Euclidean
         for q in basis.T[:2]:
-            store.append([q, q], 1.0, 0.0, np.zeros(len(store)))
+            store.record()[:] = q
+            store.append(1.0, 0.0, np.zeros(len(store)))
         u = basis @ np.array([0.5, 0.5, 1.0])
         z, q = u.copy(), u.copy()
         _, beta = store.project(u, [z, q])
@@ -904,6 +907,38 @@ class TestGmresOracle:
         res = gmres_arnoldi_oracle(LinearSystem(a, b), h, w, cfg)
         assert res.status == "converged"
         assert np.allclose(a @ res.x, b)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_h_is_applied_iterations_plus_one_times(self, cdr_assembled, weighted):
+        # x is formed once, after the loop: the Euclidean norm of each step
+        # is the Givens estimate (W = I) or comes from the Arnoldi relation
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(30)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        calls = []
+
+        def apply_h(v):
+            calls.append(1)
+            return precond.apply(v)
+
+        n = assembled.dof_count
+        h = PreconditionerHandle(n, apply_h, hermitian_flag=True)
+        w = precond.as_weight(validate=False) if weighted else WeightOperator.identity(n)
+        system = LinearSystem(assembled.operator(), assembled.rhs)
+        for stop in ("weighted", "euclidean"):
+            calls.clear()
+            res = gmres_arnoldi_oracle(system, h, w, SolveConfig(stopping_norm=stop))
+            assert res.status == "converged" and res.iterations > 10
+            assert len(calls) == res.iterations + 1
+            # the recorded norms are those of the iterates
+            cfg = SolveConfig(stopping_norm=stop, record_iterates=True)
+            formed = gmres_arnoldi_oracle(system, h, w, cfg).trace.residual_norm_euclidean
+            got = res.trace.residual_norm_euclidean
+            assert len(got) == len(formed)
+            assert np.allclose(got, formed, rtol=0.0, atol=1e-13 * formed[0])
 
     def test_restarted_oracle(self):
         a, h_dense, b = make_pd_system(31, n=15)
