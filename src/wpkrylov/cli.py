@@ -381,23 +381,15 @@ def _iteration_count(args, assembled, precond, solver, n_sub, layout,
 
 def cmd_sweep(args) -> int:
     lines = []
-    assembled = {}
-
-    def problem(m, nu=1.0, c0=1.0) -> cdr.AssembledCdr:
-        """The reference problem at (m, nu, c0), assembled once per sweep."""
-        if (m, nu, c0) not in assembled:
-            assembled[m, nu, c0] = cdr.assemble(
-                cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m))
-        return assembled[m, nu, c0]
-
     if args.axis == "n-subdomains":
         m = int(_parse_kv(args.cdr, "--cdr").get("m", 60)) if args.cdr else 60
         if m > SOLVE_MESH_BUDGET and not args.force:
             raise UsageError(f"mesh m={m} exceeds the solve budget")
         print(f"scalability sweep: two-level, m={m}")
+        assembled = cdr.assemble(cdr.reference_problem(mesh_divisions=m))
         for n_sub in _parse_int_list(args.n_sub_list):
             layout = args.layout if args.layout != "strips" else _auto_grid(n_sub)
-            iters, status = _iteration_count(args, problem(m), "two-level", "whp-gcr",
+            iters, status = _iteration_count(args, assembled, "two-level", "whp-gcr",
                                              n_sub, layout)
             lines.append((f"N={n_sub}", iters, status))
     elif args.axis == "mesh":
@@ -405,7 +397,8 @@ def cmd_sweep(args) -> int:
             if m > SOLVE_MESH_BUDGET and not args.force:
                 print(f"m={m}: skipped (budget)")
                 continue
-            iters, status = _iteration_count(args, problem(m), "two-level", "whp-gcr",
+            assembled = cdr.assemble(cdr.reference_problem(mesh_divisions=m))
+            iters, status = _iteration_count(args, assembled, "two-level", "whp-gcr",
                                              args.n_sub, _auto_grid(args.n_sub))
             lines.append((f"m={m}", iters, status))
         print(f"mesh sweep: two-level, N={args.n_sub}")
@@ -413,21 +406,25 @@ def cmd_sweep(args) -> int:
         m = int(_parse_kv(args.cdr, "--cdr").get("m", 40)) if args.cdr else 40
         print(f"coefficient sweep: two-level strips, m={m}, N={args.n_sub}")
         for coeff in _parse_float_list(args.coeff_list):
-            iters, status = _iteration_count(args, problem(m, coeff, coeff), "two-level",
+            assembled = cdr.assemble(cdr.reference_problem(nu=coeff, c0=coeff,
+                                                           mesh_divisions=m))
+            iters, status = _iteration_count(args, assembled, "two-level",
                                              "whp-gcr", args.n_sub, "strips")
             lines.append((f"c0=nu={coeff}", iters, status))
-        iters, status = _iteration_count(args, problem(m, 10.0, 10.0), "two-level", "whp-gcr",
+        assembled = cdr.assemble(cdr.reference_problem(nu=10.0, c0=10.0, mesh_divisions=m))
+        iters, status = _iteration_count(args, assembled, "two-level", "whp-gcr",
                                          args.n_sub, "strips", symmetric_only=True)
         lines.append(("symmetric-part-only", iters, status))
     else:  # inner-product
         m = int(_parse_kv(args.cdr, "--cdr").get("m", 60)) if args.cdr else 60
         print(f"inner-product sweep: two-level, m={m}, Euclidean stopping")
+        assembled = cdr.assemble(cdr.reference_problem(mesh_divisions=m))
         for n_sub in _parse_int_list(args.n_sub_list):
             layout = _auto_grid(n_sub)
-            g_iters, g_status = _iteration_count(args, problem(m), "two-level",
+            g_iters, g_status = _iteration_count(args, assembled, "two-level",
                                                  "gmres-oracle", n_sub, layout,
                                                  stop_norm="euclidean")
-            w_iters, w_status = _iteration_count(args, problem(m), "two-level",
+            w_iters, w_status = _iteration_count(args, assembled, "two-level",
                                                  "whp-gcr", n_sub, layout,
                                                  stop_norm="euclidean")
             lines.append((f"N={n_sub} gmres", g_iters, g_status))

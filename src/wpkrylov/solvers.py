@@ -254,11 +254,11 @@ class _Stopping:
 class _Directions:
     """The held search directions of a GCR loop, and the iterate they build.
 
-    ``rows`` has shape (capacity + 1, kinds, n).  Row j is the record of one
+    ``rows`` has shape (capacity, kinds, n).  Row j is the record of one
     direction: its source z_j (the vector it was built from: H r, or the
     Orthodir recovery vector), then the images the solver keeps beside it
     (q_j = A p_j, its weighted image, or both).  ``rows[:, i]`` is the
-    (capacity + 1, n) block of kind i, row-major with a row stride of
+    (capacity, n) block of kind i, row-major with a row stride of
     kinds * n, which BLAS takes as it is.  Keeping a record contiguous
     means a solve touches one growing prefix of the array, not one per
     kind, so transparent huge pages round up one region only.  The
@@ -282,13 +282,12 @@ class _Directions:
     SolveResult.p_directions turns the sources into p_j on first read.
 
     Full GCR holds every direction.  Orthomin(k) holds the last k in 2k
-    rows and, when the rows run out, moves the newest k - 1 and the new
-    record to the front.  GCR(k) holds at most k and is cleared at the end
-    of each cycle.  One row past the capacity takes the record built while
-    the rows are full.  The blocks are allocated once with np.empty; rows
-    never written cost no resident memory.  ``coefficients`` grows with
-    the held rows, so it costs O(held^2) doubles whatever max_iterations
-    is.
+    rows and, when a new record finds them full, first moves the newest k
+    to the front.  GCR(k) holds at most k and is cleared at the end of
+    each cycle.  The minimal-residual iteration builds its record in its
+    one row.  The blocks are allocated once with np.empty; rows never
+    written cost no resident memory.  ``coefficients`` grows with the
+    held rows, so it costs O(held^2) doubles whatever max_iterations is.
 
     A new record is written once, into row hi (``record``), and built
     there: its images are projected once (project), and a second time
@@ -305,14 +304,14 @@ class _Directions:
         if self.period is not None:
             capacity = self.period
         elif self.window is not None:
-            capacity = 2 * self.window
+            capacity = max(2 * self.window, 1)
         else:
             capacity = cfg.max_iterations
-        self.capacity = min(capacity, cfg.max_iterations)
-        self.rows = np.empty((self.capacity + 1, kinds, len(x)))
-        self.delta = np.empty(self.capacity + 1)
-        self.alpha = np.empty(self.capacity + 1)
-        self.coefficients = np.zeros((min(self.capacity, 64),) * 2)
+        capacity = min(capacity, cfg.max_iterations)
+        self.rows = np.empty((capacity, kinds, len(x)))
+        self.delta = np.empty(capacity)
+        self.alpha = np.empty(capacity)
+        self.coefficients = np.zeros((min(capacity, 64),) * 2)
         self.lo = self.hi = 0
         self.folded = self.explicit = 0
 
@@ -332,6 +331,8 @@ class _Directions:
 
     def record(self) -> np.ndarray:
         """The (kinds, n) row the next record is written and built in."""
+        if self.hi == len(self.rows):  # only a truncation window fills its rows
+            self._compact()
         return self.rows[self.hi]
 
     def project(self, u: np.ndarray, record: list) -> tuple[np.ndarray, np.ndarray]:
@@ -385,32 +386,27 @@ class _Directions:
         if self.window == 0:
             self.x += alpha * self.rows[self.hi, 0]
             return
+        if self.hi == len(self.coefficients):
+            grown = np.zeros((min(2 * self.hi, len(self.rows)),) * 2)
+            grown[:self.hi, :self.hi] = self.coefficients
+            self.coefficients = grown
+        self.coefficients[self.hi, :self.lo] = 0.0
+        self.coefficients[self.hi, self.lo:self.hi] = beta
         self.delta[self.hi] = delta
-        if self.hi == self.capacity:  # only a truncation window fills its rows
-            self._compact(alpha, beta)
-        else:
-            if self.hi == len(self.coefficients):
-                grown = np.zeros((min(2 * self.hi, self.capacity),) * 2)
-                grown[:self.hi, :self.hi] = self.coefficients
-                self.coefficients = grown
-            self.coefficients[self.hi, :self.lo] = 0.0
-            self.coefficients[self.hi, self.lo:self.hi] = beta
-            self.alpha[self.hi] = alpha
-            self.hi += 1
+        self.alpha[self.hi] = alpha
+        self.hi += 1
         if self.window is not None:
             self.lo = max(self.lo, self.hi - self.window)
 
-    def _compact(self, alpha: float, beta: np.ndarray):
-        """Make room in a full window: fold every row, and the new record
-        against its whole window, the oldest row included, then move the
-        newest k - 1 rows and the new record to the front."""
+    def _compact(self):
+        """Make room in a full window for the next record: fold every row,
+        then move the newest k to the front.  They are its whole window,
+        in the same order, so the record is projected and later folded
+        against the same p_j as if it followed them in place."""
         self.fold()
-        p = self.rows[self.hi, 0]
-        p -= beta @ self.held(0)
-        self.x += alpha * p
         keep = self.window
-        self.rows[:keep] = self.rows[self.hi + 1 - keep:self.hi + 1]
-        self.delta[:keep] = self.delta[self.hi + 1 - keep:self.hi + 1]
+        self.rows[:keep] = self.rows[self.hi - keep:self.hi]
+        self.delta[:keep] = self.delta[self.hi - keep:self.hi]
         self.lo, self.hi = 0, keep
         self.folded = self.explicit = keep
 
@@ -787,7 +783,10 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
     the rotated right-hand side and u_j the last column of the
     transposed rotations.  The W-unit vector V u_j follows the j-th
     rotation (c_j, s_j) as c_j v_j - s_j V u_{j-1}, one vector update per
-    step.  For W = I it is a unit vector, so the 2-norm is |g_j|.
+    step.  For W = I it is a unit vector, so the 2-norm is |g_j|.  Where
+    these recurrence norms meet the target and the formed residual does
+    not, as near the attainable accuracy, the solve restarts from the
+    formed x.
     """
     if cfg.truncation_window is not None:
         raise ValueError("gmres_arnoldi_oracle does not support truncated orthogonalization")
@@ -871,7 +870,9 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
         if happy or stop.done(rw_true, r2):
             trace.status = "converged"
             return SolveResult(x, trace, total_iters)
-        if cfg.restart_period is not None and total_iters < cfg.max_iterations:
+        # a cycle that ended early stopped on a recurrence norm the formed
+        # residual misses: restart from the formed x
+        if total_iters < cfg.max_iterations:
             trace.restart_markers.append(total_iters)
             continue
         break

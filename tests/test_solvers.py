@@ -407,16 +407,15 @@ class TestDirectionStore:
                           rtol=1e-7, atol=0.0)
 
     def test_store_memory_is_bounded(self):
-        # a window of 2 moves its rows about 190 times; neither its rows (2k,
-        # and the one the new record is built in) nor its coefficients grow
-        # with the iterations or max_iterations
+        # a window of 2 moves its rows about 190 times; neither its rows nor
+        # its coefficients grow with the iterations or max_iterations
         a, _, b = make_pd_system(11, n=100, skew_scale=3.0, spd_shift=0.05)
         n = len(b)
         h, w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
         cfg = SolveConfig(max_iterations=10**6, rel_tolerance=1e-10)
         res = wp_orthomin(LinearSystem(a, b), h, w, cfg, k=2)
         assert res.status == "converged" and res.iterations > 300
-        assert res._store.rows.shape[0] == 5 and res._store.coefficients.shape == (4, 4)
+        assert res._store.rows.shape[0] == 4 and res._store.coefficients.shape == (4, 4)
         assert np.linalg.norm(b - a @ res.x) <= 1.1e-10 * np.linalg.norm(b)
         # full GCR: the coefficients double with the held rows (64, then
         # 128 for 97 of them), not max_iterations squared
@@ -939,6 +938,29 @@ class TestGmresOracle:
             got = res.trace.residual_norm_euclidean
             assert len(got) == len(formed)
             assert np.allclose(got, formed, rtol=0.0, atol=1e-13 * formed[0])
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_estimate_below_the_attainable_residual_restarts(self, weighted):
+        # A applied in single precision: the formed residual floors near
+        # 1e-7 relative while the recurrence norms keep falling.  A cycle
+        # that stops on the recurrence but misses with the formed residual
+        # restarts from the formed x; the solve ends at max_iterations or
+        # with a formed residual that meets the target
+        a, h_dense, b = make_pd_system(0, n=30, skew_scale=1.0, spd_shift=0.5)
+        a32 = a.astype(np.float32)
+        op = LinearOperator(30, lambda v: (a32 @ v.astype(np.float32)).astype(float))
+        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        w = WeightOperator.from_dense(h_dense) if weighted else WeightOperator.identity(30)
+        for tol in (3e-8, 3e-7):
+            cfg = SolveConfig(rel_tolerance=tol, stopping_norm="euclidean", max_iterations=60)
+            res = gmres_arnoldi_oracle(LinearSystem(op, b), h, w, cfg)
+            true = np.linalg.norm(b - op.apply(res.x))
+            if tol < 1e-7:  # below the floor: restarted to the last iteration
+                assert res.status == "max_iter" and res.iterations == 60
+                assert len(res.trace.restart_markers) > 1
+            else:
+                assert res.status == "converged" and res.iterations < 60
+                assert true < tol * np.linalg.norm(b)
 
     def test_restarted_oracle(self):
         a, h_dense, b = make_pd_system(31, n=15)
