@@ -61,6 +61,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
+from . import cdr
 from .linalg import (
     CholeskyFactor,
     EigenSolverError,
@@ -505,45 +506,25 @@ def johnson_identity_check(hs: HermitianSplit, a_inv) -> tuple[float, float]:
     return float(eigs[0]), float(1.0 / (1.0 + rho * rho))
 
 
-def _central_divergence(a_field, x: float, y: float, step: float = 1e-6) -> float:
-    ax_p = a_field(x + step, y)[0]
-    ax_m = a_field(x - step, y)[0]
-    ay_p = a_field(x, y + step)[1]
-    ay_m = a_field(x, y - step)[1]
-    return float((ax_p - ax_m) / (2 * step) + (ay_p - ay_m) / (2 * step))
-
-
-def _coeff_at(coeff, x: float, y: float) -> float:
-    return float(coeff(x, y)) if callable(coeff) else float(coeff)
-
-
 def analytic_rho_bound(problem) -> float:
     """Mesh-independent upper bound on the skewness measure of the
     convection-diffusion-reaction operator.
 
     Evaluates half the sup-norm of the convection field divided by the
     square root of inf(nu) * inf(c0 + div(a)/2), sampling the suprema and
-    infima over the mesh vertices plus the four domain corners.  The
-    divergence is obtained by central differences on the coefficient
-    callbacks.
+    infima over the mesh vertices, the four domain corners among them.
+    The coefficients are evaluated on arrays as in ``cdr.assemble``, and
+    the divergence by its central differences, at the vertices nudged
+    1e-5 inside the domain.
     """
-    m = problem.mesh_divisions
-    pts = [(i / m, j / m) for j in range(m + 1) for i in range(m + 1)]
-    pts += [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
-    a_max = 0.0
-    nu_inf = math.inf
-    c_inf = math.inf
-    for x, y in pts:
-        ax, ay = problem.a_field(x, y)
-        a_max = max(a_max, math.hypot(float(ax), float(ay)))
-        nu_inf = min(nu_inf, _coeff_at(problem.nu, x, y))
-        # interior divergence sample; nudge boundary points inward
-        xi = min(max(x, 1e-5), 1.0 - 1e-5)
-        yi = min(max(y, 1e-5), 1.0 - 1e-5)
-        c_inf = min(
-            c_inf,
-            _coeff_at(problem.c0, x, y) + 0.5 * _central_divergence(problem.a_field, xi, yi),
-        )
+    grid = np.arange(problem.mesh_divisions + 1) / problem.mesh_divisions
+    x, y = np.meshgrid(grid, grid)
+    ax, ay = cdr._vector_field(problem.a_field, x, y)
+    a_max = float(np.max(np.hypot(ax, ay)))
+    nu_inf = float(np.min(cdr._scalar_field(problem.nu, x, y)))
+    xi, yi = (np.clip(t, 1e-5, 1.0 - 1e-5) for t in (x, y))
+    c_inf = float(np.min(cdr._scalar_field(problem.c0, x, y)
+                         + 0.5 * cdr._divergence(problem.a_field, xi, yi)))
     if nu_inf <= 0.0:
         raise ValueError("viscosity must be positive everywhere")
     if c_inf <= 0.0:

@@ -8,6 +8,11 @@ Subcommands:
   bounds     evaluate the convergence-bound report for a problem (or a
              direct kappa/rho pair)
 
+solve, sweep and bounds share one problem pipeline: one parser turns
+--cdr into the reference problem, one builder makes the preconditioner
+from its kind, partition and problem, and a sweep builds the two-level H
+once per row.  Each subcommand takes only the flags it reads.
+
 Exit codes: 0 converged, 1 usage error, 2 iteration limit reached,
 3 breakdown.
 """
@@ -15,15 +20,16 @@ Exit codes: 0 converged, 1 usage error, 2 iteration limit reached,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
 import numpy as np
-import scipy.sparse
 
 from . import bounds as bounds_mod
 from . import cdr, matrixio, schwarz
 from .linalg import (
+    DENSIFY_LIMIT,
     EigenSolverError,
     LinearOperator,
     NotPositiveDefiniteError,
@@ -61,28 +67,35 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_kv(tokens, what):
-    out = {}
-    for tok in tokens:
-        if "=" not in tok:
-            raise UsageError(f"{what}: expected key=value, got {tok!r}")
-        key, val = tok.split("=", 1)
-        out[key] = val
-    return out
-
-
-def _parse_int_list(text):
+def _parse_list(kind, text):
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        return [kind(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
+        raise UsageError(f"bad {kind.__name__} list {text!r}") from exc
 
 
-def _parse_float_list(text):
-    try:
-        return [float(tok) for tok in text.split(",") if tok]
-    except ValueError as exc:
-        raise UsageError(f"bad float list {text!r}") from exc
+# every problem, preconditioner, solve and output flag, in help order
+_FLAGS = {
+    "--cdr": dict(nargs="+", metavar="KEY=VAL",
+                  help="convection-diffusion-reaction problem: m=INT nu=FLOAT c0=FLOAT "
+                       "(a sweep takes the keys its axis does not vary)"),
+    "--matrix": dict(help="Matrix Market file with A (or its symmetric part)"),
+    "--matrix-skew": dict(help="Matrix Market file with the skew part of A"),
+    "--rhs": dict(help="right-hand-side vector file"),
+    "--precond": dict(default="identity",
+                      choices=["identity", "one-level", "two-level", "one-level-nonsym"]),
+    "--n-sub": dict(type=int, default=4),
+    "--layout": dict(default="strips",
+                     help="strips | grid | grid:PxQ (grid needs lattice coordinates)"),
+    "--overlap": dict(type=int, default=1),
+    "--weight": dict(default="precond", choices=["identity", "precond"]),
+    "--tol": dict(type=float, default=1e-6),
+    "--max-iter": dict(type=int, default=500),
+    "--stop-norm": dict(default="weighted", choices=["weighted", "euclidean"]),
+    "--force": dict(action="store_true", help="override the desk-scale mesh budgets"),
+    "--out": dict(help="report output path"),
+    "--format": dict(default="json", choices=["json", "csv"]),
+}
 
 
 def build_parser() -> _Parser:
@@ -90,26 +103,10 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_problem_flags(p):
-        p.add_argument("--cdr", nargs="+", metavar="KEY=VAL",
-                       help="convection-diffusion-reaction problem: m=INT nu=FLOAT c0=FLOAT")
-        p.add_argument("--matrix", help="Matrix Market file with A (or its symmetric part)")
-        p.add_argument("--matrix-skew", help="Matrix Market file with the skew part of A")
-        p.add_argument("--rhs", help="right-hand-side vector file")
-        p.add_argument("--precond", default="identity",
-                       choices=["identity", "one-level", "two-level", "one-level-nonsym"])
-        p.add_argument("--n-sub", type=int, default=4)
-        p.add_argument("--layout", default="strips",
-                       help="strips | grid | grid:PxQ (grid needs lattice coordinates)")
-        p.add_argument("--overlap", type=int, default=1)
-        p.add_argument("--weight", default="precond", choices=["identity", "precond"])
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--max-iter", type=int, default=500)
-        p.add_argument("--stop-norm", default="weighted", choices=["weighted", "euclidean"])
-        p.add_argument("--force", action="store_true",
-                       help="override the desk-scale mesh budgets")
-        p.add_argument("--out", help="report output path")
-        p.add_argument("--format", default="json", choices=["json", "csv"])
+    def add_problem_flags(p, unread=()):
+        for flag, kwargs in _FLAGS.items():
+            if flag not in unread:
+                p.add_argument(flag, **kwargs)
 
     p_solve = sub.add_parser("solve", help="run one solver")
     add_problem_flags(p_solve)
@@ -126,7 +123,9 @@ def build_parser() -> _Parser:
     p_rho.add_argument("--out", help="CSV output path")
 
     p_sweep = sub.add_parser("sweep", help="iteration-count tables")
-    add_problem_flags(p_sweep)
+    # a sweep runs two-level whp-gcr (and GMRES) on --cdr problems and writes CSV
+    add_problem_flags(p_sweep, unread=("--matrix", "--matrix-skew", "--rhs", "--precond",
+                                       "--weight", "--stop-norm", "--format"))
     p_sweep.add_argument("--axis", required=True,
                          choices=["n-subdomains", "mesh", "coefficient", "inner-product"])
     p_sweep.add_argument("--n-sub-list", default="4,8,16")
@@ -134,43 +133,75 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--coeff-list", default="0.1,1,10")
 
     p_bounds = sub.add_parser("bounds", help="convergence-bound report")
-    add_problem_flags(p_bounds)
+    # the report runs no solver and is written as JSON
+    add_problem_flags(p_bounds, unread=("--tol", "--max-iter", "--stop-norm", "--format"))
     p_bounds.add_argument("--kappa", type=float,
                           help="direct mode: condition number of the preconditioned symmetric part")
     p_bounds.add_argument("--rho", type=float, help="direct mode: skewness measure")
     return parser
 
 
-def _parse_layout(args) -> schwarz.PartitionSpec:
-    layout = args.layout
-    if layout == "strips":
-        return schwarz.PartitionSpec(args.n_sub, "strips", overlap_layers=args.overlap)
-    if layout == "grid":
-        return schwarz.PartitionSpec(args.n_sub, "grid", overlap_layers=args.overlap)
+def _cdr_spec(tokens, force: bool, keys=("m", "nu", "c0"), m=None) -> cdr.CdrProblemSpec:
+    """The reference problem that --cdr describes.
+
+    Only the given keys are accepted.  m is the mesh when --cdr does not
+    set it (None: m=INT is required); nu and c0 default to 1.  A mesh
+    above SOLVE_MESH_BUDGET needs force.
+    """
+    kv = {}
+    for tok in tokens or ():
+        key, eq, val = tok.partition("=")
+        if not eq:
+            raise UsageError(f"--cdr: expected key=value, got {tok!r}")
+        kv[key] = val
+    unknown = sorted(set(kv) - set(keys))
+    if unknown:
+        raise UsageError(f"--cdr: unknown keys {unknown} (takes {', '.join(keys)})")
+    m = kv.get("m", m)
+    if m is None:
+        raise UsageError("--cdr needs m=INT")
+    try:
+        m, nu, c0 = int(m), float(kv.get("nu", 1.0)), float(kv.get("c0", 1.0))
+        spec = cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m)
+    except ValueError as exc:
+        raise UsageError(f"--cdr: {exc}") from exc
+    if m > SOLVE_MESH_BUDGET and not force:
+        raise UsageError(f"mesh m={m} exceeds the solve budget {SOLVE_MESH_BUDGET} "
+                         "(pass --force to override)")
+    return spec
+
+
+def _partition_spec(layout: str, n_sub: int, overlap: int) -> schwarz.PartitionSpec:
+    if layout in ("strips", "grid"):
+        return schwarz.PartitionSpec(n_sub, layout, overlap_layers=overlap)
     if layout.startswith("grid:"):
         try:
             p, q = (int(t) for t in layout[5:].split("x"))
         except ValueError as exc:
             raise UsageError(f"bad grid layout {layout!r}, expected grid:PxQ") from exc
-        return schwarz.PartitionSpec(args.n_sub, "grid", grid_shape=(p, q),
-                                     overlap_layers=args.overlap)
+        return schwarz.PartitionSpec(n_sub, "grid", grid_shape=(p, q), overlap_layers=overlap)
     raise UsageError(f"unknown layout {layout!r}")
 
 
 class _Problem:
-    """Operator, parts, rhs and coordinates, from either input mode."""
+    """Operator, symmetric part, rhs and coordinates, from either input
+    mode; spec is the --cdr problem, None for matrix files."""
 
-    def __init__(self, m_matrix, n_matrix, rhs, coords, label):
+    def __init__(self, m_matrix, n_matrix, rhs, coords, label, spec=None):
         self.m_matrix = m_matrix
-        self.n_matrix = n_matrix
         self.rhs = rhs
         self.coords = coords
         self.label = label
+        self.spec = spec
         self.dim = m_matrix.shape[0]
         self.operator = LinearOperator.from_matrix(m_matrix + n_matrix)
 
-    def full_matrix(self) -> scipy.sparse.csr_array:
-        return self.m_matrix + self.n_matrix
+
+def _cdr_problem(spec: cdr.CdrProblemSpec) -> _Problem:
+    assembled = cdr.assemble(spec)
+    return _Problem(assembled.m_matrix, assembled.n_matrix, assembled.rhs,
+                    assembled.dof_coords,
+                    f"cdr m={spec.mesh_divisions} nu={spec.nu} c0={spec.c0}", spec)
 
 
 def _read_file(reader, path):
@@ -184,21 +215,7 @@ def _read_file(reader, path):
 
 def _load_problem(args) -> _Problem:
     if args.cdr:
-        kv = _parse_kv(args.cdr, "--cdr")
-        try:
-            m = int(kv.pop("m"))
-        except KeyError as exc:
-            raise UsageError("--cdr needs m=INT") from exc
-        nu = float(kv.pop("nu", 1.0))
-        c0 = float(kv.pop("c0", 1.0))
-        if kv:
-            raise UsageError(f"--cdr: unknown keys {sorted(kv)}")
-        if m > SOLVE_MESH_BUDGET and not args.force:
-            raise UsageError(f"mesh m={m} exceeds the solve budget {SOLVE_MESH_BUDGET} "
-                             "(pass --force to override)")
-        assembled = cdr.assemble(cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m))
-        return _Problem(assembled.m_matrix, assembled.n_matrix, assembled.rhs,
-                        assembled.dof_coords, f"cdr m={m} nu={nu} c0={c0}")
+        return _cdr_problem(_cdr_spec(args.cdr, args.force))
     if args.matrix:
         if not args.rhs:
             raise UsageError("--rhs is required with --matrix")
@@ -225,10 +242,10 @@ def _load_problem(args) -> _Problem:
     raise UsageError("provide either --cdr or --matrix")
 
 
-def _build_preconditioner(args, problem: _Problem):
-    if args.precond == "identity":
-        return PreconditionerHandle.identity(problem.dim), None
-    spec = _parse_layout(args)
+def _build_preconditioner(kind: str, spec: schwarz.PartitionSpec,
+                          problem: _Problem) -> PreconditionerHandle:
+    if kind == "identity":
+        return PreconditionerHandle.identity(problem.dim)
     if spec.layout == "grid" and problem.coords is None:
         raise UsageError("grid layout requires a --cdr problem (coordinates)")
     maps = schwarz.build_partition(problem.m_matrix, spec, coords=problem.coords)
@@ -236,17 +253,16 @@ def _build_preconditioner(args, problem: _Problem):
         "one-level": "one_level_sym",
         "two-level": "two_level_sym",
         "one-level-nonsym": "one_level_nonsym",
-    }[args.precond]
-    matrix = problem.full_matrix() if mode == "one_level_nonsym" else problem.m_matrix
+    }[kind]
+    matrix = problem.operator.matrix if mode == "one_level_nonsym" else problem.m_matrix
     try:
-        precond = schwarz.build_preconditioner(matrix, maps, mode)
+        return schwarz.build_preconditioner(matrix, maps, mode).as_handle()
     except (NotPositiveDefiniteError, SingularMatrixError) as exc:
-        raise UsageError(f"--precond {args.precond}: {exc}") from exc
-    return precond.as_handle(), precond
+        raise UsageError(f"--precond {kind}: {exc}") from exc
 
 
-def _build_weight(args, handle: PreconditionerHandle, dim: int) -> WeightOperator:
-    if args.weight == "identity":
+def _build_weight(kind: str, handle: PreconditionerHandle, dim: int) -> WeightOperator:
+    if kind == "identity":
         return WeightOperator.identity(dim)
     if not handle.hermitian_flag:
         raise UsageError("--weight precond requires a symmetric preconditioner")
@@ -296,8 +312,9 @@ def _write_report(args, report: matrixio.ExperimentReport):
 
 def cmd_solve(args) -> int:
     problem = _load_problem(args)
-    handle, _ = _build_preconditioner(args, problem)
-    weight = _build_weight(args, handle, problem.dim)
+    spec = _partition_spec(args.layout, args.n_sub, args.overlap)
+    handle = _build_preconditioner(args.precond, spec, problem)
+    weight = _build_weight(args.weight, handle, problem.dim)
     cfg = SolveConfig(max_iterations=args.max_iter, rel_tolerance=args.tol,
                       stopping_norm=args.stop_norm)
     system = LinearSystem(problem.operator, problem.rhs)
@@ -332,7 +349,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_rho_table(args) -> int:
-    m_values = _parse_int_list(args.m_list)
+    m_values = _parse_list(int, args.m_list)
     rows = []
     print(f"rho of the preconditioned skew part, nu={args.nu} c0={args.c0}")
     for m in m_values:
@@ -355,80 +372,60 @@ def _auto_grid(n_sub: int) -> str:
     return f"grid:{p}x{q}"
 
 
-def _iteration_count(args, assembled, precond, solver, n_sub, layout,
-                     stop_norm="weighted", symmetric_only=False):
-    ns = argparse.Namespace(**vars(args))
-    ns.cdr = None
-    ns.matrix = None
-    ns.precond = precond
-    ns.n_sub = n_sub
-    ns.layout = layout
-    if symmetric_only:
-        problem = _Problem(assembled.m_matrix, scipy.sparse.csr_array(assembled.m_matrix.shape),
-                           assembled.rhs, assembled.dof_coords, "sym-only")
-    else:
-        problem = _Problem(assembled.m_matrix, assembled.n_matrix, assembled.rhs,
-                           assembled.dof_coords, "sweep")
-    handle, _ = _build_preconditioner(ns, problem)
-    weight = (WeightOperator.identity(problem.dim) if solver == "gmres-oracle"
-              else _build_weight(ns, handle, problem.dim))
-    cfg = SolveConfig(max_iterations=args.max_iter, rel_tolerance=args.tol,
-                      stopping_norm=stop_norm)
-    system = LinearSystem(problem.operator, problem.rhs)
-    result = _dispatch_solver(solver, system, handle, weight, cfg)
-    return result.iterations, result.status
-
-
 def cmd_sweep(args) -> int:
-    lines = []
-    if args.axis == "n-subdomains":
-        m = int(_parse_kv(args.cdr, "--cdr").get("m", 60)) if args.cdr else 60
-        if m > SOLVE_MESH_BUDGET and not args.force:
-            raise UsageError(f"mesh m={m} exceeds the solve budget")
-        print(f"scalability sweep: two-level, m={m}")
-        assembled = cdr.assemble(cdr.reference_problem(mesh_divisions=m))
-        for n_sub in _parse_int_list(args.n_sub_list):
-            layout = args.layout if args.layout != "strips" else _auto_grid(n_sub)
-            iters, status = _iteration_count(args, assembled, "two-level", "whp-gcr",
-                                             n_sub, layout)
-            lines.append((f"N={n_sub}", iters, status))
+    # each axis lists its rows (label, problem, N, layout); the loop
+    # assembles a problem once, builds the two-level H once per row and
+    # runs the axis's solvers on it
+    rows = []
+    solvers = [("", "whp-gcr")]
+    stop_norm = "weighted"
+    if args.axis in ("n-subdomains", "inner-product"):
+        spec = _cdr_spec(args.cdr, args.force, m=60)
+        for n_sub in _parse_list(int, args.n_sub_list):
+            keep = args.axis == "n-subdomains" and args.layout != "strips"
+            rows.append((f"N={n_sub}", spec, n_sub, args.layout if keep else _auto_grid(n_sub)))
+        if args.axis == "n-subdomains":
+            print(f"scalability sweep: two-level, m={spec.mesh_divisions}")
+        else:
+            print(f"inner-product sweep: two-level, m={spec.mesh_divisions}, Euclidean stopping")
+            solvers = [(" gmres", "gmres-oracle"), (" whp-gcr", "whp-gcr")]
+            stop_norm = "euclidean"
     elif args.axis == "mesh":
-        for m in _parse_int_list(args.m_list):
+        for m in _parse_list(int, args.m_list):
+            spec = _cdr_spec(args.cdr, True, ("nu", "c0"), m=m)  # a row over budget is skipped
             if m > SOLVE_MESH_BUDGET and not args.force:
                 print(f"m={m}: skipped (budget)")
                 continue
-            assembled = cdr.assemble(cdr.reference_problem(mesh_divisions=m))
-            iters, status = _iteration_count(args, assembled, "two-level", "whp-gcr",
-                                             args.n_sub, _auto_grid(args.n_sub))
-            lines.append((f"m={m}", iters, status))
+            rows.append((f"m={m}", spec, args.n_sub, _auto_grid(args.n_sub)))
         print(f"mesh sweep: two-level, N={args.n_sub}")
-    elif args.axis == "coefficient":
-        m = int(_parse_kv(args.cdr, "--cdr").get("m", 40)) if args.cdr else 40
+    else:  # coefficient
+        m = _cdr_spec(args.cdr, args.force, ("m",), m=40).mesh_divisions
         print(f"coefficient sweep: two-level strips, m={m}, N={args.n_sub}")
-        for coeff in _parse_float_list(args.coeff_list):
-            assembled = cdr.assemble(cdr.reference_problem(nu=coeff, c0=coeff,
-                                                           mesh_divisions=m))
-            iters, status = _iteration_count(args, assembled, "two-level",
-                                             "whp-gcr", args.n_sub, "strips")
-            lines.append((f"c0=nu={coeff}", iters, status))
-        assembled = cdr.assemble(cdr.reference_problem(nu=10.0, c0=10.0, mesh_divisions=m))
-        iters, status = _iteration_count(args, assembled, "two-level", "whp-gcr",
-                                         args.n_sub, "strips", symmetric_only=True)
-        lines.append(("symmetric-part-only", iters, status))
-    else:  # inner-product
-        m = int(_parse_kv(args.cdr, "--cdr").get("m", 60)) if args.cdr else 60
-        print(f"inner-product sweep: two-level, m={m}, Euclidean stopping")
-        assembled = cdr.assemble(cdr.reference_problem(mesh_divisions=m))
-        for n_sub in _parse_int_list(args.n_sub_list):
-            layout = _auto_grid(n_sub)
-            g_iters, g_status = _iteration_count(args, assembled, "two-level",
-                                                 "gmres-oracle", n_sub, layout,
-                                                 stop_norm="euclidean")
-            w_iters, w_status = _iteration_count(args, assembled, "two-level",
-                                                 "whp-gcr", n_sub, layout,
-                                                 stop_norm="euclidean")
-            lines.append((f"N={n_sub} gmres", g_iters, g_status))
-            lines.append((f"N={n_sub} whp-gcr", w_iters, w_status))
+        for coeff in _parse_list(float, args.coeff_list):
+            rows.append((f"c0=nu={coeff}",
+                         cdr.reference_problem(nu=coeff, c0=coeff, mesh_divisions=m),
+                         args.n_sub, "strips"))
+        # the reference convection is divergence free, so without it the
+        # operator is exactly the symmetric part of the one with it
+        symmetric = dataclasses.replace(cdr.reference_problem(nu=10.0, c0=10.0,
+                                                              mesh_divisions=m), a_field=None)
+        rows.append(("symmetric-part-only", symmetric, args.n_sub, "strips"))
+
+    cfg = SolveConfig(max_iterations=args.max_iter, rel_tolerance=args.tol,
+                      stopping_norm=stop_norm)
+    lines = []
+    problem = None
+    for label, spec, n_sub, layout in rows:
+        if problem is None or problem.spec is not spec:
+            problem = _cdr_problem(spec)
+        handle = _build_preconditioner("two-level",
+                                       _partition_spec(layout, n_sub, args.overlap), problem)
+        # whp-gcr takes W = H by construction; GMRES runs in the Euclidean one
+        weight = WeightOperator.identity(problem.dim)
+        system = LinearSystem(problem.operator, problem.rhs)
+        for suffix, solver in solvers:
+            result = _dispatch_solver(solver, system, handle, weight, cfg)
+            lines.append((label + suffix, result.iterations, result.status))
     for label, iters, status in lines:
         print(f"{label}: iterations={iters} ({status})")
     if args.out:
@@ -453,21 +450,20 @@ def cmd_bounds(args) -> int:
     problem = _load_problem(args)
     # only a weight other than H makes the report densify H and W
     densified = args.weight == "identity" and args.precond != "identity"
-    if densified and problem.dim > (DENSE_EIG_MESH_BUDGET - 1) ** 2 and not args.force:
-        raise UsageError("problem too large for dense bound computations with --weight "
-                         "identity (use --force)")
-    handle, _ = _build_preconditioner(args, problem)
-    weight = _build_weight(args, handle, problem.dim)
+    budget = DENSIFY_LIMIT if args.force else (DENSE_EIG_MESH_BUDGET - 1) ** 2
+    if densified and problem.dim > budget:
+        raise UsageError(f"problem too large for dense bound computations with --weight "
+                         f"identity: n={problem.dim} > {budget} (--force lifts the limit "
+                         f"to {DENSIFY_LIMIT})")
+    spec = _partition_spec(args.layout, args.n_sub, args.overlap)
+    handle = _build_preconditioner(args.precond, spec, problem)
+    weight = _build_weight(args.weight, handle, problem.dim)
     try:
         report = bounds_mod.compute_bound_report(problem.operator, handle, weight)
     except EigenSolverError as exc:
         raise UsageError(f"bound report: {exc}") from exc
-    if args.cdr:
-        kv = _parse_kv(args.cdr, "--cdr")
-        spec = cdr.reference_problem(nu=float(kv.get("nu", 1.0)),
-                                      c0=float(kv.get("c0", 1.0)),
-                                      mesh_divisions=int(kv["m"]))
-        report.alpha_analytic = bounds_mod.analytic_rho_bound(spec)
+    if problem.spec is not None:
+        report.alpha_analytic = bounds_mod.analytic_rho_bound(problem.spec)
     for key, value in report.to_dict().items():
         if value is not None:
             print(f"{key}={value:.8g}")

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -674,6 +676,33 @@ class TestAnalyticBound:
     def test_rejects_nonpositive_coefficients(self):
         with pytest.raises(ValueError):
             analytic_rho_bound(reference_problem(nu=-1.0))
+
+    def test_matches_a_per_point_loop_on_variable_coefficients(self):
+        def field(x, y):  # divergence 3 cos(3x) + x + 1.5 - 2x sin(2xy)
+            return np.sin(3.0 * x) + 0.5 * x * x, 1.5 * y + np.cos(2.0 * x * y)
+
+        def nu(x, y):
+            return 1.0 + x * y
+
+        def c0(x, y):
+            return 3.0 + np.sin(x + 2.0 * y)
+
+        m, step = 13, 1e-6
+        # the bound sampled vertex by vertex, divergence by central
+        # differences at the vertex nudged 1e-5 inside the domain
+        a_max, nu_inf, c_inf = 0.0, math.inf, math.inf
+        for j in range(m + 1):
+            for i in range(m + 1):
+                x, y = i / m, j / m
+                xi, yi = min(max(x, 1e-5), 1.0 - 1e-5), min(max(y, 1e-5), 1.0 - 1e-5)
+                div = ((field(xi + step, yi)[0] - field(xi - step, yi)[0]) / (2.0 * step)
+                       + (field(xi, yi + step)[1] - field(xi, yi - step)[1]) / (2.0 * step))
+                a_max = max(a_max, math.hypot(*field(x, y)))
+                nu_inf = min(nu_inf, nu(x, y))
+                c_inf = min(c_inf, c0(x, y) + 0.5 * div)
+        expected = 0.5 * a_max / math.sqrt(nu_inf * c_inf)
+        spec = CdrProblemSpec(mesh_divisions=m, nu=nu, c0=c0, a_field=field)
+        assert analytic_rho_bound(spec) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
 
 def test_weighted_operator_norm_identity_weight():

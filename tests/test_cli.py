@@ -2,9 +2,25 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from wpkrylov import cdr
-from wpkrylov.cli import main
+from wpkrylov import cdr, schwarz
+from wpkrylov.cli import build_parser, main
 from wpkrylov.matrixio import read_report_json, write_matrix_market, write_vector
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The positional arguments of every call to the problem assembly and
+    the Schwarz partition and preconditioner builds, by function name."""
+    seen = {}
+    for module, name in ((cdr, "assemble"), (schwarz, "build_partition"),
+                         (schwarz, "build_preconditioner")):
+        def counted(*args, _real=getattr(module, name), _seen=seen.setdefault(name, []),
+                    **kwargs):
+            _seen.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return seen
 
 
 @pytest.fixture
@@ -286,15 +302,86 @@ def test_matrix_skew_pair_input(tmp_path):
 
 
 @pytest.mark.parametrize("axis", ["n-subdomains", "inner-product"])
-def test_sweep_assembles_once(monkeypatch, capsys, axis):
-    calls = []
-    assemble = cdr.assemble
-
-    def counted(problem):
-        calls.append(problem.mesh_divisions)
-        return assemble(problem)
-
-    monkeypatch.setattr(cdr, "assemble", counted)
+def test_sweep_assembles_once(calls, capsys, axis):
+    # one assembly per sweep, one two-level H per N: the GMRES and whp-gcr
+    # rows of an inner-product N share it
     assert main(["sweep", "--axis", axis, "--cdr", "m=12", "--n-sub-list", "4,9"]) == 0
-    assert calls == [12]
+    assert [problem.mesh_divisions for problem, in calls["assemble"]] == [12]
+    assert [mode for _, _, mode in calls["build_preconditioner"]] == ["two_level_sym"] * 2
     assert "N=9" in capsys.readouterr().out
+
+
+def test_inner_product_sweep_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--axis", "inner-product", "--cdr", "m=12", "--n-sub-list", "4,9",
+                 "--out", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "case,iterations,status"
+    assert [line.split(",")[0] for line in lines[1:]] == [
+        "N=4 gmres", "N=4 whp-gcr", "N=9 gmres", "N=9 whp-gcr"]
+
+
+@pytest.mark.parametrize("axis, cdr_flags, fragment", [
+    ("n-subdomains", ["m=20", "nu=0.01", "bogus=1"], "unknown keys ['bogus']"),
+    ("inner-product", ["m=12", "bogus=1"], "unknown keys ['bogus']"),
+    ("coefficient", ["m=12", "nu=0.5"], "unknown keys ['nu']"),
+    ("coefficient", ["m=12", "c0=2"], "unknown keys ['c0']"),
+    ("mesh", ["m=10"], "unknown keys ['m']"),
+    ("n-subdomains", ["m=12", "nu=abc"], "could not convert"),
+], ids=["n-subdomains", "inner-product", "coefficient-nu", "coefficient-c0", "mesh-m",
+        "not-a-float"])
+def test_sweep_rejects_cdr_keys_its_axis_does_not_take(calls, capsys, axis, cdr_flags,
+                                                       fragment):
+    code = main(["sweep", "--axis", axis, "--m-list", "10", "--cdr", *cdr_flags])
+    assert code == 1
+    assert fragment in capsys.readouterr().err
+    assert calls["assemble"] == []
+
+
+@pytest.mark.parametrize("axis", ["n-subdomains", "inner-product", "coefficient"])
+def test_sweep_checks_the_cdr_mesh_budget(calls, capsys, axis):
+    assert main(["sweep", "--axis", axis, "--cdr", "m=999"]) == 1
+    assert "exceeds the solve budget" in capsys.readouterr().err
+    assert calls["assemble"] == []
+
+
+@pytest.mark.parametrize("axis, cdr_flags", [
+    ("n-subdomains", ["m=8", "nu=0.5", "c0=2"]),
+    ("inner-product", ["m=8", "nu=0.5", "c0=2"]),
+    ("mesh", ["nu=0.5", "c0=2"]),
+], ids=["n-subdomains", "inner-product", "mesh"])
+def test_sweep_solves_the_cdr_coefficients(calls, axis, cdr_flags):
+    assert main(["sweep", "--axis", axis, "--m-list", "8", "--n-sub-list", "4",
+                 "--cdr", *cdr_flags]) == 0
+    assert [(p.mesh_divisions, p.nu, p.c0) for p, in calls["assemble"]] == [(8, 0.5, 2.0)]
+
+
+def test_bounds_force_stops_at_the_densify_limit(calls, capsys):
+    # --force lifts the n <= 49^2 guard, not densify's n <= 4096: n = 69^2
+    # is an error line before any partition or factorization
+    code = main(["bounds", "--cdr", "m=70", "--precond", "two-level", "--n-sub", "4",
+                 "--layout", "grid:2x2", "--weight", "identity", "--force"])
+    assert code == 1
+    assert "n=4761 > 4096" in capsys.readouterr().err
+    assert calls["build_partition"] == calls["build_preconditioner"] == []
+
+
+SOLVE_ONLY_FLAGS = {
+    "sweep": [("--matrix", "a.mtx"), ("--matrix-skew", "n.mtx"), ("--rhs", "b.txt"),
+              ("--precond", "one-level"), ("--weight", "identity"),
+              ("--stop-norm", "euclidean"), ("--format", "csv")],
+    "bounds": [("--tol", "1e-8"), ("--max-iter", "10"), ("--stop-norm", "euclidean"),
+               ("--format", "csv")],
+}
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value) for command, pairs in SOLVE_ONLY_FLAGS.items()
+    for flag, value in pairs])
+def test_subcommand_rejects_a_flag_it_does_not_read(calls, capsys, command, flag, value):
+    base = {"sweep": ["sweep", "--axis", "mesh", "--m-list", "4"],
+            "bounds": ["bounds", "--cdr", "m=4"]}[command]
+    assert main(base + [flag, value]) == 1
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert calls["assemble"] == []
+    build_parser().parse_args(["solve", "--cdr", "m=4", flag, value])
