@@ -53,7 +53,6 @@ from .weighting import (
     NotHermitianPreconditionerError,
     PreconditionerHandle,
     WeightOperator,
-    w_gram,
     w_inner,
     w_norm,
 )

@@ -1,14 +1,13 @@
 """Convergence-bound quantities for the weighted, preconditioned solvers.
 
-When the weight W equals the preconditioner H and H is symmetric
-positive definite -- the paper's arrangement -- the report is matrix
-free.  It reads A = M + N (M symmetric, N skew) from the matrix its
-operator keeps, or from its densified action when it keeps none, and
-applies H only to vectors.  Every field but bound1 is an extreme
-eigenvalue of an operator T that is self-adjoint in an inner product X
-the code can apply, found by Lanczos with full reorthogonalization
-(Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., SIAM
-2003, section 6.7.3):
+Every field is an extreme eigenvalue of an operator T that is
+self-adjoint in an inner product X the code can apply, found by Lanczos
+with full reorthogonalization (Saad, *Iterative Methods for Sparse
+Linear Systems*, 2nd ed., SIAM 2003, section 6.7.3).  A = M + N (M
+symmetric, N skew) is read from the matrix its operator keeps, or from
+its densified action when it keeps none.  When the weight W equals the
+preconditioner H and H is symmetric positive definite -- the paper's
+arrangement -- the operators are
 
 * lambda_min and lambda_max of T = H M, with X = M or -M when either is
   positive definite (sparse factor), X = M H M otherwise;
@@ -23,11 +22,10 @@ W = H, and S = sym(C) = L^T M L is congruent to M.  By Sylvester's law
 of inertia S is definite exactly when M is, which fixes the signs above
 and makes the distance of the numerical range from zero exact.
 
-bound1, and every field for any other weight, come from the dense C =
-L^T (A H) L^{-T} with W = L L^T (dimension cap in :mod:`wpkrylov.linalg`).
-The operators are densified, H in one blocked application to the
-identity when its operator has a block action (the Schwarz
-preconditioners do).  Only eigenvalues are computed, never eigenvectors.
+For any other weight, C = L^T (A H) L^{-T} with W = L L^T is applied as
+a map, X = I: L = I for the identity weight, else the Cholesky factor of
+the densified W.  H is applied to vectors only, but a preconditioner
+not marked symmetric, which has no transposed action, is densified once.
 The reported per-iteration contraction factors are
 
 * bound1: from the infimum of the normalized quadratic-form quotient of
@@ -44,11 +42,15 @@ search in n dimensions.  The distance of the numerical range of C from
 zero is a closed form in the extreme eigenvalues of S.  The infimum
 behind bound1 equals, by duality, the maximum over t >= 0 of the
 concave smallest eigenvalue of t S - t^2 K / 4, a search in one
-variable.  There is no duality gap because the joint range of the two
-quadratic forms is convex (Toeplitz-Hausdorff; for real vectors
-Brickman, Proc. AMS 12 (1961) 61-66).  See K. Gustafson, *Antieigenvalue
-Analysis* (World Scientific 2012) for the quotient, and Eisenstat, Elman
-and Schultz (SIAM J. Numer. Anal. 20, 1983) for the one-step GCR bound.
+variable (S negated when it is negative definite: the quotient is the
+same for -C).  For W = H, with F = t M - t^2 A^T H A / 4, t S - t^2 K / 4
+is L^T F L = L^T (F H) L^{-T}, so the eigenvalue is the smallest of F H,
+which is self-adjoint in the H inner product.  There is no duality gap
+because the joint range of the two quadratic forms is convex
+(Toeplitz-Hausdorff; for real vectors Brickman, Proc. AMS 12 (1961)
+61-66).  See K. Gustafson, *Antieigenvalue Analysis* (World Scientific
+2012) for the quotient, and Eisenstat, Elman and Schultz (SIAM J.
+Numer. Anal. 20, 1983) for the one-step GCR bound.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ import scipy.sparse
 
 from . import cdr
 from .linalg import (
-    CholeskyFactor,
     EigenSolverError,
     NotPositiveDefiniteError,
     SingularMatrixError,
@@ -74,7 +75,6 @@ from .linalg import (
     gen_sym_eig,
     sparse_lu_factor,
     sparse_spd_factor,
-    sym_eig,
 )
 from .weighting import PreconditionerHandle, WeightOperator
 
@@ -90,10 +90,11 @@ __all__ = [
     "analytic_rho_bound",
 ]
 
-# bound1 is computed up to this dimension.  Its dual search costs one
-# dense smallest-eigenvalue solve per step: at n = 841, the size of the
-# m = 30 two-level report, 26 solves took 0.96 s, about 15 times the
-# rest of the report.
+# bound1 is searched up to this dimension; above it, it is reported only
+# when the numerical range holds 0 (bound1 = 1, no search).  A cost cap,
+# not an accuracy limit: each step of the dual search is one Lanczos
+# solve.  At n = 841 (m = 30, two-level 2x2, W = H) the search takes
+# about 0.35 s against about 0.04 s for the rest of the report.
 RAYLEIGH_DIM_LIMIT = 512
 
 # Lanczos stops with EigenSolverError after this many steps unless the
@@ -143,10 +144,6 @@ def _matrix(a):
     return densify(lin) if lin.matrix is None else lin.matrix
 
 
-def _dense(mat) -> np.ndarray:
-    return mat.toarray() if scipy.sparse.issparse(mat) else mat
-
-
 def split(a) -> HermitianSplit:
     """Split an operator into symmetric and skew parts; they are sparse
     when it keeps a sparse matrix, dense otherwise."""
@@ -166,7 +163,8 @@ def _x_norm(u: np.ndarray, xu: np.ndarray) -> float:
     return 0.0
 
 
-def _lanczos_extremes(apply_t, apply_x, n: int, ends, after_x: bool = False) -> np.ndarray:
+def _lanczos_extremes(apply_t, apply_x, n: int, ends, after_x: bool = False,
+                      limit: int | None = None) -> np.ndarray:
     """Extreme eigenvalues of an operator T that is self-adjoint in the
     inner product <u, v>_X = u^T X v, X positive semidefinite.
 
@@ -184,14 +182,15 @@ def _lanczos_extremes(apply_t, apply_x, n: int, ends, after_x: bool = False) -> 
     value theta_j has the residual bound beta_k |s_kj| <= 1e-12 |theta_j|
     (s_kj the last entry of its eigenvector of the tridiagonal matrix),
     when the Krylov space is invariant to working precision, or at step
-    n.  Beyond min(n, LANCZOS_STEP_LIMIT) steps it raises EigenSolverError.
+    n.  Beyond min(n, limit) steps it raises EigenSolverError; the limit
+    is LANCZOS_STEP_LIMIT unless given.
 
     With X singular, T maps null(X) into itself (X T = T^T X) and the
     values are those of T on the quotient space by null(X).  When X
     vanishes on the start vector, all of them are taken as 0.
     """
     ends = list(ends)
-    limit = min(n, LANCZOS_STEP_LIMIT)
+    limit = min(n, LANCZOS_STEP_LIMIT if limit is None else limit)
     basis = np.empty((limit, n))
     images = np.empty((limit, n))  # X times each basis vector
     alpha = np.zeros(limit)
@@ -244,22 +243,33 @@ def _skew_radius(hs: HermitianSplit, m_factor) -> float:
     return math.sqrt(max(top, 0.0))
 
 
-def _spectral_norm(c: np.ndarray) -> float:
-    """Largest singular value, from the eigenvalues of C^T C."""
-    gram = c.T @ c
-    vals = sym_eig(0.5 * (gram + gram.T), vectors=False)
-    return float(np.sqrt(max(vals[-1], 0.0)))
+def _euclidean_maps(apply_b, apply_bt, w: WeightOperator):
+    """C = L^T B L^{-T} and C^T as maps, given those of B and B^T and
+    W = L L^T: the W-geometry of B made Euclidean.  L = I for the
+    identity weight, else the Cholesky factor of the densified W."""
+    if w.is_identity:
+        return apply_b, apply_bt
+    lower = cholesky(densify(w)).lower
+
+    def c(v):
+        return lower.T @ apply_b(scipy.linalg.solve_triangular(lower, v, lower=True, trans="T"))
+
+    def ct(v):
+        return scipy.linalg.solve_triangular(lower, apply_bt(lower @ v), lower=True)
+
+    return c, ct
 
 
-def _whiten(b_dense: np.ndarray, w_factor: CholeskyFactor) -> np.ndarray:
-    """Map B to L^T B L^{-T} with W = L L^T, turning W-geometry Euclidean."""
-    y = scipy.linalg.solve_triangular(w_factor.lower, b_dense.T, lower=True).T
-    return w_factor.lower.T @ y
+def _sym_extremes(c, ct, n: int) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of sym(C) = (C + C^T) / 2."""
+    lo, hi = _lanczos_extremes(lambda v: 0.5 * (c(v) + ct(v)), np.copy, n, (0, -1))
+    return float(lo), float(hi)
 
 
-def _whitened(b, w: WeightOperator) -> np.ndarray:
-    b_dense = densify(b)
-    return b_dense if w.is_identity else _whiten(b_dense, cholesky(densify(w)))
+def _norm(c, ct, n: int) -> float:
+    """||C||, from the largest eigenvalue of C^T C."""
+    (top,) = _lanczos_extremes(lambda v: ct(c(v)), np.copy, n, (-1,))
+    return math.sqrt(max(float(top), 0.0))
 
 
 def fov_distance(b, w: WeightOperator) -> float:
@@ -273,48 +283,50 @@ def fov_distance(b, w: WeightOperator) -> float:
     zero, and max(lambda_min(S), -lambda_max(S)) otherwise -- exact, with
     no search over rotation angles.
     """
-    c = _whitened(b, w)
-    return _min_abs_over_range(sym_eig(0.5 * (c + c.T), vectors=False))
+    mat = _matrix(b)
+    return _min_abs_over_range(_sym_extremes(*_euclidean_maps(mat.dot, mat.T.dot, w), mat.shape[0]))
 
 
 def weighted_operator_norm(b, w: WeightOperator) -> float:
     """Operator norm induced by the W-norm."""
-    return _spectral_norm(_whitened(b, w))
+    mat = _matrix(b)
+    return _norm(*_euclidean_maps(mat.dot, mat.T.dot, w), mat.shape[0])
 
 
-def _min_normalized_quotient(c: np.ndarray, s_vals: np.ndarray) -> float:
-    """Infimum over y of (y^T S y)^2 / (||C y||^2 ||y||^2), S = sym(C),
-    given the extreme eigenvalues of S (ascending; the ends are used).
+def _dual_bound1(pencil, apply_x, n: int, d: float, after_x: bool = False) -> float | None:
+    """bound1 = sqrt(1 - q), q the infimum over y of
+    (y^T S y)^2 / (||C y||^2 ||y||^2), S = sym(C), given the distance d
+    of the numerical range of C from zero: 1 when d = 0, where some y has
+    y^T S y = 0, and None when n exceeds RAYLEIGH_DIM_LIMIT.
 
-    The quotient is unchanged by C -> -C, so a negative definite S is
-    handled as -S; when [lambda_min, lambda_max] holds zero, some y has
-    y^T S y = 0 and the infimum is 0.  Otherwise it is exactly the
-    maximum over t >= 0 of the concave phi(t) = lambda_min(t S - t^2 K / 4),
-    K = C^T C.  With u = y^T S y and v = ||C y||^2 for a unit y,
-    u^2/v >= t u - t^2 v / 4 for every t, with equality at t = 2u/v, so
-    phi(t) never exceeds the quotient.  The maximum of phi is the
-    infimum of the convex u^2/v over the convex hull of the joint range
-    of (u, v).  For n >= 3 that range is convex itself (Brickman 1961).
-    For n = 2 it is an ellipse, and its hull adds only interior points,
-    where u^2/v > 0 has no minimum.  The maximizer is t* = 2u/v at the
-    minimizing y, and t* <= 2/sigma_min(C) <= 2/lambda_min(S) brackets
-    the bounded scalar search.
+    ``pencil(t, v)`` applies the F for which F X (``after_x``, as in
+    :func:`_lanczos_extremes`) has the eigenvalues of t s S - t^2 K / 4,
+    K = C^T C and s the sign of the definite S (the quotient is the same
+    for -C).  q is the maximum over t >= 0 of the concave
+    phi(t) = lambda_min(t s S - t^2 K / 4): with u = y^T s S y and
+    v = ||C y||^2 for a unit y, u^2/v >= t u - t^2 v / 4 for every t, with
+    equality at t = 2u/v, so phi never exceeds the quotient, and its
+    maximum is the infimum of the convex u^2/v over the convex hull of the
+    joint range of (u, v).  For n >= 3 that range is convex itself
+    (Brickman 1961); for n = 2 it is an ellipse, whose hull adds only
+    interior points, where u^2/v > 0 has no minimum.  The maximizer
+    t* = 2u/v <= 2/sigma_min(C) <= 2/d brackets the bounded scalar search.
+    Each phi is one Lanczos solve, allowed n steps: there its Ritz values
+    are exact.
     """
-    d = _min_abs_over_range(s_vals)
     if d == 0.0:
-        return 0.0
-    s_mat = math.copysign(0.5, s_vals[0]) * (c + c.T)
-    k_mat = c.T @ c
+        return 1.0
+    if n > RAYLEIGH_DIM_LIMIT:
+        return None
 
     def neg_phi(t):
-        m = t * s_mat - (0.25 * t * t) * k_mat
-        return -scipy.linalg.eigvalsh(m, subset_by_index=[0, 0])[0]
+        return -_lanczos_extremes(lambda v: pencil(t, v), apply_x, n, (0,), after_x, limit=n)[0]
 
     # no absolute tolerance: the search stops on its relative step
     # sqrt(eps) * t, since t* may lie far inside the bracket
     res = scipy.optimize.minimize_scalar(neg_phi, bounds=(0.0, 2.0 / d), method="bounded",
                                          options={"xatol": 0.0})
-    return float(np.clip(-res.fun, 0.0, 1.0))
+    return float(np.sqrt(1.0 - np.clip(-res.fun, 0.0, 1.0)))
 
 
 @dataclass
@@ -410,8 +422,7 @@ def _hm_extremes(apply_h, m_part, sign: int) -> tuple[float, float]:
 
 
 def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
-    """Every field but bound1 for W = H with H SPD, from Lanczos solves
-    that apply H to vectors only (see the module docstring)."""
+    """The report for W = H with H SPD (see the module docstring)."""
     n = a_mat.shape[0]
     hs = split(a_mat)
     sign, m_factor = _definiteness(hs.m_part)
@@ -448,6 +459,33 @@ def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
         report.rho = _skew_radius(hs, m_factor)
     if report.rho is not None and report.kappa is not None:
         report.bound3 = direct_bound3(report.kappa, report.rho)
+
+    def pencil(t, v):  # (t sign M - t^2 A^T H A / 4) v
+        return (t * sign) * (hs.m_part @ v) - (0.25 * t * t) * gram(v)
+
+    report.bound1 = _dual_bound1(pencil, h.apply, n, report.fov_distance, after_x=True)
+    return report
+
+
+def _weighted_report(a_mat, h: PreconditionerHandle, w: WeightOperator) -> BoundReport:
+    """fov_distance, op_norm and bound1 of C = L^T (A H) L^{-T}, W = L L^T,
+    for any weight; H^T is H when H is marked SPD, else from H densified
+    once."""
+    n = a_mat.shape[0]
+    if h.hermitian_flag:
+        apply_h = apply_ht = h.apply
+    else:
+        h_dense = densify(h)
+        apply_h, apply_ht = h_dense.dot, h_dense.T.dot
+    c, ct = _euclidean_maps(lambda v: a_mat @ apply_h(v), lambda v: apply_ht(a_mat.T @ v), w)
+    lo, hi = _sym_extremes(c, ct, n)
+    report = BoundReport(fov_distance=_min_abs_over_range((lo, hi)), op_norm=_norm(c, ct, n))
+
+    def pencil(t, v):  # (t sign(S) S - t^2 C^T C / 4) v
+        cv = c(v)
+        return (0.5 * t * math.copysign(1.0, lo)) * (cv + ct(v)) - (0.25 * t * t) * ct(cv)
+
+    report.bound1 = _dual_bound1(pencil, np.copy, n, report.fov_distance)
     return report
 
 
@@ -457,28 +495,16 @@ def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator) -> Bound
     bound1 needs only an SPD weight; bound2 additionally requires the
     preconditioner to be SPD and equal to the weight; bound3 also needs
     the symmetric part of A to be positive definite.  Whether W equals H
-    is decided by probing both on random vectors.  When it does, and H is
-    marked SPD, every field but bound1 is computed matrix free; H is
-    densified only for bound1, up to RAYLEIGH_DIM_LIMIT.
+    is decided by probing both on random vectors.  Every field comes
+    from Lanczos solves that apply H to vectors only (but for W != H an H
+    not marked SPD is densified once for H^T); bound1 is 1 when the
+    numerical range holds 0, and otherwise searched up to
+    RAYLEIGH_DIM_LIMIT.
     """
     a_mat = _matrix(a)
-    n = a_mat.shape[0]
-    if h.hermitian_flag and _operators_match(h.apply, w.apply, n):
-        report = _w_equal_h_report(a_mat, h)
-        if n > RAYLEIGH_DIM_LIMIT:
-            return report
-        lh = cholesky(densify(h)).lower
-        c = lh.T @ _dense(a_mat) @ lh  # L^T (A H) L^{-T} with W = H = L L^T
-        s_ends = np.array([report.lambda_min, report.lambda_max])
-    else:
-        b_dense = _dense(a_mat) @ densify(h)
-        c = b_dense if w.is_identity else _whiten(b_dense, cholesky(densify(w)))
-        s_ends = sym_eig(0.5 * (c + c.T), vectors=False)
-        report = BoundReport(fov_distance=_min_abs_over_range(s_ends),  # see fov_distance
-                             op_norm=_spectral_norm(c))
-    if n <= RAYLEIGH_DIM_LIMIT:
-        report.bound1 = float(np.sqrt(1.0 - _min_normalized_quotient(c, s_ends)))
-    return report
+    if h.hermitian_flag and _operators_match(h.apply, w.apply, a_mat.shape[0]):
+        return _w_equal_h_report(a_mat, h)
+    return _weighted_report(a_mat, h, w)
 
 
 def _min_abs_over_range(eigs: np.ndarray) -> float:
@@ -498,7 +524,7 @@ def johnson_identity_check(hs: HermitianSplit, a_inv) -> tuple[float, float]:
     throughout: a sparse M is densified.
     """
     a_inv = np.asarray(a_inv, dtype=float)
-    factor = cholesky(_dense(hs.m_part))
+    factor = cholesky(densify(hs.m_part))
     m_inverse = factor.solve(np.eye(hs.dim))
     m_of_inv = 0.5 * (a_inv + a_inv.T)
     eigs = gen_sym_eig(m_of_inv, 0.5 * (m_inverse + m_inverse.T))

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 
@@ -53,7 +54,6 @@ from .weighting import PreconditionerHandle, WeightOperator
 # a desk-scale limit, not an algorithmic one: at m = 400 (n = 159201)
 # set-up plus a two-level whp_gcr solve takes a few seconds on one core
 SOLVE_MESH_BUDGET = 400
-DENSE_EIG_MESH_BUDGET = 50
 
 _EXIT_BY_STATUS = {"converged": 0, "max_iter": 2, "breakdown": 3}
 
@@ -141,6 +141,13 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_coefficients(where: str, nu: float, c0: float):
+    """Finite nu > 0 and c0 >= 0, as assembly needs them for the reference
+    problem (its convection is divergence free)."""
+    if not (0.0 < nu < math.inf and 0.0 <= c0 < math.inf):
+        raise UsageError(f"{where}: needs finite nu > 0 and c0 >= 0, got nu={nu} c0={c0}")
+
+
 def _cdr_spec(tokens, force: bool, keys=("m", "nu", "c0"), m=None) -> cdr.CdrProblemSpec:
     """The reference problem that --cdr describes.
 
@@ -165,6 +172,7 @@ def _cdr_spec(tokens, force: bool, keys=("m", "nu", "c0"), m=None) -> cdr.CdrPro
         spec = cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m)
     except ValueError as exc:
         raise UsageError(f"--cdr: {exc}") from exc
+    _check_coefficients("--cdr", nu, c0)
     if m > SOLVE_MESH_BUDGET and not force:
         raise UsageError(f"mesh m={m} exceeds the solve budget {SOLVE_MESH_BUDGET} "
                          "(pass --force to override)")
@@ -172,15 +180,19 @@ def _cdr_spec(tokens, force: bool, keys=("m", "nu", "c0"), m=None) -> cdr.CdrPro
 
 
 def _partition_spec(layout: str, n_sub: int, overlap: int) -> schwarz.PartitionSpec:
-    if layout in ("strips", "grid"):
-        return schwarz.PartitionSpec(n_sub, layout, overlap_layers=overlap)
+    kind, shape = layout, None
     if layout.startswith("grid:"):
         try:
             p, q = (int(t) for t in layout[5:].split("x"))
         except ValueError as exc:
             raise UsageError(f"bad grid layout {layout!r}, expected grid:PxQ") from exc
-        return schwarz.PartitionSpec(n_sub, "grid", grid_shape=(p, q), overlap_layers=overlap)
-    raise UsageError(f"unknown layout {layout!r}")
+        kind, shape = "grid", (p, q)
+    elif layout not in ("strips", "grid"):
+        raise UsageError(f"unknown layout {layout!r}")
+    try:
+        return schwarz.PartitionSpec(n_sub, kind, grid_shape=shape, overlap_layers=overlap)
+    except ValueError as exc:
+        raise UsageError(f"--n-sub {n_sub} --layout {layout} --overlap {overlap}: {exc}") from exc
 
 
 class _Problem:
@@ -248,7 +260,10 @@ def _build_preconditioner(kind: str, spec: schwarz.PartitionSpec,
         return PreconditionerHandle.identity(problem.dim)
     if spec.layout == "grid" and problem.coords is None:
         raise UsageError("grid layout requires a --cdr problem (coordinates)")
-    maps = schwarz.build_partition(problem.m_matrix, spec, coords=problem.coords)
+    try:
+        maps = schwarz.build_partition(problem.m_matrix, spec, coords=problem.coords)
+    except ValueError as exc:  # more subdomains than the mesh can hold
+        raise UsageError(f"--n-sub {spec.n_subdomains}: {exc}") from exc
     mode = {
         "one-level": "one_level_sym",
         "two-level": "two_level_sym",
@@ -350,6 +365,7 @@ def cmd_solve(args) -> int:
 
 def cmd_rho_table(args) -> int:
     m_values = _parse_list(int, args.m_list)
+    _check_coefficients("rho-table", args.nu, args.c0)
     rows = []
     print(f"rho of the preconditioned skew part, nu={args.nu} c0={args.c0}")
     for m in m_values:
@@ -367,13 +383,9 @@ def cmd_rho_table(args) -> int:
     return 0
 
 
-def _auto_grid(n_sub: int) -> str:
-    p, q = schwarz._near_square_factors(n_sub)
-    return f"grid:{p}x{q}"
-
-
 def cmd_sweep(args) -> int:
-    # each axis lists its rows (label, problem, N, layout); the loop
+    # each axis lists its rows (label, problem, partition), so that every
+    # usage error comes before any assembly or factorization; the loop
     # assembles a problem once, builds the two-level H once per row and
     # runs the axis's solvers on it
     rows = []
@@ -381,9 +393,10 @@ def cmd_sweep(args) -> int:
     stop_norm = "weighted"
     if args.axis in ("n-subdomains", "inner-product"):
         spec = _cdr_spec(args.cdr, args.force, m=60)
+        keep = args.axis == "n-subdomains" and args.layout != "strips"
         for n_sub in _parse_list(int, args.n_sub_list):
-            keep = args.axis == "n-subdomains" and args.layout != "strips"
-            rows.append((f"N={n_sub}", spec, n_sub, args.layout if keep else _auto_grid(n_sub)))
+            rows.append((f"N={n_sub}", spec,
+                         _partition_spec(args.layout if keep else "grid", n_sub, args.overlap)))
         if args.axis == "n-subdomains":
             print(f"scalability sweep: two-level, m={spec.mesh_divisions}")
         else:
@@ -391,35 +404,36 @@ def cmd_sweep(args) -> int:
             solvers = [(" gmres", "gmres-oracle"), (" whp-gcr", "whp-gcr")]
             stop_norm = "euclidean"
     elif args.axis == "mesh":
+        partition = _partition_spec("grid", args.n_sub, args.overlap)
         for m in _parse_list(int, args.m_list):
             spec = _cdr_spec(args.cdr, True, ("nu", "c0"), m=m)  # a row over budget is skipped
             if m > SOLVE_MESH_BUDGET and not args.force:
                 print(f"m={m}: skipped (budget)")
                 continue
-            rows.append((f"m={m}", spec, args.n_sub, _auto_grid(args.n_sub)))
+            rows.append((f"m={m}", spec, partition))
         print(f"mesh sweep: two-level, N={args.n_sub}")
     else:  # coefficient
         m = _cdr_spec(args.cdr, args.force, ("m",), m=40).mesh_divisions
+        partition = _partition_spec("strips", args.n_sub, args.overlap)
         print(f"coefficient sweep: two-level strips, m={m}, N={args.n_sub}")
         for coeff in _parse_list(float, args.coeff_list):
+            _check_coefficients("--coeff-list", coeff, coeff)
             rows.append((f"c0=nu={coeff}",
-                         cdr.reference_problem(nu=coeff, c0=coeff, mesh_divisions=m),
-                         args.n_sub, "strips"))
+                         cdr.reference_problem(nu=coeff, c0=coeff, mesh_divisions=m), partition))
         # the reference convection is divergence free, so without it the
         # operator is exactly the symmetric part of the one with it
         symmetric = dataclasses.replace(cdr.reference_problem(nu=10.0, c0=10.0,
                                                               mesh_divisions=m), a_field=None)
-        rows.append(("symmetric-part-only", symmetric, args.n_sub, "strips"))
+        rows.append(("symmetric-part-only", symmetric, partition))
 
     cfg = SolveConfig(max_iterations=args.max_iter, rel_tolerance=args.tol,
                       stopping_norm=stop_norm)
     lines = []
     problem = None
-    for label, spec, n_sub, layout in rows:
+    for label, spec, partition in rows:
         if problem is None or problem.spec is not spec:
             problem = _cdr_problem(spec)
-        handle = _build_preconditioner("two-level",
-                                       _partition_spec(layout, n_sub, args.overlap), problem)
+        handle = _build_preconditioner("two-level", partition, problem)
         # whp-gcr takes W = H by construction; GMRES runs in the Euclidean one
         weight = WeightOperator.identity(problem.dim)
         system = LinearSystem(problem.operator, problem.rhs)
@@ -448,13 +462,11 @@ def cmd_bounds(args) -> int:
         return 0
 
     problem = _load_problem(args)
-    # only a weight other than H makes the report densify H and W
-    densified = args.weight == "identity" and args.precond != "identity"
-    budget = DENSIFY_LIMIT if args.force else (DENSE_EIG_MESH_BUDGET - 1) ** 2
-    if densified and problem.dim > budget:
-        raise UsageError(f"problem too large for dense bound computations with --weight "
-                         f"identity: n={problem.dim} > {budget} (--force lifts the limit "
-                         f"to {DENSIFY_LIMIT})")
+    # with a weight other than H the report densifies H for H^T, unless H is symmetric
+    if (args.precond == "one-level-nonsym" and args.weight == "identity"
+            and problem.dim > DENSIFY_LIMIT):
+        raise UsageError(f"--precond one-level-nonsym with --weight identity densifies H: "
+                         f"n={problem.dim} > {DENSIFY_LIMIT}")
     spec = _partition_spec(args.layout, args.n_sub, args.overlap)
     handle = _build_preconditioner(args.precond, spec, problem)
     weight = _build_weight(args.weight, handle, problem.dim)
@@ -463,7 +475,10 @@ def cmd_bounds(args) -> int:
     except EigenSolverError as exc:
         raise UsageError(f"bound report: {exc}") from exc
     if problem.spec is not None:
-        report.alpha_analytic = bounds_mod.analytic_rho_bound(problem.spec)
+        try:
+            report.alpha_analytic = bounds_mod.analytic_rho_bound(problem.spec)
+        except ValueError:  # c0 = 0 leaves the reaction no positive lower bound
+            pass
     for key, value in report.to_dict().items():
         if value is not None:
             print(f"{key}={value:.8g}")

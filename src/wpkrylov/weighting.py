@@ -4,22 +4,14 @@ A weight operator realizes a symmetric positive definite W and with it
 the inner product <x, y>_W = y^T W x and norm ||x||_W.  Weights may be
 available only through their action (e.g. a domain-decomposition
 preconditioner used as the inner product), so positive definiteness is
-validated probabilistically at construction; a full factorization check
-is available separately for densifiable weights.
+validated probabilistically at construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import (
-    DENSIFY_LIMIT,
-    LinearOperator,
-    NotPositiveDefiniteError,
-    aslinearoperator,
-    cholesky,
-    densify,
-)
+from .linalg import LinearOperator, aslinearoperator
 
 __all__ = [
     "InvalidWeightError",
@@ -28,8 +20,6 @@ __all__ = [
     "PreconditionerHandle",
     "w_inner",
     "w_norm",
-    "w_gram",
-    "full_spd_check",
 ]
 
 _PROBE_COUNT = 32
@@ -98,13 +88,6 @@ class WeightOperator:
         m = np.asarray(w, dtype=float)
         return cls(m.shape[0], LinearOperator.from_dense(m), validate=validate)
 
-    @classmethod
-    def from_diagonal(cls, diag) -> "WeightOperator":
-        d = np.asarray(diag, dtype=float)
-        if np.any(d <= 0):
-            raise InvalidWeightError("diagonal weight requires positive entries")
-        return cls(len(d), lambda x: d * x, validate=False)
-
 
 class PreconditionerHandle:
     """Action of a nonsingular preconditioner H, with an SPD marker."""
@@ -161,30 +144,3 @@ def w_norm(w: WeightOperator, x) -> float:
         radicand = 0.0
     return float(np.sqrt(radicand))
 
-
-def w_gram(w: WeightOperator, vectors) -> np.ndarray:
-    """Gram matrix G_ij = <v_i, v_j>_W of a list of vectors."""
-    vecs = [np.asarray(v, dtype=float) for v in vectors]
-    for v in vecs:
-        if v.shape != (w.dim,):
-            raise ValueError("dimension mismatch in Gram matrix")
-    k = len(vecs)
-    images = [w.apply(v) for v in vecs]
-    g = np.empty((k, k))
-    for i in range(k):
-        for j in range(i, k):
-            g[i, j] = g[j, i] = images[i] @ vecs[j]
-    return g
-
-
-def full_spd_check(w: WeightOperator, limit: int = DENSIFY_LIMIT) -> bool:
-    """Densify the weight and verify SPD-ness by a Cholesky factorization."""
-    dense = densify(w, limit=limit)
-    scale = max(np.abs(dense).max(), 1.0)
-    if np.abs(dense - dense.T).max() > 1e-10 * scale:
-        raise InvalidWeightError("densified weight is not symmetric")
-    try:
-        cholesky(0.5 * (dense + dense.T))
-    except NotPositiveDefiniteError as exc:
-        raise InvalidWeightError("densified weight is not positive definite") from exc
-    return True

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import scipy.linalg
+import scipy.optimize
 
 from wpkrylov import bounds
 from wpkrylov.bounds import (
@@ -11,7 +12,6 @@ from wpkrylov.bounds import (
     BoundReport,
     _lanczos_extremes,
     _min_abs_over_range,
-    _min_normalized_quotient,
     HermitianSplit,
     analytic_rho_bound,
     compute_bound_report,
@@ -105,6 +105,64 @@ class TestSpectralRadiusSkew:
             HermitianSplit(scaled.m_matrix.toarray(), scaled.n_matrix.toarray())
         )
         assert rho_scaled == pytest.approx(rho_base / 4.0, rel=1e-10)
+
+
+def _spectral_norm(c):
+    """Largest singular value, from the eigenvalues of C^T C."""
+    gram = c.T @ c
+    vals = sym_eig(0.5 * (gram + gram.T), vectors=False)
+    return float(np.sqrt(max(vals[-1], 0.0)))
+
+
+def _whiten(b, w_dense):
+    """L^T B L^{-T} with W = L L^T."""
+    lower = cholesky(w_dense).lower
+    return lower.T @ scipy.linalg.solve_triangular(lower, b.T, lower=True).T
+
+
+def _min_normalized_quotient(c, s_vals):
+    """Infimum over y of (y^T S y)^2 / (||C y||^2 ||y||^2), S = sym(C),
+    given the eigenvalues of S (ascending): 0 when they hold zero, else
+    the maximum over t >= 0 of lambda_min(t s S - t^2 C^T C / 4), s the
+    sign of S, by a bounded scalar search over (0, 2 / min |lambda(S)|)
+    with one dense smallest-eigenvalue solve per step."""
+    d = _min_abs_over_range(s_vals)
+    if d == 0.0:
+        return 0.0
+    s_mat = math.copysign(0.5, s_vals[0]) * (c + c.T)
+    k_mat = c.T @ c
+
+    def neg_phi(t):
+        m = t * s_mat - (0.25 * t * t) * k_mat
+        return -scipy.linalg.eigvalsh(m, subset_by_index=[0, 0])[0]
+
+    res = scipy.optimize.minimize_scalar(neg_phi, bounds=(0.0, 2.0 / d), method="bounded",
+                                         options={"xatol": 0.0})
+    return float(np.clip(-res.fun, 0.0, 1.0))
+
+
+def dense_bound1(c, s_vals):
+    return float(np.sqrt(1.0 - _min_normalized_quotient(c, s_vals)))
+
+
+def dense_weighted_report(a, h_dense, w_dense=None):
+    """fov_distance, op_norm and bound1 from the dense C = L^T (A H) L^{-T}
+    with W = L L^T (L = I without w_dense), as the report for a weight
+    other than H used to compute them."""
+    b = a @ h_dense
+    c = b if w_dense is None else _whiten(b, w_dense)
+    s_vals = sym_eig(0.5 * (c + c.T), vectors=False)
+    return BoundReport(fov_distance=_min_abs_over_range(s_vals), op_norm=_spectral_norm(c),
+                       bound1=dense_bound1(c, s_vals))
+
+
+@pytest.fixture
+def no_densify(monkeypatch):
+    """Fail any densification the bound report asks for."""
+    def refuse(op, *args, **kwargs):
+        raise AssertionError("densify called")
+
+    monkeypatch.setattr(bounds, "densify", refuse)
 
 
 class TestFovDistance:
@@ -302,7 +360,7 @@ class TestBlockedReport:
         precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
         return assembled, precond
 
-    def test_w_equal_h_never_gives_h_an_n_column_block(self, schwarz_h):
+    def test_w_equal_h_never_gives_h_an_n_column_block(self, schwarz_h, no_densify):
         assembled, precond = schwarz_h
         n = precond.dim
         assert n > RAYLEIGH_DIM_LIMIT
@@ -315,6 +373,22 @@ class TestBlockedReport:
         assert all(shape[1] < n for shape in counted.blocks)
         assert counted.vectors > 16
         assert report.bound2 is not None and report.bound3 is not None
+
+    def test_w_equal_h_bound1_search_applies_h_to_vectors_only(self, cdr_assembled, no_densify):
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(16)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        n = precond.dim
+        assert n <= RAYLEIGH_DIM_LIMIT
+        counted = _Counted(n, precond.apply)
+        handle = PreconditionerHandle(n, counted, hermitian_flag=True)
+        report = compute_bound_report(assembled.operator(), handle,
+                                      WeightOperator(n, handle.apply, validate=False))
+        assert counted.blocks == []
+        assert report.bound1 is not None and 0.0 < report.bound1 < 1.0
 
     def test_op_norm_solve_applies_h_twice_per_step(self, schwarz_h, monkeypatch):
         assembled, precond = schwarz_h
@@ -365,17 +439,16 @@ class TestBlockedReport:
             else:
                 assert got[key] == pytest.approx(value, rel=1e-12, abs=0.0), key
 
-    def test_identity_weight_is_not_densified(self):
+    def test_identity_weight_is_not_densified(self, no_densify):
+        # a symmetric H is its own transpose: it is applied to vectors only
         a, h_dense, _ = make_pd_system(41, n=12)
         counted = _Counted(12, lambda x: h_dense @ x)
         h = PreconditionerHandle(12, counted, hermitian_flag=True)
         report = compute_bound_report(a, h, WeightOperator.identity(12))
-        assert counted.blocks == [(12, 12)]
-        assert counted.vectors == 1  # the W = H probe stops at its first mismatch
-        b_dense = a @ h_dense
-        assert report.fov_distance == pytest.approx(
-            fov_distance(b_dense, WeightOperator.identity(12)), rel=1e-12)
-        assert report.op_norm == pytest.approx(np.linalg.norm(b_dense, 2), rel=1e-12)
+        assert counted.blocks == []
+        assert counted.vectors > 1
+        assert_reports_agree(report, dense_weighted_report(a, h_dense))
+        assert report.op_norm == pytest.approx(np.linalg.norm(a @ h_dense, 2), rel=1e-12)
         assert report.kappa is None and report.bound2 is None
 
     def test_other_spd_weight_is_densified(self):
@@ -386,11 +459,7 @@ class TestBlockedReport:
         w = WeightOperator(12, counted, validate=False)
         report = compute_bound_report(a, h, w)
         assert counted.blocks == [(12, 12)]
-        b_dense = a @ h_dense
-        w_ref = WeightOperator.from_dense(w_dense)
-        assert report.fov_distance == pytest.approx(fov_distance(b_dense, w_ref), rel=1e-12)
-        assert report.op_norm == pytest.approx(weighted_operator_norm(b_dense, w_ref),
-                                               rel=1e-12)
+        assert_reports_agree(report, dense_weighted_report(a, h_dense, w_dense))
         assert report.bound1 is not None
         assert report.kappa is None and report.bound2 is None and report.bound3 is None
 
@@ -404,9 +473,12 @@ class TestBlockedReport:
         a = sym + 0.3 * (skew - skew.T)
         w_dense = make_spd(rng, 6)
         h = PreconditionerHandle.identity(6)
-        for w in (WeightOperator.identity(6), WeightOperator.from_dense(w_dense)):
+        for w, dense_w in ((WeightOperator.identity(6), None),
+                           (WeightOperator.from_dense(w_dense), w_dense)):
             report = compute_bound_report(a, h, w)
-            assert report.fov_distance == pytest.approx(fov_distance(a, w), rel=1e-12, abs=0.0)
+            want = dense_weighted_report(a, np.eye(6), dense_w).fov_distance
+            assert report.fov_distance == pytest.approx(want, rel=1e-10, abs=0.0)
+            assert fov_distance(a, w) == pytest.approx(want, rel=1e-10, abs=0.0)
             assert (report.fov_distance > 0.0) == bool(sign)
 
 
@@ -425,8 +497,8 @@ def dense_w_equal_h_report(a, h_dense):
         op_norm=float(np.sqrt(sym_eig(0.5 * (gram + gram.T), vectors=False)[-1])))
     if s_vals[0] > 0.0:
         report.kappa = float(s_vals[-1] / s_vals[0])
-    if n <= RAYLEIGH_DIM_LIMIT:
-        report.bound1 = float(np.sqrt(1.0 - _min_normalized_quotient(c, s_vals)))
+    if n <= RAYLEIGH_DIM_LIMIT or report.fov_distance == 0.0:
+        report.bound1 = dense_bound1(c, s_vals)
     try:
         a_inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
@@ -449,9 +521,9 @@ def dense_w_equal_h_report(a, h_dense):
 
 
 def assert_reports_agree(got, want, rtol=1e-10):
-    """Same None fields; the others equal to rtol relative, lambda_min and
-    lambda_max relative to op_norm = ||C|| >= |lambda| (they are round-off
-    when M = 0)."""
+    """Same None fields; bound1 equal to 1e-12 relative, the others to
+    rtol, lambda_min and lambda_max relative to op_norm = ||C|| >= |lambda|
+    (they are round-off when M = 0)."""
     got, want = got.to_dict(), want.to_dict()
     assert [k for k, v in got.items() if v is None] == [k for k, v in want.items() if v is None]
     scale = want["op_norm"]
@@ -461,7 +533,8 @@ def assert_reports_agree(got, want, rtol=1e-10):
         if key in ("lambda_min", "lambda_max"):
             assert abs(got[key] - value) <= rtol * scale, key
         else:
-            assert got[key] == pytest.approx(value, rel=rtol, abs=0.0), key
+            tol = 1e-12 if key == "bound1" else rtol
+            assert got[key] == pytest.approx(value, rel=tol, abs=0.0), key
 
 
 def _with_symmetric_part(rng, n, eigs, skew_scale=0.5):
@@ -488,8 +561,17 @@ SPECIAL_SYSTEMS = {
 }
 
 
+# bound1 of the two-level 2x2 report on the reference problem, W = H,
+# from the dense search on C = L^T A L
+RECORDED_BOUND1 = {16: 0.8018936248710226, 22: 0.8485226796166253}
+
+
+def _nonsymmetric_h(rng, n):
+    return np.eye(n) + 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+
+
 class TestMatrixFreeReport:
-    """The report for W = H against the dense formulas it replaced."""
+    """The report against the dense formulas it replaced."""
 
     def test_criterion_06_systems(self):
         from conftest import make_pd_system
@@ -500,7 +582,7 @@ class TestMatrixFreeReport:
             got = compute_bound_report(a, h, WeightOperator.from_dense(h_dense))
             assert_reports_agree(got, dense_w_equal_h_report(a, h_dense))
 
-    @pytest.mark.parametrize("m", [24, 30])
+    @pytest.mark.parametrize("m", [16, 22, 24, 30])
     def test_schwarz_reports(self, cdr_assembled, m):
         from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
 
@@ -515,6 +597,11 @@ class TestMatrixFreeReport:
         want = dense_w_equal_h_report(assembled.full_matrix().toarray(),
                                       0.5 * (h_dense + h_dense.T))
         assert_reports_agree(got, want)
+        # bound1 is searched up to n = 512: m = 22 gives n = 441, m = 24 n = 529
+        if m in RECORDED_BOUND1:
+            assert got.bound1 == pytest.approx(RECORDED_BOUND1[m], rel=1e-12, abs=0.0)
+        else:
+            assert got.bound1 is None
 
     @pytest.mark.parametrize("name", sorted(SPECIAL_SYSTEMS))
     def test_symmetric_part_not_positive_definite(self, name):
@@ -526,6 +613,30 @@ class TestMatrixFreeReport:
         assert_reports_agree(got, dense_w_equal_h_report(a, h_dense))
         assert got.rho is None and got.bound3 is None
         assert (got.bound2 is None) == (name == "singular-a")
+
+    @pytest.mark.parametrize("weight", ["identity", "general"])
+    @pytest.mark.parametrize("h_kind", ["symmetric", "nonsymmetric"])
+    @pytest.mark.parametrize("system", ["pd-0", "pd-1", "pd-2", *sorted(SPECIAL_SYSTEMS)])
+    def test_weight_other_than_h(self, system, h_kind, weight):
+        rng = np.random.default_rng(49)
+        if system in SPECIAL_SYSTEMS:
+            a = SPECIAL_SYSTEMS[system](rng)
+        else:
+            a, _, _ = make_pd_system(int(system[3:]), n=12)
+        n = a.shape[0]
+        if h_kind == "symmetric":
+            h_dense = make_spd(rng, n)
+            h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        else:
+            h_dense = _nonsymmetric_h(rng, n)
+            h = PreconditionerHandle.from_dense(h_dense)
+        w_dense = make_spd(rng, n) if weight == "general" else None
+        w = WeightOperator.identity(n) if w_dense is None else WeightOperator.from_dense(w_dense)
+        got = compute_bound_report(a, h, w)
+        assert_reports_agree(got, dense_weighted_report(a, h_dense, w_dense))
+        b = a @ h_dense
+        assert fov_distance(b, w) == pytest.approx(got.fov_distance, rel=1e-10, abs=0.0)
+        assert weighted_operator_norm(b, w) == pytest.approx(got.op_norm, rel=1e-10, abs=0.0)
 
     def test_semidefinite_symmetric_part_puts_zero_in_the_range(self):
         # H M has an exact eigenvalue 0 that Lanczos in the M H M inner
@@ -600,6 +711,22 @@ class TestMinNormalizedQuotient:
     """The dual value is the infimum: below every sampled quotient, and
     attained by the eigenvector at the dual maximizer."""
 
+    def test_search_is_not_capped_by_the_step_limit(self, monkeypatch):
+        # each phi of the search may run to the dimension, where its Ritz
+        # values are exact, as the dense search did up to RAYLEIGH_DIM_LIMIT
+        rng = np.random.default_rng(99)
+        n = 40
+        c = _random_c(rng, n)
+        s_vals = np.linalg.eigvalsh(0.5 * (c + c.T))
+        sign = np.sign(s_vals[0])
+
+        def pencil(t, v):
+            return (0.5 * t * sign) * (c @ v + c.T @ v) - (0.25 * t * t) * (c.T @ (c @ v))
+
+        monkeypatch.setattr(bounds, "LANCZOS_STEP_LIMIT", 3)
+        got = bounds._dual_bound1(pencil, np.copy, n, np.abs(s_vals).min())
+        assert got == pytest.approx(dense_bound1(c, s_vals), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 21, 30])
     def test_value_is_attained_and_a_lower_bound(self, n):
         rng = np.random.default_rng(100 + n)
@@ -617,6 +744,10 @@ class TestMinNormalizedQuotient:
             t_star = _dual_argmax(s, k, 2.0 / np.abs(s_vals).min())
             _, vecs = np.linalg.eigh(t_star * s - 0.25 * t_star**2 * k)
             assert _quotient(c, vecs[:, 0]) == pytest.approx(value, rel=1e-10, abs=0.0)
+            # the report's Lanczos search finds the same value
+            report = compute_bound_report(c, PreconditionerHandle.identity(n),
+                                          WeightOperator.identity(n))
+            assert report.bound1 == pytest.approx(np.sqrt(1.0 - value), rel=1e-12, abs=0.0)
 
     def test_two_by_two_matches_angle_scan(self):
         c = np.array([[2.0, 3.0], [-1.0, 1.0]])  # sym(C) = [[2, 1], [1, 1]] is definite

@@ -187,8 +187,59 @@ def test_bounds_w_equal_h_has_no_dense_size_guard(capsys):
              "--layout", "grid:2x2"]
     assert main(flags) == 0
     assert "bound3=" in capsys.readouterr().out
-    assert main(flags + ["--weight", "identity"]) == 1
-    assert "too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("m", [30, 52, 70])
+def test_bounds_identity_weight_has_no_size_guard(capsys, m):
+    # sym(A H) is indefinite on these problems, so the numerical range
+    # holds 0 and bound1 = 1 with no search; m = 70 gives n = 4761 > 4096
+    code = main(["bounds", "--cdr", f"m={m}", "--precond", "two-level", "--n-sub", "4",
+                 "--layout", "grid:2x2", "--weight", "identity"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "fov_distance=0" in lines and "bound1=1" in lines
+    if m == 30:
+        assert "op_norm=4.2795492" in lines
+
+
+def test_bounds_without_a_reaction_leaves_the_analytic_bound_out(capsys):
+    # c0 = 0 is a valid problem, but the analytic rho bound needs c0 > 0
+    assert main(["bounds", "--cdr", "m=10", "c0=0", "--precond", "two-level", "--n-sub", "4",
+                 "--layout", "grid:2x2"]) == 0
+    out = capsys.readouterr().out
+    assert "bound3=" in out and "alpha_analytic" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--cdr", "m=10", "nu=-1"],
+    ["solve", "--cdr", "m=10", "c0=-1"],
+    ["solve", "--cdr", "m=10", "nu=nan"],
+    ["bounds", "--cdr", "m=10", "nu=0"],
+    ["sweep", "--axis", "coefficient", "--cdr", "m=10", "--coeff-list", "1,-1"],
+    ["rho-table", "--nu", "-1", "--m-list", "10"],
+], ids=["solve-nu", "solve-c0", "solve-nan", "bounds-nu", "sweep-coefficient", "rho-table"])
+def test_bad_coefficients_are_rejected_before_assembly(calls, capsys, argv):
+    assert main(argv) == 1
+    assert "needs finite nu > 0 and c0 >= 0" in capsys.readouterr().err
+    assert calls["assemble"] == []
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["solve", "--cdr", "m=12", "--n-sub", "8", "--layout", "grid:2x2"], "must factor"),
+    (["solve", "--cdr", "m=12", "--n-sub", "0"], "n_subdomains must be positive"),
+    (["solve", "--cdr", "m=12", "--overlap", "-1"], "overlap_layers must be nonnegative"),
+    (["solve", "--cdr", "m=3", "--n-sub", "10"], "more subdomains than unknowns"),
+    (["solve", "--cdr", "m=6", "--n-sub", "16", "--layout", "grid:16x1"], "came out empty"),
+    (["sweep", "--axis", "n-subdomains", "--cdr", "m=12", "--n-sub-list", "4,8",
+      "--layout", "grid:2x2"], "must factor"),
+], ids=["grid-shape", "no-subdomains", "negative-overlap", "too-many", "empty-core", "sweep"])
+def test_bad_partitions_are_rejected_before_factorization(calls, capsys, argv, fragment):
+    if argv[0] == "solve":
+        argv = argv + ["--precond", "two-level", "--solver", "whp-gcr"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n-sub ") and fragment in err
+    assert calls["build_preconditioner"] == []
 
 
 def test_unconverged_bound_report_is_an_error_line(monkeypatch, capsys):
@@ -357,9 +408,10 @@ def test_sweep_solves_the_cdr_coefficients(calls, axis, cdr_flags):
 
 
 def test_bounds_force_stops_at_the_densify_limit(calls, capsys):
-    # --force lifts the n <= 49^2 guard, not densify's n <= 4096: n = 69^2
-    # is an error line before any partition or factorization
-    code = main(["bounds", "--cdr", "m=70", "--precond", "two-level", "--n-sub", "4",
+    # a weight other than H needs H^T, which the non-symmetric H gives only
+    # densified: n = 69^2 > 4096 is an error line, even with --force, before
+    # any partition or factorization
+    code = main(["bounds", "--cdr", "m=70", "--precond", "one-level-nonsym", "--n-sub", "4",
                  "--layout", "grid:2x2", "--weight", "identity", "--force"])
     assert code == 1
     assert "n=4761 > 4096" in capsys.readouterr().err
