@@ -24,8 +24,8 @@ and makes the distance of the numerical range from zero exact.
 
 For any other weight, C = L^T (A H) L^{-T} with W = L L^T is applied as
 a map, X = I: L = I for the identity weight, else the Cholesky factor of
-the densified W.  H is applied to vectors only, but a preconditioner
-not marked symmetric, which has no transposed action, is densified once.
+the densified W.  C^T applies H^T: H when H is marked symmetric, else
+its transposed action; H is never densified.
 The reported per-iteration contraction factors are
 
 * bound1: from the infimum of the normalized quadratic-form quotient of
@@ -469,15 +469,16 @@ def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
 
 def _weighted_report(a_mat, h: PreconditionerHandle, w: WeightOperator) -> BoundReport:
     """fov_distance, op_norm and bound1 of C = L^T (A H) L^{-T}, W = L L^T,
-    for any weight; H^T is H when H is marked SPD, else from H densified
-    once."""
+    for any weight, with C^T from H^T; all three None when H has no
+    transposed action."""
     n = a_mat.shape[0]
-    if h.hermitian_flag:
-        apply_h = apply_ht = h.apply
-    else:
-        h_dense = densify(h)
-        apply_h, apply_ht = h_dense.dot, h_dense.T.dot
-    c, ct = _euclidean_maps(lambda v: a_mat @ apply_h(v), lambda v: apply_ht(a_mat.T @ v), w)
+    if not h.hermitian_flag:
+        try:
+            h.apply_transpose(np.zeros(n))
+        except ValueError:  # an H known only by its action
+            return BoundReport()
+    c, ct = _euclidean_maps(lambda v: a_mat @ h.apply(v),
+                            lambda v: h.apply_transpose(a_mat.T @ v), w)
     lo, hi = _sym_extremes(c, ct, n)
     report = BoundReport(fov_distance=_min_abs_over_range((lo, hi)), op_norm=_norm(c, ct, n))
 
@@ -496,9 +497,9 @@ def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator) -> Bound
     preconditioner to be SPD and equal to the weight; bound3 also needs
     the symmetric part of A to be positive definite.  Whether W equals H
     is decided by probing both on random vectors.  Every field comes
-    from Lanczos solves that apply H to vectors only (but for W != H an H
-    not marked SPD is densified once for H^T); bound1 is 1 when the
-    numerical range holds 0, and otherwise searched up to
+    from Lanczos solves that apply H, and H^T for W != H, to vectors
+    only; an H with no H^T leaves the fields that need it None.  bound1
+    is 1 when the numerical range holds 0, and otherwise searched up to
     RAYLEIGH_DIM_LIMIT.
     """
     a_mat = _matrix(a)

@@ -30,7 +30,6 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import cdr, matrixio, schwarz
 from .linalg import (
-    DENSIFY_LIMIT,
     EigenSolverError,
     LinearOperator,
     NotPositiveDefiniteError,
@@ -126,6 +125,7 @@ def build_parser() -> _Parser:
     # a sweep runs two-level whp-gcr (and GMRES) on --cdr problems and writes CSV
     add_problem_flags(p_sweep, unread=("--matrix", "--matrix-skew", "--rhs", "--precond",
                                        "--weight", "--stop-norm", "--format"))
+    p_sweep.set_defaults(layout="grid")
     p_sweep.add_argument("--axis", required=True,
                          choices=["n-subdomains", "mesh", "coefficient", "inner-product"])
     p_sweep.add_argument("--n-sub-list", default="4,8,16")
@@ -254,16 +254,19 @@ def _load_problem(args) -> _Problem:
     raise UsageError("provide either --cdr or --matrix")
 
 
-def _build_preconditioner(kind: str, spec: schwarz.PartitionSpec,
-                          problem: _Problem) -> PreconditionerHandle:
-    if kind == "identity":
-        return PreconditionerHandle.identity(problem.dim)
+def _partition(spec: schwarz.PartitionSpec, problem: _Problem) -> schwarz.SubdomainMaps:
     if spec.layout == "grid" and problem.coords is None:
         raise UsageError("grid layout requires a --cdr problem (coordinates)")
     try:
-        maps = schwarz.build_partition(problem.m_matrix, spec, coords=problem.coords)
+        return schwarz.build_partition(problem.m_matrix, spec, coords=problem.coords)
     except ValueError as exc:  # more subdomains than the mesh can hold
         raise UsageError(f"--n-sub {spec.n_subdomains}: {exc}") from exc
+
+
+def _build_preconditioner(kind: str, maps: schwarz.SubdomainMaps | None,
+                          problem: _Problem) -> PreconditionerHandle:
+    if kind == "identity":
+        return PreconditionerHandle.identity(problem.dim)
     mode = {
         "one-level": "one_level_sym",
         "two-level": "two_level_sym",
@@ -279,41 +282,44 @@ def _build_preconditioner(kind: str, spec: schwarz.PartitionSpec,
 def _build_weight(kind: str, handle: PreconditionerHandle, dim: int) -> WeightOperator:
     if kind == "identity":
         return WeightOperator.identity(dim)
-    if not handle.hermitian_flag:
-        raise UsageError("--weight precond requires a symmetric preconditioner")
-    return WeightOperator(dim, handle.apply, validate=False)
+    return handle.as_weight()
 
 
-def _dispatch_solver(name, system, handle, weight, cfg):
-    if name == "gcr":
-        return wp_gcr_right(system, handle, weight, cfg)
-    if name == "gcr-left":
-        return wp_gcr_left(system, handle, weight, cfg)
-    if name == "whp-gcr":
-        return whp_gcr(system, handle, cfg)
-    if name == "whp-gcr-alt-a":
-        return whp_gcr_alt_a(system, handle, cfg)
-    if name == "whp-gcr-alt-b":
-        return whp_gcr_alt_b(system, handle, cfg)
-    if name == "mr":
-        return wp_mr(system, handle, weight, cfg)
-    if name == "gmres-oracle":
-        return gmres_arnoldi_oracle(system, handle, weight, cfg)
-    if name.startswith("orthomin:"):
-        return wp_orthomin(system, handle, weight, cfg, k=_positive_int(name[9:], name))
-    if name.startswith("gcr-restart:"):
-        return wp_gcr_restarted(system, handle, weight, cfg, k=_positive_int(name[12:], name))
-    raise UsageError(f"unknown solver {name!r}")
+_SOLVERS = {
+    "gcr": wp_gcr_right, "gcr-left": wp_gcr_left, "mr": wp_mr,
+    "gmres-oracle": gmres_arnoldi_oracle, "orthomin": wp_orthomin,
+    "gcr-restart": wp_gcr_restarted,
+    # W = H: these need a symmetric preconditioner
+    "whp-gcr": lambda system, h, w, cfg: whp_gcr(system, h, cfg),
+    "whp-gcr-alt-a": lambda system, h, w, cfg: whp_gcr_alt_a(system, h, cfg),
+    "whp-gcr-alt-b": lambda system, h, w, cfg: whp_gcr_alt_b(system, h, cfg),
+}
 
 
-def _positive_int(text, flag):
+def _parse_solver(name: str):
+    """run(system, handle, weight, cfg) for the solver --solver names:
+    orthomin:K takes K >= 0 and gcr-restart:K K >= 1."""
+    kind, colon, text = name.partition(":")
+    if kind not in _SOLVERS or bool(colon) != (kind in ("orthomin", "gcr-restart")):
+        raise UsageError(f"unknown solver {name!r}")
+    if not colon:
+        return _SOLVERS[kind]
     try:
-        value = int(text)
+        k = int(text)
     except ValueError as exc:
-        raise UsageError(f"bad parameter in {flag!r}") from exc
-    if value < 0:
-        raise UsageError(f"parameter in {flag!r} must be nonnegative")
-    return value
+        raise UsageError(f"bad parameter in {name!r}") from exc
+    least = int(kind == "gcr-restart")
+    if k < least:
+        raise UsageError(f"parameter in {name!r} must be >= {least}")
+    return lambda system, h, w, cfg: _SOLVERS[kind](system, h, w, cfg, k=k)
+
+
+def _check_pairing(precond: str, weight: str, solver: str = ""):
+    """Only a symmetric H defines an inner product: reject, from the flags
+    alone, a non-symmetric one as the weight or under a whp solver."""
+    if precond == "one-level-nonsym" and (weight == "precond" or solver.startswith("whp-")):
+        flag = "--weight precond" if weight == "precond" else f"--solver {solver}"
+        raise UsageError(f"{flag} requires a symmetric preconditioner")
 
 
 def _write_report(args, report: matrixio.ExperimentReport):
@@ -326,15 +332,18 @@ def _write_report(args, report: matrixio.ExperimentReport):
 
 
 def cmd_solve(args) -> int:
-    problem = _load_problem(args)
-    spec = _partition_spec(args.layout, args.n_sub, args.overlap)
-    handle = _build_preconditioner(args.precond, spec, problem)
-    weight = _build_weight(args.weight, handle, problem.dim)
+    run = _parse_solver(args.solver)
+    _check_pairing(args.precond, args.weight, args.solver)
     cfg = SolveConfig(max_iterations=args.max_iter, rel_tolerance=args.tol,
                       stopping_norm=args.stop_norm)
+    spec = _partition_spec(args.layout, args.n_sub, args.overlap)
+    problem = _load_problem(args)
+    maps = None if args.precond == "identity" else _partition(spec, problem)
+    handle = _build_preconditioner(args.precond, maps, problem)
+    weight = _build_weight(args.weight, handle, problem.dim)
     system = LinearSystem(problem.operator, problem.rhs)
     start = time.perf_counter()
-    result = _dispatch_solver(args.solver, system, handle, weight, cfg)
+    result = run(system, handle, weight, cfg)
     elapsed = time.perf_counter() - start
     report = matrixio.ExperimentReport(
         metadata={
@@ -384,27 +393,25 @@ def cmd_rho_table(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    # each axis lists its rows (label, problem, partition), so that every
-    # usage error comes before any assembly or factorization; the loop
-    # assembles a problem once, builds the two-level H once per row and
-    # runs the axis's solvers on it
+    # each axis lists its rows (label, problem, partition) before any
+    # assembly; a first pass assembles each problem once and partitions
+    # every row before any factorization; the second builds the two-level
+    # H once per row and runs the axis's solvers on it
     rows = []
-    solvers = [("", "whp-gcr")]
+    solvers = [("", _SOLVERS["whp-gcr"])]
     stop_norm = "weighted"
     if args.axis in ("n-subdomains", "inner-product"):
         spec = _cdr_spec(args.cdr, args.force, m=60)
-        keep = args.axis == "n-subdomains" and args.layout != "strips"
         for n_sub in _parse_list(int, args.n_sub_list):
-            rows.append((f"N={n_sub}", spec,
-                         _partition_spec(args.layout if keep else "grid", n_sub, args.overlap)))
+            rows.append((f"N={n_sub}", spec, _partition_spec(args.layout, n_sub, args.overlap)))
         if args.axis == "n-subdomains":
             print(f"scalability sweep: two-level, m={spec.mesh_divisions}")
         else:
             print(f"inner-product sweep: two-level, m={spec.mesh_divisions}, Euclidean stopping")
-            solvers = [(" gmres", "gmres-oracle"), (" whp-gcr", "whp-gcr")]
+            solvers = [(" gmres", _SOLVERS["gmres-oracle"]), (" whp-gcr", _SOLVERS["whp-gcr"])]
             stop_norm = "euclidean"
     elif args.axis == "mesh":
-        partition = _partition_spec("grid", args.n_sub, args.overlap)
+        partition = _partition_spec(args.layout, args.n_sub, args.overlap)
         for m in _parse_list(int, args.m_list):
             spec = _cdr_spec(args.cdr, True, ("nu", "c0"), m=m)  # a row over budget is skipped
             if m > SOLVE_MESH_BUDGET and not args.force:
@@ -414,8 +421,8 @@ def cmd_sweep(args) -> int:
         print(f"mesh sweep: two-level, N={args.n_sub}")
     else:  # coefficient
         m = _cdr_spec(args.cdr, args.force, ("m",), m=40).mesh_divisions
-        partition = _partition_spec("strips", args.n_sub, args.overlap)
-        print(f"coefficient sweep: two-level strips, m={m}, N={args.n_sub}")
+        partition = _partition_spec(args.layout, args.n_sub, args.overlap)
+        print(f"coefficient sweep: two-level {args.layout}, m={m}, N={args.n_sub}")
         for coeff in _parse_list(float, args.coeff_list):
             _check_coefficients("--coeff-list", coeff, coeff)
             rows.append((f"c0=nu={coeff}",
@@ -425,20 +432,22 @@ def cmd_sweep(args) -> int:
         symmetric = dataclasses.replace(cdr.reference_problem(nu=10.0, c0=10.0,
                                                               mesh_divisions=m), a_field=None)
         rows.append(("symmetric-part-only", symmetric, partition))
-
     cfg = SolveConfig(max_iterations=args.max_iter, rel_tolerance=args.tol,
                       stopping_norm=stop_norm)
-    lines = []
+    partitioned = []
     problem = None
     for label, spec, partition in rows:
         if problem is None or problem.spec is not spec:
             problem = _cdr_problem(spec)
-        handle = _build_preconditioner("two-level", partition, problem)
+        partitioned.append((label, problem, _partition(partition, problem)))
+    lines = []
+    for label, problem, maps in partitioned:
+        handle = _build_preconditioner("two-level", maps, problem)
         # whp-gcr takes W = H by construction; GMRES runs in the Euclidean one
         weight = WeightOperator.identity(problem.dim)
         system = LinearSystem(problem.operator, problem.rhs)
-        for suffix, solver in solvers:
-            result = _dispatch_solver(solver, system, handle, weight, cfg)
+        for suffix, run in solvers:
+            result = run(system, handle, weight, cfg)
             lines.append((label + suffix, result.iterations, result.status))
     for label, iters, status in lines:
         print(f"{label}: iterations={iters} ({status})")
@@ -461,14 +470,11 @@ def cmd_bounds(args) -> int:
         print(f"predicted iterations to 1e-6: {report.predicted_iterations(1e-6)}")
         return 0
 
-    problem = _load_problem(args)
-    # with a weight other than H the report densifies H for H^T, unless H is symmetric
-    if (args.precond == "one-level-nonsym" and args.weight == "identity"
-            and problem.dim > DENSIFY_LIMIT):
-        raise UsageError(f"--precond one-level-nonsym with --weight identity densifies H: "
-                         f"n={problem.dim} > {DENSIFY_LIMIT}")
+    _check_pairing(args.precond, args.weight)
     spec = _partition_spec(args.layout, args.n_sub, args.overlap)
-    handle = _build_preconditioner(args.precond, spec, problem)
+    problem = _load_problem(args)
+    maps = None if args.precond == "identity" else _partition(spec, problem)
+    handle = _build_preconditioner(args.precond, maps, problem)
     weight = _build_weight(args.weight, handle, problem.dim)
     try:
         report = bounds_mod.compute_bound_report(problem.operator, handle, weight)

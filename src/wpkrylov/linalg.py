@@ -95,17 +95,16 @@ def check_symmetric(s, rtol: float = 1e-10):
 class LinearOperator:
     """A square operator known only through its action on vectors.
 
-    An optional block action ``matmat`` maps an n x k array to the
-    n x k array of the images of its columns in one call (scipy's
-    ``matmat``); without it, :meth:`matmat` applies the operator column
-    by column.  An operator built from a matrix keeps it as ``matrix``
-    (shared, not copied: read it only); otherwise ``matrix`` is None.
+    An optional transposed action maps x to A^T x; without it,
+    :meth:`apply_transpose` raises ValueError.  An operator built from a
+    matrix keeps it as ``matrix`` (shared, not copied: read it only);
+    otherwise ``matrix`` is None.
     """
 
-    def __init__(self, dim: int, apply, matmat=None, matrix=None):
+    def __init__(self, dim: int, apply, transpose=None, matrix=None):
         self.dim = int(dim)
         self._apply = apply
-        self._matmat = matmat
+        self._transpose = transpose
         self.matrix = matrix
 
     def apply(self, x) -> np.ndarray:
@@ -113,20 +112,10 @@ class LinearOperator:
 
     __call__ = apply
 
-    def matmat(self, x) -> np.ndarray:
-        """The operator applied to every column of an n x k block."""
-        block = np.asarray(x, dtype=float)
-        if block.ndim != 2 or block.shape[0] != self.dim:
-            raise ValueError(f"expected a block of {self.dim} rows, got shape {block.shape}")
-        if self._matmat is None:
-            out = np.empty_like(block)
-            for j in range(block.shape[1]):
-                out[:, j] = self.apply(block[:, j])
-            return out
-        out = np.asarray(self._matmat(block), dtype=float)
-        if out.shape != block.shape:
-            raise ValueError(f"block action returned shape {out.shape}, expected {block.shape}")
-        return out
+    def apply_transpose(self, x) -> np.ndarray:
+        if self._transpose is None:
+            raise ValueError("operator has no transposed action")
+        return np.asarray(self._transpose(_as_vector(x, self.dim)), dtype=float)
 
     @classmethod
     def from_dense(cls, a) -> "LinearOperator":
@@ -134,19 +123,19 @@ class LinearOperator:
 
     @classmethod
     def from_matrix(cls, m) -> "LinearOperator":
-        """The action of a square dense or scipy.sparse matrix, on vectors and blocks."""
-        return cls(m.shape[0], m.dot, matmat=m.dot, matrix=m)
+        """The action of a square dense or scipy.sparse matrix and of its transpose."""
+        return cls(m.shape[0], m.dot, transpose=m.T.dot, matrix=m)
 
     @classmethod
     def identity(cls, dim: int) -> "LinearOperator":
-        return cls(dim, np.copy, matmat=np.copy)
+        return cls(dim, np.copy, transpose=np.copy)
 
 
 def aslinearoperator(obj, dim: int | None = None) -> LinearOperator:
     """Coerce a dense array, scipy.sparse matrix, callable or operator to LinearOperator.
 
-    A callable with a ``matmat`` method (a preconditioner handle or a
-    weight) keeps it as the block action.
+    A callable with an ``apply_transpose`` method (a preconditioner
+    handle, say) keeps it as the transposed action.
     """
     if isinstance(obj, LinearOperator):
         return obj
@@ -157,21 +146,23 @@ def aslinearoperator(obj, dim: int | None = None) -> LinearOperator:
             dim = getattr(obj, "dim", None)
         if dim is None:
             raise ValueError("dim is required when wrapping a bare callable")
-        return LinearOperator(dim, obj, matmat=getattr(obj, "matmat", None))
+        return LinearOperator(dim, obj, transpose=getattr(obj, "apply_transpose", None))
     return LinearOperator.from_dense(obj)
 
 
 def densify(op, limit: int = DENSIFY_LIMIT) -> np.ndarray:
-    """Materialize an operator as a dense matrix by applying it to the
-    identity: one call to its block action, or one per column without it."""
+    """An operator as a dense matrix: the matrix it keeps (shared when dense),
+    else its action on each column of the identity, up to dimension limit."""
     if isinstance(op, np.ndarray):
         return _as_square(op)
     if scipy.sparse.issparse(op):
         return op.toarray()
     lin = aslinearoperator(op)
+    if lin.matrix is not None:
+        return densify(lin.matrix)
     if lin.dim > limit:
         raise ValueError(f"refusing to densify operator of dimension {lin.dim} > {limit}")
-    return lin.matmat(np.eye(lin.dim))
+    return np.column_stack([lin.apply(column) for column in np.eye(lin.dim)])
 
 
 def _validated_csr(m) -> scipy.sparse.csr_array:

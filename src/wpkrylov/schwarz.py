@@ -298,16 +298,19 @@ class SchwarzPreconditioner:
 
     __call__ = apply
 
+    def apply_transpose(self, v) -> np.ndarray:
+        """H^T v: H v in the symmetric modes, else R^T B^{-T} R v by the
+        transposed solves of the local LU factor."""
+        if self.is_symmetric:
+            return self.apply(v)
+        return self._scatter @ self._local.solve(np.asarray(v, dtype=float)[self._index], trans="T")
+
     def project_deflation(self, v) -> np.ndarray:
         """The deflation projector P = I - Z G^{-1} Z^T M applied to v."""
         if self._z is None:
             raise ValueError("no coarse space attached")
         v = np.asarray(v, dtype=float)
         return v - self._z @ self._coarse_factor.solve(self._mzt @ v)
-
-    def matmat(self, v) -> np.ndarray:
-        """H applied to every column of an n x k block, in one apply."""
-        return self.apply(v)
 
     def as_handle(self) -> PreconditionerHandle:
         return PreconditionerHandle(self.dim, self, hermitian_flag=self.is_symmetric)

@@ -61,11 +61,6 @@ class WeightOperator:
 
     __call__ = apply
 
-    def matmat(self, x) -> np.ndarray:
-        """W applied to every column of an n x k block, in one call when
-        the wrapped operator has a block action."""
-        return self._op.matmat(x)
-
     def _probe_spd(self):
         rng = np.random.default_rng(_PROBE_SEED)
         for _ in range(_PROBE_COUNT):
@@ -90,7 +85,7 @@ class WeightOperator:
 
 
 class PreconditionerHandle:
-    """Action of a nonsingular preconditioner H, with an SPD marker."""
+    """Action of a nonsingular preconditioner H (and of H^T), with an SPD marker."""
 
     def __init__(self, dim, apply_h, *, hermitian_flag=False):
         self.dim = int(dim)
@@ -102,10 +97,12 @@ class PreconditionerHandle:
 
     __call__ = apply
 
-    def matmat(self, x) -> np.ndarray:
-        """H applied to every column of an n x k block, in one call when
-        the wrapped operator has a block action."""
-        return self._op.matmat(x)
+    def apply_transpose(self, x) -> np.ndarray:
+        """H^T x: H x when H is marked SPD, else the wrapped operator's
+        transposed action (ValueError when it has none)."""
+        if self.hermitian_flag:
+            return self.apply(x)
+        return self._op.apply_transpose(x)
 
     @classmethod
     def identity(cls, dim: int) -> "PreconditionerHandle":

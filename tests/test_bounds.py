@@ -330,21 +330,16 @@ class TestBoundReport:
 
 
 class _Counted:
-    """An operator that counts its vector and block applications."""
+    """An operator that counts its applications."""
 
     def __init__(self, dim, apply):
         self.dim = dim
         self._apply = apply
         self.vectors = 0
-        self.blocks = []
 
     def __call__(self, v):
         self.vectors += 1
         return self._apply(v)
-
-    def matmat(self, x):
-        self.blocks.append(x.shape)
-        return self._apply(x)
 
 
 class TestBlockedReport:
@@ -368,9 +363,8 @@ class TestBlockedReport:
         handle = PreconditionerHandle(n, counted, hermitian_flag=True)
         weight = WeightOperator(n, handle.apply, validate=False)
         report = compute_bound_report(assembled.operator(), handle, weight)
-        # H is applied to vectors only: 8 probes each through H and W = H,
-        # then the Lanczos steps
-        assert all(shape[1] < n for shape in counted.blocks)
+        # H is applied to vectors only (a callable has no other action):
+        # 8 probes each through H and W = H, then the Lanczos steps
         assert counted.vectors > 16
         assert report.bound2 is not None and report.bound3 is not None
 
@@ -387,7 +381,6 @@ class TestBlockedReport:
         handle = PreconditionerHandle(n, counted, hermitian_flag=True)
         report = compute_bound_report(assembled.operator(), handle,
                                       WeightOperator(n, handle.apply, validate=False))
-        assert counted.blocks == []
         assert report.bound1 is not None and 0.0 < report.bound1 < 1.0
 
     def test_op_norm_solve_applies_h_twice_per_step(self, schwarz_h, monkeypatch):
@@ -445,20 +438,25 @@ class TestBlockedReport:
         counted = _Counted(12, lambda x: h_dense @ x)
         h = PreconditionerHandle(12, counted, hermitian_flag=True)
         report = compute_bound_report(a, h, WeightOperator.identity(12))
-        assert counted.blocks == []
         assert counted.vectors > 1
         assert_reports_agree(report, dense_weighted_report(a, h_dense))
         assert report.op_norm == pytest.approx(np.linalg.norm(a @ h_dense, 2), rel=1e-12)
         assert report.kappa is None and report.bound2 is None
 
-    def test_other_spd_weight_is_densified(self):
+    def test_other_spd_weight_is_densified(self, monkeypatch):
         a, h_dense, _ = make_pd_system(42, n=12)
         w_dense = make_spd(np.random.default_rng(43), 12)
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
         counted = _Counted(12, lambda x: w_dense @ x)
         w = WeightOperator(12, counted, validate=False)
+        factored = []
+        monkeypatch.setattr(bounds, "cholesky",
+                            lambda s: factored.append(s.shape) or cholesky(s))
         report = compute_bound_report(a, h, w)
-        assert counted.blocks == [(12, 12)]
+        # W is densified once, one vector apply per column, and factored
+        # once; one more apply is the first probe of whether W equals H
+        assert counted.vectors == 1 + 12
+        assert factored == [(12, 12)]
         assert_reports_agree(report, dense_weighted_report(a, h_dense, w_dense))
         assert report.bound1 is not None
         assert report.kappa is None and report.bound2 is None and report.bound3 is None
@@ -637,6 +635,37 @@ class TestMatrixFreeReport:
         b = a @ h_dense
         assert fov_distance(b, w) == pytest.approx(got.fov_distance, rel=1e-10, abs=0.0)
         assert weighted_operator_norm(b, w) == pytest.approx(got.op_norm, rel=1e-10, abs=0.0)
+
+    def test_nonsymmetric_schwarz_h_is_not_densified(self, cdr_assembled, no_densify):
+        # C^T applies H^T by the transposed solves of the local LU factors
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(24)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.full_matrix(), maps, "one_level_nonsym")
+        n = precond.dim
+        assert n > RAYLEIGH_DIM_LIMIT
+        got = compute_bound_report(assembled.operator(), precond.as_handle(),
+                                   WeightOperator.identity(n))
+        b = assembled.full_matrix() @ densify(precond)
+        s_vals = sym_eig(0.5 * (b + b.T), vectors=False)
+        assert s_vals[0] < 0.0 < s_vals[-1]
+        assert got.fov_distance == 0.0 and got.bound1 == 1.0
+        assert got.op_norm == pytest.approx(np.linalg.norm(b, 2), rel=1e-10, abs=0.0)
+        assert got.kappa is None and got.bound2 is None and got.bound3 is None
+
+    @pytest.mark.parametrize("weight", ["identity", "general"])
+    def test_nonsymmetric_h_without_a_transpose_leaves_its_fields_out(self, weight,
+                                                                     no_densify):
+        rng = np.random.default_rng(50)
+        a, _, _ = make_pd_system(3, n=12)
+        h_dense = _nonsymmetric_h(rng, 12)
+        h = PreconditionerHandle(12, lambda v: h_dense @ v)
+        w = (WeightOperator.identity(12) if weight == "identity"
+             else WeightOperator.from_dense(make_spd(rng, 12)))
+        report = compute_bound_report(a, h, w)
+        assert all(value is None for value in report.to_dict().values())
 
     def test_semidefinite_symmetric_part_puts_zero_in_the_range(self):
         # H M has an exact eigenvalue 0 that Lanczos in the M H M inner

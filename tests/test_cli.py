@@ -268,8 +268,10 @@ def test_failed_preconditioner_factorization_is_usage_error(tmp_path, capsys, co
     rhs = tmp_path / "b.txt"
     write_matrix_market(scipy.sparse.csr_array(matrix), mtx)
     write_vector(np.ones(3), rhs)
+    # a non-symmetric H cannot be the weight, so it runs with W = I
+    weight = "identity" if precond == "one-level-nonsym" else "precond"
     code = main([command, "--matrix", str(mtx), "--rhs", str(rhs), "--precond", precond,
-                 "--n-sub", "1"])
+                 "--n-sub", "1", "--weight", weight])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: --precond {precond}: ") and fragment in err
@@ -407,15 +409,75 @@ def test_sweep_solves_the_cdr_coefficients(calls, axis, cdr_flags):
     assert [(p.mesh_divisions, p.nu, p.c0) for p, in calls["assemble"]] == [(8, 0.5, 2.0)]
 
 
-def test_bounds_force_stops_at_the_densify_limit(calls, capsys):
-    # a weight other than H needs H^T, which the non-symmetric H gives only
-    # densified: n = 69^2 > 4096 is an error line, even with --force, before
-    # any partition or factorization
-    code = main(["bounds", "--cdr", "m=70", "--precond", "one-level-nonsym", "--n-sub", "4",
-                 "--layout", "grid:2x2", "--weight", "identity", "--force"])
+@pytest.mark.parametrize("m, fields", [
+    (8, ["fov_distance=0.42592342", "op_norm=4.2422904", "bound1=0.91259725"]),
+    (16, ["fov_distance=0.0047476947", "op_norm=4.2541323", "bound1=0.9999836"]),
+    (30, ["fov_distance=0", "op_norm=4.2579845", "bound1=1"]),
+    (70, ["fov_distance=0", "op_norm=4.2606274", "bound1=1"]),
+], ids=["8", "16", "30", "70"])
+def test_bounds_nonsym_h_has_no_size_guard(capsys, m, fields):
+    # a weight other than H needs H^T, which the non-symmetric H applies by
+    # transposed local solves: m = 70 gives n = 4761, past the 4096 columns
+    # H used to be densified to; at m = 8 and 16 the numerical range
+    # excludes 0, so the bound1 search runs through C^T
+    code = main(["bounds", "--cdr", f"m={m}", "--precond", "one-level-nonsym", "--n-sub", "4",
+                 "--layout", "grid:2x2", "--weight", "identity"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == fields
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["solve", "--cdr", "m=10", "--precond", "one-level-nonsym"],
+     "--weight precond requires a symmetric preconditioner"),
+    (["bounds", "--cdr", "m=10", "--precond", "one-level-nonsym"],
+     "--weight precond requires a symmetric preconditioner"),
+    *[(["solve", "--cdr", "m=10", "--precond", "one-level-nonsym", "--weight", "identity",
+        "--solver", solver], f"--solver {solver} requires a symmetric preconditioner")
+      for solver in ("whp-gcr", "whp-gcr-alt-a", "whp-gcr-alt-b")],
+    (["solve", "--cdr", "m=10", "--precond", "two-level", "--solver", "gcr-restart:0"],
+     "parameter in 'gcr-restart:0' must be >= 1"),
+    (["solve", "--cdr", "m=10", "--precond", "two-level", "--solver", "orthomin:-1"],
+     "parameter in 'orthomin:-1' must be >= 0"),
+    (["solve", "--cdr", "m=10", "--precond", "two-level", "--solver", "orthomin:x"],
+     "bad parameter in 'orthomin:x'"),
+    (["solve", "--cdr", "m=10", "--precond", "two-level", "--solver", "bogus"],
+     "unknown solver 'bogus'"),
+], ids=["solve-weight", "bounds-weight", "whp-gcr", "whp-gcr-alt-a", "whp-gcr-alt-b",
+        "restart-0", "orthomin-negative", "orthomin-text", "bogus"])
+def test_bad_solver_pairing_is_rejected_before_assembly(calls, capsys, argv, fragment):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and fragment in err
+    assert calls["assemble"] == []
+
+
+SWEEP_AXES = {
+    "n-subdomains": ["--cdr", "m=12", "--n-sub-list", "4"],
+    "inner-product": ["--cdr", "m=12", "--n-sub-list", "4"],
+    "mesh": ["--m-list", "12", "--n-sub", "4"],
+    "coefficient": ["--cdr", "m=12", "--n-sub", "4", "--coeff-list", "1"],
+}
+
+
+@pytest.mark.parametrize("layout, kind, shape", [
+    (None, "grid", None), ("strips", "strips", None), ("grid:1x4", "grid", (1, 4))])
+@pytest.mark.parametrize("axis", sorted(SWEEP_AXES))
+def test_sweep_reads_the_layout_on_every_axis(calls, capsys, axis, layout, kind, shape):
+    flags = [] if layout is None else ["--layout", layout]
+    assert main(["sweep", "--axis", axis, *SWEEP_AXES[axis], *flags]) == 0
+    specs = [spec for _, spec in calls["build_partition"]]
+    assert specs and all((spec.layout, spec.grid_shape) == (kind, shape) for spec in specs)
+    if axis == "coefficient":
+        assert f"two-level {layout or 'grid'}," in capsys.readouterr().out
+
+
+def test_sweep_partitions_every_row_before_factoring(calls, capsys):
+    code = main(["sweep", "--axis", "n-subdomains", "--cdr", "m=3", "--n-sub-list", "1,10"])
     assert code == 1
-    assert "n=4761 > 4096" in capsys.readouterr().err
-    assert calls["build_partition"] == calls["build_preconditioner"] == []
+    assert "more subdomains than unknowns" in capsys.readouterr().err
+    assert len(calls["assemble"]) == 1
+    assert calls["build_preconditioner"] == []
 
 
 SOLVE_ONLY_FLAGS = {

@@ -321,22 +321,13 @@ class TestBlockAction:
         assert np.allclose(densify(aslinearoperator(apply, dim=7)), a, rtol=0, atol=1e-14)
         assert calls == [(7,)] * 7
 
-    def test_matmat_without_block_action_loops(self):
-        a = np.random.default_rng(26).standard_normal((6, 6))
-        x = np.random.default_rng(27).standard_normal((6, 3))
-        assert np.allclose(LinearOperator(6, lambda v: a @ v).matmat(x), a @ x,
-                           rtol=0, atol=1e-13)
-
-    def test_wrongly_shaped_block_result_rejected(self):
-        op = LinearOperator(4, lambda x: x, matmat=lambda x: x[:, :-1])
-        with pytest.raises(ValueError):
-            densify(op)
-
     def test_wrongly_shaped_block_argument_rejected(self):
+        # both actions take vectors of the operator's dimension only
         op = LinearOperator.identity(4)
-        for bad in (np.ones(4), np.ones((5, 2)), np.ones((4, 2, 1))):
-            with pytest.raises(ValueError):
-                op.matmat(bad)
+        for bad in (np.ones(5), np.ones((4, 2)), np.ones((4, 2, 1))):
+            for action in (op.apply, op.apply_transpose):
+                with pytest.raises(ValueError):
+                    action(bad)
 
     def test_sparse_matrix_operator(self):
         m = scipy.sparse.csr_array(np.array([[2.0, 0.0], [1.0, 3.0]]))
@@ -344,6 +335,51 @@ class TestBlockAction:
         assert np.array_equal(op.apply(np.array([1.0, 1.0])), [2.0, 4.0])
         assert np.array_equal(densify(op), m.toarray())
         assert np.array_equal(densify(aslinearoperator(m)), m.toarray())
+
+
+class TestTransposedAction:
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "identity"])
+    def test_adjoint_identity(self, kind):
+        rng = np.random.default_rng(31)
+        a = rng.standard_normal((11, 11))
+        op = {"dense": lambda: LinearOperator.from_dense(a),
+              "sparse": lambda: LinearOperator.from_matrix(scipy.sparse.csr_array(a)),
+              "identity": lambda: LinearOperator.identity(11)}[kind]()
+        for _ in range(3):
+            x, y = rng.standard_normal(11), rng.standard_normal(11)
+            hx = op.apply(x)
+            gap = abs(y @ hx - op.apply_transpose(y) @ x)
+            assert gap <= 1e-13 * np.linalg.norm(y) * np.linalg.norm(hx)
+
+    def test_bare_callable_has_no_transposed_action(self):
+        op = aslinearoperator(lambda x: 2.0 * x, dim=3)
+        assert np.array_equal(op.apply(np.ones(3)), [2.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match="no transposed action"):
+            op.apply_transpose(np.ones(3))
+
+    def test_callable_keeps_its_transposed_action(self):
+        a = np.random.default_rng(32).standard_normal((5, 5))
+
+        class Mapping:
+            dim = 5
+
+            def __call__(self, x):
+                return a @ x
+
+            def apply_transpose(self, x):
+                return a.T @ x
+
+        op = aslinearoperator(Mapping())
+        e = np.eye(5)
+        assert np.array_equal(np.column_stack([op.apply_transpose(c) for c in e]), a.T @ e)
+        assert op.matrix is None
+
+    def test_densify_returns_the_kept_matrix(self):
+        a = np.random.default_rng(33).standard_normal((6, 6))
+        assert densify(LinearOperator.from_dense(a)) is a
+        calls = []
+        op = LinearOperator(6, lambda x: calls.append(1) or a @ x, matrix=a)
+        assert densify(op) is a and calls == []
 
 
 class TestValuesOnlyEigen:

@@ -396,22 +396,15 @@ class TestSparseFactors:
 class TestBlockApply:
     @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym", "one_level_nonsym"])
     def test_block_densify_matches_column_loop(self, cdr_assembled, mode):
+        # H applied to the whole identity at once against densify, which
+        # applies it column by column
         assembled = cdr_assembled(20)
         maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
                                coords=assembled.dof_coords)
         matrix = assembled.full_matrix() if mode == "one_level_nonsym" else assembled.m_matrix
         precond = build_preconditioner(matrix, maps, mode)
-        columns = densify(LinearOperator(precond.dim, precond.apply))
-        blocks = []
-        apply = precond.apply
-
-        def counted(v):
-            blocks.append(np.shape(v))
-            return apply(v)
-
-        precond.apply = counted  # matmat goes through the instance's apply
-        block = densify(precond.as_handle())
-        assert blocks == [(precond.dim, precond.dim)]
+        columns = densify(precond.as_handle())
+        block = precond.apply(np.eye(precond.dim))
         assert np.linalg.norm(block - columns) <= 1e-14 * np.linalg.norm(columns)
 
     @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym", "one_level_nonsym"])
@@ -433,20 +426,38 @@ class TestBlockApply:
         columns = densify(LinearOperator(op.dim, op.apply))
         assert np.linalg.norm(block - columns) <= 1e-14 * np.linalg.norm(columns)
 
-    def test_weight_view_densifies_in_one_apply(self, cdr_assembled):
-        assembled = cdr_assembled(12)
-        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "strips"),
+
+class TestTransposedApply:
+    @pytest.fixture(scope="class")
+    def preconds(self, cdr_assembled):
+        assembled = cdr_assembled(20)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
                                coords=assembled.dof_coords)
-        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
-        weight = precond.as_weight()
-        calls = []
-        apply = precond.apply
+        return {mode: build_preconditioner(
+                    assembled.full_matrix() if mode == "one_level_nonsym"
+                    else assembled.m_matrix, maps, mode)
+                for mode in ("one_level_sym", "two_level_sym", "one_level_nonsym")}
 
-        def counted(v):
-            calls.append(np.shape(v))
-            return apply(v)
+    @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym", "one_level_nonsym"])
+    def test_adjoint_identity(self, preconds, mode):
+        precond = preconds[mode]
+        rng = np.random.default_rng(6)
+        for action in (precond, precond.as_handle()):
+            for _ in range(3):
+                x, y = rng.standard_normal(precond.dim), rng.standard_normal(precond.dim)
+                hx = action.apply(x)
+                gap = abs(y @ hx - action.apply_transpose(y) @ x)
+                assert gap <= 1e-13 * np.linalg.norm(y) * np.linalg.norm(hx)
 
-        precond.apply = counted
-        dense = densify(weight)
-        assert calls == [(precond.dim, precond.dim)]
-        assert np.allclose(dense, dense.T, rtol=0, atol=1e-12 * np.abs(dense).max())
+    def test_nonsymmetric_transpose_is_not_h(self, preconds):
+        precond = preconds["one_level_nonsym"]
+        y = np.random.default_rng(7).standard_normal(precond.dim)
+        ht_y = precond.apply_transpose(y)
+        assert np.linalg.norm(ht_y - precond.apply(y)) > 1e-3 * np.linalg.norm(ht_y)
+        assert np.allclose(ht_y, densify(precond.as_handle()).T @ y, rtol=0,
+                           atol=1e-13 * np.linalg.norm(ht_y))
+
+    def test_symmetric_transpose_is_h(self, preconds):
+        precond = preconds["two_level_sym"]
+        y = np.random.default_rng(8).standard_normal(precond.dim)
+        assert np.array_equal(precond.apply_transpose(y), precond.apply(y))

@@ -68,7 +68,7 @@ def test_w_gram_of_solver_directions_is_diagonal():
     )
     assert result.status == "converged"
     q = np.array(result.q_directions)
-    gram = q @ w.matmat(q.T)
+    gram = q @ np.array([w.apply(row) for row in q]).T
     off = gram - np.diag(np.diag(gram))
     assert np.abs(off).max() <= 1e-8 * np.diag(gram).max()
 
