@@ -322,6 +322,16 @@ def _check_pairing(precond: str, weight: str, solver: str = ""):
         raise UsageError(f"{flag} requires a symmetric preconditioner")
 
 
+def _solve_config(args, stopping_norm: str) -> SolveConfig:
+    """The iteration limit and tolerance of --max-iter and --tol; a value
+    SolveConfig rejects is a usage error, found before any assembly."""
+    try:
+        return SolveConfig(max_iterations=args.max_iter, rel_tolerance=args.tol,
+                           stopping_norm=stopping_norm)
+    except ValueError as exc:
+        raise UsageError(f"--tol {args.tol} --max-iter {args.max_iter}: {exc}") from exc
+
+
 def _write_report(args, report: matrixio.ExperimentReport):
     if not args.out:
         return
@@ -334,8 +344,7 @@ def _write_report(args, report: matrixio.ExperimentReport):
 def cmd_solve(args) -> int:
     run = _parse_solver(args.solver)
     _check_pairing(args.precond, args.weight, args.solver)
-    cfg = SolveConfig(max_iterations=args.max_iter, rel_tolerance=args.tol,
-                      stopping_norm=args.stop_norm)
+    cfg = _solve_config(args, args.stop_norm)
     spec = _partition_spec(args.layout, args.n_sub, args.overlap)
     problem = _load_problem(args)
     maps = None if args.precond == "identity" else _partition(spec, problem)
@@ -397,9 +406,9 @@ def cmd_sweep(args) -> int:
     # assembly; a first pass assembles each problem once and partitions
     # every row before any factorization; the second builds the two-level
     # H once per row and runs the axis's solvers on it
+    cfg = _solve_config(args, "euclidean" if args.axis == "inner-product" else "weighted")
     rows = []
     solvers = [("", _SOLVERS["whp-gcr"])]
-    stop_norm = "weighted"
     if args.axis in ("n-subdomains", "inner-product"):
         spec = _cdr_spec(args.cdr, args.force, m=60)
         for n_sub in _parse_list(int, args.n_sub_list):
@@ -409,7 +418,6 @@ def cmd_sweep(args) -> int:
         else:
             print(f"inner-product sweep: two-level, m={spec.mesh_divisions}, Euclidean stopping")
             solvers = [(" gmres", _SOLVERS["gmres-oracle"]), (" whp-gcr", _SOLVERS["whp-gcr"])]
-            stop_norm = "euclidean"
     elif args.axis == "mesh":
         partition = _partition_spec(args.layout, args.n_sub, args.overlap)
         for m in _parse_list(int, args.m_list):
@@ -432,8 +440,6 @@ def cmd_sweep(args) -> int:
         symmetric = dataclasses.replace(cdr.reference_problem(nu=10.0, c0=10.0,
                                                               mesh_divisions=m), a_field=None)
         rows.append(("symmetric-part-only", symmetric, partition))
-    cfg = SolveConfig(max_iterations=args.max_iter, rel_tolerance=args.tol,
-                      stopping_norm=stop_norm)
     partitioned = []
     problem = None
     for label, spec, partition in rows:

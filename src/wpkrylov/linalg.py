@@ -135,7 +135,8 @@ def aslinearoperator(obj, dim: int | None = None) -> LinearOperator:
     """Coerce a dense array, scipy.sparse matrix, callable or operator to LinearOperator.
 
     A callable with an ``apply_transpose`` method (a preconditioner
-    handle, say) keeps it as the transposed action.
+    handle, say) keeps it as the transposed action, and one with a
+    ``matrix`` (a weight built from one) keeps that matrix.
     """
     if isinstance(obj, LinearOperator):
         return obj
@@ -146,7 +147,8 @@ def aslinearoperator(obj, dim: int | None = None) -> LinearOperator:
             dim = getattr(obj, "dim", None)
         if dim is None:
             raise ValueError("dim is required when wrapping a bare callable")
-        return LinearOperator(dim, obj, transpose=getattr(obj, "apply_transpose", None))
+        return LinearOperator(dim, obj, transpose=getattr(obj, "apply_transpose", None),
+                              matrix=getattr(obj, "matrix", None))
     return LinearOperator.from_dense(obj)
 
 

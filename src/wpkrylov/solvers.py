@@ -10,31 +10,40 @@ is the right-preconditioned loop on H A x = H b with the identity as
 preconditioner.  With a symmetric positive definite H as the weight,
 whp_gcr runs the same loop keeping z = H r (W r, and the next
 direction) by the recurrence z <- z - alpha W q, so H is applied once
-per iteration, not three times.  It holds q and W q beside the source
-of p; the storage-lean whp_gcr_alt_a holds W q only and uses q = A z
-unprojected, whp_gcr_alt_b holds q only and uses W A z unprojected.  A
+per iteration, not three times.  It holds q and W q, which determine
+the sources of its directions; the storage-lean whp_gcr_alt_a holds
+W q only and uses q = A z unprojected, whp_gcr_alt_b holds q only and
+uses W A z unprojected; both also hold the sources.  A
 modified-Gram-Schmidt Arnoldi GMRES in the same inner product serves as
 an independent reference implementation.
 
-Every GCR loop keeps its directions in one blocked store: the source
-z_j of each direction (H r, or the Orthodir recovery vector) and the
-images held beside it are rows of preallocated row-major (capacity, n)
-blocks, so a projection against all held directions is one
-matrix-vector product for the coefficients and one per held image for
-the update, whatever their number.  A new record is written once,
-straight into its row, and projected there.  Only the images are
-projected.
+Every GCR loop keeps its directions in one blocked store: the images
+held for each direction, and its source z_j (H r, or the Orthodir
+recovery vector) where the images do not determine it, are rows of
+preallocated row-major (capacity, n) blocks, so a projection against all
+held directions is one matrix-vector product for the coefficients and
+one per held image for the update, whatever their number.  A new record
+is written once, straight into its row, and projected there.  Only the
+images are projected.
 Neither p_j = z_j - sum_i beta_ji p_i nor x is updated per step: the
 store keeps each step's coefficients as a row of a unit lower-triangular
 L, with Z = L P, and its step length alpha_j, and a fold forms
 x = x_0 + P^T alpha = x_0 + Z^T L^-T alpha in one pass over the sources
 (the simpler-GMRES form of Walker & Zhou, Numer. Linear Algebra Appl.
 1994; Jiranek, Rozloznik & Gutknecht, SIAM J. Matrix Anal. Appl. 2008,
-compare its attainable accuracy with GCR's).  The loop folds at return
-and at the end of a GCR(k) cycle.  A loop that reads x at every step
-(record_iterates, or r = b - A x) folds at every step, and Orthomin(k)
-before it moves its rows; that fold forms p_j against the held p as the
-step is taken.  p_directions is formed from the sources when first read.
+compare its attainable accuracy with GCR's).  In whp_gcr and in the
+loops with the identity preconditioner (full GCR, GCR(k), the left
+form) each source is the vector the loop updates by z <- z - alpha u
+over a held image u (W q, or q with z = r), or the image u of the row
+before it: there the store keeps no sources, only the start of the
+recurrence, and the fold is one pass over u.  So per direction whp_gcr
+holds 2 vectors (q, W q), identity-preconditioned GCR 1 (q) with the
+Euclidean weight and 2 (q, W q) with another, and a loop with a general
+H 3 (z, q, W q), or 2 (z, q) with the Euclidean weight.  The loop folds at return and at the end of a GCR(k) cycle.  A
+loop that reads x at every step (record_iterates, or r = b - A x) folds
+at every step, and Orthomin(k) before it moves its rows; that fold forms
+p_j against the held p as the step is taken, so both keep their
+sources.  p_directions is formed from the sources when first read.
 
 The GCR loop orthogonalizes by classical Gram-Schmidt with the "twice is
 enough" norm test: a second pass runs only when the first one cancelled
@@ -159,6 +168,8 @@ class SolveConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
+        if self.max_iterations < 0:  # the direction store sizes its rows from it
+            raise ValueError("max_iterations must be >= 0")
         if self.rel_tolerance <= 0:
             raise ValueError("rel_tolerance must be positive")
         if self.restart_period is not None and self.truncation_window is not None:
@@ -221,8 +232,9 @@ class SolveResult:
     for Orthomin(k) and at most the current cycle for GCR(k), none for
     the minimal-residual iteration.  q_directions holds the images A p_j
     (H A p_j for the left form and for whp_gcr_alt_a).  The loop does not
-    form p_j (see _Directions): p_directions turns the held sources into
-    p_j, in place, on first read.
+    form p_j (see _Directions): p_directions forms them on first read, in
+    place where the store holds the sources, else in a (held, n) array it
+    allocates then, which the replayed sources fill first.
     """
 
     x: np.ndarray
@@ -256,15 +268,28 @@ class _Directions:
 
     ``rows`` has shape (capacity, kinds, n).  Row j is the record of one
     direction: its source z_j (the vector it was built from: H r, or the
-    Orthodir recovery vector), then the images the solver keeps beside it
-    (q_j = A p_j, its weighted image, or both).  ``rows[:, i]`` is the
-    (capacity, n) block of kind i, row-major with a row stride of
-    kinds * n, which BLAS takes as it is.  Keeping a record contiguous
-    means a solve touches one growing prefix of the array, not one per
-    kind, so transparent huge pages round up one region only.  The
-    projection coefficients are taken against the last block, and block
-    1 is what SolveResult reports as q_directions.  Rows lo:hi are held,
-    oldest first; every read of a block goes through ``block``.
+    Orthodir recovery vector) when the store keeps sources, then the
+    images the solver keeps beside it (q_j = A p_j, its weighted image, or
+    both).  ``rows[:, i]`` is the (capacity, n) block of kind i, row-major
+    with a row stride of kinds * n, which BLAS takes as it is.  Keeping a
+    record contiguous means a solve touches one growing prefix of the
+    array, not one per kind, so transparent huge pages round up one region
+    only.  The projection coefficients are taken against the last block,
+    and the first image block is what SolveResult reports as
+    q_directions.  Rows lo:hi are held, oldest first; every read of a
+    block goes through ``block``, whose kind counts the source block;
+    ``held`` and ``last`` count the images only.
+
+    A loop whose sources follow from its held images keeps no source
+    block (``recurrence`` names the image u that implies them; the
+    choice is _recurrence_image's).  Such a loop takes each source from
+    one vector it updates by a recurrence over the held images, z <- z -
+    alpha_j u_j: whp_gcr keeps z = H r that way with u = W q, and a loop
+    with the identity preconditioner takes r itself, r <- r - alpha_j q_j.
+    An Orthodir recovery row takes u_{j-1} instead.  So the store keeps,
+    per cycle, the start of the recurrence and, per row, whether it is a
+    recovery row; ``head`` keeps the source of a first row that recovers
+    from a direction the cycle no longer holds.
 
     Only the images are projected.  The direction p_j = z_j - sum_i
     beta_ji p_i is not formed when it is taken: row j of the unit
@@ -272,14 +297,17 @@ class _Directions:
     Gram-Schmidt passes, zero left of its window), so Z = L P, and
     ``alpha`` keeps its step length.  The steps reach ``x`` in a fold.
     At the end of a solve or of a GCR(k) cycle, while every row still
-    holds its source, the fold is one pass over block 0: x += y^T Z with
-    L^T y = alpha (the x = x_0 + Z U^-1 alpha form of Walker & Zhou's
-    simpler GMRES, Numer. Linear Algebra Appl. 1994).  Otherwise it turns
-    the unfolded sources into p_j, one row at a time as the unfolded loop
-    did, and adds alpha_j p_j: a loop that reads x every step folds every
-    step, and Orthomin(k) folds before it moves its rows.  Rows 0:folded
-    have their step in x; rows 0:explicit hold p_j, the others z_j.
-    SolveResult.p_directions turns the sources into p_j on first read.
+    holds its source, the fold is one pass over the sources: x += y^T Z
+    with L^T y = alpha (the x = x_0 + Z U^-1 alpha form of Walker & Zhou's
+    simpler GMRES, Numer. Linear Algebra Appl. 1994), and without a
+    source block one pass over u with the z_j written out (_fold_images).
+    Otherwise it turns the unfolded sources into p_j, one row at a time
+    as the unfolded loop did, and adds alpha_j p_j: a loop that reads x
+    every step folds every step, and Orthomin(k) folds before it moves
+    its rows; these keep their sources.  Rows 0:folded have their step in
+    x; rows 0:explicit hold p_j, the others z_j.  SolveResult.p_directions
+    forms p_j on first read: in place over a source block, else in a new
+    (held, n) array that the recurrence first fills with the sources.
 
     Full GCR holds every direction.  Orthomin(k) holds the last k in 2k
     rows and, when a new record finds them full, first moves the newest k
@@ -297,7 +325,8 @@ class _Directions:
     overwrites it.
     """
 
-    def __init__(self, x: np.ndarray, kinds: int, cfg: SolveConfig):
+    def __init__(self, x: np.ndarray, images: int, cfg: SolveConfig,
+                 recurrence: int | None = None):
         self.x = x
         self.window = cfg.truncation_window
         self.period = cfg.restart_period
@@ -308,39 +337,55 @@ class _Directions:
         else:
             capacity = cfg.max_iterations
         capacity = min(capacity, cfg.max_iterations)
-        self.rows = np.empty((capacity, kinds, len(x)))
+        self.recurrence = recurrence
+        self.first = int(recurrence is None)  # the kind of the first image
+        self.rows = np.empty((capacity, self.first + images, len(x)))
         self.delta = np.empty(capacity)
         self.alpha = np.empty(capacity)
         self.coefficients = np.zeros((min(capacity, 64),) * 2)
         self.lo = self.hi = 0
         self.folded = self.explicit = 0
+        if recurrence is not None:
+            self.recovery = np.zeros(capacity, dtype=bool)
+            self.start = self.head = self.p = None
 
     def __len__(self) -> int:
         return self.hi - self.lo
 
     def block(self, kind: int, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of one block."""
+        """Rows start:stop of one block (kind 0 is the source block, if any)."""
         return self.rows[start:stop, kind]
 
-    def held(self, kind: int) -> np.ndarray:
-        """The (held, n) rows of one block."""
-        return self.block(kind, self.lo, self.hi)
+    def held(self, image: int) -> np.ndarray:
+        """The (held, n) rows of one image block (0 the first, -1 the last)."""
+        return self.block(image if image < 0 else self.first + image, self.lo, self.hi)
 
-    def last(self, kind: int) -> np.ndarray:
-        return self.rows[self.hi - 1, kind]
+    def last(self, image: int) -> np.ndarray:
+        return self.held(image)[-1]
 
-    def record(self) -> np.ndarray:
-        """The (kinds, n) row the next record is written and built in."""
+    def record(self, source: np.ndarray, recovery: bool = False,
+               start: np.ndarray | None = None) -> np.ndarray:
+        """The (images, n) row the next record's images are written and built
+        in.  source is its z; without a source block, recovery marks it as
+        u of the last held row, and start is the vector the recurrence
+        updates, which a new cycle starts from."""
         if self.hi == len(self.rows):  # only a truncation window fills its rows
             self._compact()
-        return self.rows[self.hi]
+        if self.recurrence is None:
+            self.rows[self.hi, 0] = source
+        else:
+            if self.hi == 0:
+                self.start = np.array(start)
+                self.head = np.array(source) if recovery else None
+            self.recovery[self.hi] = recovery
+        return self.rows[self.hi, self.first:]
 
-    def project(self, u: np.ndarray, record: list) -> tuple[np.ndarray, np.ndarray]:
+    def project(self, u: np.ndarray, record: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One classical Gram-Schmidt step on the new record's images.
 
         The coefficients are phi_j = <row j of the last block, u> and
         beta_j = phi_j / delta_j; record[i] loses beta_j times row j of
-        block i for each image, the source record[0] nothing.
+        image block i for each image.
         """
         if not self:
             return np.empty(0), np.empty(0)
@@ -349,24 +394,24 @@ class _Directions:
         self._subtract(beta, record)
         return phi, beta
 
-    def reorthogonalize(self, record: list, beta: np.ndarray,
+    def reorthogonalize(self, record: np.ndarray, beta: np.ndarray,
                         az_norm: float) -> tuple[float, np.ndarray, bool]:
         """The "twice is enough" test: a second pass only after cancellation.
 
-        ``record`` is the projected (z, q, ..., weighted image of q) and
-        az_norm is ||A z||_W, the W-norm of the image before projection.
-        Classical Gram-Schmidt leaves q with a component in the held span
-        of about eps ||A z||_W / ||q||_W relative (Daniel, Gragg, Kaufman &
-        Stewart 1976).  When sqrt(delta) = ||q||_W < _REORTH_ETA * az_norm
-        the images are projected once more, as a second classical pass:
-        dots of q against the rows of the last block, one update per
-        held image.  Two passes suffice for an image that is numerically
+        ``record`` is the projected (q, weighted image of q) and az_norm is
+        ||A z||_W, the W-norm of the image before projection.  Classical
+        Gram-Schmidt leaves q with a component in the held span of about
+        eps ||A z||_W / ||q||_W relative (Daniel, Gragg, Kaufman & Stewart
+        1976).  When sqrt(delta) = ||q||_W < _REORTH_ETA * az_norm the
+        images are projected once more, as a second classical pass: dots
+        of q against the rows of the last block, one update per held
+        image.  Two passes suffice for an image that is numerically
         independent of the held ones (Giraud, Langou, Rozloznik & van den
         Eshof 2005).  Otherwise nothing is read or touched.  Returns
         delta = <weighted image, q> of the final record, the coefficients
         of both passes summed and whether the second pass ran.
         """
-        q, wq = record[1], record[-1]
+        q, wq = record[0], record[-1]
         delta = float(wq @ q)
         if not (self and delta > 0.0 and np.sqrt(delta) < _REORTH_ETA * az_norm):
             return delta, beta, False
@@ -374,9 +419,9 @@ class _Directions:
         self._subtract(extra, record)
         return float(wq @ q), beta + extra, True
 
-    def _subtract(self, beta: np.ndarray, record: list):
-        for kind in range(1, len(record)):
-            record[kind] -= beta @ self.held(kind)
+    def _subtract(self, beta: np.ndarray, record: np.ndarray):
+        for image in range(len(record)):
+            record[image] -= beta @ self.held(image)
 
     def append(self, delta: float, alpha: float, beta: np.ndarray):
         """Hold the record built in row hi, taken with step length alpha and
@@ -412,7 +457,8 @@ class _Directions:
 
     def fold(self):
         """Turn each unfolded source into p_j against its window and add
-        alpha_j p_j to x, in the order the steps were taken."""
+        alpha_j p_j to x, in the order the steps were taken (a store with
+        a source block only)."""
         for j in range(self.folded, self.hi):
             start = self._window_start(j)
             p = self.rows[j, 0]
@@ -427,7 +473,8 @@ class _Directions:
 
     def _fold_all(self):
         """Fold every step into x at the end of a solve or of a cycle: in one
-        pass over the sources while no row holds p_j, else row by row."""
+        pass over the sources (or over u) while no row holds p_j, else row
+        by row."""
         if self.folded:
             self.fold()
             return
@@ -436,22 +483,65 @@ class _Directions:
             y = scipy.linalg.solve_triangular(self.coefficients[:k, :k], self.alpha[:k],
                                               trans="T", lower=True, unit_diagonal=True,
                                               check_finite=False)
-            self.x += y @ self.block(0, 0, k)
+            if self.recurrence is None:
+                self.x += y @ self.block(0, 0, k)
+            else:
+                self._fold_images(y)
         self.folded = k
 
+    def _fold_images(self, y: np.ndarray):
+        """x += sum_j y_j z_j with each z_j written out from the images: a
+        normal row is start - sum_{i<j} alpha_i u_i, a recovery row u_{j-1}
+        (head for row 0).  So start takes the y_j of the normal rows, and
+        u_i takes -alpha_i times those of the normal rows after it, plus
+        y_{i+1} when row i+1 is a recovery row."""
+        k = len(y)
+        recovery = self.recovery[:k]
+        later = np.cumsum(np.where(recovery, 0.0, y)[::-1])[::-1]  # sum over normal j >= i
+        c = np.zeros(k)
+        c[:-1] = np.where(recovery[1:], y[1:], 0.0) - self.alpha[:k - 1] * later[1:]
+        self.x += c @ self.held(self.recurrence)
+        self.x += later[0] * self.start
+        if recovery[0]:
+            self.x += y[0] * self.head
+
+    def _sources(self) -> np.ndarray:
+        """The sources of rows 0:hi, replayed by the loop's own recurrence
+        (z <- z - alpha_j u_j after every step taken) into a new array."""
+        u = self.held(self.recurrence)
+        sources = np.empty((self.hi, self.rows.shape[2]))
+        z = self.start
+        for j in range(self.hi):
+            if self.recovery[j]:
+                sources[j] = u[j - 1] if j else self.head
+            else:
+                sources[j] = z
+            if self.alpha[j]:  # a row kept after a breakdown left z as it was
+                z = z - self.alpha[j] * u[j]
+        return sources
+
+    def _forward(self, sources: np.ndarray):
+        """Turn the (hi, n) sources into p_j in place, by the recursion of
+        fold run over column chunks, so each chunk is read from cache."""
+        for c in range(0, sources.shape[1], _FORWARD_CHUNK):
+            chunk = sources[:, c:c + _FORWARD_CHUNK]
+            for j in range(1, self.hi):
+                start = self._window_start(j)
+                chunk[j] -= self.coefficients[j, start:j] @ chunk[start:j]
+
     def directions(self) -> list:
-        """The held p_j, oldest first.  Sources are turned into p_j in place
-        on first read, by the recursion of fold run over column chunks, so
-        no (held, n) copy is made and each chunk is read from cache."""
+        """The held p_j, oldest first, formed on first read: in place over
+        the source block (no (held, n) copy is made), else from the sources
+        the recurrence replays."""
+        if self.recurrence is not None:
+            if self.p is None:
+                self.p = self._sources()
+                self._forward(self.p)
+            return list(self.p)
         if self.explicit < self.hi:  # then no row holds p_j yet
-            sources = self.block(0, 0, self.hi)
-            for c in range(0, sources.shape[1], _FORWARD_CHUNK):
-                chunk = sources[:, c:c + _FORWARD_CHUNK]
-                for j in range(1, self.hi):
-                    start = self._window_start(j)
-                    chunk[j] -= self.coefficients[j, start:j] @ chunk[start:j]
+            self._forward(self.block(0, 0, self.hi))
             self.explicit = self.hi
-        return list(self.held(0))
+        return list(self.block(0, self.lo, self.hi))
 
     def end_iteration(self, done: int, trace: IterationTrace):
         """Fold the steps and clear the held directions when a restart
@@ -463,7 +553,7 @@ class _Directions:
 
     def result(self, trace: IterationTrace) -> SolveResult:
         self._fold_all()
-        return SolveResult(self.x, trace, len(trace.alpha), list(self.held(1)), self)
+        return SolveResult(self.x, trace, len(trace.alpha), list(self.held(0)), self)
 
 
 def _clamped_sqrt(value: float) -> float:
@@ -561,14 +651,15 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
     is then H; z = W r, kept by the recurrence z <- z - alpha W q, is W r
     for ||r||_W and the next direction.
 
-    held names which of q and W q the direction store keeps beside the
-    source z of each direction.  A vector that is not held is used as
-    computed, without projection: the image q = A z (r is then formed as
-    b - A x, so x is folded every step) or W q = W A z.  The coefficients
-    are <held row, A z> when W q is held and <held row, W A z> otherwise;
-    the second Gram-Schmidt pass runs only when both are held.  The
-    Orthodir recovery source of whp is W q, or H times the last held q
-    after a degenerate direction when W q is not held.
+    held names which of q and W q the direction store keeps beside each
+    direction.  A vector that is not held is used as computed, without
+    projection: the image q = A z (r is then formed as b - A x, so x is
+    folded every step) or W q = W A z.  The coefficients are <held row,
+    A z> when W q is held and <held row, W A z> otherwise; the second
+    Gram-Schmidt pass runs only when both are held.  The Orthodir recovery
+    source of whp is W q, or H times the last held q after a degenerate
+    direction when W q is not held.  The store keeps the sources too
+    unless _recurrence_image finds that the held images imply them.
     """
     hold_q, hold_wq = "q" in held, "wq" in held
     a = system.operator
@@ -584,24 +675,28 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
     if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
-    # records (z, q, W q) less what is not held; for the Euclidean weight
-    # W q is q and not kept twice
-    kinds = 1 + hold_q + (hold_wq and not w.is_identity)
-    store = _Directions(x, kinds, cfg)  # owns x from here on
+    # records hold q and W q, less what is not held; for the Euclidean
+    # weight W q is q and not kept twice
+    images = hold_q + (hold_wq and not w.is_identity)
+    store = _Directions(x, images, cfg,  # owns x from here on
+                        _recurrence_image(h, cfg, w_is_h, hold_q, hold_wq))
     every_step = cfg.record_iterates or not hold_q  # x is read at every step
-    v = z if w_is_h else h.apply(r)  # source vector for the next direction
+    # H r; for the identity r itself, with no copy: the loop rebinds r,
+    # never writes into it
+    precondition = (lambda r: r) if h.is_identity else h.apply
+    v = z if w_is_h else precondition(r)  # source vector for the next direction
+    recovery = False  # v is an Orthodir recovery vector
 
     for i in range(cfg.max_iterations):
         az = a.apply(v)
         waz = az if w.is_identity else w.apply(az)
         az_norm = _clamped_sqrt(float(waz @ az))
-        record = store.record()
-        record[0] = v
+        record = store.record(v, recovery, z if w_is_h else r)
         if hold_q:
-            record[1] = az
+            record[0] = az
         if hold_wq and not w.is_identity:
             record[-1] = waz
-        q = record[1] if hold_q else az
+        q = record[0] if hold_q else az
         wq = record[-1] if hold_wq else waz
         phi, beta = store.project(az if hold_wq else waz, record)
         if hold_q and hold_wq:
@@ -623,7 +718,8 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
                 store.append(delta, 0.0, beta)
                 v = wq if w_is_h else h.apply(q)
             else:
-                v = store.last(-1) if w_is_h and hold_wq else h.apply(store.last(1))
+                v = store.last(-1) if w_is_h and hold_wq else h.apply(store.last(0))
+            recovery = True
             store.end_iteration(i + 1, trace)
             continue
 
@@ -645,10 +741,28 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
         if w_is_h and _drifted(trace, i, rz):
             return store.result(trace)
         store.end_iteration(i + 1, trace)
-        v = z if w_is_h else h.apply(r)
+        v = z if w_is_h else precondition(r)
+        recovery = False
 
     trace.status = "max_iter"
     return store.result(trace)
+
+
+def _recurrence_image(h: PreconditionerHandle, cfg: SolveConfig, w_is_h: bool,
+                      hold_q: bool, hold_wq: bool) -> int | None:
+    """The held image u that implies every source of a _gcr loop, or None
+    when the store must keep them.  whp_gcr takes its sources from
+    z <- z - alpha W q (u = W q, the last image); with the identity
+    preconditioner the source H r is r itself, r <- r - alpha q (u = q,
+    the first).  A loop with a window moves and drops its rows, and one
+    that folds every step turns its sources into p_j in place: both keep
+    their sources, as do a general H and whp_gcr_alt_b, which holds no
+    W q."""
+    if cfg.truncation_window is not None or cfg.record_iterates or not hold_q:
+        return None
+    if w_is_h:
+        return -1 if hold_wq else None
+    return 0 if h.is_identity else None
 
 
 def _weighted_norm(w: WeightOperator, x: np.ndarray) -> float:

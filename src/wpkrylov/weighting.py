@@ -61,6 +61,11 @@ class WeightOperator:
 
     __call__ = apply
 
+    @property
+    def matrix(self):
+        """The matrix W was built from (shared: read it only), or None."""
+        return self._op.matrix
+
     def _probe_spd(self):
         rng = np.random.default_rng(_PROBE_SEED)
         for _ in range(_PROBE_COUNT):
@@ -85,12 +90,15 @@ class WeightOperator:
 
 
 class PreconditionerHandle:
-    """Action of a nonsingular preconditioner H (and of H^T), with an SPD marker."""
+    """Action of a nonsingular preconditioner H (and of H^T), with an SPD
+    marker, and an identity marker (set by ``identity``) that tells the
+    solvers H r is r."""
 
     def __init__(self, dim, apply_h, *, hermitian_flag=False):
         self.dim = int(dim)
         self._op = aslinearoperator(apply_h, dim=self.dim)
         self.hermitian_flag = bool(hermitian_flag)
+        self.is_identity = False
 
     def apply(self, x) -> np.ndarray:
         return self._op.apply(x)
@@ -106,7 +114,9 @@ class PreconditionerHandle:
 
     @classmethod
     def identity(cls, dim: int) -> "PreconditionerHandle":
-        return cls(dim, LinearOperator.identity(dim), hermitian_flag=True)
+        handle = cls(dim, LinearOperator.identity(dim), hermitian_flag=True)
+        handle.is_identity = True
+        return handle
 
     @classmethod
     def from_dense(cls, h, *, hermitian_flag=False) -> "PreconditionerHandle":

@@ -462,6 +462,24 @@ class TestBlockedReport:
         assert report.kappa is None and report.bound2 is None and report.bound3 is None
 
 
+    def test_weight_built_from_a_matrix_is_not_densified(self):
+        # a weight that keeps its matrix is factored from it: no column
+        # applies, only the probe of whether W equals H, and the report the
+        # column-by-column densification of the same W gives, bit for bit
+        a, h_dense, _ = make_pd_system(42, n=12)
+        w_dense = make_spd(np.random.default_rng(43), 12)
+        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        counted = _Counted(12, lambda x: w_dense @ x)
+        kept = WeightOperator(12, LinearOperator(12, counted, matrix=w_dense), validate=False)
+        report = compute_bound_report(a, h, kept)
+        assert counted.vectors == 1
+        densified = compute_bound_report(
+            a, h, WeightOperator(12, lambda x: w_dense @ x, validate=False))
+        assert report.bound1 is not None
+        assert report.to_dict() == densified.to_dict()
+        assert compute_bound_report(a, h, WeightOperator.from_dense(w_dense)).to_dict() == \
+            densified.to_dict()
+
     @pytest.mark.parametrize("sign", [1.0, -1.0, 0.0])
     def test_report_fov_is_the_closed_form(self, sign):
         # positive definite, negative definite and indefinite symmetric parts

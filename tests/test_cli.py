@@ -452,6 +452,22 @@ def test_bad_solver_pairing_is_rejected_before_assembly(calls, capsys, argv, fra
     assert calls["assemble"] == []
 
 
+@pytest.mark.parametrize("argv, fragment", [
+    (["solve", "--cdr", "m=10", "--tol", "0"], "rel_tolerance must be positive"),
+    (["solve", "--cdr", "m=10", "--max-iter", "-1"], "max_iterations must be >= 0"),
+    (["sweep", "--axis", "mesh", "--m-list", "10", "--tol", "-1"],
+     "rel_tolerance must be positive"),
+    (["sweep", "--axis", "n-subdomains", "--cdr", "m=12", "--max-iter", "-1"],
+     "max_iterations must be >= 0"),
+], ids=["solve-tol", "solve-max-iter", "sweep-tol", "sweep-max-iter"])
+def test_bad_solve_settings_are_rejected_before_assembly(calls, capsys, argv, fragment):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --tol ") and fragment in captured.err
+    assert captured.out == ""
+    assert calls["assemble"] == []
+
+
 SWEEP_AXES = {
     "n-subdomains": ["--cdr", "m=12", "--n-sub-list", "4"],
     "inner-product": ["--cdr", "m=12", "--n-sub-list", "4"],

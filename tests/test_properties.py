@@ -82,6 +82,32 @@ def test_whp_gcr_matches_right_gcr_with_w_equal_h(system):
                            generic.trace.residual_norm_weighted, rtol=1e-7)
 
 
+def assert_directions_map_to_images(a, res):
+    """A p_j = q_j to 1e-12 relative for every held direction."""
+    assert len(res.p_directions) == len(res.q_directions) == res.iterations
+    for p, q in zip(res.p_directions, res.q_directions):
+        assert np.linalg.norm(a @ p - q) <= 1e-12 * np.linalg.norm(q)
+
+
+@EXAMPLES
+@given(systems)
+def test_derived_sources_under_the_recovery_policy(system):
+    # whp_gcr and identity-H GCR keep no source block: p_directions replays
+    # the sources from the held images, x is folded from them
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    n = len(b)
+    cfg = SolveConfig(rel_tolerance=1e-8, breakdown_policy="restart_orthodir_style")
+    generic = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+    special = whp_gcr(LinearSystem(a, b), h, cfg)
+    identity = wp_gcr_right(LinearSystem(a, b), PreconditionerHandle.identity(n),
+                            WeightOperator.identity(n), cfg)
+    assert generic.status == special.status == identity.status == "converged"
+    assert np.linalg.norm(special.x - generic.x) <= 1e-12 * np.linalg.norm(generic.x)
+    for res in (special, identity):
+        assert_directions_map_to_images(a, res)
+
+
 @EXAMPLES
 @given(systems)
 def test_gmres_oracle_matches_full_gcr(system):

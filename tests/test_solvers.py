@@ -1,7 +1,11 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse
 
+from wpkrylov import solvers
 from wpkrylov.linalg import LinearOperator, aslinearoperator, densify
 
 from wpkrylov.solvers import (
@@ -432,19 +436,21 @@ class TestDirectionStore:
         rng = np.random.default_rng(5)
         n = 50
         basis, _ = np.linalg.qr(rng.standard_normal((n, 2)))
-        store = _Directions(np.zeros(n), 2, SolveConfig(max_iterations=3))  # (z, q), Euclidean
+        store = _Directions(np.zeros(n), 1, SolveConfig(max_iterations=3))  # (z, q), Euclidean
         for q in basis.T:
-            store.record()[:] = q
+            store.record(q)[0] = q
             store.append(1.0, 0.0, np.zeros(len(store)))
         u = basis @ np.array([1.0, 1.0]) + 1e-12 * rng.standard_normal(n)
-        z, q = u.copy(), u.copy()
-        _, beta = store.project(u, [z, q])
+        record = store.record(u)
+        record[0] = u
+        q, z = record[0], store.block(0, 2, 3)[0]
+        _, beta = store.project(u, record)
 
         def leak():
             return np.abs(basis.T @ q).max() / np.linalg.norm(q)
 
         assert leak() > 1e-6
-        delta, beta2, twice = store.reorthogonalize([z, q], beta, np.linalg.norm(u))
+        delta, beta2, twice = store.reorthogonalize(record, beta, np.linalg.norm(u))
         assert twice
         assert leak() <= 1e-12
         assert np.isclose(delta, q @ q, rtol=1e-14)
@@ -459,13 +465,15 @@ class TestDirectionStore:
         rng = np.random.default_rng(6)
         n = 50
         basis, _ = np.linalg.qr(rng.standard_normal((n, 3)))
-        store = _Directions(np.zeros(n), 2, SolveConfig(max_iterations=3))  # (z, q), Euclidean
+        store = _Directions(np.zeros(n), 1, SolveConfig(max_iterations=3))  # (z, q), Euclidean
         for q in basis.T[:2]:
-            store.record()[:] = q
+            store.record(q)[0] = q
             store.append(1.0, 0.0, np.zeros(len(store)))
         u = basis @ np.array([0.5, 0.5, 1.0])
-        z, q = u.copy(), u.copy()
-        _, beta = store.project(u, [z, q])
+        record = store.record(u)
+        record[0] = u
+        q, z = record[0], store.block(0, 2, 3)[0]
+        _, beta = store.project(u, record)
         projected, coefficients = q.copy(), beta.copy()
         assert np.sqrt(q @ q) >= _REORTH_ETA * np.linalg.norm(u)
         assert np.array_equal(z, u)
@@ -473,7 +481,7 @@ class TestDirectionStore:
         held_calls = []
         held = store.held
         store.held = lambda kind: held_calls.append(kind) or held(kind)
-        delta, beta2, twice = store.reorthogonalize([z, q], beta, np.linalg.norm(u))
+        delta, beta2, twice = store.reorthogonalize(record, beta, np.linalg.norm(u))
         assert not twice
         assert held_calls == []
         assert np.array_equal(q, projected) and np.array_equal(z, u)
@@ -525,7 +533,8 @@ class TestDirectionStore:
     def test_second_pass_is_traced_on_a_near_dependent_image(self, monkeypatch):
         # the shear maps r_1, orthogonal to q_0 = A b, almost onto q_0: the
         # first pass keeps 1 % of the second image's norm.  The second pass
-        # reads the held images twice more, the sources are read at the end
+        # reads the held images twice more.  With H = I the store keeps no
+        # sources: the fold at the end reads the images once more
         a = np.array([[1.0, 10.0], [0.0, 1.0]])
         b = np.ones(2)
         h, w, _ = identity_setup(2)
@@ -533,7 +542,7 @@ class TestDirectionStore:
         res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(rel_tolerance=1e-12))
         assert res.status == "converged" and res.iterations == 2
         assert res.trace.reorthogonalized == [1]
-        assert blocks.reads == [(1, 0, 1)] * 4 + [(0, 0, 2), (1, 0, 2)]
+        assert blocks.reads == [(0, 0, 1)] * 4 + [(0, 0, 2), (0, 0, 2)]
         q0, q1 = res.q_directions
         assert abs(q0 @ q1) <= 1e-12 * np.linalg.norm(q0) * np.linalg.norm(q1)
 
@@ -544,6 +553,158 @@ class TestDirectionStore:
                     whp_gcr(LinearSystem(a, b), h, cfg)):
             assert res.status == "converged" and res.iterations > 5
             assert res.trace.reorthogonalized == []
+
+
+TRACE_LISTS = ("residual_norm_weighted", "residual_norm_euclidean", "alpha", "gamma", "delta",
+               "beta_rows", "phi_rows", "az_norm_weighted", "reorthogonalized",
+               "restart_markers")
+
+
+def skew_system(seed):
+    """A random nonsingular skew-symmetric A of even order, an SPD H and b:
+    <A r, r> = 0, so every other step of GCR is an Orthodir recovery."""
+    rng = np.random.default_rng(seed)
+    n = 2 * int(rng.integers(1, 8))
+    g = rng.standard_normal((n, n))
+    b = rng.standard_normal(n)
+    return g - g.T, make_spd(rng, n), b
+
+
+class TestSourceBlock:
+    """whp_gcr and the loops with the identity preconditioner take each
+    source from a recurrence over the held images; the store keeps no
+    source block for them."""
+
+    def test_source_block_only_where_the_images_do_not_imply_it(self):
+        a, h_dense, b = make_pd_system(8)
+        n = len(b)
+        system = LinearSystem(a, b)
+        h, w, cfg = dense_setup(a, h_dense)
+        eye_h, eye_w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
+        every_step = SolveConfig(record_iterates=True)
+        # result, held vectors per row, whether one of them is the source
+        cases = {
+            "whp_gcr": (whp_gcr(system, h, cfg), 2, False),
+            "identity H": (wp_gcr_right(system, eye_h, eye_w, cfg), 1, False),
+            "identity H, W = H": (wp_gcr_right(system, eye_h, w, cfg), 2, False),
+            "identity H, GCR(3)": (wp_gcr_restarted(system, eye_h, eye_w, cfg, k=3), 1, False),
+            "left": (wp_gcr_left(system, h, eye_w, cfg), 1, False),
+            "left, W = H": (wp_gcr_left(system, h, w, cfg), 2, False),
+            "general H": (wp_gcr_right(system, h, w, cfg), 3, True),
+            "general H, Euclidean W": (wp_gcr_right(system, h, eye_w, cfg), 2, True),
+            "general H, GCR(3)": (wp_gcr_restarted(system, h, w, cfg, k=3), 3, True),
+            "Orthomin(2)": (wp_orthomin(system, eye_h, eye_w, cfg, k=2), 2, True),
+            "MR": (wp_mr(system, eye_h, eye_w, cfg), 2, True),
+            "alt_a": (whp_gcr_alt_a(system, h, cfg), 2, True),
+            "alt_b": (whp_gcr_alt_b(system, h, cfg), 2, True),
+            "identity H, record_iterates": (wp_gcr_right(system, eye_h, eye_w, every_step),
+                                            2, True),
+            "whp_gcr, record_iterates": (whp_gcr(system, h, every_step), 3, True),
+        }
+        for name, (res, vectors, sources) in cases.items():
+            assert res.status == "converged", name
+            assert res._store.rows.shape[1:] == (vectors, n), name
+            assert (res._store.recurrence is None) == sources, name
+
+    def test_solves_match_the_loop_that_keeps_its_sources(self, monkeypatch):
+        # the store kept every source before it derived them; with the source
+        # block forced back on, each trace list and p_directions must be the
+        # same bits and x the same to rounding, also through recovery rows
+        # and a GCR(2) cycle whose first row recovers from the cycle before
+        a, h_dense, b = make_pd_system(8)
+        n = len(b)
+        h, w, cfg = dense_setup(a, h_dense)
+        eye_h, eye_w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
+        system = LinearSystem(a, b)
+        solves = [
+            lambda: whp_gcr(system, h, cfg),
+            lambda: wp_gcr_right(system, eye_h, eye_w, cfg),
+            lambda: wp_gcr_right(system, eye_h, w, cfg),
+            lambda: wp_gcr_restarted(system, eye_h, eye_w, cfg, k=3),
+            lambda: wp_gcr_left(system, h, w, cfg),
+        ]
+        singular = LinearSystem(np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                                          [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0]]),
+                                np.array([-1.0, -1.0, 0.0, 1.0]))
+        eye4 = (PreconditionerHandle.identity(4), WeightOperator.identity(4))
+        for period in (None, 2, 3):
+            recover = SolveConfig(breakdown_policy="restart_orthodir_style",
+                                  restart_period=period, max_iterations=12)
+            solves.append(lambda cfg=recover: wp_gcr_right(singular, *eye4, cfg))
+        recover = SolveConfig(breakdown_policy="restart_orthodir_style", rel_tolerance=1e-10)
+        solves.append(lambda: whp_gcr(singular, eye4[0], dataclasses.replace(
+            recover, max_iterations=12)))
+        for seed in (1, 2):
+            a_skew, h_skew, b_skew = skew_system(seed)
+            m = len(b_skew)
+            skew = LinearSystem(a_skew, b_skew)
+            solves.append(lambda skew=skew, h_skew=h_skew: whp_gcr(
+                skew, PreconditionerHandle.from_dense(h_skew, hermitian_flag=True), recover))
+            solves.append(lambda skew=skew, m=m: wp_gcr_right(
+                skew, PreconditionerHandle.identity(m), WeightOperator.identity(m), recover))
+
+        recoveries = 0
+        for solve in solves:
+            res = solve()
+            with monkeypatch.context() as patched:
+                patched.setattr(solvers, "_recurrence_image", lambda *args: None)
+                kept = solve()
+            assert res._store.recurrence is not None and kept._store.recurrence is None
+            for name in TRACE_LISTS:
+                assert repr(getattr(res.trace, name)) == repr(getattr(kept.trace, name)), name
+            assert res.trace.breakdown == kept.trace.breakdown
+            assert res.status == kept.status and res.iterations == kept.iterations
+            assert np.array(res.q_directions).tobytes() == np.array(kept.q_directions).tobytes()
+            assert np.array(res.p_directions).tobytes() == np.array(kept.p_directions).tobytes()
+            assert_vectors_close(res.x, kept.x, 1e-12)
+            recoveries += int(res._store.recovery.any())
+        assert recoveries == 8
+
+    @pytest.mark.parametrize("seed", [1, 2, 4, 5])
+    def test_recovery_rows_give_directions_and_x(self, seed):
+        # every other row of these solves is an Orthodir recovery row, whose
+        # source is the image of the row before it
+        a, h_dense, b = skew_system(seed)
+        n = len(b)
+        system = LinearSystem(a, b)
+        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        cfg = SolveConfig(breakdown_policy="restart_orthodir_style", rel_tolerance=1e-10)
+        generic = wp_gcr_right(system, h, WeightOperator.from_dense(h_dense), cfg)
+        for res in (whp_gcr(system, h, cfg), wp_gcr_right(
+                system, PreconditionerHandle.identity(n), WeightOperator.identity(n), cfg)):
+            assert res.status == "converged" and res._store.recovery.sum() == n // 2
+            assert len(res.p_directions) == len(res.q_directions) == res.iterations
+            for p, q in zip(res.p_directions, res.q_directions):
+                assert_vectors_close(a @ p, q, 1e-12)
+            assert_vectors_close(a @ res.x, b, 1e-9)
+        assert_vectors_close(res.x, generic.x, 1e-12)
+
+    def test_store_allocates_the_held_vectors_per_row(self, cdr_assembled):
+        # tracemalloc sees numpy's allocations, so the peak is exact: the
+        # store's rows dominate it at this capacity, one n-vector per row
+        # for identity-H GCR and two (q, H q) for whp_gcr
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(20)
+        n = assembled.dof_count
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        h = build_preconditioner(assembled.m_matrix, maps, "two_level_sym").as_handle()
+        eye_h, eye_w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
+        system = LinearSystem(assembled.operator(), assembled.rhs)
+        capacity = 2000
+        cfg = SolveConfig(max_iterations=capacity)
+        row = capacity * n * np.dtype(float).itemsize
+        for solve, vectors in ((lambda: wp_gcr_right(system, eye_h, eye_w, cfg), 1),
+                               (lambda: whp_gcr(system, h, cfg), 2)):
+            tracemalloc.start()
+            try:
+                res = solve()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert res.status == "converged"
+            assert vectors * row <= peak < (vectors + 0.5) * row
 
 
 class TestNonFiniteInput:
