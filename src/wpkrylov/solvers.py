@@ -31,19 +31,20 @@ L, with Z = L P, and its step length alpha_j, and a fold forms
 x = x_0 + P^T alpha = x_0 + Z^T L^-T alpha in one pass over the sources
 (the simpler-GMRES form of Walker & Zhou, Numer. Linear Algebra Appl.
 1994; Jiranek, Rozloznik & Gutknecht, SIAM J. Matrix Anal. Appl. 2008,
-compare its attainable accuracy with GCR's).  In whp_gcr and in the
-loops with the identity preconditioner (full GCR, GCR(k), the left
-form) each source is the vector the loop updates by z <- z - alpha u
-over a held image u (W q, or q with z = r), or the image u of the row
-before it: there the store keeps no sources, only the start of the
-recurrence, and the fold is one pass over u.  So per direction whp_gcr
-holds 2 vectors (q, W q), identity-preconditioned GCR 1 (q) with the
-Euclidean weight and 2 (q, W q) with another, and a loop with a general
-H 3 (z, q, W q), or 2 (z, q) with the Euclidean weight.  The loop folds at return and at the end of a GCR(k) cycle.  A
-loop that reads x at every step (record_iterates, or r = b - A x) folds
-at every step, and Orthomin(k) before it moves its rows; that fold forms
-p_j against the held p as the step is taken, so both keep their
-sources.  p_directions is formed from the sources when first read.
+compare its attainable accuracy with GCR's).  In whp_gcr and in full
+GCR with the identity preconditioner (right or left form), when the
+loop halts at a breakdown (no Orthodir recovery), each source is the
+vector the loop updates by z <- z - alpha u over a held image u (W q,
+or q with z = r): there the store keeps no sources, only the first and
+the last, and the fold is one pass over u.  So per direction whp_gcr
+holds 2 vectors (q, W q), identity-preconditioned full GCR 1 (q) with
+the Euclidean weight and 2 (q, W q) with another, and every other loop
+also the source: 3 (z, q, W q), or 2 (z, q) with the Euclidean weight.
+The loop folds at return and at the end of a GCR(k) cycle.  A loop
+that reads x at every step (record_iterates, or r = b - A x) folds at
+every step, and Orthomin(k) before it moves its rows; that fold forms
+p_j against the held p as the step is taken.  p_directions is formed
+from the sources when first read.
 
 The GCR loop orthogonalizes by classical Gram-Schmidt with the "twice is
 enough" norm test: a second pass runs only when the first one cancelled
@@ -286,10 +287,10 @@ class _Directions:
     one vector it updates by a recurrence over the held images, z <- z -
     alpha_j u_j: whp_gcr keeps z = H r that way with u = W q, and a loop
     with the identity preconditioner takes r itself, r <- r - alpha_j q_j.
-    An Orthodir recovery row takes u_{j-1} instead.  So the store keeps,
-    per cycle, the start of the recurrence and, per row, whether it is a
-    recovery row; ``head`` keeps the source of a first row that recovers
-    from a direction the cycle no longer holds.
+    So the store keeps two of them: the first, ``start``, from which
+    p_directions replays the others with the loop's own arithmetic, into
+    the same bits (_sources), and the last it recorded, ``end``, from
+    which the fold writes them out (_fold_images).
 
     Only the images are projected.  The direction p_j = z_j - sum_i
     beta_ji p_i is not formed when it is taken: row j of the unit
@@ -346,8 +347,7 @@ class _Directions:
         self.lo = self.hi = 0
         self.folded = self.explicit = 0
         if recurrence is not None:
-            self.recovery = np.zeros(capacity, dtype=bool)
-            self.start = self.head = self.p = None
+            self.start = self.end = self.p = None
 
     def __len__(self) -> int:
         return self.hi - self.lo
@@ -363,21 +363,21 @@ class _Directions:
     def last(self, image: int) -> np.ndarray:
         return self.held(image)[-1]
 
-    def record(self, source: np.ndarray, recovery: bool = False,
-               start: np.ndarray | None = None) -> np.ndarray:
+    def record(self, source: np.ndarray) -> np.ndarray:
         """The (images, n) row the next record's images are written and built
-        in.  source is its z; without a source block, recovery marks it as
-        u of the last held row, and start is the vector the recurrence
-        updates, which a new cycle starts from."""
+        in.  source is its z; without a source block the store keeps the
+        first one, which the recurrence starts from, and the last one, with
+        its row."""
         if self.hi == len(self.rows):  # only a truncation window fills its rows
             self._compact()
         if self.recurrence is None:
             self.rows[self.hi, 0] = source
         else:
             if self.hi == 0:
-                self.start = np.array(start)
-                self.head = np.array(source) if recovery else None
-            self.recovery[self.hi] = recovery
+                self.start = np.array(source)
+            # a later source is a vector the recurrence made, and nothing
+            # writes into it
+            self.end = (self.hi, source if self.hi else self.start)
         return self.rows[self.hi, self.first:]
 
     def project(self, u: np.ndarray, record: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -490,34 +490,30 @@ class _Directions:
         self.folded = k
 
     def _fold_images(self, y: np.ndarray):
-        """x += sum_j y_j z_j with each z_j written out from the images: a
-        normal row is start - sum_{i<j} alpha_i u_i, a recovery row u_{j-1}
-        (head for row 0).  So start takes the y_j of the normal rows, and
-        u_i takes -alpha_i times those of the normal rows after it, plus
-        y_{i+1} when row i+1 is a recovery row."""
-        k = len(y)
-        recovery = self.recovery[:k]
-        later = np.cumsum(np.where(recovery, 0.0, y)[::-1])[::-1]  # sum over normal j >= i
-        c = np.zeros(k)
-        c[:-1] = np.where(recovery[1:], y[1:], 0.0) - self.alpha[:k - 1] * later[1:]
-        self.x += c @ self.held(self.recurrence)
-        self.x += later[0] * self.start
-        if recovery[0]:
-            self.x += y[0] * self.head
+        """x += sum_j y_j z_j over rows 0:k, with each z_j written out back
+        from the last source the loop recorded, z_e (e = k - 1, or k when
+        the solve ended on a record it did not hold): z_j = z_e +
+        sum_{j<=i<e} alpha_i u_i.  So z_e takes sum_j y_j and u_i takes
+        alpha_i times the y_j up to it.  The terms are of the size of
+        the residuals they replace, which shrink toward z_e; written out
+        forward from the first source, as the image basis [r_0, A P] of
+        Walker & Zhou's simpler GMRES, they grow like ||r_0|| / ||r_k||
+        (Jiranek, Rozloznik & Gutknecht 2008) and x loses digits."""
+        e, end = self.end
+        earlier = np.cumsum(y)
+        self.x += (self.alpha[:e] * earlier[:e]) @ self.held(self.recurrence)[:e]
+        self.x += earlier[-1] * end
 
     def _sources(self) -> np.ndarray:
-        """The sources of rows 0:hi, replayed by the loop's own recurrence
-        (z <- z - alpha_j u_j after every step taken) into a new array."""
+        """The sources of rows 0:hi, replayed into a new array by the loop's
+        own recurrence z <- z - alpha_j u_j, so they are the bits of the
+        vectors the loop took."""
         u = self.held(self.recurrence)
         sources = np.empty((self.hi, self.rows.shape[2]))
         z = self.start
         for j in range(self.hi):
-            if self.recovery[j]:
-                sources[j] = u[j - 1] if j else self.head
-            else:
-                sources[j] = z
-            if self.alpha[j]:  # a row kept after a breakdown left z as it was
-                z = z - self.alpha[j] * u[j]
+            sources[j] = z
+            z = z - self.alpha[j] * u[j]
         return sources
 
     def _forward(self, sources: np.ndarray):
@@ -685,13 +681,12 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
     # never writes into it
     precondition = (lambda r: r) if h.is_identity else h.apply
     v = z if w_is_h else precondition(r)  # source vector for the next direction
-    recovery = False  # v is an Orthodir recovery vector
 
     for i in range(cfg.max_iterations):
         az = a.apply(v)
         waz = az if w.is_identity else w.apply(az)
         az_norm = _clamped_sqrt(float(waz @ az))
-        record = store.record(v, recovery, z if w_is_h else r)
+        record = store.record(v)
         if hold_q:
             record[0] = az
         if hold_wq and not w.is_identity:
@@ -719,7 +714,6 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
                 v = wq if w_is_h else h.apply(q)
             else:
                 v = store.last(-1) if w_is_h and hold_wq else h.apply(store.last(0))
-            recovery = True
             store.end_iteration(i + 1, trace)
             continue
 
@@ -742,7 +736,6 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
             return store.result(trace)
         store.end_iteration(i + 1, trace)
         v = z if w_is_h else precondition(r)
-        recovery = False
 
     trace.status = "max_iter"
     return store.result(trace)
@@ -754,11 +747,13 @@ def _recurrence_image(h: PreconditionerHandle, cfg: SolveConfig, w_is_h: bool,
     when the store must keep them.  whp_gcr takes its sources from
     z <- z - alpha W q (u = W q, the last image); with the identity
     preconditioner the source H r is r itself, r <- r - alpha q (u = q,
-    the first).  A loop with a window moves and drops its rows, and one
-    that folds every step turns its sources into p_j in place: both keep
-    their sources, as do a general H and whp_gcr_alt_b, which holds no
-    W q."""
-    if cfg.truncation_window is not None or cfg.record_iterates or not hold_q:
+    the first).  Only a loop that halts at a breakdown and runs one cycle
+    has one recurrence start and no Orthodir recovery source.  A loop with
+    a window moves and drops its rows, and one that folds every step
+    turns its sources into p_j in place: both keep their sources, as do a
+    general H and whp_gcr_alt_b, which holds no W q."""
+    if (cfg.breakdown_policy != "halt" or cfg.restart_period is not None
+            or cfg.truncation_window is not None or cfg.record_iterates or not hold_q):
         return None
     if w_is_h:
         return -1 if hold_wq else None

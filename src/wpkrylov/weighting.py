@@ -91,14 +91,13 @@ class WeightOperator:
 
 class PreconditionerHandle:
     """Action of a nonsingular preconditioner H (and of H^T), with an SPD
-    marker, and an identity marker (set by ``identity``) that tells the
-    solvers H r is r."""
+    marker, and an identity marker that tells the solvers H r is r."""
 
-    def __init__(self, dim, apply_h, *, hermitian_flag=False):
+    def __init__(self, dim, apply_h, *, hermitian_flag=False, is_identity=False):
         self.dim = int(dim)
         self._op = aslinearoperator(apply_h, dim=self.dim)
         self.hermitian_flag = bool(hermitian_flag)
-        self.is_identity = False
+        self.is_identity = bool(is_identity)
 
     def apply(self, x) -> np.ndarray:
         return self._op.apply(x)
@@ -114,9 +113,7 @@ class PreconditionerHandle:
 
     @classmethod
     def identity(cls, dim: int) -> "PreconditionerHandle":
-        handle = cls(dim, LinearOperator.identity(dim), hermitian_flag=True)
-        handle.is_identity = True
-        return handle
+        return cls(dim, LinearOperator.identity(dim), hermitian_flag=True, is_identity=True)
 
     @classmethod
     def from_dense(cls, h, *, hermitian_flag=False) -> "PreconditionerHandle":

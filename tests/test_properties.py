@@ -91,9 +91,9 @@ def assert_directions_map_to_images(a, res):
 
 @EXAMPLES
 @given(systems)
-def test_derived_sources_under_the_recovery_policy(system):
-    # whp_gcr and identity-H GCR keep no source block: p_directions replays
-    # the sources from the held images, x is folded from them
+def test_directions_and_x_under_the_recovery_policy(system):
+    # an Orthodir recovery source is no recurrence over the held images:
+    # whp_gcr and identity-H GCR keep their sources under this policy
     a, h_dense, b = system
     h, w = handles(h_dense)
     n = len(b)
