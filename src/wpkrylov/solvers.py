@@ -20,11 +20,12 @@ an independent reference implementation.
 Every GCR loop keeps its directions in one blocked store: the images
 held for each direction, and its source z_j (H r, or the Orthodir
 recovery vector) where the images do not determine it, are rows of
-preallocated row-major (capacity, n) blocks, so a projection against all
-held directions is one matrix-vector product for the coefficients and
-one per held image for the update, whatever their number.  A new record
-is written once, straight into its row, and projected there.  Only the
-images are projected.
+preallocated row-major (capacity, n) blocks.  A projection against the
+held directions walks them in panels of about 1.25 MiB of held images:
+one matrix-vector product for the panel's coefficients, then one per
+held image for its update while the panel is still in the L2 cache.  A
+new record is written once, straight into its row, and projected there.
+Only the images are projected.
 Neither p_j = z_j - sum_i beta_ji p_i nor x is updated per step: the
 store keeps each step's coefficients as a row of a unit lower-triangular
 L, with Z = L P, and its step length alpha_j, and a fold forms
@@ -53,9 +54,12 @@ has anyway (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 1976; Giraud,
 Langou, Rozloznik & van den Eshof, Numer. Math. 2005).  With eta = 1/2 a
 step without the pass lost at most one bit to cancellation, and a step
 with it is orthogonal to working precision unless its image is
-numerically dependent on the held ones.  A step without cancellation
-reads the held images twice: once for the coefficients, once for their
-update; p and x are formed once, at a fold.
+numerically dependent on the held ones.  The coefficients of a pass
+are all taken against the vector it starts from, whatever the panels;
+only the summation order of the update depends on them.  A step without
+cancellation fetches each held image row from memory once, the rows of
+the coefficient block once more from cache (twice from memory where the
+rows are too long for panels); p and x are formed once, at a fold.
 
 Every GCR loop applies one breakdown rule (_degenerate); non-finite data
 raises FloatingPointError.  A loop that reads ||r||_H = sqrt(<r, z>) from
@@ -110,6 +114,17 @@ BREAKDOWN_RTOL = 1e-14
 # the m=100 CDR problem with H = I, whose ratios lie in 0.59-0.85 and whose
 # held images are orthogonal to 1e-15 without the pass; 1/2 fires on none.
 _REORTH_ETA = 0.5
+
+# bytes of held rows a Gram-Schmidt panel reads, all its images together,
+# below a 2 MiB L2: a panel read for its coefficients is still cached when
+# it updates the images.  16 rows of q at n = 9801; of 0.25-4 MiB,
+# 1.25-1.5 MiB projected fastest on full GCR with H = I there.  A panel
+# holds at least _PANEL_MIN_ROWS rows, else the held rows are one panel:
+# a row-major matrix-vector product over fewer rows streams well below
+# its rate, and panels of 4 rows (n = 40401) or 1 (n = 159201) projected
+# slower than one panel (see CHANGES.md)
+_PANEL_BYTES = 1280 << 10
+_PANEL_MIN_ROWS = 8
 
 # columns per forward-substitution chunk when p_directions is formed from
 # the held sources: a (held, chunk) slab is copied, never (held, n)
@@ -202,7 +217,8 @@ class IterationTrace:
     residual_norm_* start with the initial residual, so they are one
     longer than the coefficient lists.  beta_rows[i]/phi_rows[i] are the
     orthogonalization coefficients that built the direction used at
-    iteration i (empty for the first direction of a cycle).
+    iteration i, as the float64 arrays the loop made for that step and
+    no later step writes into (empty for the first direction of a cycle).
     reorthogonalized lists the iterations whose direction took a second
     Gram-Schmidt pass, in order; it stays empty unless a first pass
     cancelled most of an image (the whp alternates never record one).
@@ -323,7 +339,12 @@ class _Directions:
     only when the first pass cancelled most of the image
     (reorthogonalize); that decision reads two norms the loop has, not
     the held rows.  ``append`` then holds it, or the next record
-    overwrites it.
+    overwrites it.  Both passes are the one kernel, project: it walks
+    rows lo:hi in panels of about _PANEL_BYTES of image rows, each read
+    for its coefficients and then, from cache, with each image block's
+    rows for the update, so a pass fetches every held row from memory
+    once.  Rows too long for _PANEL_MIN_ROWS of them to fit are one
+    panel.
     """
 
     def __init__(self, x: np.ndarray, images: int, cfg: SolveConfig,
@@ -385,13 +406,24 @@ class _Directions:
 
         The coefficients are phi_j = <row j of the last block, u> and
         beta_j = phi_j / delta_j; record[i] loses beta_j times row j of
-        image block i for each image.
+        image block i for each image.  The held rows are taken in panels
+        of about _PANEL_BYTES of image rows: a panel's coefficients, then
+        its update of each image, while its rows are still cached.
+        Every coefficient is taken against u as given, so the caller
+        passes a u that the update does not write into.
         """
-        if not self:
-            return np.empty(0), np.empty(0)
-        phi = self.held(-1) @ u
-        beta = phi / self.delta[self.lo:self.hi]
-        self._subtract(beta, record)
+        phi = np.empty(len(self))
+        beta = np.empty(len(self))
+        step = _PANEL_BYTES // (len(record) * self.rows.shape[2] * self.rows.itemsize)
+        if step < _PANEL_MIN_ROWS:
+            step = max(len(self), 1)
+        for s in range(self.lo, self.hi, step):
+            t = min(s + step, self.hi)
+            c = slice(s - self.lo, t - self.lo)
+            phi[c] = self.block(-1, s, t) @ u
+            beta[c] = phi[c] / self.delta[s:t]
+            for image in range(len(record)):
+                record[image] -= beta[c] @ self.block(self.first + image, s, t)
         return phi, beta
 
     def reorthogonalize(self, record: np.ndarray, beta: np.ndarray,
@@ -403,9 +435,9 @@ class _Directions:
         Gram-Schmidt leaves q with a component in the held span of about
         eps ||A z||_W / ||q||_W relative (Daniel, Gragg, Kaufman & Stewart
         1976).  When sqrt(delta) = ||q||_W < _REORTH_ETA * az_norm the
-        images are projected once more, as a second classical pass: dots
-        of q against the rows of the last block, one update per held
-        image.  Two passes suffice for an image that is numerically
+        images are projected once more, as a second classical pass
+        (project, with the coefficients taken against a copy of the
+        first-pass q).  Two passes suffice for an image that is numerically
         independent of the held ones (Giraud, Langou, Rozloznik & van den
         Eshof 2005).  Otherwise nothing is read or touched.  Returns
         delta = <weighted image, q> of the final record, the coefficients
@@ -415,13 +447,8 @@ class _Directions:
         delta = float(wq @ q)
         if not (self and delta > 0.0 and np.sqrt(delta) < _REORTH_ETA * az_norm):
             return delta, beta, False
-        extra = (self.held(-1) @ q) / self.delta[self.lo:self.hi]
-        self._subtract(extra, record)
+        extra = self.project(q.copy(), record)[1]
         return float(wq @ q), beta + extra, True
-
-    def _subtract(self, beta: np.ndarray, record: np.ndarray):
-        for image in range(len(record)):
-            record[image] -= beta @ self.held(image)
 
     def append(self, delta: float, alpha: float, beta: np.ndarray):
         """Hold the record built in row hi, taken with step length alpha and
@@ -576,8 +603,8 @@ def _record(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, alpha: float
     trace.alpha.append(alpha)
     trace.gamma.append(gamma)
     trace.delta.append(delta)
-    trace.beta_rows.append(beta.tolist())
-    trace.phi_rows.append(phi.tolist())
+    trace.beta_rows.append(beta)
+    trace.phi_rows.append(phi)
     trace.az_norm_weighted.append(az_norm)
     trace.residual_norm_weighted.append(rw)
     trace.residual_norm_euclidean.append(r2)
@@ -636,7 +663,10 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
     cfg.breakdown_policy the solve either halts with status "breakdown"
     or keeps the direction set and continues with one replacement
     direction built Orthodir-style from H applied to the image of the
-    last direction.  Non-finite data raises FloatingPointError.
+    last direction.  After a recovery the recurrence residual can part
+    from b - A x, so such a solve reports "converged" only when the
+    formed residual meets the target too, and ends in "breakdown"
+    otherwise.  Non-finite data raises FloatingPointError.
     """
     return _gcr(system, h, w, cfg)
 
@@ -662,12 +692,14 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
     b = system.rhs
     x = system.initial_guess()
     trace = IterationTrace()
-    stop = _Stopping(cfg, _weighted_norm(w, b), float(np.linalg.norm(b)))
+    stop = _Stopping(cfg, *_norms(w, b))
 
     r = b - a.apply(x)
     z = w.apply(r) if w_is_h else None  # H r, kept by recurrence from here on
-    rw = _clamped_sqrt(float(z @ r)) if w_is_h else _weighted_norm(w, r)
-    r2 = float(np.linalg.norm(r))
+    if w_is_h:
+        rw, r2 = _clamped_sqrt(float(z @ r)), float(np.linalg.norm(r))
+    else:
+        rw, r2 = _norms(w, r)
     if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
@@ -725,13 +757,17 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
         if w_is_h:
             z = z - alpha * wq
             rw, rz = _recurrence_norm(r, z, w.apply)
+            r2 = float(np.linalg.norm(r))
         else:
-            rw = _weighted_norm(w, r)
-        r2 = float(np.linalg.norm(r))
+            rw, r2 = _norms(w, r)
         _record(trace, cfg, store.x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
         if stop.done(rw, r2):
-            trace.status = "converged"
-            return store.result(trace)
+            result = store.result(trace)
+            # after an Orthodir recovery the recurrence residual can part
+            # from b - A x: only the formed one may report a convergence
+            solved = trace.breakdown is None or stop.done(*_norms(w, b - a.apply(result.x)))
+            trace.status = "converged" if solved else "breakdown"
+            return result
         if w_is_h and _drifted(trace, i, rz):
             return store.result(trace)
         store.end_iteration(i + 1, trace)
@@ -760,10 +796,10 @@ def _recurrence_image(h: PreconditionerHandle, cfg: SolveConfig, w_is_h: bool,
     return 0 if h.is_identity else None
 
 
-def _weighted_norm(w: WeightOperator, x: np.ndarray) -> float:
-    if w.is_identity:
-        return float(np.linalg.norm(x))
-    return _clamped_sqrt(float(w.apply(x) @ x))
+def _norms(w: WeightOperator, x: np.ndarray) -> tuple[float, float]:
+    """(||x||_W, ||x||_2), with one 2-norm for the Euclidean weight."""
+    x2 = float(np.linalg.norm(x))
+    return (x2 if w.is_identity else _clamped_sqrt(float(w.apply(x) @ x))), x2
 
 
 def wp_mr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,
@@ -841,7 +877,9 @@ def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> 
     stored beside each direction, and gives ||r||_H = sqrt(<r, z>).  H is
     applied iterations + 2 times in all (twice before the loop, for
     ||b||_H and H r_0), once more only when z has drifted so far from H r
-    that <r, z> < 0.  Only full orthogonalization is supported.
+    that <r, z> < 0, and once more when a solve that took an Orthodir
+    recovery meets the target, for ||b - A x||_H.  Only full
+    orthogonalization is supported.
     """
     return _whp("whp_gcr", system, h, cfg)
 
@@ -903,13 +941,12 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
     b = system.rhs
     x = system.initial_guess()
     trace = IterationTrace()
-    stop = _Stopping(cfg, _weighted_norm(w, b), float(np.linalg.norm(b)))
+    stop = _Stopping(cfg, *_norms(w, b))
     restart = cfg.restart_period or cfg.max_iterations
     total_iters = 0
 
     r = b - a.apply(x)
-    rw = _weighted_norm(w, r)
-    r2 = float(np.linalg.norm(r))
+    rw, r2 = _norms(w, r)
     if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
@@ -974,8 +1011,7 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
         y = scipy.linalg.solve_triangular(hess[: j + 1, : j + 1], g[: j + 1], lower=False)
         x = x + h.apply(np.column_stack(basis[: j + 1]) @ y)
         r = b - a.apply(x)
-        rw_true = _weighted_norm(w, r)
-        r2 = float(np.linalg.norm(r))
+        rw_true, r2 = _norms(w, r)
         if happy or stop.done(rw_true, r2):
             trace.status = "converged"
             return SolveResult(x, trace, total_iters)
