@@ -60,6 +60,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
 import scipy.sparse
 
@@ -94,7 +95,7 @@ __all__ = [
 # when the numerical range holds 0 (bound1 = 1, no search).  A cost cap,
 # not an accuracy limit: each step of the dual search is one Lanczos
 # solve.  At n = 841 (m = 30, two-level 2x2, W = H) the search takes
-# about 0.35 s against about 0.04 s for the rest of the report.
+# about 0.11 s against about 0.013 s for the rest of the report.
 RAYLEIGH_DIM_LIMIT = 512
 
 # Lanczos stops with EigenSolverError after this many steps unless the
@@ -107,6 +108,9 @@ _LANCZOS_RTOL = 1e-12
 # are eigenvalues
 _LANCZOS_INVARIANT = 1e-14
 _LANCZOS_SEED = 0x1A2C
+# the absolute accuracy LAPACK recommends for bisection to the most
+# accurate eigenvalues: twice the smallest normal number
+_BISECTION_TOL = 2.0 * np.finfo(float).tiny
 
 
 def _as_part(part):
@@ -163,6 +167,36 @@ def _x_norm(u: np.ndarray, xu: np.ndarray) -> float:
     return 0.0
 
 
+def _ritz_ends(alpha: np.ndarray, beta: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the symmetric tridiagonal matrix with diagonal
+    ``alpha`` and off-diagonal ``beta`` at the indices ``ends`` into the
+    ascending eigenvalues, and the last entry of each one's unit
+    eigenvector (its sign is arbitrary).
+
+    Each value is found alone by bisection (LAPACK dstebz), and its
+    vector by inverse iteration (dstein): O(k) for a k x k matrix, where
+    the whole eigendecomposition is O(k^2).  EigenSolverError when
+    either routine reports a failure.
+    """
+    k = alpha.size
+    if k == 1:  # dstebz takes no empty off-diagonal
+        return np.full(len(ends), alpha[0]), np.ones(len(ends))
+    theta = np.empty(len(ends))
+    last = np.empty(len(ends))
+    for j, end in enumerate(ends):
+        index = end % k + 1  # LAPACK counts from 1
+        _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
+            alpha, beta, 3, 0.0, 0.0, index, index, _BISECTION_TOL, b"B")
+        if info:
+            raise EigenSolverError(f"tridiagonal bisection failed (dstebz info {info})")
+        vec, info = scipy.linalg.lapack.dstein(alpha, beta, w[:1], iblock, isplit)
+        if info:
+            raise EigenSolverError(f"tridiagonal inverse iteration failed (dstein info {info})")
+        theta[j] = w[0]
+        last[j] = vec[-1, 0]
+    return theta, last
+
+
 def _lanczos_extremes(apply_t, apply_x, n: int, ends, after_x: bool = False,
                       limit: int | None = None) -> np.ndarray:
     """Extreme eigenvalues of an operator T that is self-adjoint in the
@@ -180,10 +214,13 @@ def _lanczos_extremes(apply_t, apply_x, n: int, ends, after_x: bool = False,
     the recurrence of the vector instead of applying X amplifies its
     error by about 1/beta per step.)  It stops when every needed Ritz
     value theta_j has the residual bound beta_k |s_kj| <= 1e-12 |theta_j|
-    (s_kj the last entry of its eigenvector of the tridiagonal matrix),
-    when the Krylov space is invariant to working precision, or at step
-    n.  Beyond min(n, limit) steps it raises EigenSolverError; the limit
-    is LANCZOS_STEP_LIMIT unless given.
+    (s_kj the last entry of its eigenvector of the tridiagonal matrix;
+    Parlett, *The Symmetric Eigenvalue Problem*, SIAM 1998, section
+    13.2), when the Krylov space is invariant to working precision, or
+    at step n.  The test computes only the needed pairs, O(k) at step k
+    (:func:`_ritz_ends`), so a step costs its applies of T and X, its
+    reorthogonalization and O(k) more.  Beyond min(n, limit) steps it
+    raises EigenSolverError; the limit is LANCZOS_STEP_LIMIT unless given.
 
     With X singular, T maps null(X) into itself (X T = T^T X) and the
     values are those of T on the quotient space by null(X).  When X
@@ -213,11 +250,10 @@ def _lanczos_extremes(apply_t, apply_x, n: int, ends, after_x: bool = False,
         beta[k] = _x_norm(w, xw)
         # the X-norm of the part of T v_k inside the basis
         in_basis = math.hypot(alpha[k], beta[k - 1]) if k else abs(alpha[k])
-        theta, vecs = scipy.linalg.eigh_tridiagonal(alpha[:k + 1], beta[:k])
-        picked = theta[ends]
+        theta, last = _ritz_ends(alpha[:k + 1], beta[:k], ends)
         if (k + 1 == n or beta[k] <= _LANCZOS_INVARIANT * in_basis
-                or np.all(beta[k] * np.abs(vecs[-1, ends]) <= _LANCZOS_RTOL * np.abs(picked))):
-            return picked
+                or np.all(beta[k] * np.abs(last) <= _LANCZOS_RTOL * np.abs(theta))):
+            return theta
         v, xv, norm = w, xw, beta[k]
     raise EigenSolverError(f"Lanczos did not converge in {limit} steps")
 
@@ -235,10 +271,17 @@ def spectral_radius_skew(hs: HermitianSplit) -> float:
     return _skew_radius(hs, sparse_spd_factor(check_symmetric(hs.m_part)))
 
 
+def _transposed(mat):
+    """mat^T formed once for repeated products: CSR for a sparse mat, a
+    view of a dense one."""
+    return mat.T.tocsr() if scipy.sparse.issparse(mat) else mat.T
+
+
 def _skew_radius(hs: HermitianSplit, m_factor) -> float:
     """spectral_radius_skew given a factor of M (its ``solve``)."""
     m_part, n_part = hs.m_part, hs.n_part
-    (top,) = _lanczos_extremes(lambda v: m_factor.solve(n_part.T @ m_factor.solve(n_part @ v)),
+    n_t = _transposed(n_part)
+    (top,) = _lanczos_extremes(lambda v: m_factor.solve(n_t @ m_factor.solve(n_part @ v)),
                                lambda v: m_part @ v, hs.dim, (-1,))
     return math.sqrt(max(top, 0.0))
 
@@ -349,7 +392,13 @@ class BoundReport:
     alpha_analytic: float | None = None
 
     def predicted_iterations(self, target: float = 1e-6) -> int | None:
-        """Iterations after which bound3^i drops below the target ratio."""
+        """Iterations after which bound3^i drops below the target ratio:
+        0 for a target of at least 1, None without a bound3 below 1, and
+        ValueError unless the target is positive and finite."""
+        if not (math.isfinite(target) and target > 0.0):
+            raise ValueError(f"target ratio must be positive and finite, got {target!r}")
+        if target >= 1.0:
+            return 0
         if self.bound3 is None or self.bound3 >= 1.0:
             return None
         if self.bound3 <= 0.0:
@@ -430,9 +479,10 @@ def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
     report = BoundReport(lambda_min=lo, lambda_max=hi, fov_distance=_min_abs_over_range((lo, hi)))
     if lo > 0.0:
         report.kappa = hi / lo
+    a_t = _transposed(a_mat)
 
     def gram(v):  # A^T H A
-        return a_mat.T @ h.apply(a_mat @ v)
+        return a_t @ h.apply(a_mat @ v)
 
     (top,) = _lanczos_extremes(h.apply, gram, n, (-1,), after_x=True)
     report.op_norm = math.sqrt(max(float(top), 0.0))
@@ -441,7 +491,7 @@ def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
     inf1 = None
     if sign:
         def inv_gram(v):  # A^T (sign M)^{-1} A, positive definite
-            return a_mat.T @ m_factor.solve(a_mat @ v)
+            return a_t @ m_factor.solve(a_mat @ v)
 
         (top,) = _lanczos_extremes(h.apply, inv_gram, n, (-1,), after_x=True)
         inf1 = 1.0 / float(top)
@@ -477,8 +527,9 @@ def _weighted_report(a_mat, h: PreconditionerHandle, w: WeightOperator) -> Bound
             h.apply_transpose(np.zeros(n))
         except ValueError:  # an H known only by its action
             return BoundReport()
+    a_t = _transposed(a_mat)
     c, ct = _euclidean_maps(lambda v: a_mat @ h.apply(v),
-                            lambda v: h.apply_transpose(a_mat.T @ v), w)
+                            lambda v: h.apply_transpose(a_t @ v), w)
     lo, hi = _sym_extremes(c, ct, n)
     report = BoundReport(fov_distance=_min_abs_over_range((lo, hi)), op_norm=_norm(c, ct, n))
 
@@ -495,15 +546,17 @@ def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator) -> Bound
 
     bound1 needs only an SPD weight; bound2 additionally requires the
     preconditioner to be SPD and equal to the weight; bound3 also needs
-    the symmetric part of A to be positive definite.  Whether W equals H
-    is decided by probing both on random vectors.  Every field comes
-    from Lanczos solves that apply H, and H^T for W != H, to vectors
-    only; an H with no H^T leaves the fields that need it None.  bound1
-    is 1 when the numerical range holds 0, and otherwise searched up to
-    RAYLEIGH_DIM_LIMIT.
+    the symmetric part of A to be positive definite.  W equals H when it
+    applies H's own operator (``h.as_weight()``, a weight on the callable
+    H wraps, or on ``h.apply``), else when the two agree on random probe
+    vectors.  Every field comes from Lanczos solves that apply H, and H^T
+    for W != H, to vectors only; an H with no H^T leaves the fields that
+    need it None.  bound1 is 1 when the numerical range holds 0, and
+    otherwise searched up to RAYLEIGH_DIM_LIMIT.
     """
     a_mat = _matrix(a)
-    if h.hermitian_flag and _operators_match(h.apply, w.apply, a_mat.shape[0]):
+    if h.hermitian_flag and (h.same_operator_as(w)
+                             or _operators_match(h.apply, w.apply, a_mat.shape[0])):
         return _w_equal_h_report(a_mat, h)
     return _weighted_report(a_mat, h, w)
 

@@ -111,6 +111,14 @@ class PreconditionerHandle:
             return self.apply(x)
         return self._op.apply_transpose(x)
 
+    def same_operator_as(self, w: WeightOperator) -> bool:
+        """Whether the weight applies this preconditioner's own operator:
+        the one it wraps (:meth:`as_weight`), the callable that operator
+        wraps, or :meth:`apply` itself.  False says only that W is some
+        other operator, which may still act as H does."""
+        source = w._op._apply
+        return source is self._op._apply or source == self.apply
+
     @classmethod
     def identity(cls, dim: int) -> "PreconditionerHandle":
         return cls(dim, LinearOperator.identity(dim), hermitian_flag=True, is_identity=True)

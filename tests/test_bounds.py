@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import scipy.linalg
+import scipy.linalg.lapack
 import scipy.optimize
+import scipy.sparse
 
 from wpkrylov import bounds
 from wpkrylov.bounds import (
@@ -35,6 +37,7 @@ from wpkrylov.linalg import (
 from wpkrylov.solvers import LinearSystem, SolveConfig, wp_gcr_right
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 
+import lanczos_reference
 from conftest import make_pd_system, make_spd
 
 
@@ -243,6 +246,17 @@ class TestBoundReport:
         report = BoundReport(kappa=1.0, rho=0.0, bound3=direct_bound3(1.0, 0.0))
         assert report.predicted_iterations(1e-6) == 1
 
+    @pytest.mark.parametrize("bound3", [0.0, 0.97, 1.0, None])
+    @pytest.mark.parametrize("target", [1.0, 2.0])
+    def test_target_of_at_least_one_needs_no_iteration(self, bound3, target):
+        # log(2) / log(0.97) is -22.8: a ratio the start already meets
+        assert BoundReport(bound3=bound3).predicted_iterations(target) == 0
+
+    @pytest.mark.parametrize("target", [0.0, -1e-6, math.inf, -math.inf, math.nan])
+    def test_target_not_positive_and_finite_is_rejected(self, target):
+        with pytest.raises(ValueError, match=f"got {target!r}"):
+            BoundReport(bound3=0.97).predicted_iterations(target)
+
     def test_chain_ordering(self):
         rng = np.random.default_rng(8)
         n = 10
@@ -363,10 +377,57 @@ class TestBlockedReport:
         handle = PreconditionerHandle(n, counted, hermitian_flag=True)
         weight = WeightOperator(n, handle.apply, validate=False)
         report = compute_bound_report(assembled.operator(), handle, weight)
-        # H is applied to vectors only (a callable has no other action):
-        # 8 probes each through H and W = H, then the Lanczos steps
+        # H is applied to vectors only (a callable has no other action),
+        # in the Lanczos steps alone: W applies H's own apply, so nothing
+        # probes whether W equals H
         assert counted.vectors > 16
         assert report.bound2 is not None and report.bound3 is not None
+
+    @pytest.mark.parametrize("case", ["handle_as_weight", "schwarz_as_weight", "weight_on_apply"])
+    def test_weight_applying_h_is_not_probed(self, schwarz_h, monkeypatch, case):
+        from wpkrylov.schwarz import SchwarzPreconditioner
+
+        assembled, precond = schwarz_h
+        n = precond.dim
+        apply = precond.apply
+        in_lanczos = [False]
+        applies = []  # one entry per H apply: whether a Lanczos solve made it
+
+        def counted(v):
+            applies.append(in_lanczos[0])
+            return apply(v)
+
+        lanczos = bounds._lanczos_extremes
+
+        def tallied(*args, **kwargs):
+            in_lanczos[0] = True
+            try:
+                return lanczos(*args, **kwargs)
+            finally:
+                in_lanczos[0] = False
+
+        monkeypatch.setattr(bounds, "_lanczos_extremes", tallied)
+        if case == "schwarz_as_weight":
+            # both wrap the preconditioner itself, as a callable
+            monkeypatch.setattr(SchwarzPreconditioner, "__call__", lambda self, v: counted(v))
+            handle, weight = precond.as_handle(), precond.as_weight(validate=False)
+        else:
+            handle = PreconditionerHandle(n, counted, hermitian_flag=True)
+            weight = (handle.as_weight() if case == "handle_as_weight"
+                      else WeightOperator(n, handle.apply, validate=False))
+        applies.clear()
+        report = compute_bound_report(assembled.operator(), handle, weight)
+        assert applies and all(applies)
+        lanczos_applies = len(applies)
+
+        # a weight on another callable is probed: 8 H applies outside
+        # Lanczos (the 8 W applies bypass the count), then the same report
+        applies.clear()
+        probed = compute_bound_report(assembled.operator(), handle,
+                                      WeightOperator(n, lambda v: precond.apply(v), validate=False))
+        assert applies.count(False) == 8 and applies.count(True) == lanczos_applies
+        assert probed.kappa is not None and probed.bound2 is not None
+        assert report.to_dict() == probed.to_dict()
 
     def test_w_equal_h_bound1_search_applies_h_to_vectors_only(self, cdr_assembled, no_densify):
         from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
@@ -727,6 +788,155 @@ class TestLanczosExtremes:
     def test_negative_inner_product_is_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             _lanczos_extremes(np.copy, np.negative, 3, (-1,))
+
+
+def _tridiagonal(rng, k, case):
+    alpha = rng.standard_normal(k)
+    beta = rng.uniform(0.05, 2.0, k - 1)
+    if case == "split" and k > 2:
+        beta[k // 2] = 1e-300
+    elif case == "top_cluster" and k > 3:
+        # three diagonal entries 1e-9 apart, far above the rest, weakly coupled
+        alpha[-3:] = 10.0 + 1e-9 * np.arange(3)
+        beta[-2:] = 1e-6
+    return alpha, beta
+
+
+class TestRitzEnds:
+    @pytest.mark.parametrize("case", ["random", "split", "top_cluster"])
+    @pytest.mark.parametrize("ends", [(0,), (-1,), (0, -1)])
+    def test_matches_the_whole_eigendecomposition(self, case, ends):
+        rng = np.random.default_rng(20)
+        for k in list(range(1, 21)) + [33, 50, 64, 80]:
+            alpha, beta = _tridiagonal(rng, k, case)
+            if k == 1:
+                want, vecs = alpha.copy(), np.ones((1, 1))
+            else:
+                want, vecs = scipy.linalg.eigh_tridiagonal(alpha, beta)
+            theta, last = bounds._ritz_ends(alpha, beta, ends)
+            assert theta == pytest.approx(want[list(ends)], rel=1e-13, abs=0.0), k
+            assert np.abs(last) == pytest.approx(np.abs(vecs[-1, list(ends)]), rel=0.0,
+                                                 abs=1e-12), k
+
+    def test_failed_inverse_iteration_raises(self, monkeypatch):
+        def failing(d, e, w, iblock, isplit):
+            return np.zeros((d.size, w.size)), 1  # one vector did not converge
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", failing)
+        with pytest.raises(EigenSolverError):
+            bounds._ritz_ends(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]), (-1,))
+
+    def test_report_never_decomposes_the_whole_tridiagonal(self, two_level_30, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigh_tridiagonal called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        assembled, precond = two_level_30
+        handle = precond.as_handle()
+        report = compute_bound_report(assembled.operator(), handle, handle.as_weight())
+        assert report.bound3 is not None
+
+
+@pytest.fixture(scope="module")
+def two_level_30(cdr_assembled):
+    """The reference problem at m = 30 with the two-level 2x2 grid
+    Schwarz preconditioner (n = 841)."""
+    from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+    assembled = cdr_assembled(30)
+    maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                           coords=assembled.dof_coords)
+    return assembled, build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+
+
+def _step_counts(monkeypatch, lanczos):
+    """Run bounds._lanczos_extremes as ``lanczos``, recording the T applies
+    (the steps) of each solve in the returned list."""
+    steps = []
+
+    def counted(apply_t, *args, **kwargs):
+        count = [0]
+
+        def stepped(v):
+            count[0] += 1
+            return apply_t(v)
+
+        out = lanczos(stepped, *args, **kwargs)
+        steps.append(count[0])
+        return out
+
+    monkeypatch.setattr(bounds, "_lanczos_extremes", counted)
+    return steps
+
+
+class TestReferenceParity:
+    """The report against the Lanczos loop that decomposed the whole
+    tridiagonal at every step (tests/lanczos_reference.py)."""
+
+    def test_w_equal_h_report_takes_the_reference_steps(self, two_level_30, monkeypatch):
+        assembled, precond = two_level_30
+        handle = precond.as_handle()
+        reports, steps = [], []
+        for lanczos in (lanczos_reference.lanczos_extremes, _lanczos_extremes):
+            steps.append(_step_counts(monkeypatch, lanczos))
+            reports.append(compute_bound_report(assembled.operator(), handle,
+                                                handle.as_weight()).to_dict())
+        assert steps[0] == steps[1] == [37, 18, 23, 15]
+        want, got = reports
+        for key, value in want.items():
+            if value is None:
+                assert got[key] is None, key
+            else:
+                assert got[key] == pytest.approx(value, rel=1e-13, abs=0.0), key
+
+    def test_identity_weight_bound1_search(self, cdr_assembled, monkeypatch):
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(16)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        handle = build_preconditioner(assembled.m_matrix, maps, "two_level_sym").as_handle()
+        weight = WeightOperator.identity(handle.dim)
+        assert handle.dim <= RAYLEIGH_DIM_LIMIT
+        monkeypatch.setattr(bounds, "_lanczos_extremes", lanczos_reference.lanczos_extremes)
+        want = compute_bound_report(assembled.operator(), handle, weight)
+        monkeypatch.setattr(bounds, "_lanczos_extremes", _lanczos_extremes)
+        got = compute_bound_report(assembled.operator(), handle, weight)
+        # phi agrees in all but its last bits, so the bounded search may
+        # take another number of steps to the same maximum
+        assert want.bound1 is not None and 0.0 < want.bound1 < 1.0
+        assert got.bound1 == pytest.approx(want.bound1, rel=1e-12, abs=0.0)
+
+
+class TestTransposesPerReport:
+    def test_transposes_do_not_grow_with_the_steps(self, cdr_assembled, monkeypatch):
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        transposes = [0]
+        for cls in (scipy.sparse.csr_array, scipy.sparse.csc_array):
+            def counted(self, *args, _transpose=cls.transpose, **kwargs):
+                transposes[0] += 1
+                return _transpose(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "transpose", counted)
+        steps = _step_counts(monkeypatch, _lanczos_extremes)
+        counts = {}
+        for m in (8, 24):  # n = 49 runs the bound1 search, n = 529 does not
+            assembled = cdr_assembled(m)
+            maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                                   coords=assembled.dof_coords)
+            handle = build_preconditioner(assembled.m_matrix, maps, "two_level_sym").as_handle()
+            operator = assembled.operator()
+            for kind, weight in (("h", handle.as_weight()),
+                                 ("identity", WeightOperator.identity(handle.dim))):
+                transposes[0] = 0
+                steps.clear()
+                compute_bound_report(operator, handle, weight)
+                counts[m, kind] = (transposes[0], sum(steps))
+        for kind in ("h", "identity"):
+            (small, small_steps), (large, large_steps) = counts[8, kind], counts[24, kind]
+            assert small_steps > 5 * large_steps
+            assert small == large <= 4
 
 
 def _quotient(c, y):
