@@ -21,7 +21,6 @@ from .linalg import (
     SingularMatrixError,
     cholesky,
     gen_sym_eig,
-    lu_solve,
     sym_eig,
 )
 from .schwarz import (
@@ -53,8 +52,6 @@ from .weighting import (
     NotHermitianPreconditionerError,
     PreconditionerHandle,
     WeightOperator,
-    w_inner,
-    w_norm,
 )
 
 __version__ = "0.1.0"

@@ -61,7 +61,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
-import scipy.optimize
 import scipy.sparse
 
 from . import cdr
@@ -355,12 +354,14 @@ def _dual_bound1(pencil, apply_x, n: int, d: float, after_x: bool = False) -> fl
     interior points, where u^2/v > 0 has no minimum.  The maximizer
     t* = 2u/v <= 2/sigma_min(C) <= 2/d brackets the bounded scalar search.
     Each phi is one Lanczos solve, allowed n steps: there its Ritz values
-    are exact.
+    are exact.  scipy.optimize is imported here, past both early returns,
+    so that only a report that runs the search pays for loading it.
     """
     if d == 0.0:
         return 1.0
     if n > RAYLEIGH_DIM_LIMIT:
         return None
+    import scipy.optimize
 
     def neg_phi(t):
         return -_lanczos_extremes(lambda v: pencil(t, v), apply_x, n, (0,), after_x, limit=n)[0]

@@ -12,7 +12,6 @@ rest of the package relies on.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +37,6 @@ __all__ = [
     "sparse_lu_factor",
     "sym_eig",
     "gen_sym_eig",
-    "lu_solve",
 ]
 
 # Operators are materialized to dense (by application to basis vectors)
@@ -388,18 +386,3 @@ def gen_sym_eig(s, m) -> np.ndarray:
     y = scipy.linalg.solve_triangular(factor.lower, s, lower=True)
     reduced = scipy.linalg.solve_triangular(factor.lower, y.T, lower=True).T
     return sym_eig(0.5 * (reduced + reduced.T), vectors=False)
-
-
-def lu_solve(a, b) -> np.ndarray:
-    """Solve a x = b by LU with partial pivoting."""
-    m = _as_square(a)
-    rhs = _as_vector(b, m.shape[0])
-    with warnings.catch_warnings():
-        # singularity is detected below with an explicit pivot threshold
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(m, check_finite=True)
-    diag = np.abs(np.diag(lu))
-    threshold = m.shape[0] * np.finfo(float).eps * max(np.abs(m).max(), 0.0)
-    if diag.min() <= threshold:
-        raise SingularMatrixError(pivot=int(np.argmin(diag)))
-    return scipy.linalg.lu_solve((lu, piv), rhs)

@@ -73,6 +73,7 @@ the Euclidean norm, the iteration coefficients, and breakdown events.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,8 +187,8 @@ class SolveConfig:
     def __post_init__(self):
         if self.max_iterations < 0:  # the direction store sizes its rows from it
             raise ValueError("max_iterations must be >= 0")
-        if self.rel_tolerance <= 0:
-            raise ValueError("rel_tolerance must be positive")
+        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0.0):
+            raise ValueError("rel_tolerance must be positive and finite")
         if self.restart_period is not None and self.truncation_window is not None:
             raise ValueError("restart_period and truncation_window are mutually exclusive")
         if self.restart_period is not None and self.restart_period < 1:
@@ -270,6 +271,12 @@ class SolveResult:
 
 
 class _Stopping:
+    """The stopping rule: a residual norm below rel_tolerance times that
+    norm of b.  An exactly zero residual meets any target, so b = 0 with
+    x0 = 0 converges at iteration 0.  With b = 0 and a nonzero x0 the
+    target is 0, which only an exactly zero residual meets, so such a
+    solve runs to the iteration limit or a breakdown."""
+
     def __init__(self, cfg: SolveConfig, b_norm_weighted: float, b_norm_euclidean: float):
         self.norm = cfg.stopping_norm
         self.target = cfg.rel_tolerance * (
@@ -277,7 +284,7 @@ class _Stopping:
         )
 
     def done(self, rw: float, r2: float) -> bool:
-        return (rw if self.norm == "weighted" else r2) < self.target
+        return r2 == 0.0 or (rw if self.norm == "weighted" else r2) < self.target
 
 
 class _Directions:

@@ -18,8 +18,6 @@ __all__ = [
     "NotHermitianPreconditionerError",
     "WeightOperator",
     "PreconditionerHandle",
-    "w_inner",
-    "w_norm",
 ]
 
 _PROBE_COUNT = 32
@@ -134,25 +132,3 @@ class PreconditionerHandle:
                 "only a symmetric positive definite preconditioner can define an inner product"
             )
         return WeightOperator(self.dim, self._op, validate=False)
-
-
-def w_inner(w: WeightOperator, x, y) -> float:
-    """<x, y>_W = y^T W x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (w.dim,) or y.shape != (w.dim,):
-        raise ValueError("dimension mismatch in weighted inner product")
-    return float(w.apply(x) @ y)
-
-
-def w_norm(w: WeightOperator, x) -> float:
-    """||x||_W, guarding against a slightly negative round-off radicand."""
-    x = np.asarray(x, dtype=float)
-    radicand = w_inner(w, x, x)
-    if radicand < 0.0:
-        # tolerate round-off; anything beyond it means the weight is not SPD
-        if radicand < -1e-14 * float(x @ x):
-            raise InvalidWeightError(f"negative weighted norm radicand {radicand}")
-        radicand = 0.0
-    return float(np.sqrt(radicand))
-

@@ -1,4 +1,10 @@
+import functools
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1096,3 +1102,91 @@ class TestAnalyticBound:
 def test_weighted_operator_norm_identity_weight():
     a = np.diag([1.0, -4.0, 2.0])
     assert weighted_operator_norm(a, WeightOperator.identity(3)) == pytest.approx(4.0)
+
+
+# The footprint checks run in a fresh interpreter: this module imports
+# scipy.optimize itself, so an in-process check would pass whatever the
+# package imports.
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+_SCHWARZ_H = """
+from wpkrylov import cdr, schwarz
+def two_level(m):
+    assembled = cdr.assemble(cdr.reference_problem(mesh_divisions=m))
+    maps = schwarz.build_partition(assembled.m_matrix,
+                                   schwarz.PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                                   coords=assembled.dof_coords)
+    h = schwarz.build_preconditioner(assembled.m_matrix, maps, "two_level_sym").as_handle()
+    return assembled, h
+"""
+
+_FOOTPRINT_CASES = {
+    "whp-gcr-two-level": _SCHWARZ_H + """
+from wpkrylov.solvers import LinearSystem, SolveConfig, whp_gcr
+assembled, h = two_level(10)
+result = whp_gcr(LinearSystem(assembled.operator(), assembled.rhs), h, SolveConfig())
+out = {"status": result.status}
+""",
+    "gcr-identity": """
+from wpkrylov import cdr
+from wpkrylov.solvers import LinearSystem, SolveConfig, wp_gcr_right
+from wpkrylov.weighting import PreconditionerHandle, WeightOperator
+assembled = cdr.assemble(cdr.reference_problem(mesh_divisions=10))
+n = assembled.rhs.shape[0]
+result = wp_gcr_right(LinearSystem(assembled.operator(), assembled.rhs),
+                      PreconditionerHandle.identity(n), WeightOperator.identity(n),
+                      SolveConfig())
+out = {"status": result.status}
+""",
+    "report-w-equal-h-m24": _SCHWARZ_H + """
+from wpkrylov.bounds import compute_bound_report
+assembled, h = two_level(24)
+out = {"bound1": compute_bound_report(assembled.operator(), h, h.as_weight()).bound1}
+""",
+    "cli-solve": """
+from wpkrylov import cli
+out = {"exit": cli.main(["solve", "--cdr", "m=10", "--precond", "two-level", "--n-sub", "4",
+                         "--layout", "grid:2x2", "--solver", "whp-gcr"])}
+""",
+    "report-w-identity-m8": _SCHWARZ_H + """
+from wpkrylov.bounds import compute_bound_report
+from wpkrylov.weighting import WeightOperator
+assembled, h = two_level(8)
+out = {"bound1": compute_bound_report(assembled.operator(), h, WeightOperator.identity(h.dim)).bound1}
+""",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _run_fresh(name: str) -> dict:
+    """Run one footprint case in a new interpreter; its ``out`` dict, with
+    the modules of interest it left loaded."""
+    code = _FOOTPRINT_CASES[name] + """
+import json, sys
+out["loaded"] = sorted(m for m in ("scipy.optimize", "scipy.sparse.csgraph") if m in sys.modules)
+print(json.dumps(out))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+class TestImportFootprint:
+    @pytest.mark.parametrize("name", ["whp-gcr-two-level", "gcr-identity",
+                                      "report-w-equal-h-m24", "cli-solve"])
+    def test_no_bound1_search_loads_no_optimizer(self, name):
+        out = _run_fresh(name)
+        assert "scipy.optimize" not in out["loaded"]
+        assert out.get("status", "converged") == "converged" and out.get("exit", 0) == 0
+        if name == "report-w-equal-h-m24":  # n = 529 > RAYLEIGH_DIM_LIMIT
+            assert out["bound1"] is None
+
+    def test_identity_solve_loads_no_graph_package(self):
+        assert "scipy.sparse.csgraph" not in _run_fresh("gcr-identity")["loaded"]
+
+    def test_bound1_search_loads_the_optimizer(self):
+        out = _run_fresh("report-w-identity-m8")
+        assert "scipy.optimize" in out["loaded"]
+        assert math.isfinite(out["bound1"]) and 0.0 < out["bound1"] < 1.0

@@ -12,9 +12,9 @@ from wpkrylov.cdr import (
     l2_error,
     reference_problem,
 )
-from wpkrylov.linalg import lu_solve
 
 from cdr_reference import reference_assemble
+from dense_reference import lu_solve
 
 
 class TestMesh:

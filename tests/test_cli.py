@@ -454,12 +454,18 @@ def test_bad_solver_pairing_is_rejected_before_assembly(calls, capsys, argv, fra
 
 @pytest.mark.parametrize("argv, fragment", [
     (["solve", "--cdr", "m=10", "--tol", "0"], "rel_tolerance must be positive"),
+    (["solve", "--cdr", "m=10", "--precond", "two-level", "--n-sub", "4", "--layout", "grid:2x2",
+      "--solver", "whp-gcr", "--tol", "nan", "--max-iter", "40"],
+     "rel_tolerance must be positive and finite"),
     (["solve", "--cdr", "m=10", "--max-iter", "-1"], "max_iterations must be >= 0"),
     (["sweep", "--axis", "mesh", "--m-list", "10", "--tol", "-1"],
      "rel_tolerance must be positive"),
+    (["sweep", "--axis", "mesh", "--m-list", "10", "--tol", "inf"],
+     "rel_tolerance must be positive and finite"),
     (["sweep", "--axis", "n-subdomains", "--cdr", "m=12", "--max-iter", "-1"],
      "max_iterations must be >= 0"),
-], ids=["solve-tol", "solve-max-iter", "sweep-tol", "sweep-max-iter"])
+], ids=["solve-tol", "solve-tol-nan", "solve-max-iter", "sweep-tol", "sweep-tol-inf",
+        "sweep-max-iter"])
 def test_bad_solve_settings_are_rejected_before_assembly(calls, capsys, argv, fragment):
     assert main(argv) == 1
     captured = capsys.readouterr()

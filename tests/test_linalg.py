@@ -13,7 +13,6 @@ from wpkrylov.linalg import (
     cholesky,
     densify,
     gen_sym_eig,
-    lu_solve,
     sparse_lu_factor,
     sparse_spd_factor,
     sym_eig,
@@ -22,6 +21,7 @@ from wpkrylov.linalg import (
 from wpkrylov.schwarz import PartitionSpec, build_partition
 
 from conftest import make_spd
+from dense_reference import lu_solve
 
 
 class TestSpmv:

@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +254,9 @@ class TestVariants:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SolveConfig(rel_tolerance=0.0)
+        for tolerance in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="rel_tolerance must be positive and finite"):
+                SolveConfig(rel_tolerance=tolerance)
         with pytest.raises(ValueError):
             SolveConfig(restart_period=2, truncation_window=1)
         with pytest.raises(ValueError):
@@ -871,6 +876,43 @@ class TestNonFiniteInput:
         args = (h, w, cfg) if solver is wp_gcr_right else (h, cfg)
         with pytest.raises(FloatingPointError, match="at iteration 0"):
             solver(LinearSystem(a, b), *args)
+
+
+ZERO_RHS_SOLVERS = {
+    "wp_gcr_right": wp_gcr_right,
+    "wp_gcr_left": wp_gcr_left,
+    "wp_mr": wp_mr,
+    "orthomin-2": functools.partial(wp_orthomin, k=2),
+    "gcr-restart-5": functools.partial(wp_gcr_restarted, k=5),
+    "gmres_arnoldi_oracle": gmres_arnoldi_oracle,
+    "whp_gcr": lambda s, h, w, cfg: whp_gcr(s, h, cfg),
+    "whp_gcr_alt_a": lambda s, h, w, cfg: whp_gcr_alt_a(s, h, cfg),
+    "whp_gcr_alt_b": lambda s, h, w, cfg: whp_gcr_alt_b(s, h, cfg),
+}
+
+
+class TestZeroRightHandSide:
+    @pytest.mark.parametrize("name", ZERO_RHS_SOLVERS)
+    def test_zero_rhs_converges_at_once(self, name):
+        # x = 0 is exact: a zero residual meets the target rel_tolerance * 0
+        a, h_dense, _ = make_pd_system(7, n=8)
+        h, w, cfg = dense_setup(a, h_dense)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = ZERO_RHS_SOLVERS[name](LinearSystem(a, np.zeros(8)), h, w, cfg)
+        assert res.status == "converged"
+        assert res.iterations == 0
+        assert res.trace.breakdown is None
+        assert np.array_equal(res.x, np.zeros(8))
+
+    def test_nonzero_initial_guess_keeps_a_zero_target(self):
+        # b = 0 with x0 != 0: no nonzero residual meets the target 0
+        a, h_dense, _ = make_pd_system(7, n=8)
+        h, w, _ = dense_setup(a, h_dense)
+        res = wp_gcr_right(LinearSystem(a, np.zeros(8), x0=np.ones(8)), h, w,
+                           SolveConfig(max_iterations=3))
+        assert res.status != "converged"
+        assert res.iterations == 3
 
 
 class TestLeftGcr:

@@ -7,11 +7,10 @@ from wpkrylov.weighting import (
     InvalidWeightError,
     PreconditionerHandle,
     WeightOperator,
-    w_inner,
-    w_norm,
 )
 
 from conftest import make_pd_system, make_spd
+from dense_reference import w_inner, w_norm
 
 
 def test_w_inner_identity():
