@@ -42,10 +42,7 @@ from .solvers import (
     whp_gcr_alt_a,
     whp_gcr_alt_b,
     wp_gcr_left,
-    wp_gcr_restarted,
     wp_gcr_right,
-    wp_mr,
-    wp_orthomin,
 )
 from .weighting import (
     InvalidWeightError,

@@ -43,10 +43,7 @@ from .solvers import (
     whp_gcr_alt_a,
     whp_gcr_alt_b,
     wp_gcr_left,
-    wp_gcr_restarted,
     wp_gcr_right,
-    wp_mr,
-    wp_orthomin,
 )
 from .weighting import PreconditionerHandle, WeightOperator
 
@@ -286,32 +283,36 @@ def _build_weight(kind: str, handle: PreconditionerHandle, dim: int) -> WeightOp
 
 
 _SOLVERS = {
-    "gcr": wp_gcr_right, "gcr-left": wp_gcr_left, "mr": wp_mr,
-    "gmres-oracle": gmres_arnoldi_oracle, "orthomin": wp_orthomin,
-    "gcr-restart": wp_gcr_restarted,
+    "gcr": wp_gcr_right, "gcr-left": wp_gcr_left, "gmres-oracle": gmres_arnoldi_oracle,
     # W = H: these need a symmetric preconditioner
     "whp-gcr": lambda system, h, w, cfg: whp_gcr(system, h, cfg),
     "whp-gcr-alt-a": lambda system, h, w, cfg: whp_gcr_alt_a(system, h, cfg),
     "whp-gcr-alt-b": lambda system, h, w, cfg: whp_gcr_alt_b(system, h, cfg),
 }
 
+# names of wp_gcr_right with a window: the SolveConfig field each sets
+_WINDOWS = {"mr": "truncation_window", "orthomin": "truncation_window",
+            "gcr-restart": "restart_period"}
 
-def _parse_solver(name: str):
-    """run(system, handle, weight, cfg) for the solver --solver names:
-    orthomin:K takes K >= 0 and gcr-restart:K K >= 1."""
+
+def _parse_solver(name: str, cfg: SolveConfig):
+    """(run(system, handle, weight, cfg), cfg with the window --solver
+    names): mr sets truncation_window 0, orthomin:K truncation_window K and
+    gcr-restart:K restart_period K; a K SolveConfig rejects is a usage
+    error."""
     kind, colon, text = name.partition(":")
-    if kind not in _SOLVERS or bool(colon) != (kind in ("orthomin", "gcr-restart")):
+    if kind not in (*_SOLVERS, *_WINDOWS) or bool(colon) != (kind in ("orthomin", "gcr-restart")):
         raise UsageError(f"unknown solver {name!r}")
-    if not colon:
-        return _SOLVERS[kind]
+    if kind in _SOLVERS:
+        return _SOLVERS[kind], cfg
     try:
-        k = int(text)
+        k = int(text) if colon else 0
     except ValueError as exc:
         raise UsageError(f"bad parameter in {name!r}") from exc
-    least = int(kind == "gcr-restart")
-    if k < least:
-        raise UsageError(f"parameter in {name!r} must be >= {least}")
-    return lambda system, h, w, cfg: _SOLVERS[kind](system, h, w, cfg, k=k)
+    try:
+        return wp_gcr_right, dataclasses.replace(cfg, **{_WINDOWS[kind]: k})
+    except ValueError as exc:
+        raise UsageError(f"--solver {name}: {exc}") from exc
 
 
 def _check_pairing(precond: str, weight: str, solver: str = ""):
@@ -342,9 +343,8 @@ def _write_report(args, report: matrixio.ExperimentReport):
 
 
 def cmd_solve(args) -> int:
-    run = _parse_solver(args.solver)
+    run, cfg = _parse_solver(args.solver, _solve_config(args, args.stop_norm))
     _check_pairing(args.precond, args.weight, args.solver)
-    cfg = _solve_config(args, args.stop_norm)
     spec = _partition_spec(args.layout, args.n_sub, args.overlap)
     problem = _load_problem(args)
     maps = None if args.precond == "identity" else _partition(spec, problem)

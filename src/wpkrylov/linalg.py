@@ -150,9 +150,9 @@ def aslinearoperator(obj, dim: int | None = None) -> LinearOperator:
     return LinearOperator.from_dense(obj)
 
 
-def densify(op, limit: int = DENSIFY_LIMIT) -> np.ndarray:
+def densify(op) -> np.ndarray:
     """An operator as a dense matrix: the matrix it keeps (shared when dense),
-    else its action on each column of the identity, up to dimension limit."""
+    else its action on each column of the identity, up to DENSIFY_LIMIT."""
     if isinstance(op, np.ndarray):
         return _as_square(op)
     if scipy.sparse.issparse(op):
@@ -160,8 +160,8 @@ def densify(op, limit: int = DENSIFY_LIMIT) -> np.ndarray:
     lin = aslinearoperator(op)
     if lin.matrix is not None:
         return densify(lin.matrix)
-    if lin.dim > limit:
-        raise ValueError(f"refusing to densify operator of dimension {lin.dim} > {limit}")
+    if lin.dim > DENSIFY_LIMIT:
+        raise ValueError(f"refusing to densify operator of dimension {lin.dim} > {DENSIFY_LIMIT}")
     return np.column_stack([lin.apply(column) for column in np.eye(lin.dim)])
 
 

@@ -5,12 +5,13 @@ residual method run in a weighted inner product: search directions p_i
 with images q_i = A p_i kept pairwise W-orthogonal, the residual update
 r <- r - alpha q with alpha = <q, r>_W / <q, q>_W.  Truncated
 (Orthomin(k), minimal-residual) and restarted variants reuse the same
-loop with a direction window.  Left preconditioning is a reduction: it
-is the right-preconditioned loop on H A x = H b with the identity as
-preconditioner.  With a symmetric positive definite H as the weight,
-whp_gcr runs the same loop keeping z = H r (W r, and the next
-direction) by the recurrence z <- z - alpha W q, so H is applied once
-per iteration, not three times.  It holds q and W q, which determine
+loop with a direction window, which SolveConfig alone selects.  Left
+preconditioning is a reduction: it is the right-preconditioned loop on
+H A x = H b with the identity as preconditioner.  With a symmetric
+positive definite H as the weight, whp_gcr runs the same loop keeping
+z = H r (W r, and the next direction) by the recurrence
+z <- z - alpha W q, so H is applied once per iteration, not three
+times, with any window.  It holds q and W q, which determine
 the sources of its directions; the storage-lean whp_gcr_alt_a holds
 W q only and uses q = A z unprojected, whp_gcr_alt_b holds q only and
 uses W A z unprojected; both also hold the sources.  A
@@ -72,19 +73,15 @@ the Euclidean norm, the iteration coefficients, and breakdown events.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .linalg import LinearOperator, aslinearoperator
-from .weighting import (
-    NotHermitianPreconditionerError,
-    PreconditionerHandle,
-    WeightOperator,
-)
+from .weighting import PreconditionerHandle, WeightOperator
 
 __all__ = [
     "LinearSystem",
@@ -94,9 +91,6 @@ __all__ = [
     "SolveResult",
     "wp_gcr_right",
     "wp_gcr_left",
-    "wp_mr",
-    "wp_orthomin",
-    "wp_gcr_restarted",
     "whp_gcr",
     "whp_gcr_alt_a",
     "whp_gcr_alt_b",
@@ -173,7 +167,8 @@ class SolveConfig:
     truncation_window selects Orthomin(k) orthogonalization against the
     last k directions only (0 means the bare minimal-residual iteration),
     restart_period clears the direction set every that many iterations.
-    At most one of the two may be set.
+    At most one of the two may be set.  These windows are the only way to
+    select a GCR variant: every GCR solver takes them but whp_gcr_alt_b.
     """
 
     max_iterations: int = 500
@@ -185,16 +180,21 @@ class SolveConfig:
     record_iterates: bool = False
 
     def __post_init__(self):
-        if self.max_iterations < 0:  # the direction store sizes its rows from it
-            raise ValueError("max_iterations must be >= 0")
-        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0.0):
-            raise ValueError("rel_tolerance must be positive and finite")
         if self.restart_period is not None and self.truncation_window is not None:
             raise ValueError("restart_period and truncation_window are mutually exclusive")
-        if self.restart_period is not None and self.restart_period < 1:
-            raise ValueError("restart_period must be >= 1")
-        if self.truncation_window is not None and self.truncation_window < 0:
-            raise ValueError("truncation_window must be >= 0")
+        # the direction store sizes its rows from these: integers (numpy's
+        # too), not bool, float or NaN
+        for name, least in (("max_iterations", 0), ("restart_period", 1),
+                            ("truncation_window", 0)):
+            value = getattr(self, name)
+            if value is None and name != "max_iterations":
+                continue
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}")
+        if not (math.isfinite(self.rel_tolerance) and self.rel_tolerance > 0.0):
+            raise ValueError("rel_tolerance must be positive and finite")
         if self.stopping_norm not in ("weighted", "euclidean"):
             raise ValueError(f"unknown stopping norm {self.stopping_norm!r}")
         if self.breakdown_policy not in ("halt", "restart_orthodir_style"):
@@ -809,35 +809,6 @@ def _norms(w: WeightOperator, x: np.ndarray) -> tuple[float, float]:
     return (x2 if w.is_identity else _clamped_sqrt(float(w.apply(x) @ x))), x2
 
 
-def wp_mr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,
-          cfg: SolveConfig) -> SolveResult:
-    """Minimal-residual iteration: GCR with no orthogonalization history."""
-    if cfg.truncation_window not in (None, 0):
-        raise ValueError("wp_mr requires truncation_window 0")
-    return wp_gcr_right(system, h, w, dataclasses.replace(cfg, truncation_window=0,
-                                                          restart_period=None))
-
-
-def wp_orthomin(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,
-                cfg: SolveConfig, k: int | None = None) -> SolveResult:
-    """Orthomin(k): orthogonalize against the k most recent directions."""
-    window = cfg.truncation_window if k is None else k
-    if window is None:
-        raise ValueError("wp_orthomin needs a truncation window")
-    return wp_gcr_right(system, h, w, dataclasses.replace(cfg, truncation_window=window,
-                                                          restart_period=None))
-
-
-def wp_gcr_restarted(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,
-                     cfg: SolveConfig, k: int | None = None) -> SolveResult:
-    """Restarted GCR(k): the direction set is cleared every k iterations."""
-    period = cfg.restart_period if k is None else k
-    if period is None:
-        raise ValueError("wp_gcr_restarted needs a restart period")
-    return wp_gcr_right(system, h, w, dataclasses.replace(cfg, restart_period=period,
-                                                          truncation_window=None))
-
-
 def wp_gcr_left(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,
                 cfg: SolveConfig) -> SolveResult:
     """Left-preconditioned GCR in the W-inner product.
@@ -860,21 +831,6 @@ def wp_gcr_left(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator
     return wp_gcr_right(left, PreconditionerHandle.identity(system.dim), w, cfg)
 
 
-def _whp(name: str, system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig,
-         held: tuple = ("q", "wq")) -> SolveResult:
-    """Check the inputs of a whp solver and run _gcr with W = H."""
-    if not h.hermitian_flag:
-        raise NotHermitianPreconditionerError(
-            "this solver requires a symmetric positive definite preconditioner"
-        )
-    if cfg.restart_period is not None or cfg.truncation_window is not None:
-        raise ValueError(
-            f"{name} runs with full orthogonalization; use wp_orthomin/wp_gcr_restarted "
-            "with w set to the preconditioner for truncated or restarted runs"
-        )
-    return _gcr(system, h, h.as_weight(), cfg, w_is_h=True, held=held)
-
-
 def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
     """GCR with an SPD preconditioner H used as the inner-product weight.
 
@@ -885,10 +841,12 @@ def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> 
     applied iterations + 2 times in all (twice before the loop, for
     ||b||_H and H r_0), once more only when z has drifted so far from H r
     that <r, z> < 0, and once more when a solve that took an Orthodir
-    recovery meets the target, for ||b - A x||_H.  Only full
-    orthogonalization is supported.
+    recovery meets the target, for ||b - A x||_H.  A truncation window or
+    a restart period in cfg runs the same loop, still with one H apply per
+    iteration, holding the sources as wp_gcr_right does with that window.
+    NotHermitianPreconditionerError unless h is marked SPD.
     """
-    return _whp("whp_gcr", system, h, cfg)
+    return _gcr(system, h, h.as_weight(), cfg, w_is_h=True)
 
 
 def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
@@ -898,9 +856,9 @@ def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
     projection, in delta = <y, q>; the residual is formed as r = b - A x,
     which costs one more A apply per iteration.  z = H r and ||r||_H are
     kept as in whp_gcr, so H is applied iterations + 2 times.  Iterates
-    coincide with whp_gcr in exact arithmetic.
+    coincide with whp_gcr in exact arithmetic, with any window.
     """
-    return _whp("whp_gcr_alt_a", system, h, cfg, held=("wq",))
+    return _gcr(system, h, h.as_weight(), cfg, w_is_h=True, held=("wq",))
 
 
 def whp_gcr_alt_b(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
@@ -912,9 +870,14 @@ def whp_gcr_alt_b(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfi
     with whp_gcr in exact arithmetic, but once the held q_j lose
     H-orthogonality delta is no longer ||q||_H^2, and the solve can end
     in a breakdown (a degenerate delta or a drifted z) before it
-    converges.
+    converges.  The unprojected t needs every direction held, so a
+    truncation window or a restart period raises ValueError: under
+    Orthomin(k) and GCR(k) it broke down on the reference problem.
     """
-    return _whp("whp_gcr_alt_b", system, h, cfg, held=("q",))
+    if cfg.restart_period is not None or cfg.truncation_window is not None:
+        raise ValueError("whp_gcr_alt_b runs with full orthogonalization only; "
+                         "whp_gcr takes a truncation window or a restart period")
+    return _gcr(system, h, h.as_weight(), cfg, w_is_h=True, held=("q",))
 
 
 def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,

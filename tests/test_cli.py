@@ -436,9 +436,9 @@ def test_bounds_nonsym_h_has_no_size_guard(capsys, m, fields):
         "--solver", solver], f"--solver {solver} requires a symmetric preconditioner")
       for solver in ("whp-gcr", "whp-gcr-alt-a", "whp-gcr-alt-b")],
     (["solve", "--cdr", "m=10", "--precond", "two-level", "--solver", "gcr-restart:0"],
-     "parameter in 'gcr-restart:0' must be >= 1"),
+     "--solver gcr-restart:0: restart_period must be >= 1"),
     (["solve", "--cdr", "m=10", "--precond", "two-level", "--solver", "orthomin:-1"],
-     "parameter in 'orthomin:-1' must be >= 0"),
+     "--solver orthomin:-1: truncation_window must be >= 0"),
     (["solve", "--cdr", "m=10", "--precond", "two-level", "--solver", "orthomin:x"],
      "bad parameter in 'orthomin:x'"),
     (["solve", "--cdr", "m=10", "--precond", "two-level", "--solver", "bogus"],

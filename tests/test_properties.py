@@ -5,6 +5,8 @@ definite, a symmetric positive definite H and a right-hand side, all from
 one seed.  Examples are derandomized, so every run checks the same ones.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,9 +20,7 @@ from wpkrylov.solvers import (
     whp_gcr_alt_a,
     whp_gcr_alt_b,
     wp_gcr_left,
-    wp_gcr_restarted,
     wp_gcr_right,
-    wp_orthomin,
 )
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 
@@ -80,6 +80,27 @@ def test_whp_gcr_matches_right_gcr_with_w_equal_h(system):
         assert special.iterations == generic.iterations
         assert_norms_match(special.trace.residual_norm_weighted,
                            generic.trace.residual_norm_weighted, rtol=1e-7)
+
+
+# the windows of the GCR variants: minimal residual, Orthomin(k), GCR(k)
+windows = st.one_of(st.just({"truncation_window": 0}),
+                    st.builds(lambda k: {"truncation_window": k}, st.integers(1, 6)),
+                    st.builds(lambda k: {"restart_period": k}, st.integers(1, 6)))
+
+
+@EXAMPLES
+@given(systems, windows)
+def test_windowed_whp_gcr_matches_right_gcr_with_w_equal_h(system, window):
+    # the recurrence z <- z - alpha H q holds whatever directions are held
+    a, h_dense, b = system
+    h, w = handles(h_dense)
+    cfg = SolveConfig(rel_tolerance=1e-8, **window)
+    generic = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+    for solver in (whp_gcr, whp_gcr_alt_a):
+        special = solver(LinearSystem(a, b), h, cfg)
+        assert special.status == generic.status
+        assert special.iterations == generic.iterations
+        assert np.linalg.norm(special.x - generic.x) <= 1e-12 * np.linalg.norm(generic.x)
 
 
 def assert_directions_map_to_images(a, res):
@@ -185,7 +206,8 @@ def test_orthomin_with_a_window_past_the_iterations_is_full_gcr(system):
     cfg = SolveConfig(rel_tolerance=1e-8)
     full = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
     for k in (full.iterations, full.iterations + 3):
-        windowed = wp_orthomin(LinearSystem(a, b), h, w, cfg, k=k)
+        windowed = wp_gcr_right(LinearSystem(a, b), h, w,
+                                dataclasses.replace(cfg, truncation_window=k))
         assert windowed.iterations == full.iterations
         assert np.allclose(windowed.trace.residual_norm_weighted,
                            full.trace.residual_norm_weighted, rtol=1e-12, atol=0.0)
@@ -198,8 +220,9 @@ def test_weighted_residual_never_increases(system, window, period):
     h, w = handles(h_dense)
     cfg = SolveConfig(rel_tolerance=1e-8)
     runs = [wp_gcr_right(LinearSystem(a, b), h, w, cfg),
-            wp_orthomin(LinearSystem(a, b), h, w, cfg, k=window),
-            wp_gcr_restarted(LinearSystem(a, b), h, w, cfg, k=period)]
+            wp_gcr_right(LinearSystem(a, b), h, w,
+                         dataclasses.replace(cfg, truncation_window=window)),
+            wp_gcr_right(LinearSystem(a, b), h, w, dataclasses.replace(cfg, restart_period=period))]
     for res in runs:
         assert res.status == "converged"
         norms = res.trace.residual_norm_weighted
@@ -211,18 +234,22 @@ def test_weighted_residual_never_increases(system, window, period):
 @given(systems)
 def test_bound1_dominates_each_gcr_step(system):
     # one step of minimal residual along A H r already contracts ||r||_W by
-    # bound1; full GCR minimizes over a space that holds that direction
+    # bound1; full GCR, and Orthomin(k), whose residual is W-orthogonal to
+    # its held images, minimize over a space that holds that direction.
+    # whp_gcr takes the same steps with W = H
     a, h_dense, b = system
     h, w = handles(h_dense)
     bound1 = compute_bound_report(a, h, w).bound1
     assert bound1 < 1.0
-    for window in (None, 0):
+    for window in (None, 0, 2):
         cfg = SolveConfig(rel_tolerance=1e-8, truncation_window=window)
-        norms = wp_gcr_right(LinearSystem(a, b), h, w, cfg).trace.residual_norm_weighted
-        cutoff = NORM_FLOOR * norms[0]
-        for prev, cur in zip(norms, norms[1:]):
-            if prev >= cutoff:
-                assert cur <= bound1 * prev * (1.0 + 1e-10)
+        for res in (wp_gcr_right(LinearSystem(a, b), h, w, cfg),
+                    whp_gcr(LinearSystem(a, b), h, cfg)):
+            norms = res.trace.residual_norm_weighted
+            cutoff = NORM_FLOOR * norms[0]
+            for prev, cur in zip(norms, norms[1:]):
+                if prev >= cutoff:
+                    assert cur <= bound1 * prev * (1.0 + 1e-10)
 
 
 def draw_symmetric_pair(seed, n, kind):

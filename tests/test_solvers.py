@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import tracemalloc
 import warnings
 
@@ -19,10 +18,7 @@ from wpkrylov.solvers import (
     whp_gcr_alt_a,
     whp_gcr_alt_b,
     wp_gcr_left,
-    wp_gcr_restarted,
     wp_gcr_right,
-    wp_mr,
-    wp_orthomin,
     _Directions,
     _drifted,
     _recurrence_norm,
@@ -216,7 +212,7 @@ class TestVariants:
         b = rng.standard_normal(10)
         h, w, _ = identity_setup(10)
         cfg = SolveConfig(truncation_window=0, max_iterations=200)
-        res = wp_mr(LinearSystem(a, b), h, w, cfg)
+        res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
         tr = res.trace
         for i in range(res.iterations):
             lhs = tr.residual_norm_weighted[i + 1] ** 2 / tr.residual_norm_weighted[i] ** 2
@@ -227,8 +223,8 @@ class TestVariants:
         a, h_dense, b = make_pd_system(3, n=12)
         h, w, _ = dense_setup(a, h_dense)
         full = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(record_iterates=True))
-        trunc = wp_orthomin(LinearSystem(a, b), h, w,
-                            SolveConfig(record_iterates=True), k=12)
+        trunc = wp_gcr_right(LinearSystem(a, b), h, w,
+                             SolveConfig(record_iterates=True, truncation_window=12))
         assert full.iterations == trunc.iterations
         for xa, xb in zip(full.trace.iterates, trunc.trace.iterates):
             assert np.allclose(xa, xb, atol=1e-12 * max(np.abs(xa).max(), 1.0))
@@ -236,7 +232,7 @@ class TestVariants:
     def test_restart_markers(self):
         a, h_dense, b = make_pd_system(9, n=15)
         h, w, _ = dense_setup(a, h_dense)
-        res = wp_gcr_restarted(LinearSystem(a, b), h, w, SolveConfig(), k=3)
+        res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(restart_period=3))
         assert res.status == "converged"
         assert res.trace.restart_markers
         assert all(m % 3 == 0 for m in res.trace.restart_markers)
@@ -245,7 +241,8 @@ class TestVariants:
         a, h_dense, b = make_pd_system(11, n=15)
         h, w, _ = dense_setup(a, h_dense)
         for k in (0, 1, 3):
-            res = wp_orthomin(LinearSystem(a, b), h, w, SolveConfig(max_iterations=400), k=k)
+            res = wp_gcr_right(LinearSystem(a, b), h, w,
+                               SolveConfig(max_iterations=400, truncation_window=k))
             assert res.status == "converged"
             norms = res.trace.residual_norm_weighted
             for prev, cur in zip(norms, norms[1:]):
@@ -261,6 +258,17 @@ class TestVariants:
             SolveConfig(restart_period=2, truncation_window=1)
         with pytest.raises(ValueError):
             SolveConfig(stopping_norm="elsewhere")
+        # counts are integers: a float, even integral, NaN or a bool is
+        # rejected by name, not left to fail in the direction store
+        for name in ("max_iterations", "truncation_window", "restart_period"):
+            for value in (3.0, 1.5, float("nan"), True, np.float64(2.0)):
+                with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                    SolveConfig(**{name: value})
+            assert getattr(SolveConfig(**{name: np.int64(3)}), name) == 3
+        with pytest.raises(ValueError, match="max_iterations must be an integer"):
+            SolveConfig(max_iterations=None)
+        with pytest.raises(ValueError, match="truncation_window must be >= 0"):
+            SolveConfig(truncation_window=np.int32(-1))
 
 
 def loop_gcr(a, h_dense, w_dense, b, cfg):
@@ -323,14 +331,15 @@ class TestDirectionStore:
     def test_orthomin_holds_only_its_window(self):
         a, h_dense, b = make_pd_system(11, n=15)
         h, w, _ = dense_setup(a, h_dense)
-        res = wp_orthomin(LinearSystem(a, b), h, w, SolveConfig(max_iterations=400), k=2)
+        res = wp_gcr_right(LinearSystem(a, b), h, w,
+                           SolveConfig(max_iterations=400, truncation_window=2))
         assert res.status == "converged" and res.iterations >= 10
         assert len(res.p_directions) == len(res.q_directions) == 2
 
     def test_restarted_holds_at_most_one_cycle(self):
         a, h_dense, b = make_pd_system(9, n=15)
         h, w, _ = dense_setup(a, h_dense)
-        res = wp_gcr_restarted(LinearSystem(a, b), h, w, SolveConfig(), k=5)
+        res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(restart_period=5))
         assert res.status == "converged" and res.iterations > 5
         assert 1 <= len(res.p_directions) == len(res.q_directions) <= 5
 
@@ -364,8 +373,8 @@ class TestDirectionStore:
         h, w, _ = dense_setup(a, h_dense)
         system = LinearSystem(a, b)
         cfg = SolveConfig(max_iterations=400)
-        orthomin = wp_orthomin(system, h, w, cfg, k=3)
-        restarted = wp_gcr_restarted(system, h, w, cfg, k=6)
+        orthomin = wp_gcr_right(system, h, w, dataclasses.replace(cfg, truncation_window=3))
+        restarted = wp_gcr_right(system, h, w, dataclasses.replace(cfg, restart_period=6))
         whp = whp_gcr(system, h, cfg)
         assert orthomin.iterations > 2 * 6  # the 6 rows of the window moved twice
         assert restarted.iterations % 6 != 0  # it stopped within a cycle
@@ -422,7 +431,7 @@ class TestDirectionStore:
         n = len(b)
         h, w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
         cfg = SolveConfig(max_iterations=10**6, rel_tolerance=1e-10)
-        res = wp_orthomin(LinearSystem(a, b), h, w, cfg, k=2)
+        res = wp_gcr_right(LinearSystem(a, b), h, w, dataclasses.replace(cfg, truncation_window=2))
         assert res.status == "converged" and res.iterations > 300
         assert res._store.rows.shape[0] == 4 and res._store.coefficients.shape == (4, 4)
         assert np.linalg.norm(b - a @ res.x) <= 1.1e-10 * np.linalg.norm(b)
@@ -515,8 +524,8 @@ class TestDirectionStore:
         a, h_dense, b = make_pd_system(4, n=24, skew_scale=0.5)
         h, w, _ = dense_setup(a, h_dense)
         blocks = BlockReads(monkeypatch)
-        res = wp_gcr_restarted(LinearSystem(a, b), h, w,
-                               SolveConfig(rel_tolerance=1e-8), k=4)
+        res = wp_gcr_right(LinearSystem(a, b), h, w,
+                           SolveConfig(rel_tolerance=1e-8, restart_period=4))
         cycles = len(res.trace.restart_markers)
         assert res.status == "converged" and cycles > 3 and res.iterations % 4
         assert blocks.of(0) == [(0, 0, 4)] * cycles + [(0, 0, res.iterations % 4)]
@@ -691,6 +700,7 @@ class TestSourceBlock:
         eye_h, eye_w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
         every_step = SolveConfig(record_iterates=True)
         recover = SolveConfig(breakdown_policy="restart_orthodir_style")
+        gcr3 = SolveConfig(restart_period=3)
         # result, held vectors per row, whether one of them is the source
         cases = {
             "whp_gcr": (whp_gcr(system, h, cfg), 2, False),
@@ -698,14 +708,15 @@ class TestSourceBlock:
             "identity H, W = H": (wp_gcr_right(system, eye_h, w, cfg), 2, False),
             "left": (wp_gcr_left(system, h, eye_w, cfg), 1, False),
             "left, W = H": (wp_gcr_left(system, h, w, cfg), 2, False),
-            "identity H, GCR(3)": (wp_gcr_restarted(system, eye_h, eye_w, cfg, k=3), 2, True),
+            "identity H, GCR(3)": (wp_gcr_right(system, eye_h, eye_w, gcr3), 2, True),
             "identity H, recovery": (wp_gcr_right(system, eye_h, eye_w, recover), 2, True),
             "whp_gcr, recovery": (whp_gcr(system, h, recover), 3, True),
             "general H": (wp_gcr_right(system, h, w, cfg), 3, True),
             "general H, Euclidean W": (wp_gcr_right(system, h, eye_w, cfg), 2, True),
-            "general H, GCR(3)": (wp_gcr_restarted(system, h, w, cfg, k=3), 3, True),
-            "Orthomin(2)": (wp_orthomin(system, eye_h, eye_w, cfg, k=2), 2, True),
-            "MR": (wp_mr(system, eye_h, eye_w, cfg), 2, True),
+            "general H, GCR(3)": (wp_gcr_right(system, h, w, gcr3), 3, True),
+            "Orthomin(2)": (wp_gcr_right(system, eye_h, eye_w,
+                                         SolveConfig(truncation_window=2)), 2, True),
+            "MR": (wp_gcr_right(system, eye_h, eye_w, SolveConfig(truncation_window=0)), 2, True),
             "alt_a": (whp_gcr_alt_a(system, h, cfg), 2, True),
             "alt_b": (whp_gcr_alt_b(system, h, cfg), 2, True),
             "identity H, record_iterates": (wp_gcr_right(system, eye_h, eye_w, every_step),
@@ -878,12 +889,21 @@ class TestNonFiniteInput:
             solver(LinearSystem(a, b), *args)
 
 
+def window_id(window: dict) -> str:
+    return ",".join(f"{key}={value}" for key, value in window.items())
+
+
+def windowed(**window):
+    """wp_gcr_right with a window set in the SolveConfig it is given."""
+    return lambda s, h, w, cfg: wp_gcr_right(s, h, w, dataclasses.replace(cfg, **window))
+
+
 ZERO_RHS_SOLVERS = {
     "wp_gcr_right": wp_gcr_right,
     "wp_gcr_left": wp_gcr_left,
-    "wp_mr": wp_mr,
-    "orthomin-2": functools.partial(wp_orthomin, k=2),
-    "gcr-restart-5": functools.partial(wp_gcr_restarted, k=5),
+    "mr": windowed(truncation_window=0),
+    "orthomin-2": windowed(truncation_window=2),
+    "gcr-restart-5": windowed(restart_period=5),
     "gmres_arnoldi_oracle": gmres_arnoldi_oracle,
     "whp_gcr": lambda s, h, w, cfg: whp_gcr(s, h, cfg),
     "whp_gcr_alt_a": lambda s, h, w, cfg: whp_gcr_alt_a(s, h, cfg),
@@ -979,11 +999,19 @@ class TestWhpFamily:
         with pytest.raises(NotHermitianPreconditionerError):
             whp_gcr(LinearSystem(np.eye(3), np.ones(3)), h, SolveConfig())
 
-    def test_rejects_truncated_config(self):
-        h = PreconditionerHandle.identity(3)
-        with pytest.raises(ValueError):
-            whp_gcr(LinearSystem(np.eye(3), np.ones(3)), h,
-                    SolveConfig(truncation_window=1))
+    @pytest.mark.parametrize("window", [{"truncation_window": 0}, {"truncation_window": 1},
+                                        {"truncation_window": 3}, {"restart_period": 1},
+                                        {"restart_period": 2}], ids=window_id)
+    def test_alt_b_alone_rejects_a_window(self, window):
+        # whp_gcr_alt_b's unprojected H A z needs every direction held;
+        # whp_gcr and whp_gcr_alt_a run any window
+        a, h_dense, b = make_pd_system(3, n=12)
+        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        cfg = SolveConfig(**window)
+        with pytest.raises(ValueError, match="whp_gcr_alt_b runs with full orthogonalization"):
+            whp_gcr_alt_b(LinearSystem(a, b), h, cfg)
+        for solver in (whp_gcr, whp_gcr_alt_a):
+            assert solver(LinearSystem(a, b), h, cfg).status == "converged"
 
     def test_matches_generic_engine(self):
         a, h_dense, b = make_pd_system(13, n=14)
@@ -1118,7 +1146,7 @@ class TestMeshProblemRuns:
         h = precond.as_handle()
         w = precond.as_weight(validate=False)
         system = LinearSystem(assembled.operator(), assembled.rhs)
-        res = wp_gcr_restarted(system, h, w, SolveConfig(), k=5)
+        res = wp_gcr_right(system, h, w, SolveConfig(restart_period=5))
         assert res.status == "converged"
         norms = res.trace.residual_norm_weighted
         for prev, cur in zip(norms, norms[1:]):
@@ -1215,6 +1243,35 @@ class TestMeshProblemRuns:
 
         assert run(wp_gcr_right, h, w) == k
         assert calls == {"h": 3 * k + 2, "a": k + 1}
+
+    @pytest.mark.parametrize("window", [{"truncation_window": 0}, {"truncation_window": 2},
+                                        {"truncation_window": 5}, {"restart_period": 10}],
+                             ids=window_id)
+    def test_windowed_h_application_counts_with_w_equal_h(self, cdr_assembled, window):
+        # a window leaves whp_gcr's cost at one H apply per iteration (plus
+        # two) against three for wp_gcr_right with W = H and that window
+        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
+
+        assembled = cdr_assembled(30)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return precond.apply(v)
+
+        h = PreconditionerHandle(assembled.dof_count, counted, hermitian_flag=True)
+        system = LinearSystem(assembled.operator(), assembled.rhs)
+        cfg = SolveConfig(max_iterations=1000, **window)
+        whp = whp_gcr(system, h, cfg)
+        assert whp.status == "converged" and calls[0] == whp.iterations + 2
+        calls[0] = 0
+        generic = wp_gcr_right(system, h, h.as_weight(), cfg)
+        assert generic.iterations == whp.iterations
+        assert calls[0] == 3 * generic.iterations + 2
+        assert_vectors_close(whp.x, generic.x, 1e-12)
 
 
 class TestGmresOracle:
