@@ -58,8 +58,9 @@ class CdrProblemSpec:
     a callable returning the convection vector as an (ax, ay) pair.  All
     callables must accept numpy arrays.  bc selects Dirichlet handling:
     "elimination" keeps interior unknowns only, "penalization" keeps all
-    lattice vertices and adds a large weight to boundary diagonal entries
-    of the symmetric part (so the skew part stays exactly skew).
+    lattice vertices and adds 1e10 times the largest diagonal entry of the
+    symmetric part to its boundary diagonal entries (so the skew part
+    stays exactly skew).
     """
 
     mesh_divisions: int
@@ -68,7 +69,6 @@ class CdrProblemSpec:
     a_field: object = None
     f_rhs: object = 0.0
     bc: str = "elimination"
-    penalty_weight: float | None = None
 
     def __post_init__(self):
         if self.mesh_divisions < 2:
@@ -152,12 +152,12 @@ def _vector_field(a, x, y):
     return _scalar_field(ax, x, y), _scalar_field(ay, x, y)
 
 
-def _divergence(a, x, y, step: float = _DIV_STEP):
-    axp, _ = _vector_field(a, x + step, y)
-    axm, _ = _vector_field(a, x - step, y)
-    _, ayp = _vector_field(a, x, y + step)
-    _, aym = _vector_field(a, x, y - step)
-    return (axp - axm) / (2.0 * step) + (ayp - aym) / (2.0 * step)
+def _divergence(a, x, y):
+    axp, _ = _vector_field(a, x + _DIV_STEP, y)
+    axm, _ = _vector_field(a, x - _DIV_STEP, y)
+    _, ayp = _vector_field(a, x, y + _DIV_STEP)
+    _, aym = _vector_field(a, x, y - _DIV_STEP)
+    return (axp - axm) / (2.0 * _DIV_STEP) + (ayp - aym) / (2.0 * _DIV_STEP)
 
 
 class _Edges:
@@ -352,11 +352,8 @@ def assemble(problem: CdrProblemSpec) -> AssembledCdr:
         rhs = load[1:-1, 1:-1].ravel()
         dof_vertices = mesh.interior_indices
     else:
-        weight_pen = problem.penalty_weight
-        if weight_pen is None:
-            weight_pen = 1e10 * float(diag.max())
         boundary = mesh.boundary_mask.reshape(m + 1, m + 1)
-        diag[boundary] += weight_pen
+        diag[boundary] += 1e10 * float(diag.max())
         m_bc, n_bc = _stencil_csr(diag, sym, skew, 0, m)
         # M stores no exact zero in this mode: a NE or SW entry is left out
         # where the reaction vanishes on that diagonal edge

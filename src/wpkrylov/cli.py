@@ -474,6 +474,7 @@ def cmd_bounds(args) -> int:
         print(f"kappa={args.kappa:.6g} rho={args.rho:.6g}")
         print(f"bound3={report.bound3:.6f}")
         print(f"predicted iterations to 1e-6: {report.predicted_iterations(1e-6)}")
+        _write_bound_report(args, "direct mode", report)
         return 0
 
     _check_pairing(args.precond, args.weight)
@@ -497,11 +498,15 @@ def cmd_bounds(args) -> int:
     predicted = report.predicted_iterations(1e-6)
     if predicted is not None:
         print(f"predicted iterations to 1e-6: {predicted}")
-    if args.out:
-        rep = matrixio.ExperimentReport(metadata={"problem": problem.label},
-                                        bound_report=report.to_dict())
-        matrixio.write_report_json(rep, args.out)
+    _write_bound_report(args, problem.label, report)
     return 0
+
+
+def _write_bound_report(args, problem: str, report: bounds_mod.BoundReport):
+    if args.out:
+        matrixio.write_report_json(
+            matrixio.ExperimentReport(metadata={"problem": problem},
+                                      bound_report=report.to_dict()), args.out)
 
 
 def main(argv=None) -> int:

@@ -80,12 +80,12 @@ def _as_square(a) -> np.ndarray:
     return m
 
 
-def check_symmetric(s, rtol: float = 1e-10):
+def check_symmetric(s):
     """Return the symmetric part of a dense or scipy.sparse matrix after
-    checking that it differs from its transpose by at most rtol relative
+    checking that it differs from its transpose by at most 1e-10 relative
     to its largest entry (or to 1); ValueError otherwise."""
     scale = max(abs(s).max(), 1.0)
-    if abs(s - s.T).max() > rtol * scale:
+    if abs(s - s.T).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
     return 0.5 * (s + s.T)
 

@@ -98,16 +98,19 @@ class PartitionSpec:
 
 @dataclass
 class SubdomainMaps:
-    """Overlapped subdomain index sets with their coloring data.
-
-    coarse_basis, once built, is the sparse (scipy.sparse.csr_array)
-    n x N partition-of-unity basis.
-    """
+    """Overlapped subdomain index sets, and the coloring data they imply."""
 
     subdomains: list
-    membership_counts: np.ndarray
-    color_count: int
-    coarse_basis: scipy.sparse.csr_array | None = None
+
+    @property
+    def membership_counts(self) -> np.ndarray:
+        """The number of subdomains holding each unknown."""
+        return np.bincount(np.concatenate(self.subdomains))
+
+    @property
+    def color_count(self) -> int:
+        """The most subdomains any one unknown lies in."""
+        return int(self.membership_counts.max())
 
 
 def _near_square_factors(n: int) -> tuple[int, int]:
@@ -185,12 +188,7 @@ def build_partition(m_matrix: scipy.sparse.csr_array, spec: PartitionSpec,
                          spec.overlap_layers)
     owner, index = np.divmod(keys, n)
     ends = np.cumsum(np.bincount(owner, minlength=count))
-    counts = np.bincount(index, minlength=n)
-    return SubdomainMaps(
-        subdomains=np.split(index, ends[:-1]),
-        membership_counts=counts,
-        color_count=int(counts.max()),
-    )
+    return SubdomainMaps(np.split(index, ends[:-1]))
 
 
 def _concatenated(maps: SubdomainMaps, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -215,14 +213,14 @@ def build_coarse_space(maps: SubdomainMaps,
 
     Vectors that make the coarse Gram matrix (numerically) rank
     deficient are dropped by pivoted Cholesky with a relative pivot
-    threshold.  The basis is stored on the maps and returned.
+    threshold.
     """
     return _pou_coarse_space(maps, m_matrix, *_concatenated(maps, m_matrix.shape[0]))[0]
 
 
 def _pou_coarse_space(maps: SubdomainMaps, m_csr, index: np.ndarray, owner: np.ndarray):
-    """The rank-filtered coarse basis Z (also stored on the maps), M Z and
-    the dense Gram matrix Z^T M Z."""
+    """The rank-filtered coarse basis Z, M Z and the dense Gram matrix
+    Z^T M Z."""
     n = m_csr.shape[0]
     counts = np.bincount(index, minlength=n)
     z = scipy.sparse.csr_array((1.0 / counts[index], (index, owner)),
@@ -235,7 +233,6 @@ def _pou_coarse_space(maps: SubdomainMaps, m_csr, index: np.ndarray, owner: np.n
     if rank < z.shape[1]:
         keep = np.sort(piv[:rank] - 1)
         z, mz, gram = z[:, keep], mz[:, keep], gram[np.ix_(keep, keep)]
-    maps.coarse_basis = z
     return z, mz, gram
 
 
@@ -263,7 +260,11 @@ def _local_blocks(csr, index: np.ndarray, owner: np.ndarray):
 
 
 class SchwarzPreconditioner:
-    """Assembled additive Schwarz operator in one of three modes."""
+    """Assembled additive Schwarz operator in one of three modes.
+
+    ``coarse_basis`` is the sparse (scipy.sparse.csr_array) n x N coarse
+    basis Z of the two-level mode, None in the one-level modes.
+    """
 
     def __init__(self, mode, dim: int, maps: SubdomainMaps, index: np.ndarray, local_factor,
                  coarse=None):
@@ -275,9 +276,10 @@ class SchwarzPreconditioner:
         self._scatter = scipy.sparse.csr_array(
             (np.ones(len(index)), (index, np.arange(len(index)))), shape=(self.dim, len(index)))
         self._local = local_factor
-        self._z, self._mz, self._coarse_factor = coarse if coarse is not None else (None,) * 3
+        self.coarse_basis, self._mz, self._coarse_factor = (coarse if coarse is not None
+                                                            else (None,) * 3)
         if coarse is not None:  # Z^T and (MZ)^T in CSR: a transpose view costs more per apply
-            self._zt, self._mzt = self._z.T.tocsr(), self._mz.T.tocsr()
+            self._zt, self._mzt = self.coarse_basis.T.tocsr(), self._mz.T.tocsr()
 
     @property
     def is_symmetric(self) -> bool:
@@ -290,11 +292,11 @@ class SchwarzPreconditioner:
         """H v for a vector, or H applied to every column of an n x k block
         at once (the local and coarse solves and the SpMVs all take blocks)."""
         v = np.asarray(v, dtype=float)
-        if self._z is None:
+        if self.coarse_basis is None:
             return self._local_sum(v)
         coarse = self._coarse_factor.solve(self._zt @ v)  # G^{-1} Z^T v
         local = self._local_sum(v - self._mz @ coarse)
-        return local + self._z @ (coarse - self._coarse_factor.solve(self._mzt @ local))
+        return local + self.coarse_basis @ (coarse - self._coarse_factor.solve(self._mzt @ local))
 
     __call__ = apply
 
@@ -307,10 +309,10 @@ class SchwarzPreconditioner:
 
     def project_deflation(self, v) -> np.ndarray:
         """The deflation projector P = I - Z G^{-1} Z^T M applied to v."""
-        if self._z is None:
+        if self.coarse_basis is None:
             raise ValueError("no coarse space attached")
         v = np.asarray(v, dtype=float)
-        return v - self._z @ self._coarse_factor.solve(self._mzt @ v)
+        return v - self.coarse_basis @ self._coarse_factor.solve(self._mzt @ v)
 
     def as_handle(self) -> PreconditionerHandle:
         return PreconditionerHandle(self.dim, self, hermitian_flag=self.is_symmetric)
@@ -357,11 +359,10 @@ def build_preconditioner(matrix: scipy.sparse.csr_array, maps: SubdomainMaps, mo
 
     coarse = None
     if mode == "two_level_sym":
-        if coarse_basis is None and maps.coarse_basis is None:
+        if coarse_basis is None:
             z, mz, gram = _pou_coarse_space(maps, local_matrix, index, owner)
         else:
-            z = scipy.sparse.csr_array(maps.coarse_basis if coarse_basis is None
-                                       else coarse_basis)
+            z = scipy.sparse.csr_array(coarse_basis)
             mz = scipy.sparse.csr_array(local_matrix @ z)
             gram = _gram(z, mz)
         coarse = (z, mz, cholesky(gram))
@@ -389,7 +390,7 @@ def dump_partition_json(maps: SubdomainMaps, path) -> None:
     index = np.concatenate(maps.subdomains)
     # a stable sort by unknown keeps each unknown's subdomains ascending
     owners = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(index, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(index, minlength=len(maps.membership_counts))).tolist()
+    ends = np.cumsum(np.bincount(index)).tolist()
     memberships = [owners[start:end] for start, end in zip([0] + ends[:-1], ends)]
     payload = {
         "n_subdomains": len(maps.subdomains),

@@ -328,18 +328,20 @@ class _Directions:
     Otherwise it turns the unfolded sources into p_j, one row at a time
     as the unfolded loop did, and adds alpha_j p_j: a loop that reads x
     every step folds every step, and Orthomin(k) folds before it moves
-    its rows; these keep their sources.  Rows 0:folded have their step in
-    x; rows 0:explicit hold p_j, the others z_j.  SolveResult.p_directions
-    forms p_j on first read: in place over a source block, else in a new
-    (held, n) array that the recurrence first fills with the sources.
+    its rows; these keep their sources.  Rows 0:folded hold p_j and have
+    their step in x, the others hold z_j; the one-pass fold leaves folded
+    as it is.  SolveResult.p_directions forms p_j on first read: in place
+    over a source block, else in a new (held, n) array that the
+    recurrence first fills with the sources.
 
     Full GCR holds every direction.  Orthomin(k) holds the last k in 2k
     rows and, when a new record finds them full, first moves the newest k
     to the front.  GCR(k) holds at most k and is cleared at the end of
-    each cycle.  The minimal-residual iteration builds its record in its
-    one row.  The blocks are allocated once with np.empty; rows never
-    written cost no resident memory.  ``coefficients`` grows with the
-    held rows, so it costs O(held^2) doubles whatever max_iterations is.
+    each cycle.  The minimal-residual iteration (k = 0) holds nothing: its
+    one row takes each record and is folded when the next one comes.
+    The blocks are allocated once with np.empty; rows never written cost
+    no resident memory.  ``coefficients`` grows with the held rows, so it
+    costs O(held^2) doubles whatever max_iterations is.
 
     A new record is written once, into row hi (``record``), and built
     there: its images are projected once (project), and a second time
@@ -372,8 +374,7 @@ class _Directions:
         self.delta = np.empty(capacity)
         self.alpha = np.empty(capacity)
         self.coefficients = np.zeros((min(capacity, 64),) * 2)
-        self.lo = self.hi = 0
-        self.folded = self.explicit = 0
+        self.lo = self.hi = self.folded = 0
         if recurrence is not None:
             self.start = self.end = self.p = None
 
@@ -459,12 +460,7 @@ class _Directions:
 
     def append(self, delta: float, alpha: float, beta: np.ndarray):
         """Hold the record built in row hi, taken with step length alpha and
-        projected with the coefficients beta against the held rows.  The
-        minimal-residual iteration holds nothing: its step alpha z goes
-        straight into x."""
-        if self.window == 0:
-            self.x += alpha * self.rows[self.hi, 0]
-            return
+        projected with the coefficients beta against the held rows."""
         if self.hi == len(self.coefficients):
             grown = np.zeros((min(2 * self.hi, len(self.rows)),) * 2)
             grown[:self.hi, :self.hi] = self.coefficients
@@ -487,19 +483,18 @@ class _Directions:
         self.rows[:keep] = self.rows[self.hi - keep:self.hi]
         self.delta[:keep] = self.delta[self.hi - keep:self.hi]
         self.lo, self.hi = 0, keep
-        self.folded = self.explicit = keep
+        self.folded = keep
 
     def fold(self):
-        """Turn each unfolded source into p_j against its window and add
-        alpha_j p_j to x, in the order the steps were taken (a store with
-        a source block only)."""
+        """Turn each unfolded source into p_j (_forward) and add alpha_j p_j
+        to x, in the order the steps were taken (a store with a source
+        block only)."""
+        first = max(self.folded, 1)  # p_0 is z_0
+        if first < self.hi:
+            self._forward(self.block(0, 0, self.hi), first)
         for j in range(self.folded, self.hi):
-            start = self._window_start(j)
-            p = self.rows[j, 0]
-            if start < j:
-                p -= self.coefficients[j, start:j] @ self.block(0, start, j)
-            self.x += self.alpha[j] * p
-        self.folded = self.explicit = self.hi
+            self.x += self.alpha[j] * self.rows[j, 0]
+        self.folded = self.hi
 
     def _window_start(self, j: int) -> int:
         """The first row that row j was projected against."""
@@ -507,7 +502,7 @@ class _Directions:
 
     def _fold_all(self):
         """Fold every step into x at the end of a solve or of a cycle: in one
-        pass over the sources (or over u) while no row holds p_j, else row
+        pass over the sources (or over u) while no step is in x, else row
         by row."""
         if self.folded:
             self.fold()
@@ -521,7 +516,6 @@ class _Directions:
                 self.x += y @ self.block(0, 0, k)
             else:
                 self._fold_images(y)
-        self.folded = k
 
     def _fold_images(self, y: np.ndarray):
         """x += sum_j y_j z_j over rows 0:k, with each z_j written out back
@@ -550,12 +544,14 @@ class _Directions:
             z = z - self.alpha[j] * u[j]
         return sources
 
-    def _forward(self, sources: np.ndarray):
-        """Turn the (hi, n) sources into p_j in place, by the recursion of
-        fold run over column chunks, so each chunk is read from cache."""
+    def _forward(self, sources: np.ndarray, first: int = 1):
+        """Turn rows first:hi of the (hi, n) sources into p_j in place, the
+        rows before them holding p_j already: p_j = z_j - sum_i beta_ji
+        p_i over the window of row j, run over column chunks, so each
+        chunk is read from cache."""
         for c in range(0, sources.shape[1], _FORWARD_CHUNK):
             chunk = sources[:, c:c + _FORWARD_CHUNK]
-            for j in range(1, self.hi):
+            for j in range(first, self.hi):
                 start = self._window_start(j)
                 chunk[j] -= self.coefficients[j, start:j] @ chunk[start:j]
 
@@ -568,9 +564,9 @@ class _Directions:
                 self.p = self._sources()
                 self._forward(self.p)
             return list(self.p)
-        if self.explicit < self.hi:  # then no row holds p_j yet
+        if self.folded < self.hi:  # then no row holds p_j yet
             self._forward(self.block(0, 0, self.hi))
-            self.explicit = self.hi
+            self.folded = self.hi
         return list(self.block(0, self.lo, self.hi))
 
     def end_iteration(self, done: int, trace: IterationTrace):
@@ -579,7 +575,7 @@ class _Directions:
         if self.period is not None and done % self.period == 0:
             trace.restart_markers.append(done)
             self._fold_all()
-            self.lo = self.hi = self.folded = self.explicit = 0
+            self.lo = self.hi = self.folded = 0
 
     def result(self, trace: IterationTrace) -> SolveResult:
         self._fold_all()
@@ -960,7 +956,6 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
             rw = abs(float(g[j + 1]))
             total_iters += 1
 
-            xk = None
             if cfg.record_iterates or happy:
                 y = scipy.linalg.solve_triangular(hess[: j + 1, : j + 1], g[: j + 1], lower=False)
                 xk = x + h.apply(np.column_stack(basis[: j + 1]) @ y)
@@ -973,7 +968,7 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
             trace.residual_norm_weighted.append(rw)
             trace.residual_norm_euclidean.append(r2)
             if cfg.record_iterates:
-                trace.iterates.append(xk if xk is not None else x.copy())
+                trace.iterates.append(xk)
 
             if happy or stop.done(rw, r2) or total_iters >= cfg.max_iterations:
                 break

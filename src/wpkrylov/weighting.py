@@ -39,17 +39,18 @@ class WeightOperator:
     ----------
     dim : dimension of the space.
     apply_w : action of W on a vector.
-    is_identity : marks the Euclidean inner product so callers may skip
-        redundant applications (apply_w is then not used).
     validate : run the probabilistic symmetry/positivity probes.
+
+    ``is_identity`` marks the Euclidean inner product, so callers may skip
+    redundant applications; only :meth:`identity` sets it.
     """
 
-    def __init__(self, dim, apply_w, *, is_identity=False, validate=True):
+    is_identity = False
+
+    def __init__(self, dim, apply_w, *, validate=True):
         self.dim = int(dim)
-        self._op = (LinearOperator.identity(self.dim) if is_identity
-                    else aslinearoperator(apply_w, dim=self.dim))
-        self.is_identity = bool(is_identity)
-        if validate and not self.is_identity:
+        self._op = aslinearoperator(apply_w, dim=self.dim)
+        if validate:
             self._probe_spd()
 
     def apply(self, x) -> np.ndarray:
@@ -79,7 +80,9 @@ class WeightOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "WeightOperator":
-        return cls(dim, lambda x: x, is_identity=True, validate=False)
+        weight = cls(dim, LinearOperator.identity(dim), validate=False)
+        weight.is_identity = True
+        return weight
 
     @classmethod
     def from_dense(cls, w, validate=True) -> "WeightOperator":
@@ -89,13 +92,15 @@ class WeightOperator:
 
 class PreconditionerHandle:
     """Action of a nonsingular preconditioner H (and of H^T), with an SPD
-    marker, and an identity marker that tells the solvers H r is r."""
+    marker, and an identity marker that tells the solvers H r is r (set
+    only by :meth:`identity`)."""
 
-    def __init__(self, dim, apply_h, *, hermitian_flag=False, is_identity=False):
+    is_identity = False
+
+    def __init__(self, dim, apply_h, *, hermitian_flag=False):
         self.dim = int(dim)
         self._op = aslinearoperator(apply_h, dim=self.dim)
         self.hermitian_flag = bool(hermitian_flag)
-        self.is_identity = bool(is_identity)
 
     def apply(self, x) -> np.ndarray:
         return self._op.apply(x)
@@ -119,7 +124,9 @@ class PreconditionerHandle:
 
     @classmethod
     def identity(cls, dim: int) -> "PreconditionerHandle":
-        return cls(dim, LinearOperator.identity(dim), hermitian_flag=True, is_identity=True)
+        handle = cls(dim, LinearOperator.identity(dim), hermitian_flag=True)
+        handle.is_identity = True
+        return handle
 
     @classmethod
     def from_dense(cls, h, *, hermitian_flag=False) -> "PreconditionerHandle":

@@ -104,9 +104,7 @@ def reference_assemble(problem: CdrProblemSpec) -> AssembledCdr:
         rhs = load[keep]
         dof_vertices = keep
     else:
-        weight_pen = problem.penalty_weight
-        if weight_pen is None:
-            weight_pen = 1e10 * float(m_full.diagonal().max())
+        weight_pen = 1e10 * float(m_full.diagonal().max())
         boundary = np.flatnonzero(mesh.boundary_mask)
         m_bc = m_full + scipy.sparse.csr_array(
             (np.full(len(boundary), weight_pen), (boundary, boundary)), shape=m_full.shape)

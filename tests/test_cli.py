@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse
 
-from wpkrylov import cdr, schwarz
+from wpkrylov import bounds, cdr, schwarz
 from wpkrylov.cli import build_parser, main
 from wpkrylov.matrixio import read_report_json, write_matrix_market, write_vector
 
@@ -163,6 +168,42 @@ def test_bounds_direct_mode(capsys):
 def test_bounds_trivial_direct_mode(capsys):
     assert main(["bounds", "--kappa", "1", "--rho", "0"]) == 0
     assert "predicted iterations to 1e-6: 1" in capsys.readouterr().out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv):
+    """``python -m wpkrylov.cli`` with these arguments, in a new interpreter
+    that imports this checkout's src/."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "wpkrylov.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_bounds_direct_mode_writes_its_report(tmp_path):
+    # run as a module, so its __main__ line and exit code are checked too
+    out = tmp_path / "r.json"
+    done = run_module("bounds", "--kappa", "10", "--rho", "0.5", "--out", str(out))
+    assert done.returncode == 0 and "bound3=0.959166" in done.stdout
+    report = read_report_json(out)
+    assert report.metadata == {"problem": "direct mode"}
+    assert {key: value for key, value in report.bound_report.items() if value is not None} == {
+        "kappa": 10.0, "rho": 0.5, "bound3": bounds.direct_bound3(10.0, 0.5)}
+
+
+def test_bounds_problem_mode_writes_what_it_prints(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["bounds", "--cdr", "m=10", "--precond", "two-level", "--n-sub", "4",
+                 "--out", str(out)]) == 0
+    printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines()
+                   if "=" in line)
+    report = read_report_json(out)
+    assert report.metadata == {"problem": "cdr m=10 nu=1.0 c0=1.0"}
+    assert {key: f"{value:.8g}" for key, value in report.bound_report.items()
+            if value is not None} == printed
+    assert len(printed) == 10
 
 
 def test_rho_table_reaches_m60(tmp_path, capsys):
@@ -472,6 +513,31 @@ def test_bad_solve_settings_are_rejected_before_assembly(calls, capsys, argv, fr
     assert captured.err.startswith("error: --tol ") and fragment in captured.err
     assert captured.out == ""
     assert calls["assemble"] == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--cdr", "m"], "--cdr: expected key=value, got 'm'"),
+    (["solve", "--cdr", "nu=1"], "--cdr needs m=INT"),
+    (["solve", "--cdr", "m=10", "--layout", "grid:3"],
+     "bad grid layout 'grid:3', expected grid:PxQ"),
+    (["solve", "--cdr", "m=10", "--layout", "hex"], "unknown layout 'hex'"),
+    (["solve", "--matrix", "{mtx}"], "--rhs is required with --matrix"),
+    (["solve", "--matrix", "{mtx}", "--rhs", "{short}"],
+     "right-hand side length does not match the matrix"),
+    (["solve", "--matrix", "{mtx}", "--rhs", "{rhs}", "--layout", "grid", "--precond",
+      "one-level"], "grid layout requires a --cdr problem (coordinates)"),
+    (["bounds", "--kappa", "5"], "direct mode needs both --kappa and --rho"),
+], ids=["cdr-no-equals", "cdr-no-m", "grid-no-shape", "unknown-layout", "matrix-no-rhs",
+        "rhs-length", "grid-with-matrix", "kappa-no-rho"])
+def test_usage_errors_stop_before_assembly(calls, identity_files, tmp_path, capsys, argv,
+                                           message):
+    mtx, rhs = identity_files
+    short = tmp_path / "short.txt"
+    write_vector(np.ones(2), short)
+    assert main([token.format(mtx=mtx, rhs=rhs, short=short) for token in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+    assert calls == {"assemble": [], "build_partition": [], "build_preconditioner": []}
 
 
 SWEEP_AXES = {

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -59,6 +61,36 @@ class TestMatrixMarketRead:
         write_lines(path, ["%%NotMatrixMarket something", "1 1 0"])
         with pytest.raises(MalformedHeaderError):
             read_matrix_market(path)
+
+    @pytest.mark.parametrize("lines, message", [
+        (["%%MatrixMarket matrix array real general", "1 1", "1.0"],
+         "only coordinate matrices are supported"),
+        (["%%MatrixMarket matrix coordinate real hermitian", "1 1 1", "1 1 1.0"],
+         "unsupported symmetry 'hermitian'"),
+        (["%%MatrixMarket matrix coordinate real general", "% only a comment"],
+         "missing size line"),
+        (["%%MatrixMarket matrix coordinate real general", "2 2 1", "1 1"],
+         "bad entry line '1 1'"),
+        (["%%MatrixMarket matrix coordinate real general", "2 2 3", "1 1 1.0", "2 2 1.0"],
+         "expected 3 entries, found 2"),
+    ], ids=["array", "hermitian", "no-size-line", "short-entry", "too-few-entries"])
+    def test_malformed_file(self, tmp_path, lines, message):
+        path = tmp_path / "bad.mtx"
+        write_lines(path, lines)
+        with pytest.raises(MalformedHeaderError, match=f"^{re.escape(message)}$"):
+            read_matrix_market(path)
+
+    def test_comment_in_the_body_is_skipped(self, tmp_path):
+        path = tmp_path / "commented.mtx"
+        write_lines(path, [
+            "%%MatrixMarket matrix coordinate real general",
+            "2 2 2",
+            "1 1 1.0",
+            "% between the entries",
+            "",
+            "2 1 -2.0",
+        ])
+        assert np.array_equal(read_matrix_market(path).toarray(), [[1.0, 0.0], [-2.0, 0.0]])
 
     def test_complex_rejected(self, tmp_path):
         path = tmp_path / "cplx.mtx"

@@ -169,11 +169,40 @@ class TestCoarseSpace:
         assembled = cdr_assembled(20)
         maps = build_partition(assembled.m_matrix, PartitionSpec(9, "grid"),
                                coords=assembled.dof_coords)
-        build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
-        basis = maps.coarse_basis
+        basis = build_preconditioner(assembled.m_matrix, maps, "two_level_sym").coarse_basis
         assert scipy.sparse.issparse(basis) and basis.shape == (assembled.dof_count, 9)
         assert basis.nnz == sum(len(sub) for sub in maps.subdomains)
         assert np.array_equal(basis.sum(axis=1), np.ones(assembled.dof_count))
+
+    def test_rank_filter_drops_a_repeated_subdomain(self, cdr_assembled):
+        # subdomain 1 listed twice: its two indicator vectors are equal, so
+        # the Gram matrix is singular and one of them is dropped
+        assembled = cdr_assembled(12)
+        s0, s1, s2 = build_partition(assembled.m_matrix, PartitionSpec(3, "strips"),
+                                     coords=assembled.dof_coords).subdomains
+        maps = SubdomainMaps(subdomains=[s0, s1, s1, s2])
+        counts = maps.membership_counts
+        unfiltered = np.zeros((assembled.dof_count, 4))
+        for k, sub in enumerate(maps.subdomains):
+            unfiltered[sub, k] = 1.0 / counts[sub]
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        basis = precond.coarse_basis.toarray()
+        assert basis.shape == (assembled.dof_count, 3)
+        assert all(any(np.array_equal(column, kept) for kept in unfiltered.T)
+                   for column in basis.T)
+        assert np.array_equal(build_coarse_space(maps, assembled.m_matrix).toarray(), basis)
+        precond.as_weight(validate=True)
+
+    def test_build_coarse_space_leaves_the_maps_alone(self, cdr_assembled):
+        # the basis belongs to the preconditioner: building one first does
+        # not feed a later preconditioner, which filters against its matrix
+        assembled = cdr_assembled(12)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "strips"),
+                               coords=assembled.dof_coords)
+        before = [sub.copy() for sub in maps.subdomains]
+        build_coarse_space(maps, assembled.m_matrix)
+        assert vars(maps).keys() == {"subdomains"}
+        assert all(np.array_equal(a, b) for a, b in zip(maps.subdomains, before))
 
 
 class TestPreconditioner:
@@ -314,7 +343,7 @@ def dense_reference_apply(precond, matrix, v):
 
     if precond.mode != "two_level_sym":
         return local_sum(v)
-    z = precond.maps.coarse_basis
+    z = precond.coarse_basis
     gram = scipy.linalg.cho_factor(z.T @ dense @ z)
 
     def coarse(w):
@@ -376,8 +405,7 @@ class TestSparseFactors:
     def test_uncovered_unknown_rejected(self, cdr_assembled, mode):
         assembled = cdr_assembled(8)
         n = assembled.dof_count
-        maps = SubdomainMaps(subdomains=[np.arange(0, 20), np.arange(21, n)],
-                             membership_counts=np.ones(n, dtype=int), color_count=1)
+        maps = SubdomainMaps(subdomains=[np.arange(0, 20), np.arange(21, n)])
         matrix = assembled.full_matrix() if mode == "one_level_nonsym" else assembled.m_matrix
         with pytest.raises(ValueError, match="unknown 20 lies in no subdomain"):
             build_preconditioner(matrix, maps, mode)

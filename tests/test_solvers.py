@@ -533,7 +533,8 @@ class TestDirectionStore:
     def test_a_loop_reading_x_folds_every_step(self, monkeypatch):
         # record_iterates and whp_gcr_alt_a, which forms r = b - A x, form each
         # p_j against the held p as the step is taken: one read of block 0
-        # per step after the first, and none at the end
+        # (the held rows and the new one) per step after the first, and none
+        # at the end
         a, h_dense, b = make_pd_system(8)
         h, w, cfg = dense_setup(a, h_dense)
         for solve in (lambda: wp_gcr_right(LinearSystem(a, b), h, w,
@@ -542,7 +543,7 @@ class TestDirectionStore:
             blocks = BlockReads(monkeypatch)
             res = solve()
             assert res.status == "converged" and res.iterations > 5
-            assert blocks.of(0) == [(0, 0, j) for j in range(1, res.iterations)]
+            assert blocks.of(0) == [(0, 0, j + 1) for j in range(1, res.iterations)]
 
     def test_second_pass_is_traced_on_a_near_dependent_image(self, monkeypatch):
         # the shear maps r_1, orthogonal to q_0 = A b, almost onto q_0: the

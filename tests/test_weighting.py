@@ -104,3 +104,14 @@ def test_preconditioner_as_weight_requires_flag():
     h = PreconditionerHandle.from_dense(np.eye(3), hermitian_flag=False)
     with pytest.raises(Exception):
         h.as_weight()
+
+
+@pytest.mark.parametrize("cls", [WeightOperator, PreconditionerHandle])
+def test_only_identity_marks_the_identity(cls):
+    # a marker the constructor took would let an operator's action be
+    # skipped; only identity() sets it, and views of it keep their action
+    assert cls.identity(3).is_identity
+    assert not cls(3, lambda x: 2.0 * x).is_identity
+    assert not PreconditionerHandle.identity(3).as_weight().is_identity
+    with pytest.raises(TypeError):
+        cls(3, lambda x: 2.0 * x, is_identity=True)
