@@ -424,12 +424,15 @@ def direct_bound3(kappa: float, rho: float) -> float:
 
 
 def _operators_match(first, second, dim: int) -> bool:
-    """Whether two operators agree to 1e-12 relative on 8 random vectors."""
+    """Whether two operators give finite images that agree to 1e-12
+    relative on 8 random vectors."""
     rng = np.random.default_rng(0xD1FF)
     for _ in range(8):
         v = rng.standard_normal(dim)
         fv = first(v)
         sv = second(v)
+        if not (np.isfinite(fv).all() and np.isfinite(sv).all()):
+            return False
         scale = max(np.linalg.norm(fv), np.linalg.norm(sv), 1e-300)
         if np.linalg.norm(fv - sv) > 1e-12 * scale:
             return False

@@ -469,6 +469,10 @@ def cmd_bounds(args) -> int:
     if args.kappa is not None or args.rho is not None:
         if args.kappa is None or args.rho is None:
             raise UsageError("direct mode needs both --kappa and --rho")
+        if not (math.isfinite(args.kappa) and args.kappa >= 1.0):
+            raise UsageError(f"--kappa must be finite and >= 1, got {args.kappa}")
+        if not (math.isfinite(args.rho) and args.rho >= 0.0):
+            raise UsageError(f"--rho must be finite and >= 0, got {args.rho}")
         report = bounds_mod.BoundReport(kappa=args.kappa, rho=args.rho,
                                         bound3=bounds_mod.direct_bound3(args.kappa, args.rho))
         print(f"kappa={args.kappa:.6g} rho={args.rho:.6g}")

@@ -84,10 +84,12 @@ def check_symmetric(s):
     """Return the symmetric part of a dense or scipy.sparse matrix after
     checking that it differs from its transpose by at most 1e-10 relative
     to its largest entry (or to 1); ValueError otherwise."""
+    # converted once: s - s.T and s + s.T would each convert the CSC transpose
+    t = s.T.tocsr() if scipy.sparse.issparse(s) else s.T
     scale = max(abs(s).max(), 1.0)
-    if abs(s - s.T).max() > 1e-10 * scale:
+    if abs(s - t).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
-    return 0.5 * (s + s.T)
+    return 0.5 * (s + t)
 
 
 class LinearOperator:
@@ -310,8 +312,8 @@ def banded_spd_factor(s) -> BandedCholesky:
 
     s = scipy.sparse.csc_matrix(s)
     n = s.shape[0]
-    coo = s.tocoo()
-    rows, cols = coo.row, coo.col
+    rows = s.indices
+    cols = np.repeat(np.arange(n, dtype=rows.dtype), np.diff(s.indptr))
     perm = reverse_cuthill_mckee(s, symmetric_mode=True)
     position = np.empty(n, dtype=perm.dtype)
     position[perm] = np.arange(n)
@@ -322,7 +324,7 @@ def banded_spd_factor(s) -> BandedCholesky:
         perm, width = None, own
     upper = rows <= cols
     band = np.zeros((width + 1, n), order="F")
-    band[width + rows[upper] - cols[upper], cols[upper]] = coo.data[upper]
+    band[width + rows[upper] - cols[upper], cols[upper]] = s.data[upper]
     factor, info = dpbtrf(band, lower=0, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrf")

@@ -66,12 +66,29 @@ class WeightOperator:
         return self._op.matrix
 
     def _probe_spd(self):
+        """Test W on 32 random pairs (x, y), 64 applies of W in all: W must
+        give finite images, <W x, y> must equal <x, W y> to 1e-12 relative,
+        and <x, W x> must be positive.
+
+        The coordinates are independent and uniform on [-1/2, 1/2), drawn
+        a pair at a time: Gaussian vectors cost several times more to
+        draw, and all 64 at once would add their memory to the peak.  Any
+        continuous distribution with independent coordinates catches a
+        nonzero skew part with probability 1.  How likely the positivity
+        test is to catch an indefinite W depends on W and the
+        distribution; neither the uniform nor the Gaussian draw is the
+        stronger for every W.
+        """
         rng = np.random.default_rng(_PROBE_SEED)
         for _ in range(_PROBE_COUNT):
-            x = rng.standard_normal(self.dim)
-            y = rng.standard_normal(self.dim)
+            pair = rng.random((2, self.dim))
+            pair -= 0.5
+            x, y = pair
             wx = self.apply(x)
             wy = self.apply(y)
+            # tested before any product, which would warn on an infinity
+            if not (np.isfinite(wx).all() and np.isfinite(wy).all()):
+                raise InvalidWeightError("weight operator gave a non-finite image in a probe")
             scale = np.linalg.norm(wx) * np.linalg.norm(y) + np.linalg.norm(wy) * np.linalg.norm(x)
             if abs(wx @ y - x @ wy) > 1e-12 * max(scale, 1e-300):
                 raise InvalidWeightError("weight operator failed a symmetry probe")

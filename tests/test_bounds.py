@@ -435,6 +435,16 @@ class TestBlockedReport:
         assert probed.kappa is not None and probed.bound2 is not None
         assert report.to_dict() == probed.to_dict()
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_does_not_match_h(self, bad):
+        # a NaN image compares False both ways; it must read as a mismatch,
+        # without a RuntimeWarning from inf - inf
+        h = make_spd(np.random.default_rng(5), 8)
+        w = h.copy()
+        w[0, 1] = w[1, 0] = bad
+        assert bounds._operators_match(lambda v: h @ v, lambda v: h @ v, 8)
+        assert not bounds._operators_match(lambda v: h @ v, lambda v: w @ v, 8)
+
     def test_w_equal_h_bound1_search_applies_h_to_vectors_only(self, cdr_assembled, no_densify):
         from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
 

@@ -527,8 +527,14 @@ def test_bad_solve_settings_are_rejected_before_assembly(calls, capsys, argv, fr
     (["solve", "--matrix", "{mtx}", "--rhs", "{rhs}", "--layout", "grid", "--precond",
       "one-level"], "grid layout requires a --cdr problem (coordinates)"),
     (["bounds", "--kappa", "5"], "direct mode needs both --kappa and --rho"),
+    (["bounds", "--kappa", "0.5", "--rho", "0.1"], "--kappa must be finite and >= 1, got 0.5"),
+    (["bounds", "--kappa", "nan", "--rho", "0.1"], "--kappa must be finite and >= 1, got nan"),
+    (["bounds", "--kappa", "inf", "--rho", "0.1"], "--kappa must be finite and >= 1, got inf"),
+    (["bounds", "--kappa", "5", "--rho", "-1"], "--rho must be finite and >= 0, got -1.0"),
+    (["bounds", "--kappa", "5", "--rho", "nan"], "--rho must be finite and >= 0, got nan"),
 ], ids=["cdr-no-equals", "cdr-no-m", "grid-no-shape", "unknown-layout", "matrix-no-rhs",
-        "rhs-length", "grid-with-matrix", "kappa-no-rho"])
+        "rhs-length", "grid-with-matrix", "kappa-no-rho", "kappa-below-1", "kappa-nan",
+        "kappa-inf", "rho-negative", "rho-nan"])
 def test_usage_errors_stop_before_assembly(calls, identity_files, tmp_path, capsys, argv,
                                            message):
     mtx, rhs = identity_files

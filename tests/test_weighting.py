@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from wpkrylov import weighting
 from wpkrylov.linalg import cholesky
+from wpkrylov.schwarz import PartitionSpec, SchwarzPreconditioner, build_partition, build_preconditioner
 from wpkrylov.solvers import LinearSystem, SolveConfig, wp_gcr_right
 from wpkrylov.weighting import (
     InvalidWeightError,
@@ -115,3 +117,56 @@ def test_only_identity_marks_the_identity(cls):
     assert not PreconditionerHandle.identity(3).as_weight().is_identity
     with pytest.raises(TypeError):
         cls(3, lambda x: 2.0 * x, is_identity=True)
+
+
+def _two_level_weight(cdr_assembled):
+    assembled = cdr_assembled(20)
+    maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid"),
+                           coords=assembled.dof_coords)
+    return build_preconditioner(assembled.m_matrix, maps, "two_level_sym").as_weight()
+
+
+def _skewed_spd(n):
+    rng = np.random.default_rng(3)
+    s = make_spd(rng, n)
+    skew = rng.standard_normal((n, n))
+    skew = (skew - skew.T) / np.linalg.norm(skew - skew.T, 2)
+    return s + 1e-8 * np.linalg.norm(s, 2) * skew
+
+
+@pytest.mark.parametrize("make, verdict", [
+    (lambda build: WeightOperator.from_dense(make_spd(np.random.default_rng(2), 50)), None),
+    (_two_level_weight, None),
+    (lambda build: WeightOperator.from_dense(_skewed_spd(50)), "failed a symmetry probe"),
+    (lambda build: WeightOperator.from_dense(np.diag([1.0] * 49 + [-50.0])),
+     "failed a positivity probe"),
+    (lambda build: WeightOperator.from_dense([[1.0, np.nan], [np.nan, 1.0]]),
+     "gave a non-finite image"),
+    (lambda build: WeightOperator.from_dense([[1.0, np.inf], [np.inf, 1.0]]),
+     "gave a non-finite image"),
+], ids=["dense-spd", "two-level-schwarz", "skew-1e-8", "diag-minus-n", "nan", "inf"])
+def test_probe_verdicts(cdr_assembled, make, verdict):
+    # no RuntimeWarning may escape either: the suite turns warnings into errors
+    if verdict is None:
+        assert isinstance(make(cdr_assembled), WeightOperator)
+    else:
+        with pytest.raises(InvalidWeightError, match=verdict):
+            make(cdr_assembled)
+
+
+@pytest.mark.parametrize("kind", ["dense", "two-level-schwarz"])
+def test_probe_applies_w_64_times_to_single_vectors(cdr_assembled, monkeypatch, kind):
+    seen = []
+    if kind == "dense":
+        s = make_spd(np.random.default_rng(4), 30)
+        WeightOperator(30, lambda v: seen.append(v.copy()) or s @ v)
+    else:
+        apply = SchwarzPreconditioner.apply
+        monkeypatch.setattr(SchwarzPreconditioner, "__call__",
+                            lambda self, v: seen.append(np.array(v)) or apply(self, v))
+        _two_level_weight(cdr_assembled)
+    # 32 pairs, each drawn uniform on [-1/2, 1/2) in one call, x applied before y
+    rng = np.random.default_rng(weighting._PROBE_SEED)
+    want = [v for _ in range(32) for v in rng.random((2, seen[0].size)) - 0.5]
+    assert len(seen) == 64 and all(v.ndim == 1 for v in seen)
+    assert all(np.array_equal(v, w) for v, w in zip(seen, want))
