@@ -151,7 +151,12 @@ def split(a) -> HermitianSplit:
     """Split an operator into symmetric and skew parts; they are sparse
     when it keeps a sparse matrix, dense otherwise."""
     mat = _matrix(a)
-    return HermitianSplit(m_part=0.5 * (mat + mat.T), n_part=0.5 * (mat - mat.T))
+    return _split(mat, _transposed(mat))
+
+
+def _split(mat, mat_t) -> HermitianSplit:
+    """The split of a matrix given its transpose (:func:`_transposed`)."""
+    return HermitianSplit(m_part=0.5 * (mat + mat_t), n_part=0.5 * (mat - mat_t))
 
 
 def _x_norm(u: np.ndarray, xu: np.ndarray) -> float:
@@ -166,33 +171,38 @@ def _x_norm(u: np.ndarray, xu: np.ndarray) -> float:
     return 0.0
 
 
-def _ritz_ends(alpha: np.ndarray, beta: np.ndarray, ends) -> tuple[np.ndarray, np.ndarray]:
+def _ritz_ends(alpha: np.ndarray, beta: np.ndarray, ends) -> tuple[list, list]:
     """Eigenvalues of the symmetric tridiagonal matrix with diagonal
     ``alpha`` and off-diagonal ``beta`` at the indices ``ends`` into the
     ascending eigenvalues, and the last entry of each one's unit
-    eigenvector (its sign is arbitrary).
+    eigenvector (its sign is arbitrary), as lists of floats.
 
-    Each value is found alone by bisection (LAPACK dstebz), and its
-    vector by inverse iteration (dstein): O(k) for a k x k matrix, where
-    the whole eigendecomposition is O(k^2).  EigenSolverError when
-    either routine reports a failure.
+    Each value is found alone by bisection (LAPACK dstebz), and their
+    vectors by one inverse iteration call (dstein): O(k) for a k x k
+    matrix, where the whole eigendecomposition is O(k^2).
+    EigenSolverError when either routine reports a failure.
     """
     k = alpha.size
     if k == 1:  # dstebz takes no empty off-diagonal
-        return np.full(len(ends), alpha[0]), np.ones(len(ends))
-    theta = np.empty(len(ends))
-    last = np.empty(len(ends))
+        return [float(alpha[0])] * len(ends), [1.0] * len(ends)
+    found = []
     for j, end in enumerate(ends):
         index = end % k + 1  # LAPACK counts from 1
         _, w, iblock, isplit, info = scipy.linalg.lapack.dstebz(
             alpha, beta, 3, 0.0, 0.0, index, index, _BISECTION_TOL, b"B")
         if info:
             raise EigenSolverError(f"tridiagonal bisection failed (dstebz info {info})")
-        vec, info = scipy.linalg.lapack.dstein(alpha, beta, w[:1], iblock, isplit)
-        if info:
-            raise EigenSolverError(f"tridiagonal inverse iteration failed (dstein info {info})")
-        theta[j] = w[0]
-        last[j] = vec[-1, 0]
+        found.append((int(iblock[0]), float(w[0]), j))
+    # dstein takes the values grouped by block, ascending within a block
+    found.sort()
+    for i, (block, value, _) in enumerate(found):
+        w[i], iblock[i] = value, block
+    vec, info = scipy.linalg.lapack.dstein(alpha, beta, w[:len(found)], iblock, isplit)
+    if info:
+        raise EigenSolverError(f"tridiagonal inverse iteration failed (dstein info {info})")
+    theta, last = [0.0] * len(found), [0.0] * len(found)
+    for (_, value, j), end_entry in zip(found, vec[-1].tolist()):
+        theta[j], last[j] = value, end_entry
     return theta, last
 
 
@@ -236,24 +246,27 @@ def _lanczos_extremes(apply_t, apply_x, n: int, ends, after_x: bool = False,
     norm = _x_norm(v, xv)
     if norm == 0.0:
         return np.zeros(len(ends))
+    previous = 0.0  # beta of the step before (none before the first)
     for k in range(limit):
-        basis[k] = v / norm
-        images[k] = xv / norm
+        np.divide(v, norm, out=basis[k])
+        np.divide(xv, norm, out=images[k])
         # a copy: it is updated in place
         w = np.array(apply_t(images[k] if after_x else basis[k]), dtype=float)
+        diagonal = 0.0
         for _ in range(2):
             coeffs = images[:k + 1] @ w
             w -= coeffs @ basis[:k + 1]
-            alpha[k] += coeffs[k]
+            diagonal += float(coeffs[k])
         xw = apply_x(w)
-        beta[k] = _x_norm(w, xw)
+        norm = _x_norm(w, xw)
+        alpha[k], beta[k] = diagonal, norm
         # the X-norm of the part of T v_k inside the basis
-        in_basis = math.hypot(alpha[k], beta[k - 1]) if k else abs(alpha[k])
+        in_basis = math.hypot(diagonal, previous)
         theta, last = _ritz_ends(alpha[:k + 1], beta[:k], ends)
-        if (k + 1 == n or beta[k] <= _LANCZOS_INVARIANT * in_basis
-                or np.all(beta[k] * np.abs(last) <= _LANCZOS_RTOL * np.abs(theta))):
-            return theta
-        v, xv, norm = w, xw, beta[k]
+        if (k + 1 == n or norm <= _LANCZOS_INVARIANT * in_basis
+                or all(norm * abs(s) <= _LANCZOS_RTOL * abs(t) for t, s in zip(theta, last))):
+            return np.array(theta)
+        v, xv, previous = w, xw, norm
     raise EigenSolverError(f"Lanczos did not converge in {limit} steps")
 
 
@@ -442,7 +455,12 @@ def _operators_match(first, second, dim: int) -> bool:
 def _definiteness(m_part):
     """(sign, factor): sign * M is positive definite and factor is its
     sparse factor, or (0, None) when M is neither positive nor negative
-    definite."""
+    definite.  M is an exactly symmetric part (:func:`split`,
+    check_symmetric), so a compressed sparse M's arrays are those of its
+    CSC form, and it is factored with no conversion."""
+    if scipy.sparse.issparse(m_part) and m_part.format in ("csr", "csc"):
+        m_part = scipy.sparse.csc_matrix((m_part.data, m_part.indices, m_part.indptr),
+                                         shape=m_part.shape)
     for sign in (1, -1):
         try:
             return sign, sparse_spd_factor(m_part if sign > 0 else -m_part)
@@ -478,13 +496,13 @@ def _hm_extremes(apply_h, m_part, sign: int) -> tuple[float, float]:
 def _w_equal_h_report(a_mat, h: PreconditionerHandle) -> BoundReport:
     """The report for W = H with H SPD (see the module docstring)."""
     n = a_mat.shape[0]
-    hs = split(a_mat)
+    a_t = _transposed(a_mat)
+    hs = _split(a_mat, a_t)
     sign, m_factor = _definiteness(hs.m_part)
     lo, hi = _hm_extremes(h.apply, hs.m_part, sign)
     report = BoundReport(lambda_min=lo, lambda_max=hi, fov_distance=_min_abs_over_range((lo, hi)))
     if lo > 0.0:
         report.kappa = hi / lo
-    a_t = _transposed(a_mat)
 
     def gram(v):  # A^T H A
         return a_t @ h.apply(a_mat @ v)

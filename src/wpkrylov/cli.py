@@ -34,6 +34,8 @@ from .linalg import (
     LinearOperator,
     NotPositiveDefiniteError,
     SingularMatrixError,
+    check_symmetric,
+    sparse_spd_factor,
 )
 from .solvers import (
     LinearSystem,
@@ -79,7 +81,11 @@ _FLAGS = {
     "--matrix-skew": dict(help="Matrix Market file with the skew part of A"),
     "--rhs": dict(help="right-hand-side vector file"),
     "--precond": dict(default="identity",
-                      choices=["identity", "one-level", "two-level", "one-level-nonsym"]),
+                      choices=["identity", "exact-sym", "one-level", "two-level",
+                               "one-level-nonsym"],
+                      help="exact-sym is H = M^{-1} (a sparse factor of the symmetric "
+                           "part), the kappa = 1 reference; one-level, two-level and "
+                           "one-level-nonsym are additive Schwarz"),
     "--n-sub": dict(type=int, default=4),
     "--layout": dict(default="strips",
                      help="strips | grid | grid:PxQ (grid needs lattice coordinates)"),
@@ -260,15 +266,25 @@ def _partition(spec: schwarz.PartitionSpec, problem: _Problem) -> schwarz.Subdom
         raise UsageError(f"--n-sub {spec.n_subdomains}: {exc}") from exc
 
 
+# the Schwarz mode of each --precond kind that partitions the problem
+_SCHWARZ_MODES = {
+    "one-level": "one_level_sym",
+    "two-level": "two_level_sym",
+    "one-level-nonsym": "one_level_nonsym",
+}
+
+
 def _build_preconditioner(kind: str, maps: schwarz.SubdomainMaps | None,
                           problem: _Problem) -> PreconditionerHandle:
     if kind == "identity":
         return PreconditionerHandle.identity(problem.dim)
-    mode = {
-        "one-level": "one_level_sym",
-        "two-level": "two_level_sym",
-        "one-level-nonsym": "one_level_nonsym",
-    }[kind]
+    if kind == "exact-sym":
+        try:
+            factor = sparse_spd_factor(check_symmetric(problem.m_matrix))
+        except (NotPositiveDefiniteError, ValueError) as exc:  # ValueError: not symmetric
+            raise UsageError(f"--precond exact-sym: {exc}") from exc
+        return PreconditionerHandle(problem.dim, factor.solve, hermitian_flag=True)
+    mode = _SCHWARZ_MODES[kind]
     matrix = problem.operator.matrix if mode == "one_level_nonsym" else problem.m_matrix
     try:
         return schwarz.build_preconditioner(matrix, maps, mode).as_handle()
@@ -347,7 +363,7 @@ def cmd_solve(args) -> int:
     _check_pairing(args.precond, args.weight, args.solver)
     spec = _partition_spec(args.layout, args.n_sub, args.overlap)
     problem = _load_problem(args)
-    maps = None if args.precond == "identity" else _partition(spec, problem)
+    maps = _partition(spec, problem) if args.precond in _SCHWARZ_MODES else None
     handle = _build_preconditioner(args.precond, maps, problem)
     weight = _build_weight(args.weight, handle, problem.dim)
     system = LinearSystem(problem.operator, problem.rhs)
@@ -484,7 +500,7 @@ def cmd_bounds(args) -> int:
     _check_pairing(args.precond, args.weight)
     spec = _partition_spec(args.layout, args.n_sub, args.overlap)
     problem = _load_problem(args)
-    maps = None if args.precond == "identity" else _partition(spec, problem)
+    maps = _partition(spec, problem) if args.precond in _SCHWARZ_MODES else None
     handle = _build_preconditioner(args.precond, maps, problem)
     weight = _build_weight(args.weight, handle, problem.dim)
     try:

@@ -274,16 +274,26 @@ class BandedCholesky:
     def solve(self, b) -> np.ndarray:
         """The solution for a vector, or for every column of an n x k block."""
         b = np.asarray(b, dtype=float)
-        permuted = self.perm is not None
-        x, info = dpbtrs(self.upper, b[self.perm] if permuted else b, lower=0,
-                         overwrite_b=permuted)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
-        if not permuted:
-            return x
+        if self.perm is None:
+            return self._band_solve(b, overwrite=False)
+        x = self._band_solve(b[self.perm], overwrite=True)
         out = np.empty_like(x)
         out[self.perm] = x
         return out
+
+    def solve_in_factored_order(self, b: np.ndarray) -> np.ndarray:
+        """y with U^T U y = b, that is P x for S x = P^T b: the solve with
+        no permutation, for a caller that keeps its vectors in the factored
+        order.  ``b`` is a float64 vector or n x k block the caller gives
+        up: LAPACK overwrites it where it can (a C-ordered block is
+        copied)."""
+        return self._band_solve(b, overwrite=True)
+
+    def _band_solve(self, b: np.ndarray, overwrite: bool) -> np.ndarray:
+        x, info = dpbtrs(self.upper, b, lower=0, overwrite_b=overwrite)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of dpbtrs")
+        return x
 
 
 def _bandwidth(rows: np.ndarray, cols: np.ndarray) -> int:

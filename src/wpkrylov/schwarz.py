@@ -53,6 +53,7 @@ from scipy.linalg.lapack import dpstrf
 
 from .bounds import _definiteness, _hm_extremes
 from .linalg import (
+    BandedCholesky,
     NotPositiveDefiniteError,
     SingularMatrixError,
     banded_spd_factor,
@@ -271,11 +272,25 @@ class SchwarzPreconditioner:
         self.mode = mode
         self.dim = dim
         self.maps = maps
-        self._index = index
-        # R^T: adds each local value into the unknown it came from
-        self._scatter = scipy.sparse.csr_array(
-            (np.ones(len(index)), (index, np.arange(len(index)))), shape=(self.dim, len(index)))
+        # R^T: adds each local value into the unknown it came from; each row
+        # holds its unknown's positions in the concatenated index, ascending
+        columns = np.argsort(index, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(index, minlength=dim))))
         self._local = local_factor
+        self._local_solve = local_factor.solve
+        if isinstance(local_factor, BandedCholesky):
+            # the band factor's order is composed into the gather and the
+            # scatter, so the solve runs in place on the gathered vector
+            self._local_solve = local_factor.solve_in_factored_order
+            if local_factor.perm is not None:
+                position = np.empty_like(local_factor.perm)
+                position[local_factor.perm] = np.arange(len(position))
+                # the rows keep their order (unsorted columns now), so they
+                # sum their entries in the same order
+                index, columns = index[local_factor.perm], position[columns]
+        self._index = index
+        self._scatter = scipy.sparse.csr_array((np.ones(len(index)), columns, indptr),
+                                               shape=(dim, len(index)))
         self.coarse_basis, self._mz, self._coarse_factor = (coarse if coarse is not None
                                                             else (None,) * 3)
         if coarse is not None:  # Z^T and (MZ)^T in CSR: a transpose view costs more per apply
@@ -286,7 +301,7 @@ class SchwarzPreconditioner:
         return self.mode in ("one_level_sym", "two_level_sym")
 
     def _local_sum(self, v: np.ndarray) -> np.ndarray:
-        return self._scatter @ self._local.solve(v[self._index])
+        return self._scatter @ self._local_solve(v[self._index])
 
     def apply(self, v) -> np.ndarray:
         """H v for a vector, or H applied to every column of an n x k block

@@ -38,9 +38,10 @@ from wpkrylov.linalg import (
     cholesky,
     densify,
     gen_sym_eig,
+    sparse_spd_factor,
     sym_eig,
 )
-from wpkrylov.solvers import LinearSystem, SolveConfig, wp_gcr_right
+from wpkrylov.solvers import LinearSystem, SolveConfig, whp_gcr, wp_gcr_right
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 
 import lanczos_reference
@@ -834,6 +835,20 @@ class TestRitzEnds:
             assert np.abs(last) == pytest.approx(np.abs(vecs[-1, list(ends)]), rel=0.0,
                                                  abs=1e-12), k
 
+    @pytest.mark.parametrize("case", ["random", "split"])
+    @pytest.mark.parametrize("ends", [(0,), (-1,), (0, -1), (-1, 0)])
+    def test_one_inverse_iteration_call_for_every_end(self, monkeypatch, case, ends):
+        calls = []
+
+        def counted(d, e, w, iblock, isplit, _real=scipy.linalg.lapack.dstein):
+            calls.append(len(w))
+            return _real(d, e, w, iblock, isplit)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", counted)
+        alpha, beta = _tridiagonal(np.random.default_rng(21), 12, case)
+        bounds._ritz_ends(alpha, beta, ends)
+        assert calls == [len(ends)]
+
     def test_failed_inverse_iteration_raises(self, monkeypatch):
         def failing(d, e, w, iblock, isplit):
             return np.zeros((d.size, w.size)), 1  # one vector did not converge
@@ -953,6 +968,83 @@ class TestTransposesPerReport:
             (small, small_steps), (large, large_steps) = counts[8, kind], counts[24, kind]
             assert small_steps > 5 * large_steps
             assert small == large <= 4
+
+
+def _assert_same_sparse(got, want):
+    assert got.format == want.format and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestSharedTranspose:
+    def test_w_equal_h_parts_are_bitwise_those_of_the_csc_transpose(self, two_level_30,
+                                                                      monkeypatch):
+        # the report forms A^T once and builds M, N and its products on it;
+        # M, N, A^T and the factor of M equal those formed with A.T (CSC)
+        # converted on every use
+        assembled, precond = two_level_30
+        seen, transposes = {}, []
+        real_skew, real_transposed = bounds._skew_radius, bounds._transposed
+
+        def skew(hs, m_factor):
+            seen["split"], seen["factor"] = hs, m_factor
+            return real_skew(hs, m_factor)
+
+        def transposed(mat):
+            transposes.append(real_transposed(mat))
+            return transposes[-1]
+
+        monkeypatch.setattr(bounds, "_skew_radius", skew)
+        monkeypatch.setattr(bounds, "_transposed", transposed)
+        handle = precond.as_handle()
+        operator = assembled.operator()
+        compute_bound_report(operator, handle, handle.as_weight())
+        a = operator.matrix
+        want_m = scipy.sparse.csr_array(0.5 * (a + a.T))
+        _assert_same_sparse(seen["split"].m_part, want_m)
+        _assert_same_sparse(seen["split"].n_part, scipy.sparse.csr_array(0.5 * (a - a.T)))
+        _assert_same_sparse(transposes[0], a.T.tocsr())
+        want_factor = sparse_spd_factor(want_m.tocsc())
+        got_factor = seen["factor"]
+        assert np.array_equal(got_factor.perm_c, want_factor.perm_c)
+        for name in ("L", "U"):
+            _assert_same_sparse(getattr(got_factor, name), getattr(want_factor, name))
+
+
+def _exact_inverse(assembled) -> PreconditionerHandle:
+    """H = M^{-1} by a sparse factor of the symmetric part, marked SPD."""
+    return PreconditionerHandle(assembled.dof_count, sparse_spd_factor(assembled.m_matrix).solve,
+                                hermitian_flag=True)
+
+
+class TestExactSymmetricInverse:
+    """H = M^{-1}, the kappa = 1 reference: only rho is left, and bound2
+    and bound3 are both sqrt(1 - 1 / (1 + rho^2)), since the eigenvalues
+    of H A^T M^{-1} A = I - (M^{-1} N)^2 are 1 + mu^2."""
+
+    def test_report_has_unit_kappa(self, cdr_assembled):
+        assembled = cdr_assembled(30)
+        handle = _exact_inverse(assembled)
+        report = compute_bound_report(assembled.operator(), handle, handle.as_weight())
+        assert report.kappa == pytest.approx(1.0, rel=0.0, abs=1e-10)
+        assert report.bound2 == pytest.approx(report.bound3, rel=1e-10, abs=0.0)
+        assert report.bound3 == pytest.approx(direct_bound3(1.0, report.rho), rel=1e-10)
+
+    @pytest.mark.parametrize("m", [16, 30])
+    @pytest.mark.parametrize("nu", [1.0, 0.1])
+    def test_whp_mr_worst_step_meets_bound3(self, cdr_assembled, m, nu):
+        # the bound is tight for MR: its worst step contracts ||r||_H by
+        # 0.997-0.99999 of bound3 on these problems
+        assembled = cdr_assembled(m, nu=nu)
+        handle = _exact_inverse(assembled)
+        operator = assembled.operator()
+        bound3 = compute_bound_report(operator, handle, handle.as_weight()).bound3
+        result = whp_gcr(LinearSystem(operator, assembled.rhs), handle,
+                         SolveConfig(truncation_window=0))
+        assert result.status == "converged"
+        norms = np.array(result.trace.residual_norm_weighted)
+        worst = float(np.max(norms[1:] / norms[:-1]))
+        assert 0.99 * bound3 <= worst <= bound3
 
 
 def _quotient(c, y):

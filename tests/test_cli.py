@@ -230,6 +230,16 @@ def test_bounds_w_equal_h_has_no_dense_size_guard(capsys):
     assert "bound3=" in capsys.readouterr().out
 
 
+def test_bounds_exact_sym_is_the_unit_kappa_reference(calls, capsys):
+    # H = M^{-1} factors M once and partitions nothing
+    assert main(["bounds", "--cdr", "m=20", "--precond", "exact-sym"]) == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines()
+                   if not line.startswith("predicted"))
+    assert f"{float(printed['kappa']):.6f}" == "1.000000"
+    assert float(printed["bound2"]) == pytest.approx(float(printed["bound3"]), rel=1e-7)
+    assert not calls["build_partition"] and not calls["build_preconditioner"]
+
+
 @pytest.mark.parametrize("m", [30, 52, 70])
 def test_bounds_identity_weight_has_no_size_guard(capsys, m):
     # sym(A H) is indefinite on these problems, so the numerical range
@@ -302,7 +312,8 @@ INDEFINITE = np.array([[1.0, 1.0, 0.0], [-1.0, -1.0, 0.0], [0.0, 0.0, 2.0]])
     ("one-level", INDEFINITE, "not positive definite"),
     ("two-level", INDEFINITE, "not positive definite"),
     ("one-level-nonsym", np.diag([1.0, 0.0, 2.0]), "singular"),
-], ids=["one-level", "two-level", "one-level-nonsym"])
+    ("exact-sym", INDEFINITE, "not positive definite"),
+], ids=["one-level", "two-level", "one-level-nonsym", "exact-sym"])
 def test_failed_preconditioner_factorization_is_usage_error(tmp_path, capsys, command,
                                                             precond, matrix, fragment):
     mtx = tmp_path / "a.mtx"

@@ -369,6 +369,21 @@ class TestSparseFactors:
             got = precond.apply(v)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
+    def test_rcm_ordered_two_level_matches_dense_reference(self, cdr_assembled):
+        # these local blocks are factored in reverse Cuthill-McKee order,
+        # which the apply composes into its gather and scatter
+        assembled = cdr_assembled(30)
+        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                               coords=assembled.dof_coords)
+        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        assert precond._local.perm is not None
+        rng = np.random.default_rng(9)
+        for v in (rng.standard_normal(precond.dim), rng.standard_normal((precond.dim, 3))):
+            expected = dense_reference_apply(precond, assembled.m_matrix, v)
+            got = precond.apply(v)
+            assert got.shape == v.shape
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym"])
     def test_indefinite_block_rejected(self, cdr_assembled, mode):
         assembled = cdr_assembled(12)
@@ -484,6 +499,14 @@ class TestTransposedApply:
         assert np.linalg.norm(ht_y - precond.apply(y)) > 1e-3 * np.linalg.norm(ht_y)
         assert np.allclose(ht_y, densify(precond.as_handle()).T @ y, rtol=0,
                            atol=1e-13 * np.linalg.norm(ht_y))
+
+    def test_nonsymmetric_transpose_matches_dense_reference(self, preconds, cdr_assembled):
+        precond = preconds["one_level_nonsym"]
+        h_dense = dense_reference_apply(precond, cdr_assembled(20).full_matrix(),
+                                        np.eye(precond.dim))
+        y = np.random.default_rng(10).standard_normal(precond.dim)
+        want = h_dense.T @ y
+        assert np.linalg.norm(precond.apply_transpose(y) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_symmetric_transpose_is_h(self, preconds):
         precond = preconds["two_level_sym"]
