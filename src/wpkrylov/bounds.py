@@ -68,6 +68,7 @@ from .linalg import (
     EigenSolverError,
     NotPositiveDefiniteError,
     SingularMatrixError,
+    _check_real,
     aslinearoperator,
     check_symmetric,
     cholesky,
@@ -113,6 +114,7 @@ _BISECTION_TOL = 2.0 * np.finfo(float).tiny
 
 
 def _as_part(part):
+    _check_real(part, "matrix")
     if scipy.sparse.issparse(part):
         return scipy.sparse.csr_array(part, dtype=float)
     return np.asarray(part, dtype=float)

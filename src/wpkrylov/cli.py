@@ -288,7 +288,8 @@ def _build_preconditioner(kind: str, maps: schwarz.SubdomainMaps | None,
     matrix = problem.operator.matrix if mode == "one_level_nonsym" else problem.m_matrix
     try:
         return schwarz.build_preconditioner(matrix, maps, mode).as_handle()
-    except (NotPositiveDefiniteError, SingularMatrixError) as exc:
+    # ValueError: a symmetric mode given a non-symmetric M
+    except (NotPositiveDefiniteError, SingularMatrixError, ValueError) as exc:
         raise UsageError(f"--precond {kind}: {exc}") from exc
 
 

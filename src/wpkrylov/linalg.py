@@ -64,7 +64,16 @@ class EigenSolverError(Exception):
     """The symmetric eigensolver failed to converge."""
 
 
+def _check_real(x, name: str) -> None:
+    """ValueError naming x when its dtype is complex, whose imaginary part
+    a cast to float would drop; for an array a dtype test, which reads
+    none of its entries."""
+    if np.iscomplexobj(x):
+        raise ValueError(f"{name} is complex; only real systems are supported")
+
+
 def _as_vector(x, dim: int | None = None) -> np.ndarray:
+    _check_real(x, "vector")
     v = np.asarray(x, dtype=float)
     if v.ndim != 1:
         raise ValueError(f"expected a vector, got array of shape {v.shape}")
@@ -73,7 +82,13 @@ def _as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
+def _as_image(y) -> np.ndarray:
+    _check_real(y, "operator image")
+    return np.asarray(y, dtype=float)
+
+
 def _as_square(a) -> np.ndarray:
+    _check_real(a, "matrix")
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -83,9 +98,23 @@ def _as_square(a) -> np.ndarray:
 def check_symmetric(s):
     """Return the symmetric part of a dense or scipy.sparse matrix after
     checking that it differs from its transpose by at most 1e-10 relative
-    to its largest entry (or to 1); ValueError otherwise."""
+    to its largest entry (or to 1); ValueError otherwise.
+
+    A canonical CSR matrix whose transpose has its pattern (an assembled
+    M, say) is checked and averaged on its data arrays; like the sparse
+    sum, that drops the entries that cancel to exact zeros.
+    """
     # converted once: s - s.T and s + s.T would each convert the CSC transpose
     t = s.T.tocsr() if scipy.sparse.issparse(s) else s.T
+    if (scipy.sparse.issparse(s) and s.format == "csr" and s.has_canonical_format
+            and np.array_equal(s.indptr, t.indptr) and np.array_equal(s.indices, t.indices)):
+        if np.abs(s.data - t.data).max(initial=0.0) > 1e-10 * max(
+                np.abs(s.data).max(initial=0.0), 1.0):
+            raise ValueError("matrix is not symmetric")
+        t.data = t.data + s.data
+        t.eliminate_zeros()
+        t.data = 0.5 * t.data  # float, as 0.5 * (s + t) is for integer data
+        return t
     scale = max(abs(s).max(), 1.0)
     if abs(s - t).max() > 1e-10 * scale:
         raise ValueError("matrix is not symmetric")
@@ -108,14 +137,14 @@ class LinearOperator:
         self.matrix = matrix
 
     def apply(self, x) -> np.ndarray:
-        return np.asarray(self._apply(_as_vector(x, self.dim)), dtype=float)
+        return _as_image(self._apply(_as_vector(x, self.dim)))
 
     __call__ = apply
 
     def apply_transpose(self, x) -> np.ndarray:
         if self._transpose is None:
             raise ValueError("operator has no transposed action")
-        return np.asarray(self._transpose(_as_vector(x, self.dim)), dtype=float)
+        return _as_image(self._transpose(_as_vector(x, self.dim)))
 
     @classmethod
     def from_dense(cls, a) -> "LinearOperator":
@@ -124,6 +153,7 @@ class LinearOperator:
     @classmethod
     def from_matrix(cls, m) -> "LinearOperator":
         """The action of a square dense or scipy.sparse matrix and of its transpose."""
+        _check_real(m, "matrix")
         return cls(m.shape[0], m.dot, transpose=m.T.dot, matrix=m)
 
     @classmethod
@@ -170,7 +200,8 @@ def densify(op) -> np.ndarray:
 def _validated_csr(m) -> scipy.sparse.csr_array:
     """A scipy.sparse matrix from outside the program as a canonical
     float64 csr_array: duplicate entries summed, column indices sorted.
-    ValueError unless every entry is finite."""
+    ValueError unless every entry is finite and real."""
+    _check_real(m, "matrix")
     m = scipy.sparse.csr_array(m, dtype=float)
     m.sum_duplicates()  # sorts the indices of every row first
     if not np.all(np.isfinite(m.data)):
@@ -297,7 +328,8 @@ class BandedCholesky:
 
 
 def _bandwidth(rows: np.ndarray, cols: np.ndarray) -> int:
-    return int(np.abs(rows - cols).max()) if len(rows) else 0
+    """The upper bandwidth, which is the bandwidth of a symmetric pattern."""
+    return int((cols - rows).max(initial=0))
 
 
 def banded_spd_factor(s) -> BandedCholesky:
@@ -320,27 +352,32 @@ def banded_spd_factor(s) -> BandedCholesky:
     # without Schwarz preconditioners has no use for
     from scipy.sparse.csgraph import reverse_cuthill_mckee
 
-    s = scipy.sparse.csc_matrix(s)
+    if not (scipy.sparse.issparse(s) and s.format == "csc"):
+        s = scipy.sparse.csc_array(s)
     n = s.shape[0]
     rows = s.indices
-    cols = np.repeat(np.arange(n, dtype=rows.dtype), np.diff(s.indptr))
+    cols = np.repeat(np.arange(n), np.diff(s.indptr))
     perm = reverse_cuthill_mckee(s, symmetric_mode=True)
-    position = np.empty(n, dtype=perm.dtype)
+    position = np.empty(n, dtype=np.intp)
     position[perm] = np.arange(n)
-    own, reordered = _bandwidth(rows, cols), _bandwidth(position[rows], position[cols])
-    if reordered < own:
-        rows, cols, width = position[rows], position[cols], reordered
+    reordered = position[rows], position[cols]
+    own, width = _bandwidth(rows, cols), _bandwidth(*reordered)
+    if width < own:
+        rows, cols = reordered
     else:
         perm, width = None, own
-    upper = rows <= cols
-    band = np.zeros((width + 1, n), order="F")
-    band[width + rows[upper] - cols[upper], cols[upper]] = s.data[upper]
+    upper = np.flatnonzero(rows <= cols)
+    # U(r, c) sits at row width + r - c, column c of the Fortran-ordered band
+    band = np.zeros((width + 1) * n)
+    band[cols[upper] * width + width + rows[upper]] = s.data[upper]
+    band = band.reshape((width + 1, n), order="F")
+    # the diagonal is the band's last row, which the factor overwrites
+    threshold = n * np.finfo(float).eps * max(band[width].max(initial=0.0), 0.0)
     factor, info = dpbtrf(band, lower=0, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpbtrf")
     if info == 0:
         pivots = factor[width] ** 2
-        threshold = n * np.finfo(float).eps * max(s.diagonal().max(), 0.0)
         failed = int(np.argmin(pivots)) if pivots.min() <= threshold else -1
     else:
         failed = info - 1

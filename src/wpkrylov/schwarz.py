@@ -8,9 +8,10 @@ once, in time linear in the number of unknowns and stored entries:
 * the partition labels each unknown with its core by binning the
   coordinates once, and grows the overlap from the columns of the cores'
   own unknowns;
-* the local blocks R_s M R_s^T are gathered, in one pass over the rows
-  of the concatenated index R = [R_1; ...; R_N], into one block-diagonal
-  matrix B, which is factored once.  The symmetric modes factor B, made
+* the local blocks R_s M R_s^T are gathered into one block-diagonal
+  matrix B, which is factored once: scipy's gather M[index][:, index] by
+  the concatenated index R = [R_1; ...; R_N], less the entries whose row
+  and column lie in different subdomains.  The symmetric modes factor B, made
   of blocks of the symmetric part, by band Cholesky (the envelope method
   of George & Liu, 1981): a subdomain of a lattice has a band about as
   wide as the subdomain (28 for m = 100 on a 4 x 4 grid with one overlap
@@ -192,19 +193,25 @@ def build_partition(m_matrix: scipy.sparse.csr_array, spec: PartitionSpec,
     return SubdomainMaps(np.split(index, ends[:-1]))
 
 
-def _concatenated(maps: SubdomainMaps, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, owner): the subdomains' unknowns one after another, and the
-    subdomain each position belongs to.  ValueError unless every index is
-    an unknown and every unknown lies in some subdomain."""
+def _concatenated(maps: SubdomainMaps, n: int):
+    """(index, owner, scatter): the subdomains' unknowns one after another,
+    the subdomain each position belongs to, and R^T in CSR, whose row i
+    holds the positions of unknown i in the index, ascending.  ValueError
+    unless every index is an unknown and every unknown lies in some
+    subdomain."""
     sizes = np.array([len(sub) for sub in maps.subdomains], dtype=np.int64)
     index = np.concatenate(maps.subdomains).astype(np.int64)
     if len(index) and (index.min() < 0 or index.max() >= n):
         raise ValueError(f"a subdomain holds an index outside 0..{n - 1}")
-    uncovered = np.flatnonzero(np.bincount(index, minlength=n) == 0)
+    counts = np.bincount(index, minlength=n)
+    uncovered = np.flatnonzero(counts == 0)
     if len(uncovered):
         raise ValueError(f"unknown {uncovered[0]} lies in no subdomain "
                          f"({len(uncovered)} uncovered)")
-    return index, np.repeat(np.arange(len(sizes)), sizes)
+    scatter = scipy.sparse.csr_array(
+        (np.ones(len(index)), np.argsort(index, kind="stable"),
+         np.concatenate(([0], np.cumsum(counts)))), shape=(n, len(index)))
+    return index, np.repeat(np.arange(len(sizes)), sizes), scatter
 
 
 def build_coarse_space(maps: SubdomainMaps,
@@ -219,45 +226,49 @@ def build_coarse_space(maps: SubdomainMaps,
     return _pou_coarse_space(maps, m_matrix, *_concatenated(maps, m_matrix.shape[0]))[0]
 
 
-def _pou_coarse_space(maps: SubdomainMaps, m_csr, index: np.ndarray, owner: np.ndarray):
-    """The rank-filtered coarse basis Z, M Z and the dense Gram matrix
-    Z^T M Z."""
-    n = m_csr.shape[0]
-    counts = np.bincount(index, minlength=n)
-    z = scipy.sparse.csr_array((1.0 / counts[index], (index, owner)),
-                               shape=(n, len(maps.subdomains)))
+def _pou_coarse_space(maps: SubdomainMaps, m_csr, index: np.ndarray, owner: np.ndarray,
+                      scatter):
+    """The rank-filtered coarse basis Z, Z^T in CSR, M Z and the dense Gram
+    matrix Z^T M Z.  Z has the pattern of R^T with each position's column
+    replaced by its subdomain; row s of Z^T holds subdomain s's
+    positions."""
+    n, count = m_csr.shape[0], len(maps.subdomains)
+    weights = 1.0 / np.diff(scatter.indptr)[index]
+    z = scipy.sparse.csr_array((weights[scatter.indices], owner[scatter.indices],
+                                scatter.indptr), shape=(n, count))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(owner, minlength=count))))
+    zt = scipy.sparse.csr_array((weights, index, offsets), shape=(count, n), copy=True)
+    zt.sort_indices()  # a subdomain listed out of order; in place, hence the copy
     mz = scipy.sparse.csr_array(m_csr @ z)
-    gram = _gram(z, mz)
+    gram = _gram(zt, mz)
     _, piv, rank, _ = dpstrf(gram, lower=1, tol=1e-12 * max(gram.diagonal().max(), 0.0))
     if rank == 0:
         raise ValueError("coarse space is empty after rank filtering")
-    if rank < z.shape[1]:
+    if rank < count:
         keep = np.sort(piv[:rank] - 1)
-        z, mz, gram = z[:, keep], mz[:, keep], gram[np.ix_(keep, keep)]
-    return z, mz, gram
+        z, zt, mz, gram = z[:, keep], zt[keep], mz[:, keep], gram[np.ix_(keep, keep)]
+    return z, zt, mz, gram
 
 
-def _gram(z, mz) -> np.ndarray:
-    gram = (z.T @ mz).toarray()
+def _gram(zt, mz) -> np.ndarray:
+    gram = (zt @ mz).toarray()
     return 0.5 * (gram + gram.T)
 
 
-def _local_blocks(csr, index: np.ndarray, owner: np.ndarray):
-    """The block-diagonal matrix of the blocks R_s A R_s^T, in CSC form,
-    with rows and columns in the order of the concatenated index: entry
-    (a, b) is A[index[a], index[b]] when a and b belong to one subdomain.
-    Each row of A is read once per subdomain holding its unknown."""
-    n = csr.shape[0]
-    keys = owner * n + index
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    rows, flat = _entries(csr.indptr, index)
-    wanted = owner[rows] * n + csr.indices[flat]
-    at = np.minimum(np.searchsorted(sorted_keys, wanted), len(keys) - 1)
-    inside = sorted_keys[at] == wanted
-    size = len(index)
-    return scipy.sparse.csc_matrix(
-        (csr.data[flat[inside]], (rows[inside], order[at[inside]])), shape=(size, size))
+def _local_blocks(csr, index: np.ndarray, owner: np.ndarray) -> scipy.sparse.csr_array:
+    """The block-diagonal matrix of the blocks R_s A R_s^T, in CSR form
+    with sorted indices, rows and columns in the order of the concatenated
+    index: entry (a, b) is A[index[a], index[b]] when a and b belong to
+    one subdomain.  scipy gathers A[index][:, index], and the entries
+    whose row and column have one owner are kept."""
+    gathered = csr[index][:, index]
+    kept = np.flatnonzero(owner[gathered.indices]
+                          == np.repeat(owner, np.diff(gathered.indptr)))
+    blocks = scipy.sparse.csr_array(
+        (gathered.data[kept], gathered.indices[kept], np.searchsorted(kept, gathered.indptr)),
+        shape=gathered.shape)
+    blocks.sort_indices()  # the gather follows A's column order, not the positions'
+    return blocks
 
 
 class SchwarzPreconditioner:
@@ -267,15 +278,11 @@ class SchwarzPreconditioner:
     basis Z of the two-level mode, None in the one-level modes.
     """
 
-    def __init__(self, mode, dim: int, maps: SubdomainMaps, index: np.ndarray, local_factor,
-                 coarse=None):
+    def __init__(self, mode, dim: int, maps: SubdomainMaps, index: np.ndarray, scatter,
+                 local_factor, coarse=None):
         self.mode = mode
         self.dim = dim
         self.maps = maps
-        # R^T: adds each local value into the unknown it came from; each row
-        # holds its unknown's positions in the concatenated index, ascending
-        columns = np.argsort(index, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(index, minlength=dim))))
         self._local = local_factor
         self._local_solve = local_factor.solve
         if isinstance(local_factor, BandedCholesky):
@@ -287,14 +294,16 @@ class SchwarzPreconditioner:
                 position[local_factor.perm] = np.arange(len(position))
                 # the rows keep their order (unsorted columns now), so they
                 # sum their entries in the same order
-                index, columns = index[local_factor.perm], position[columns]
-        self._index = index
-        self._scatter = scipy.sparse.csr_array((np.ones(len(index)), columns, indptr),
-                                               shape=(dim, len(index)))
-        self.coarse_basis, self._mz, self._coarse_factor = (coarse if coarse is not None
-                                                            else (None,) * 3)
-        if coarse is not None:  # Z^T and (MZ)^T in CSR: a transpose view costs more per apply
-            self._zt, self._mzt = self.coarse_basis.T.tocsr(), self._mz.T.tocsr()
+                index = index[local_factor.perm]
+                scatter = scipy.sparse.csr_array(
+                    (scatter.data, position[scatter.indices], scatter.indptr),
+                    shape=scatter.shape)
+        self._index, self._scatter = index, scatter
+        # Z^T and (MZ)^T in CSR: a transpose view costs more per apply
+        self.coarse_basis, self._zt, self._mz, self._coarse_factor = (
+            coarse if coarse is not None else (None,) * 4)
+        if coarse is not None:
+            self._mzt = self._mz.T.tocsr()
 
     @property
     def is_symmetric(self) -> bool:
@@ -357,13 +366,13 @@ def build_preconditioner(matrix: scipy.sparse.csr_array, maps: SubdomainMaps, mo
     """
     if mode not in ("one_level_sym", "two_level_sym", "one_level_nonsym"):
         raise ValueError(f"unknown preconditioner mode {mode!r}")
-    index, owner = _concatenated(maps, matrix.shape[0])
-    if mode == "one_level_nonsym":
-        factor, local_matrix = sparse_lu_factor, matrix.tocsr()
-    else:
+    index, owner, scatter = _concatenated(maps, matrix.shape[0])
+    if mode == "one_level_nonsym":  # the blocks of A^T in CSR form are B in CSC form
+        factor, local_matrix = sparse_lu_factor, matrix.T.tocsr()
+    else:  # and A = A^T here
         factor, local_matrix = banded_spd_factor, check_symmetric(matrix).tocsr()
     try:
-        local_factor = factor(_local_blocks(local_matrix, index, owner))
+        local_factor = factor(_local_blocks(local_matrix, index, owner).T)
     except (NotPositiveDefiniteError, SingularMatrixError) as exc:
         if exc.pivot < 0:
             raise
@@ -375,13 +384,13 @@ def build_preconditioner(matrix: scipy.sparse.csr_array, maps: SubdomainMaps, mo
     coarse = None
     if mode == "two_level_sym":
         if coarse_basis is None:
-            z, mz, gram = _pou_coarse_space(maps, local_matrix, index, owner)
+            z, zt, mz, gram = _pou_coarse_space(maps, local_matrix, index, owner, scatter)
         else:
             z = scipy.sparse.csr_array(coarse_basis)
-            mz = scipy.sparse.csr_array(local_matrix @ z)
-            gram = _gram(z, mz)
-        coarse = (z, mz, cholesky(gram))
-    return SchwarzPreconditioner(mode, matrix.shape[0], maps, index, local_factor, coarse)
+            zt, mz = z.T.tocsr(), scipy.sparse.csr_array(local_matrix @ z)
+            gram = _gram(zt, mz)
+        coarse = (z, zt, mz, cholesky(gram))
+    return SchwarzPreconditioner(mode, matrix.shape[0], maps, index, scatter, local_factor, coarse)
 
 
 def condition_number(precond: SchwarzPreconditioner,

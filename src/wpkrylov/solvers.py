@@ -80,7 +80,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .linalg import LinearOperator, aslinearoperator
+from .linalg import LinearOperator, _check_real, aslinearoperator
 from .weighting import PreconditionerHandle, WeightOperator
 
 __all__ = [
@@ -130,8 +130,8 @@ _FORWARD_CHUNK = 1024
 class LinearSystem:
     """The problem A x = b with an optional initial guess.
 
-    A non-finite entry in the right-hand side or the initial guess is
-    rejected with ValueError.
+    A complex or non-finite entry in the right-hand side or the initial
+    guess, or a complex matrix, is rejected with ValueError.
     """
 
     operator: LinearOperator
@@ -140,12 +140,14 @@ class LinearSystem:
 
     def __post_init__(self):
         self.operator = aslinearoperator(self.operator)
+        _check_real(self.rhs, "right-hand side")
         self.rhs = np.asarray(self.rhs, dtype=float)
         if self.rhs.shape != (self.operator.dim,):
             raise ValueError("right-hand side does not match operator dimension")
         if not np.all(np.isfinite(self.rhs)):
             raise ValueError("right-hand side has a non-finite entry")
         if self.x0 is not None:
+            _check_real(self.x0, "initial guess")
             self.x0 = np.asarray(self.x0, dtype=float)
             if self.x0.shape != (self.operator.dim,):
                 raise ValueError("initial guess does not match operator dimension")
@@ -820,6 +822,15 @@ def wp_gcr_left(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator
     preconditioner, so its Orthodir recovery continues from the
     orthogonalized image H A p.  H is applied twice and A once before
     the loop, and each once per iteration; q_directions holds H A p_j.
+
+    W = H is not the paper's pairing for this form.  The numerical range
+    of H A in the H inner product is that of sym(H H A) against H, and it
+    can hold 0 ([-3.62, 5.86] on the reference problem at m = 20 with
+    two-level 2 x 2 Schwarz), so a windowed run can stall and end in
+    "breakdown" where wp_gcr_right with W = H converges.  The matching
+    pairing is W = H^-1: <H A p_i, H A p_j>_{H^-1} = (A p_i)^T H (A p_j),
+    so left GCR in W = H^-1 is right GCR in W = H (and whp_gcr), window
+    for window.
     """
     a = system.operator
     left = LinearSystem(LinearOperator(system.dim, lambda v: h.apply(a.apply(v))),

@@ -103,8 +103,8 @@ class WeightOperator:
 
     @classmethod
     def from_dense(cls, w, validate=True) -> "WeightOperator":
-        m = np.asarray(w, dtype=float)
-        return cls(m.shape[0], LinearOperator.from_dense(m), validate=validate)
+        op = LinearOperator.from_dense(w)
+        return cls(op.dim, op, validate=validate)
 
 
 class PreconditionerHandle:

@@ -74,6 +74,16 @@ class TestSplit:
         assert np.abs(hs.m_part - hs.m_part.T).max() <= 1e-13 * np.abs(a).max()
         assert np.abs(hs.n_part + hs.n_part.T).max() <= 1e-13 * np.abs(a).max()
 
+    @pytest.mark.parametrize("which", ["a", "m_part", "n_part"])
+    def test_complex_matrix_is_rejected(self, which):
+        real = np.eye(3)
+        cplx = np.diag([1.0, 1.0 + 1j, 1.0])
+        with pytest.raises(ValueError, match="^matrix is complex"):
+            if which == "a":
+                split(cplx)
+            else:
+                HermitianSplit(**{"m_part": real, "n_part": real, which: cplx})
+
 
 class TestSpectralRadiusSkew:
     def test_symmetric_is_zero(self):

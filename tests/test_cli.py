@@ -329,6 +329,23 @@ def test_failed_preconditioner_factorization_is_usage_error(tmp_path, capsys, co
     assert err.startswith(f"error: --precond {precond}: ") and fragment in err
 
 
+# M with one off-diagonal 0.5: the symmetric modes refuse it
+NONSYMMETRIC_M = np.array([[2.0, 0.5, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 2.0]])
+
+
+@pytest.mark.parametrize("command", ["solve", "bounds"])
+@pytest.mark.parametrize("precond", ["one-level", "two-level", "exact-sym"])
+def test_nonsymmetric_m_is_usage_error(tmp_path, capsys, command, precond):
+    paths = {name: str(tmp_path / name) for name in ("m.mtx", "n.mtx", "b.txt")}
+    write_matrix_market(scipy.sparse.csr_array(NONSYMMETRIC_M), paths["m.mtx"])
+    write_matrix_market(scipy.sparse.csr_array((3, 3)), paths["n.mtx"])
+    write_vector(np.ones(3), paths["b.txt"])
+    code = main([command, "--matrix", paths["m.mtx"], "--matrix-skew", paths["n.mtx"],
+                 "--rhs", paths["b.txt"], "--precond", precond, "--n-sub", "1"])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: --precond {precond}: matrix is not symmetric\n"
+
+
 def test_max_iter_exit_code():
     code = main(["solve", "--cdr", "m=16", "nu=0.01", "c0=0.01",
                  "--precond", "identity", "--weight", "identity",

@@ -10,6 +10,7 @@ from wpkrylov.linalg import (
     SingularMatrixError,
     aslinearoperator,
     banded_spd_factor,
+    check_symmetric,
     cholesky,
     densify,
     gen_sym_eig,
@@ -22,6 +23,7 @@ from wpkrylov.schwarz import PartitionSpec, build_partition
 
 from conftest import make_spd
 from dense_reference import lu_solve
+from schwarz_reference import symmetric_part
 
 
 class TestSpmv:
@@ -61,6 +63,124 @@ class TestSpmv:
             ([2.0, 3.0, 1.0], ([0, 0, 1], [1, 1, 0])), shape=(2, 2)))
         assert m.nnz == 2
         assert np.allclose(m.toarray(), [[0.0, 5.0], [1.0, 0.0]])
+
+
+def _unsorted(csr):
+    """The same matrix with every row's entries stored in reverse order."""
+    out = csr.copy()
+    for row in range(out.shape[0]):
+        part = slice(out.indptr[row], out.indptr[row + 1])
+        out.indices[part], out.data[part] = out.indices[part][::-1], out.data[part][::-1]
+    out.has_sorted_indices = False
+    return out
+
+
+def _duplicated(csr):
+    """The same matrix with each stored entry split into two halves."""
+    coo = csr.tocoo()
+    return scipy.sparse.csr_array(
+        (np.concatenate([0.5 * coo.data, 0.5 * coo.data]),
+         (np.concatenate([coo.row, coo.row]), np.concatenate([coo.col, coo.col]))),
+        shape=csr.shape)
+
+
+def _asymmetric_pattern(csr):
+    """A stored entry (0, 5) of 1e-12 with nothing at (5, 0)."""
+    lil = csr.tolil()
+    lil[0, 5] = 1e-12
+    return lil.tocsr()
+
+
+class TestCheckSymmetric:
+    """The data-array path for a canonical CSR matrix with a symmetric
+    pattern, and the sparse-sum path for every other input, give the
+    arrays of 0.5 (S + S^T) formed by sparse sums."""
+
+    @staticmethod
+    def inputs(cdr_assembled):
+        m = cdr_assembled(12).m_matrix
+        zeros = cdr_assembled(12, c0=0.0).m_matrix
+        assert np.any(zeros.data == 0.0)  # elimination stores NE/SW zeros where c0 = 0
+        return {
+            "assembled": m,
+            "explicit-zeros": zeros,
+            "unsorted": _unsorted(m),
+            "duplicates": _duplicated(m),
+            "csc": m.tocsc(),
+            "dense": m.toarray(),
+            "asymmetric-pattern": _asymmetric_pattern(m),
+            "integer": (100 * m).astype(np.int64),
+        }
+
+    @pytest.mark.parametrize("case", ["assembled", "explicit-zeros", "unsorted", "duplicates",
+                                      "csc", "dense", "asymmetric-pattern", "integer"])
+    def test_matches_sparse_sums(self, cdr_assembled, case):
+        s = self.inputs(cdr_assembled)[case]
+        want = symmetric_part(s)
+        got = check_symmetric(s)
+        assert type(got) is type(want)
+        if isinstance(want, np.ndarray):
+            assert got.tobytes() == want.tobytes()
+            return
+        assert got.format == want.format
+        for part in ("indptr", "indices", "data"):
+            assert getattr(got, part).dtype == getattr(want, part).dtype
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+
+    @pytest.mark.parametrize("case", ["assembled", "explicit-zeros"])
+    def test_canonical_input_takes_no_sparse_sum(self, cdr_assembled, monkeypatch, case):
+        s = self.inputs(cdr_assembled)[case]
+
+        def refuse(*args):
+            raise AssertionError("a sparse sum was formed")
+
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__abs__"):
+            monkeypatch.setattr(type(s), name, refuse)
+        got = check_symmetric(s)
+        monkeypatch.undo()
+        assert got.data.tobytes() == symmetric_part(s).data.tobytes()
+
+    @pytest.mark.parametrize("case", ["assembled", "csc", "dense"])
+    def test_value_asymmetry_raises_as_the_sparse_sums_do(self, cdr_assembled, case):
+        s = self.inputs(cdr_assembled)[case]
+        s = s.copy()
+        s[0, 1] = s[0, 1] + 1e-6 * abs(s[0, 1])
+        with pytest.raises(ValueError) as want:
+            symmetric_part(s)
+        with pytest.raises(ValueError) as got:
+            check_symmetric(s)
+        assert str(got.value) == str(want.value) == "matrix is not symmetric"
+
+
+class TestComplexInput:
+    """A complex matrix, vector or operator image is rejected by name,
+    not cast to float with its imaginary part dropped."""
+
+    A = np.diag([3.0 + 1.0j, 3.0, 3.0])
+
+    @pytest.mark.parametrize("make", [np.asarray, scipy.sparse.csr_array])
+    def test_matrix(self, make):
+        with pytest.raises(ValueError, match="^matrix is complex"):
+            aslinearoperator(make(self.A))
+
+    @pytest.mark.parametrize("call", [densify, cholesky, sym_eig])
+    def test_dense_matrix_routines(self, call):
+        with pytest.raises(ValueError, match="^matrix is complex"):
+            call(self.A)
+
+    def test_validated_csr(self):
+        with pytest.raises(ValueError, match="^matrix is complex"):
+            _validated_csr(scipy.sparse.csr_array(self.A))
+
+    def test_vector(self):
+        with pytest.raises(ValueError, match="^vector is complex"):
+            LinearOperator.identity(3).apply(np.ones(3) * 1j)
+
+    @pytest.mark.parametrize("method", ["apply", "apply_transpose"])
+    def test_operator_image(self, method):
+        op = LinearOperator(3, lambda v: v * 1j, transpose=lambda v: v * 1j)
+        with pytest.raises(ValueError, match="^operator image is complex"):
+            getattr(op, method)(np.ones(3))
 
 
 class TestCholesky:

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from wpkrylov import schwarz
 from wpkrylov.cdr import CdrProblemSpec, assemble
 from wpkrylov.linalg import (
     LinearOperator,
     NotPositiveDefiniteError,
     SingularMatrixError,
+    check_symmetric,
     densify,
 )
 from wpkrylov.schwarz import (
@@ -23,6 +25,8 @@ from wpkrylov.schwarz import (
 )
 from wpkrylov.solvers import LinearSystem, SolveConfig, whp_gcr
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
+
+import schwarz_reference
 
 
 def reference_partition(m_matrix, spec, coords):
@@ -512,3 +516,116 @@ class TestTransposedApply:
         precond = preconds["two_level_sym"]
         y = np.random.default_rng(8).standard_normal(precond.dim)
         assert np.array_equal(precond.apply_transpose(y), precond.apply(y))
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.flags.f_contiguous == want.flags.f_contiguous
+            and got.tobytes(order="A") == want.tobytes(order="A"))
+
+
+def assert_same_sparse(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert same_bits(got.data, want.data)
+
+
+def _reversed(maps):
+    return SubdomainMaps([sub[::-1].copy() for sub in maps.subdomains])
+
+
+class TestSetupMatchesReference:
+    """Every array that the local and coarse factors and the apply hold,
+    and H v itself, is bitwise that of the COO and searchsorted set-up
+    in tests/schwarz_reference.py."""
+
+    CASES = {
+        "m100-grid4x4": (100, PartitionSpec(16, "grid", grid_shape=(4, 4)), False),
+        "m30-grid2x2": (30, PartitionSpec(4, "grid", grid_shape=(2, 2)), False),
+        "m60-strips5": (60, PartitionSpec(5, "strips"), False),
+        "m40-grid3x2": (40, PartitionSpec(6, "grid", grid_shape=(3, 2)), False),
+        "m50-grid3x3": (50, PartitionSpec(9, "grid", grid_shape=(3, 3)), False),
+        "m30-overlap0": (30, PartitionSpec(4, "grid", grid_shape=(2, 2), overlap_layers=0),
+                         False),
+        "m30-overlap2": (30, PartitionSpec(4, "grid", grid_shape=(2, 2), overlap_layers=2),
+                         False),
+        "m30-grid2x2-reversed": (30, PartitionSpec(4, "grid", grid_shape=(2, 2)), True),
+        "m60-strips5-reversed": (60, PartitionSpec(5, "strips"), True),
+    }
+
+    @staticmethod
+    def maps_of(assembled, spec, reverse):
+        maps = build_partition(assembled.m_matrix, spec, coords=assembled.dof_coords)
+        return _reversed(maps) if reverse else maps
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("mode", ["one_level_sym", "two_level_sym"])
+    def test_symmetric_modes(self, cdr_assembled, case, mode):
+        m, spec, reverse = self.CASES[case]
+        assembled = cdr_assembled(m)
+        maps = self.maps_of(assembled, spec, reverse)
+        matrix = assembled.m_matrix
+        want, want_blocks, want_gram = schwarz_reference.build(matrix, maps, mode)
+        got = build_preconditioner(matrix, maps, mode)
+
+        symmetric = check_symmetric(matrix)
+        index, owner, scatter = schwarz._concatenated(maps, matrix.shape[0])
+        assert_same_sparse(schwarz._local_blocks(symmetric, index, owner).T, want_blocks)
+        assert same_bits(got._local.upper, want._local.upper)
+        assert (got._local.perm is None) == (want._local.perm is None)
+        if want._local.perm is not None:
+            # by value: RCM returns B's index dtype, int64 from the gather of
+            # the assembled M, int32 from the reference's COO build
+            assert np.array_equal(got._local.perm, want._local.perm)
+        assert np.array_equal(got._index, want._index)
+        assert_same_sparse(got._scatter, want._scatter)
+        if mode == "two_level_sym":
+            assert_same_sparse(got.coarse_basis, want.coarse_basis)
+            assert_same_sparse(got._zt, want._zt)
+            assert_same_sparse(got._mz, want._mz)
+            assert_same_sparse(got._mzt, want._mzt)
+            gram = schwarz._pou_coarse_space(maps, symmetric, index, owner, scatter)[3]
+            assert same_bits(gram, want_gram)
+            assert same_bits(got._coarse_factor.lower, want._coarse_factor.lower)
+        rng = np.random.default_rng(5)
+        for v in (rng.standard_normal(matrix.shape[0]), rng.standard_normal((matrix.shape[0], 3))):
+            assert same_bits(got.apply(v), want.apply(v))
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_given_coarse_basis(self, cdr_assembled, dense):
+        m, spec, _ = self.CASES["m40-grid3x2"]
+        assembled = cdr_assembled(m)
+        maps = self.maps_of(assembled, spec, False)
+        basis = build_coarse_space(maps, assembled.m_matrix)
+        basis = basis.toarray() if dense else basis
+        want, _, _ = schwarz_reference.build(assembled.m_matrix, maps, "two_level_sym", basis)
+        got = build_preconditioner(assembled.m_matrix, maps, "two_level_sym", basis)
+        for part in ("coarse_basis", "_zt", "_mz", "_mzt"):
+            assert_same_sparse(getattr(got, part), getattr(want, part))
+        assert same_bits(got._coarse_factor.lower, want._coarse_factor.lower)
+        v = np.random.default_rng(7).standard_normal(assembled.dof_count)
+        assert same_bits(got.apply(v), want.apply(v))
+
+    @pytest.mark.parametrize("case", ["m30-grid2x2", "m40-grid3x2", "m30-grid2x2-reversed"])
+    def test_nonsymmetric_mode(self, cdr_assembled, case):
+        m, spec, reverse = self.CASES[case]
+        assembled = cdr_assembled(m)
+        maps = self.maps_of(assembled, spec, reverse)
+        matrix = assembled.full_matrix()
+        want, want_blocks, _ = schwarz_reference.build(matrix, maps, "one_level_nonsym")
+        got = build_preconditioner(matrix, maps, "one_level_nonsym")
+
+        index, owner, _ = schwarz._concatenated(maps, matrix.shape[0])
+        # what SuperLU receives: B in CSC form, as the blocks of A^T in CSR form
+        assert_same_sparse(schwarz._local_blocks(matrix.T.tocsr(), index, owner).T, want_blocks)
+        for part in ("L", "U"):
+            assert_same_sparse(getattr(got._local, part), getattr(want._local, part))
+        assert np.array_equal(got._local.perm_c, want._local.perm_c)
+        assert np.array_equal(got._local.perm_r, want._local.perm_r)
+        assert np.array_equal(got._index, want._index)
+        assert_same_sparse(got._scatter, want._scatter)
+        v = np.random.default_rng(6).standard_normal(matrix.shape[0])
+        assert same_bits(got.apply(v), want.apply(v))
+        assert same_bits(got.apply_transpose(v), want.apply_transpose(v))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse
 
-from wpkrylov import solvers
-from wpkrylov.linalg import LinearOperator, aslinearoperator, densify
+from wpkrylov import schwarz, solvers
+from wpkrylov.linalg import LinearOperator, aslinearoperator, densify, gen_sym_eig
 
 from wpkrylov.solvers import (
     IterationTrace,
@@ -890,6 +890,49 @@ class TestNonFiniteInput:
             solver(LinearSystem(a, b), *args)
 
 
+class TestComplexInput:
+    """Complex data is rejected by name before any iteration: a cast to
+    float would solve another system and report it converged."""
+
+    @staticmethod
+    def complex_system():
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((6, 6)) + np.diag(3.0 + 1j * rng.standard_normal(6))
+        return a, rng.standard_normal(6)
+
+    @pytest.mark.parametrize("make", [np.asarray, scipy.sparse.csr_array])
+    def test_matrix(self, make):
+        a, b = self.complex_system()
+        with pytest.raises(ValueError, match="^matrix is complex"):
+            whp_gcr(LinearSystem(make(a), b), PreconditionerHandle.identity(6), SolveConfig())
+
+    def test_rhs(self):
+        a, b = self.complex_system()
+        with pytest.raises(ValueError, match="^right-hand side is complex"):
+            LinearSystem(a.real, b + 1j)
+
+    def test_initial_guess(self):
+        a, b = self.complex_system()
+        with pytest.raises(ValueError, match="^initial guess is complex"):
+            LinearSystem(a.real, b, x0=np.full(6, 1j))
+
+    @pytest.mark.parametrize("solver", [wp_gcr_right, whp_gcr], ids=lambda f: f.__name__)
+    def test_operator_image(self, solver):
+        a, b = self.complex_system()
+        system = LinearSystem(LinearOperator(6, lambda v: a @ v), b)
+        h = PreconditionerHandle.identity(6)
+        args = (h, WeightOperator.identity(6)) if solver is wp_gcr_right else (h,)
+        with pytest.raises(ValueError, match="^operator image is complex"):
+            solver(system, *args, SolveConfig())
+
+    def test_weight_and_preconditioner_matrices(self):
+        h = np.diag([2.0, 1.0 + 1j, 1.0])
+        with pytest.raises(ValueError, match="^matrix is complex"):
+            WeightOperator.from_dense(h)
+        with pytest.raises(ValueError, match="^matrix is complex"):
+            PreconditionerHandle.from_dense(h)
+
+
 def window_id(window: dict) -> str:
     return ",".join(f"{key}={value}" for key, value in window.items())
 
@@ -983,6 +1026,47 @@ class TestLeftGcr:
         oracle = krylov_ls_residuals(h_dense @ a, np.eye(9), np.eye(9), h_dense @ b,
                                      res.iterations)
         assert_sequences_close(res.trace.residual_norm_weighted, oracle)
+
+
+class TestLeftPairing:
+    """Left GCR on H A in the H inner product is not the paper's pairing;
+    in the H^-1 inner product it is right GCR in W = H (m = 20, two-level
+    2x2, n = 361)."""
+
+    @pytest.fixture(scope="class")
+    def problem(self, cdr_assembled):
+        assembled = cdr_assembled(20)
+        maps = schwarz.build_partition(
+            assembled.m_matrix, schwarz.PartitionSpec(4, "grid", grid_shape=(2, 2)),
+            coords=assembled.dof_coords)
+        precond = schwarz.build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
+        h_dense = precond.apply(np.eye(assembled.dof_count))
+        return assembled, precond, 0.5 * (h_dense + h_dense.T)
+
+    def test_h_inner_product_range_of_ha_holds_zero(self, problem):
+        # <HA x, x>_H / <x, x>_H = x^T H H A x / x^T H x: eigenvalues of the
+        # pencil (sym(H H A), H) bound its real part
+        assembled, _, h_dense = problem
+        assert h_dense.shape == (361, 361)
+        a = assembled.full_matrix().toarray()
+        hha = h_dense @ h_dense @ a
+        values = gen_sym_eig(0.5 * (hha + hha.T), h_dense)
+        assert values[0] < 0.0 < values[-1]
+        # in the H^-1 inner product the range is x^T A x / x^T H^-1 x > 0
+        h_inv = np.linalg.inv(h_dense)
+        assert gen_sym_eig(assembled.m_matrix.toarray(), 0.5 * (h_inv + h_inv.T))[0] > 0.0
+
+    @pytest.mark.parametrize("window", [0, 2], ids=["mr", "orthomin-2"])
+    def test_windowed_left_in_h_inverse_is_right_in_h(self, problem, window):
+        assembled, precond, h_dense = problem
+        h_inv = np.linalg.inv(h_dense)
+        system = LinearSystem(assembled.operator(), assembled.rhs)
+        cfg = SolveConfig(rel_tolerance=1e-8, truncation_window=window)
+        right = wp_gcr_right(system, precond.as_handle(), precond.as_weight(validate=False), cfg)
+        left = wp_gcr_left(system, precond.as_handle(),
+                           WeightOperator.from_dense(0.5 * (h_inv + h_inv.T)), cfg)
+        assert right.status == left.status == "converged"
+        assert left.iterations == right.iterations
 
 
 class TestWhpFamily:
