@@ -39,8 +39,6 @@ from .solvers import (
     SolveResult,
     gmres_arnoldi_oracle,
     whp_gcr,
-    whp_gcr_alt_a,
-    whp_gcr_alt_b,
     wp_gcr_left,
     wp_gcr_right,
 )

@@ -42,8 +42,6 @@ from .solvers import (
     SolveConfig,
     gmres_arnoldi_oracle,
     whp_gcr,
-    whp_gcr_alt_a,
-    whp_gcr_alt_b,
     wp_gcr_left,
     wp_gcr_right,
 )
@@ -114,8 +112,7 @@ def build_parser() -> _Parser:
     add_problem_flags(p_solve)
     p_solve.add_argument(
         "--solver", default="gcr",
-        help="gcr | gcr-left | whp-gcr | whp-gcr-alt-a | whp-gcr-alt-b | mr | "
-             "orthomin:K | gcr-restart:K | gmres-oracle",
+        help="gcr | gcr-left | whp-gcr | mr | orthomin:K | gcr-restart:K | gmres-oracle",
     )
 
     p_rho = sub.add_parser("rho-table", help="skewness measure vs mesh size")
@@ -301,10 +298,8 @@ def _build_weight(kind: str, handle: PreconditionerHandle, dim: int) -> WeightOp
 
 _SOLVERS = {
     "gcr": wp_gcr_right, "gcr-left": wp_gcr_left, "gmres-oracle": gmres_arnoldi_oracle,
-    # W = H: these need a symmetric preconditioner
+    # W = H: needs a symmetric preconditioner
     "whp-gcr": lambda system, h, w, cfg: whp_gcr(system, h, cfg),
-    "whp-gcr-alt-a": lambda system, h, w, cfg: whp_gcr_alt_a(system, h, cfg),
-    "whp-gcr-alt-b": lambda system, h, w, cfg: whp_gcr_alt_b(system, h, cfg),
 }
 
 # names of wp_gcr_right with a window: the SolveConfig field each sets

@@ -12,11 +12,9 @@ positive definite H as the weight, whp_gcr runs the same loop keeping
 z = H r (W r, and the next direction) by the recurrence
 z <- z - alpha W q, so H is applied once per iteration, not three
 times, with any window.  It holds q and W q, which determine
-the sources of its directions; the storage-lean whp_gcr_alt_a holds
-W q only and uses q = A z unprojected, whp_gcr_alt_b holds q only and
-uses W A z unprojected; both also hold the sources.  A
-modified-Gram-Schmidt Arnoldi GMRES in the same inner product serves as
-an independent reference implementation.
+the sources of its directions.  A modified-Gram-Schmidt Arnoldi GMRES
+in the same inner product serves as an independent reference
+implementation.
 
 Every GCR loop keeps its directions in one blocked store: the images
 held for each direction, and its source z_j (H r, or the Orthodir
@@ -43,10 +41,10 @@ holds 2 vectors (q, W q), identity-preconditioned full GCR 1 (q) with
 the Euclidean weight and 2 (q, W q) with another, and every other loop
 also the source: 3 (z, q, W q), or 2 (z, q) with the Euclidean weight.
 The loop folds at return and at the end of a GCR(k) cycle.  A loop
-that reads x at every step (record_iterates, or r = b - A x) folds at
-every step, and Orthomin(k) before it moves its rows; that fold forms
-p_j against the held p as the step is taken.  p_directions is formed
-from the sources when first read.
+that reads x at every step (record_iterates) folds at every step, and
+Orthomin(k) before it moves its rows; that fold forms p_j against the
+held p as the step is taken.  p_directions is formed from the sources
+when first read.
 
 The GCR loop orthogonalizes by classical Gram-Schmidt with the "twice is
 enough" norm test: a second pass runs only when the first one cancelled
@@ -92,8 +90,6 @@ __all__ = [
     "wp_gcr_right",
     "wp_gcr_left",
     "whp_gcr",
-    "whp_gcr_alt_a",
-    "whp_gcr_alt_b",
     "gmres_arnoldi_oracle",
 ]
 
@@ -170,7 +166,7 @@ class SolveConfig:
     last k directions only (0 means the bare minimal-residual iteration),
     restart_period clears the direction set every that many iterations.
     At most one of the two may be set.  These windows are the only way to
-    select a GCR variant: every GCR solver takes them but whp_gcr_alt_b.
+    select a GCR variant, and every GCR solver takes them.
     """
 
     max_iterations: int = 500
@@ -224,7 +220,7 @@ class IterationTrace:
     no later step writes into (empty for the first direction of a cycle).
     reorthogonalized lists the iterations whose direction took a second
     Gram-Schmidt pass, in order; it stays empty unless a first pass
-    cancelled most of an image (the whp alternates never record one).
+    cancelled most of an image.
     """
 
     residual_norm_weighted: list = field(default_factory=list)
@@ -251,10 +247,10 @@ class SolveResult:
     every direction for full GCR and the whp family, at most the last k
     for Orthomin(k) and at most the current cycle for GCR(k), none for
     the minimal-residual iteration.  q_directions holds the images A p_j
-    (H A p_j for the left form and for whp_gcr_alt_a).  The loop does not
-    form p_j (see _Directions): p_directions forms them on first read, in
-    place where the store holds the sources, else in a (held, n) array it
-    allocates then, which the replayed sources fill first.
+    (H A p_j for the left form).  The loop does not form p_j (see
+    _Directions): p_directions forms them on first read, in place where
+    the store holds the sources, else in a (held, n) array it allocates
+    then, which the replayed sources fill first.
     """
 
     x: np.ndarray
@@ -677,22 +673,16 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
 
 
 def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: SolveConfig,
-         *, w_is_h: bool = False, held: tuple = ("q", "wq")) -> SolveResult:
-    """The GCR loop of wp_gcr_right, and of the whp family with w_is_h: W
-    is then H; z = W r, kept by the recurrence z <- z - alpha W q, is W r
-    for ||r||_W and the next direction.
+         *, w_is_h: bool = False) -> SolveResult:
+    """The GCR loop of wp_gcr_right, and of whp_gcr with w_is_h: W is then
+    H; z = W r, kept by the recurrence z <- z - alpha W q, is W r for
+    ||r||_W and the next direction.
 
-    held names which of q and W q the direction store keeps beside each
-    direction.  A vector that is not held is used as computed, without
-    projection: the image q = A z (r is then formed as b - A x, so x is
-    folded every step) or W q = W A z.  The coefficients are <held row,
-    A z> when W q is held and <held row, W A z> otherwise; the second
-    Gram-Schmidt pass runs only when both are held.  The Orthodir recovery
-    source of whp is W q, or H times the last held q after a degenerate
-    direction when W q is not held.  The store keeps the sources too
-    unless _recurrence_image finds that the held images imply them.
+    The direction store keeps q and W q beside each direction, and the
+    sources too unless _recurrence_image finds that the held images imply
+    them.  The Orthodir recovery source of whp_gcr is W q, that of the
+    last held direction after a degenerate one.
     """
-    hold_q, hold_wq = "q" in held, "wq" in held
     a = system.operator
     b = system.rhs
     x = system.initial_guess()
@@ -708,12 +698,10 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
     if _start(trace, cfg, x, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
-    # records hold q and W q, less what is not held; for the Euclidean
-    # weight W q is q and not kept twice
-    images = hold_q + (hold_wq and not w.is_identity)
-    store = _Directions(x, images, cfg,  # owns x from here on
-                        _recurrence_image(h, cfg, w_is_h, hold_q, hold_wq))
-    every_step = cfg.record_iterates or not hold_q  # x is read at every step
+    # records hold q and W q; for the Euclidean weight W q is q and not
+    # kept twice
+    store = _Directions(x, 1 + (not w.is_identity), cfg,  # owns x from here on
+                        _recurrence_image(h, cfg, w_is_h))
     # H r; for the identity r itself, with no copy: the loop rebinds r,
     # never writes into it
     precondition = (lambda r: r) if h.is_identity else h.apply
@@ -724,19 +712,14 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
         waz = az if w.is_identity else w.apply(az)
         az_norm = _clamped_sqrt(float(waz @ az))
         record = store.record(v)
-        if hold_q:
-            record[0] = az
-        if hold_wq and not w.is_identity:
+        record[0] = az
+        if not w.is_identity:
             record[-1] = waz
-        q = record[0] if hold_q else az
-        wq = record[-1] if hold_wq else waz
-        phi, beta = store.project(az if hold_wq else waz, record)
-        if hold_q and hold_wq:
-            delta, beta, twice = store.reorthogonalize(record, beta, az_norm)
-            if twice:
-                trace.reorthogonalized.append(i)
-        else:
-            delta = float(wq @ q)
+        q, wq = record[0], record[-1]
+        phi, beta = store.project(az, record)
+        delta, beta, twice = store.reorthogonalize(record, beta, az_norm)
+        if twice:
+            trace.reorthogonalized.append(i)
 
         degenerate = _degenerate(delta, az_norm, i)
         gamma = float(wq @ r) if not degenerate else 0.0
@@ -750,15 +733,15 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
                 store.append(delta, 0.0, beta)
                 v = wq if w_is_h else h.apply(q)
             else:
-                v = store.last(-1) if w_is_h and hold_wq else h.apply(store.last(0))
+                v = store.last(-1) if w_is_h else h.apply(store.last(0))
             store.end_iteration(i + 1, trace)
             continue
 
         alpha = gamma / delta
         store.append(delta, alpha, beta)
-        if every_step:
+        if cfg.record_iterates:  # x is read at every step
             store.fold()
-        r = r - alpha * q if hold_q else b - a.apply(store.x)
+        r = r - alpha * q
         if w_is_h:
             z = z - alpha * wq
             rw, rz = _recurrence_norm(r, z, w.apply)
@@ -782,8 +765,7 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
     return store.result(trace)
 
 
-def _recurrence_image(h: PreconditionerHandle, cfg: SolveConfig, w_is_h: bool,
-                      hold_q: bool, hold_wq: bool) -> int | None:
+def _recurrence_image(h: PreconditionerHandle, cfg: SolveConfig, w_is_h: bool) -> int | None:
     """The held image u that implies every source of a _gcr loop, or None
     when the store must keep them.  whp_gcr takes its sources from
     z <- z - alpha W q (u = W q, the last image); with the identity
@@ -791,13 +773,13 @@ def _recurrence_image(h: PreconditionerHandle, cfg: SolveConfig, w_is_h: bool,
     the first).  Only a loop that halts at a breakdown and runs one cycle
     has one recurrence start and no Orthodir recovery source.  A loop with
     a window moves and drops its rows, and one that folds every step
-    turns its sources into p_j in place: both keep their sources, as do a
-    general H and whp_gcr_alt_b, which holds no W q."""
+    turns its sources into p_j in place: both keep their sources, as does
+    a general H."""
     if (cfg.breakdown_policy != "halt" or cfg.restart_period is not None
-            or cfg.truncation_window is not None or cfg.record_iterates or not hold_q):
+            or cfg.truncation_window is not None or cfg.record_iterates):
         return None
     if w_is_h:
-        return -1 if hold_wq else None
+        return -1
     return 0 if h.is_identity else None
 
 
@@ -854,37 +836,6 @@ def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> 
     NotHermitianPreconditionerError unless h is marked SPD.
     """
     return _gcr(system, h, h.as_weight(), cfg, w_is_h=True)
-
-
-def whp_gcr_alt_a(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
-    """The whp_gcr loop storing y = H q beside p, and no q.
-
-    The image q = A z of each new direction is used as computed, without
-    projection, in delta = <y, q>; the residual is formed as r = b - A x,
-    which costs one more A apply per iteration.  z = H r and ||r||_H are
-    kept as in whp_gcr, so H is applied iterations + 2 times.  Iterates
-    coincide with whp_gcr in exact arithmetic, with any window.
-    """
-    return _gcr(system, h, h.as_weight(), cfg, w_is_h=True, held=("wq",))
-
-
-def whp_gcr_alt_b(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> SolveResult:
-    """The whp_gcr loop storing q beside p, and no H q.
-
-    The weighted image t = H(A z) of each new direction is used as
-    computed, without projection: the coefficients are <q_j, t>, and t
-    enters gamma, delta and the update of z = H r.  Iterates coincide
-    with whp_gcr in exact arithmetic, but once the held q_j lose
-    H-orthogonality delta is no longer ||q||_H^2, and the solve can end
-    in a breakdown (a degenerate delta or a drifted z) before it
-    converges.  The unprojected t needs every direction held, so a
-    truncation window or a restart period raises ValueError: under
-    Orthomin(k) and GCR(k) it broke down on the reference problem.
-    """
-    if cfg.restart_period is not None or cfg.truncation_window is not None:
-        raise ValueError("whp_gcr_alt_b runs with full orthogonalization only; "
-                         "whp_gcr takes a truncation window or a restart period")
-    return _gcr(system, h, h.as_weight(), cfg, w_is_h=True, held=("q",))
 
 
 def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator,

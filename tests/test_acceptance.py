@@ -30,8 +30,6 @@ from wpkrylov.solvers import (
     SolveConfig,
     gmres_arnoldi_oracle,
     whp_gcr,
-    whp_gcr_alt_a,
-    whp_gcr_alt_b,
     wp_gcr_left,
     wp_gcr_right,
 )
@@ -39,6 +37,7 @@ from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 
 from conftest import make_pd_system
 from dense_reference import lu_solve
+from whp_alternates_reference import whp_gcr_alt_a, whp_gcr_alt_b
 
 
 def report_line(number, ok, description):

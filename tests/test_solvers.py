@@ -15,8 +15,6 @@ from wpkrylov.solvers import (
     SolveConfig,
     gmres_arnoldi_oracle,
     whp_gcr,
-    whp_gcr_alt_a,
-    whp_gcr_alt_b,
     wp_gcr_left,
     wp_gcr_right,
     _Directions,
@@ -31,6 +29,7 @@ from wpkrylov.weighting import (
 )
 
 from conftest import make_pd_system, make_spd
+from whp_alternates_reference import whp_gcr_alt_a, whp_gcr_alt_b
 
 
 def identity_setup(n=4):
@@ -409,20 +408,12 @@ class TestDirectionStore:
                     assert len(res.trace.iterates) == len(iterates)
                     for got, expected in zip(res.trace.iterates[1:], iterates[1:]):
                         assert_vectors_close(got, expected, 1e-12)
-        # whp_gcr and whp_gcr_alt_a take the steps of GCR with W = H
+        # whp_gcr takes the steps of GCR with W = H
         cfg = SolveConfig(max_iterations=400, rel_tolerance=1e-8)
         reference, iterates = loop_gcr(a, h_dense, h_dense, b, cfg)
-        for solver in (whp_gcr, whp_gcr_alt_a):
-            res = solver(system, h, cfg)
-            assert res.status == "converged" and res.iterations == len(reference) - 1
-            assert_vectors_close(res.x, iterates[-1], 1e-12)
-        # whp_gcr_alt_b breaks down on this draw; its x must still carry the
-        # residual its trace reports last
-        res = whp_gcr_alt_b(system, h, cfg)
-        assert res.iterations > 10
-        r = b - a @ res.x
-        assert np.isclose(np.sqrt(r @ h_dense @ r), res.trace.residual_norm_weighted[-1],
-                          rtol=1e-7, atol=0.0)
+        res = whp_gcr(system, h, cfg)
+        assert res.status == "converged" and res.iterations == len(reference) - 1
+        assert_vectors_close(res.x, iterates[-1], 1e-12)
 
     def test_store_memory_is_bounded(self):
         # a window of 2 moves its rows about 190 times; neither its rows nor
@@ -531,19 +522,15 @@ class TestDirectionStore:
         assert blocks.of(0) == [(0, 0, 4)] * cycles + [(0, 0, res.iterations % 4)]
 
     def test_a_loop_reading_x_folds_every_step(self, monkeypatch):
-        # record_iterates and whp_gcr_alt_a, which forms r = b - A x, form each
-        # p_j against the held p as the step is taken: one read of block 0
-        # (the held rows and the new one) per step after the first, and none
-        # at the end
+        # record_iterates forms each p_j against the held p as the step is
+        # taken: one read of block 0 (the held rows and the new one) per step
+        # after the first, and none at the end
         a, h_dense, b = make_pd_system(8)
-        h, w, cfg = dense_setup(a, h_dense)
-        for solve in (lambda: wp_gcr_right(LinearSystem(a, b), h, w,
-                                           SolveConfig(record_iterates=True)),
-                      lambda: whp_gcr_alt_a(LinearSystem(a, b), h, cfg)):
-            blocks = BlockReads(monkeypatch)
-            res = solve()
-            assert res.status == "converged" and res.iterations > 5
-            assert blocks.of(0) == [(0, 0, j + 1) for j in range(1, res.iterations)]
+        h, w, _ = dense_setup(a, h_dense)
+        blocks = BlockReads(monkeypatch)
+        res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(record_iterates=True))
+        assert res.status == "converged" and res.iterations > 5
+        assert blocks.of(0) == [(0, 0, j + 1) for j in range(1, res.iterations)]
 
     def test_second_pass_is_traced_on_a_near_dependent_image(self, monkeypatch):
         # the shear maps r_1, orthogonal to q_0 = A b, almost onto q_0: the
@@ -718,8 +705,6 @@ class TestSourceBlock:
             "Orthomin(2)": (wp_gcr_right(system, eye_h, eye_w,
                                          SolveConfig(truncation_window=2)), 2, True),
             "MR": (wp_gcr_right(system, eye_h, eye_w, SolveConfig(truncation_window=0)), 2, True),
-            "alt_a": (whp_gcr_alt_a(system, h, cfg), 2, True),
-            "alt_b": (whp_gcr_alt_b(system, h, cfg), 2, True),
             "identity H, record_iterates": (wp_gcr_right(system, eye_h, eye_w, every_step),
                                             2, True),
             "whp_gcr, record_iterates": (whp_gcr(system, h, every_step), 3, True),
@@ -878,8 +863,7 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="initial guess"):
             LinearSystem(np.eye(3), np.ones(3), x0=np.array([0.0, np.inf, 0.0]))
 
-    @pytest.mark.parametrize("solver", [wp_gcr_right, whp_gcr, whp_gcr_alt_a, whp_gcr_alt_b],
-                             ids=lambda solver: solver.__name__)
+    @pytest.mark.parametrize("solver", [wp_gcr_right, whp_gcr], ids=lambda solver: solver.__name__)
     def test_nan_in_operator_raises(self, solver):
         # a NaN in A is not a breakdown: the solve raises, naming the iteration
         a, h_dense, b = make_pd_system(5, n=8)
@@ -950,8 +934,6 @@ ZERO_RHS_SOLVERS = {
     "gcr-restart-5": windowed(restart_period=5),
     "gmres_arnoldi_oracle": gmres_arnoldi_oracle,
     "whp_gcr": lambda s, h, w, cfg: whp_gcr(s, h, cfg),
-    "whp_gcr_alt_a": lambda s, h, w, cfg: whp_gcr_alt_a(s, h, cfg),
-    "whp_gcr_alt_b": lambda s, h, w, cfg: whp_gcr_alt_b(s, h, cfg),
 }
 
 
@@ -1084,20 +1066,6 @@ class TestWhpFamily:
         with pytest.raises(NotHermitianPreconditionerError):
             whp_gcr(LinearSystem(np.eye(3), np.ones(3)), h, SolveConfig())
 
-    @pytest.mark.parametrize("window", [{"truncation_window": 0}, {"truncation_window": 1},
-                                        {"truncation_window": 3}, {"restart_period": 1},
-                                        {"restart_period": 2}], ids=window_id)
-    def test_alt_b_alone_rejects_a_window(self, window):
-        # whp_gcr_alt_b's unprojected H A z needs every direction held;
-        # whp_gcr and whp_gcr_alt_a run any window
-        a, h_dense, b = make_pd_system(3, n=12)
-        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-        cfg = SolveConfig(**window)
-        with pytest.raises(ValueError, match="whp_gcr_alt_b runs with full orthogonalization"):
-            whp_gcr_alt_b(LinearSystem(a, b), h, cfg)
-        for solver in (whp_gcr, whp_gcr_alt_a):
-            assert solver(LinearSystem(a, b), h, cfg).status == "converged"
-
     def test_matches_generic_engine(self):
         a, h_dense, b = make_pd_system(13, n=14)
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
@@ -1109,14 +1077,11 @@ class TestWhpFamily:
         for xg, xs in zip(generic.trace.iterates[:count], special.trace.iterates[:count]):
             assert np.linalg.norm(xg - xs) <= 1e-10 * max(np.linalg.norm(xg), 1e-30)
 
-    @pytest.mark.parametrize("solver", [whp_gcr, whp_gcr_alt_a, whp_gcr_alt_b],
-                             ids=lambda solver: solver.__name__)
-    def test_orthodir_recovery_solves_skew_system(self, solver):
+    def test_orthodir_recovery_solves_skew_system(self):
         # H is applied iterations + 2 times also through the recovery step:
-        # it continues from the H q of the step, held or as computed.  A
-        # solve that took a recovery then applies H once more, for the
-        # H-norm of the formed residual b - A x it checks before it reports
-        # a convergence
+        # it continues from the held H q of the step.  A solve that took a
+        # recovery then applies H once more, for the H-norm of the formed
+        # residual b - A x it checks before it reports a convergence
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         calls = [0]
 
@@ -1126,7 +1091,7 @@ class TestWhpFamily:
 
         h = PreconditionerHandle(2, counted, hermitian_flag=True)
         cfg = SolveConfig(breakdown_policy="restart_orthodir_style")
-        res = solver(LinearSystem(a, np.array([1.0, 0.0])), h, cfg)
+        res = whp_gcr(LinearSystem(a, np.array([1.0, 0.0])), h, cfg)
         assert res.status == "converged"
         assert np.allclose(res.x, [0.0, 1.0])
         assert res.trace.breakdown is not None and res.trace.breakdown.iteration == 0
@@ -1145,6 +1110,7 @@ class TestWhpFamily:
                 assert cur / prev <= 0.7072
 
     def test_alternates_identity_system(self):
+        # whp_gcr and the reference loops of whp_alternates_reference
         h, _, cfg = identity_setup(4)
         b = np.array([1.0, 2.0, 3.0, 4.0])
         for solver in (whp_gcr, whp_gcr_alt_a, whp_gcr_alt_b):
@@ -1200,6 +1166,32 @@ class TestWhpFamily:
         assert len(calls) == 1 and rw == np.sqrt(rz)
         assert not _drifted(IterationTrace(), 8, rz)
 
+    @pytest.mark.parametrize("seed", [167, 318])
+    def test_indefinite_h_drifts_into_a_breakdown(self, seed):
+        # H flagged SPD but indefinite: after the first step <r, z> < 0, and
+        # the loop ends there in a breakdown that records <r, z>, with one
+        # more H apply for ||r||_H.  Without that exit these solves run on
+        # to a degenerate delta at iteration 1 or 2
+        rng = np.random.default_rng(seed)
+        n = 6
+        g = rng.standard_normal((n, n))
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        b = rng.standard_normal(n)
+        a = 3.0 * np.eye(n) + 0.5 * (g - g.T)
+        h_dense = q @ np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -0.3]) @ q.T
+        calls = [0]
+
+        def counted(v):
+            calls[0] += 1
+            return h_dense @ v
+
+        h = PreconditionerHandle(n, counted, hermitian_flag=True)
+        res = whp_gcr(LinearSystem(a, b), h, SolveConfig(rel_tolerance=1e-10))
+        assert res.status == "breakdown"
+        event = res.trace.breakdown
+        assert event.iteration == 0 and event.gamma_value < 0.0
+        assert calls[0] == res.iterations + 3 == 4
+
 class TestMeshProblemRuns:
     def test_whp_matches_generic_on_mesh_problem(self, cdr_assembled):
         from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
@@ -1241,58 +1233,9 @@ class TestMeshProblemRuns:
         for i, value in enumerate(norms):
             assert value / norms[0] <= report.bound1**i * (1.0 + 1e-10)
 
-    def test_alt_b_breakdown_is_not_a_false_convergence(self, cdr_assembled):
-        # at m = 40 whp_gcr_alt_b ends near iteration 15 while
-        # ||b - A x||_H / ||b||_H is still about 8e-5, above the tolerance.
-        # Which of its two breakdowns comes first there, a negative <r, z>
-        # after an update or a degenerate delta before one, turns on
-        # round-off in H; the drift rule itself is tested in
-        # TestWhpFamily.test_drifted_recurrence_is_a_breakdown.
-        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
-
-        assembled = cdr_assembled(40)
-        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
-                               coords=assembled.dof_coords)
-        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
-        b = assembled.rhs
-        cfg = SolveConfig()
-        res = whp_gcr_alt_b(LinearSystem(assembled.operator(), b), precond.as_handle(), cfg)
-        assert res.status == "breakdown"
-        event = res.trace.breakdown
-        assert event is not None
-        # a drift is found after the update of the last iteration, a
-        # degenerate delta before the update of the one after it
-        last = res.iterations - 1 if event.gamma_value < 0.0 else res.iterations
-        assert event.iteration == last
-        r = b - assembled.operator().apply(res.x)
-        true_norm = np.sqrt(r @ precond.apply(r))
-        assert true_norm > cfg.rel_tolerance * np.sqrt(b @ precond.apply(b))
-
-    def test_alt_a_convergence_is_checked_on_the_true_residual(self, cdr_assembled):
-        # at m = 60 and 1e-10 the clamped recurrence for ||r||_H^2 of
-        # whp_gcr_alt_a reads 0 while ||b - A x||_H / ||b||_H is still
-        # about 7e-9; "converged" must hold for the true residual
-        from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
-
-        assembled = cdr_assembled(60)
-        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
-                               coords=assembled.dof_coords)
-        precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
-        b = assembled.rhs
-        cfg = SolveConfig(rel_tolerance=1e-10)
-        res = whp_gcr_alt_a(LinearSystem(assembled.operator(), b), precond.as_handle(), cfg)
-        assert res.status == "converged"
-        r = b - assembled.operator().apply(res.x)
-        true_norm = np.sqrt(r @ precond.apply(r))
-        assert true_norm < cfg.rel_tolerance * np.sqrt(b @ precond.apply(b))
-        assert np.isclose(res.trace.residual_norm_weighted[-1], true_norm, rtol=1e-6)
-
     def test_h_application_counts_with_w_equal_h(self, cdr_assembled):
         # the paper's cost claim: with W = H, whp_gcr applies H once per
         # iteration (plus two), wp_gcr_right three times (H r, W(A z), W r).
-        # whp_gcr_alt_a applies H as whp_gcr does, and A twice per
-        # iteration, since it forms r = b - A x.  whp_gcr_alt_b breaks down
-        # on this problem; its H count is checked on the skew system.
         from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
 
         assembled = cdr_assembled(40)
@@ -1322,9 +1265,6 @@ class TestMeshProblemRuns:
 
         k = run(whp_gcr, h)
         assert calls == {"h": k + 2, "a": k + 1}
-
-        assert run(whp_gcr_alt_a, h) == k
-        assert calls == {"h": k + 2, "a": 2 * k + 1}
 
         assert run(wp_gcr_right, h, w) == k
         assert calls == {"h": 3 * k + 2, "a": k + 1}
