@@ -17,13 +17,13 @@ in the same inner product serves as an independent reference
 implementation.
 
 Every GCR loop keeps its directions in one blocked store: the images
-held for each direction, and its source z_j (H r, or the Orthodir
-recovery vector) where the images do not determine it, are rows of
-preallocated row-major (capacity, n) blocks.  A projection against the
-held directions walks them in panels of about 1.25 MiB of held images:
-one matrix-vector product for the panel's coefficients, then one per
-held image for its update while the panel is still in the L2 cache.  A
-new record is written once, straight into its row, and projected there.
+held for each direction, and its source z_j = H r where the images do
+not determine it, are rows of preallocated row-major (capacity, n)
+blocks.  A projection against the held directions walks them in panels
+of about 1.25 MiB of held images: one matrix-vector product for the
+panel's coefficients, then one per held image for its update while the
+panel is still in the L2 cache.  A new record is written once, straight
+into its row, and projected there.
 Only the images are projected.
 Neither p_j = z_j - sum_i beta_ji p_i nor x is updated per step: the
 store keeps each step's coefficients as a row of a unit lower-triangular
@@ -31,15 +31,15 @@ L, with Z = L P, and its step length alpha_j, and a fold forms
 x = x_0 + P^T alpha = x_0 + Z^T L^-T alpha in one pass over the sources
 (the simpler-GMRES form of Walker & Zhou, Numer. Linear Algebra Appl.
 1994; Jiranek, Rozloznik & Gutknecht, SIAM J. Matrix Anal. Appl. 2008,
-compare its attainable accuracy with GCR's).  In whp_gcr and in full
-GCR with the identity preconditioner (right or left form), when the
-loop halts at a breakdown (no Orthodir recovery), each source is the
-vector the loop updates by z <- z - alpha u over a held image u (W q,
-or q with z = r): there the store keeps no sources, only the first and
-the last, and the fold is one pass over u.  So per direction whp_gcr
-holds 2 vectors (q, W q), identity-preconditioned full GCR 1 (q) with
-the Euclidean weight and 2 (q, W q) with another, and every other loop
-also the source: 3 (z, q, W q), or 2 (z, q) with the Euclidean weight.
+compare its attainable accuracy with GCR's).  In whp_gcr and in full GCR
+with the identity preconditioner (right or left form), each source is
+the vector the loop updates by z <- z - alpha u over a held image u
+(W q, or q with z = r): there the store keeps no sources, only the
+first and the last, and the fold is one pass over u.  So per direction
+whp_gcr holds 2 vectors (q, W q), identity-preconditioned full GCR 1
+(q) with the Euclidean weight and 2 (q, W q) with another, and every
+other loop also the source: 3 (z, q, W q), or 2 (z, q) with the
+Euclidean weight.
 The loop folds at return and at the end of a GCR(k) cycle.  A loop
 that reads x at every step (record_iterates) folds at every step, and
 Orthomin(k) before it moves its rows; that fold forms p_j against the
@@ -60,7 +60,9 @@ cancellation fetches each held image row from memory once, the rows of
 the coefficient block once more from cache (twice from memory where the
 rows are too long for panels); p and x are formed once, at a fold.
 
-Every GCR loop applies one breakdown rule (_degenerate); non-finite data
+Every GCR loop applies one breakdown rule (_degenerate), and a breakdown
+ends the solve with status "breakdown"; gmres_arnoldi_oracle, which does
+not break down where GCR does, solves such systems.  Non-finite data
 raises FloatingPointError.  A loop that reads ||r||_H = sqrt(<r, z>) from
 a z kept by recurrence ends in a breakdown once <r, z> < 0 shows that z
 has drifted from H r, unless ||r||_H, then formed with H, meets the target.
@@ -174,7 +176,6 @@ class SolveConfig:
     restart_period: int | None = None
     truncation_window: int | None = None
     stopping_norm: str = "weighted"
-    breakdown_policy: str = "halt"
     record_iterates: bool = False
 
     def __post_init__(self):
@@ -195,13 +196,11 @@ class SolveConfig:
             raise ValueError("rel_tolerance must be positive and finite")
         if self.stopping_norm not in ("weighted", "euclidean"):
             raise ValueError(f"unknown stopping norm {self.stopping_norm!r}")
-        if self.breakdown_policy not in ("halt", "restart_orthodir_style"):
-            raise ValueError(f"unknown breakdown policy {self.breakdown_policy!r}")
 
 
 @dataclass
 class BreakdownEvent:
-    """The first breakdown of a solve and the value that failed its test:
+    """The breakdown that ended a solve and the value that failed its test:
     gamma = <q, r>_W (0 for a degenerate direction), or a negative <r, z>
     where z, kept by recurrence, has drifted from H r."""
 
@@ -289,18 +288,18 @@ class _Directions:
     """The held search directions of a GCR loop, and the iterate they build.
 
     ``rows`` has shape (capacity, kinds, n).  Row j is the record of one
-    direction: its source z_j (the vector it was built from: H r, or the
-    Orthodir recovery vector) when the store keeps sources, then the
-    images the solver keeps beside it (q_j = A p_j, its weighted image, or
-    both).  ``rows[:, i]`` is the (capacity, n) block of kind i, row-major
-    with a row stride of kinds * n, which BLAS takes as it is.  Keeping a
-    record contiguous means a solve touches one growing prefix of the
-    array, not one per kind, so transparent huge pages round up one region
-    only.  The projection coefficients are taken against the last block,
-    and the first image block is what SolveResult reports as
-    q_directions.  Rows lo:hi are held, oldest first; every read of a
-    block goes through ``block``, whose kind counts the source block;
-    ``held`` and ``last`` count the images only.
+    direction: its source z_j (the vector it was built from, H r) when
+    the store keeps sources, then the images the solver keeps beside it
+    (q_j = A p_j, its weighted image, or both).  ``rows[:, i]`` is the
+    (capacity, n) block of kind i, row-major with a row stride of
+    kinds * n, which BLAS takes as it is.  Keeping a record contiguous
+    means a solve touches one growing prefix of the array, not one per
+    kind, so transparent huge pages round up one region only.  The
+    projection coefficients are taken against the last block, and the
+    first image block is what SolveResult reports as q_directions.  Rows
+    lo:hi are held, oldest first; every read of a block goes through
+    ``block``, whose kind counts the source block; ``held`` counts the
+    images only.
 
     A loop whose sources follow from its held images keeps no source
     block (``recurrence`` names the image u that implies them; the
@@ -386,9 +385,6 @@ class _Directions:
     def held(self, image: int) -> np.ndarray:
         """The (held, n) rows of one image block (0 the first, -1 the last)."""
         return self.block(image if image < 0 else self.first + image, self.lo, self.hi)
-
-    def last(self, image: int) -> np.ndarray:
-        return self.held(image)[-1]
 
     def record(self, source: np.ndarray) -> np.ndarray:
         """The (images, n) row the next record's images are written and built
@@ -600,7 +596,7 @@ def _start(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, rw: float, r2
 def _record(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, alpha: float,
             gamma: float, delta: float, beta: np.ndarray, phi: np.ndarray, rw: float,
             r2: float, az_norm: float):
-    """Append one iteration (a step, or alpha = 0 after a breakdown) to the trace."""
+    """Append one iteration's step to the trace."""
     trace.alpha.append(alpha)
     trace.gamma.append(gamma)
     trace.delta.append(delta)
@@ -611,17 +607,6 @@ def _record(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, alpha: float
     trace.residual_norm_euclidean.append(r2)
     if cfg.record_iterates:
         trace.iterates.append(x.copy())
-
-
-def _breakdown(trace: IterationTrace, cfg: SolveConfig, iteration: int, gamma: float,
-               degenerate: bool, store: _Directions) -> bool:
-    """Record a breakdown; True when the solve must halt on it."""
-    if trace.breakdown is None:
-        trace.breakdown = BreakdownEvent(iteration=iteration, gamma_value=gamma)
-    if cfg.breakdown_policy == "halt" or (degenerate and not store):
-        trace.status = "breakdown"
-        return True
-    return False
 
 
 def _degenerate(delta: float, az_norm: float, iteration: int) -> bool:
@@ -643,7 +628,7 @@ def _recurrence_norm(r: np.ndarray, z: np.ndarray, apply_h) -> tuple[float, floa
 def _drifted(trace: IterationTrace, iteration: int, rz: float) -> bool:
     """True, with the solve ended in a breakdown, when <r, z> < 0."""
     if rz < 0.0:
-        trace.breakdown = trace.breakdown or BreakdownEvent(iteration, rz)
+        trace.breakdown = BreakdownEvent(iteration, rz)
         trace.status = "breakdown"
     return rz < 0.0
 
@@ -660,14 +645,10 @@ def wp_gcr_right(system: LinearSystem, h: PreconditionerHandle, w: WeightOperato
     ||r_i||_W is then minimal over x0 + span of the directions taken.
 
     An iteration with <q, r>_W = 0 but a nonzero residual cannot make
-    progress (an unlucky breakdown).  Depending on
-    cfg.breakdown_policy the solve either halts with status "breakdown"
-    or keeps the direction set and continues with one replacement
-    direction built Orthodir-style from H applied to the image of the
-    last direction.  After a recovery the recurrence residual can part
-    from b - A x, so such a solve reports "converged" only when the
-    formed residual meets the target too, and ends in "breakdown"
-    otherwise.  Non-finite data raises FloatingPointError.
+    progress (an unlucky breakdown, possible where 0 lies in the numerical
+    range of A H in <.,.>_W): the solve then ends with status "breakdown"
+    and its BreakdownEvent, with x built from the steps taken.
+    gmres_arnoldi_oracle does not break down there.  Non-finite data raises FloatingPointError.
     """
     return _gcr(system, h, w, cfg)
 
@@ -680,8 +661,7 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
 
     The direction store keeps q and W q beside each direction, and the
     sources too unless _recurrence_image finds that the held images imply
-    them.  The Orthodir recovery source of whp_gcr is W q, that of the
-    last held direction after a degenerate one.
+    them.
     """
     a = system.operator
     b = system.rhs
@@ -724,18 +704,9 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
         degenerate = _degenerate(delta, az_norm, i)
         gamma = float(wq @ r) if not degenerate else 0.0
         if degenerate or abs(gamma) <= BREAKDOWN_RTOL * np.sqrt(max(delta, 0.0)) * rw:
-            if _breakdown(trace, cfg, i, gamma, degenerate, store):
-                return store.result(trace)
-            # Orthodir-style recovery: keep the direction when it is usable,
-            # derive the next one from H times the image of the last direction
-            _record(trace, cfg, store.x, 0.0, gamma, delta, beta, phi, rw, r2, az_norm)
-            if not degenerate:
-                store.append(delta, 0.0, beta)
-                v = wq if w_is_h else h.apply(q)
-            else:
-                v = store.last(-1) if w_is_h else h.apply(store.last(0))
-            store.end_iteration(i + 1, trace)
-            continue
+            trace.breakdown = BreakdownEvent(iteration=i, gamma_value=gamma)
+            trace.status = "breakdown"
+            return store.result(trace)
 
         alpha = gamma / delta
         store.append(delta, alpha, beta)
@@ -750,12 +721,8 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
             rw, r2 = _norms(w, r)
         _record(trace, cfg, store.x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
         if stop.done(rw, r2):
-            result = store.result(trace)
-            # after an Orthodir recovery the recurrence residual can part
-            # from b - A x: only the formed one may report a convergence
-            solved = trace.breakdown is None or stop.done(*_norms(w, b - a.apply(result.x)))
-            trace.status = "converged" if solved else "breakdown"
-            return result
+            trace.status = "converged"
+            return store.result(trace)
         if w_is_h and _drifted(trace, i, rz):
             return store.result(trace)
         store.end_iteration(i + 1, trace)
@@ -770,13 +737,12 @@ def _recurrence_image(h: PreconditionerHandle, cfg: SolveConfig, w_is_h: bool) -
     when the store must keep them.  whp_gcr takes its sources from
     z <- z - alpha W q (u = W q, the last image); with the identity
     preconditioner the source H r is r itself, r <- r - alpha q (u = q,
-    the first).  Only a loop that halts at a breakdown and runs one cycle
-    has one recurrence start and no Orthodir recovery source.  A loop with
-    a window moves and drops its rows, and one that folds every step
-    turns its sources into p_j in place: both keep their sources, as does
-    a general H."""
-    if (cfg.breakdown_policy != "halt" or cfg.restart_period is not None
-            or cfg.truncation_window is not None or cfg.record_iterates):
+    the first).  Only a loop that runs one cycle has one recurrence start.
+    A loop with a window moves and drops its rows, and one that folds
+    every step turns its sources into p_j in place: both keep their
+    sources, as does a general H."""
+    if (cfg.restart_period is not None or cfg.truncation_window is not None
+            or cfg.record_iterates):
         return None
     if w_is_h:
         return -1
@@ -801,9 +767,9 @@ def wp_gcr_left(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator
     against the corresponding norm of H b.
 
     This is wp_gcr_right on the system (H A) x = H b with the identity
-    preconditioner, so its Orthodir recovery continues from the
-    orthogonalized image H A p.  H is applied twice and A once before
-    the loop, and each once per iteration; q_directions holds H A p_j.
+    preconditioner, and it breaks down where the numerical range of H A
+    holds 0.  H is applied twice and A once before the loop, and each
+    once per iteration; q_directions holds H A p_j.
 
     W = H is not the paper's pairing for this form.  The numerical range
     of H A in the H inner product is that of sym(H H A) against H, and it
@@ -828,11 +794,10 @@ def whp_gcr(system: LinearSystem, h: PreconditionerHandle, cfg: SolveConfig) -> 
     is kept by the same recurrence as r, z <- z - alpha H q, with H q
     stored beside each direction, and gives ||r||_H = sqrt(<r, z>).  H is
     applied iterations + 2 times in all (twice before the loop, for
-    ||b||_H and H r_0), once more only when z has drifted so far from H r
-    that <r, z> < 0, and once more when a solve that took an Orthodir
-    recovery meets the target, for ||b - A x||_H.  A truncation window or
-    a restart period in cfg runs the same loop, still with one H apply per
-    iteration, holding the sources as wp_gcr_right does with that window.
+    ||b||_H and H r_0), and once more only when z has drifted so far from
+    H r that <r, z> < 0.  A truncation window or a restart period in cfg
+    runs the same loop, still with one H apply per iteration, holding the
+    sources as wp_gcr_right does with that window.
     NotHermitianPreconditionerError unless h is marked SPD.
     """
     return _gcr(system, h, h.as_weight(), cfg, w_is_h=True)

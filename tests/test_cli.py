@@ -66,6 +66,16 @@ def test_solve_skew_breakdown_exit_code(skew_files, capsys):
     assert "breakdown" in capsys.readouterr().out
 
 
+def test_solve_skew_with_gmres_oracle_converges(skew_files, capsys):
+    # the route for a system that GCR halts on: Arnoldi GMRES does not break
+    # down where 0 is in the numerical range
+    mtx, rhs = skew_files
+    code = main(["solve", "--matrix", mtx, "--rhs", rhs, "--precond", "identity",
+                 "--weight", "identity", "--solver", "gmres-oracle"])
+    assert code == 0
+    assert "status=converged iterations=2" in capsys.readouterr().out
+
+
 def test_non_finite_rhs_is_usage_error(tmp_path, capsys):
     mtx = tmp_path / "a.mtx"
     rhs = tmp_path / "b.txt"

@@ -109,13 +109,13 @@ def assert_directions_map_to_images(a, res):
 
 @EXAMPLES
 @given(systems)
-def test_directions_and_x_under_the_recovery_policy(system):
-    # an Orthodir recovery source is no recurrence over the held images:
-    # whp_gcr and identity-H GCR keep their sources under this policy
+def test_directions_and_x_of_the_recurrence_loops(system):
+    # whp_gcr and identity-H GCR keep no sources: p_directions replays them
+    # by the recurrence over the held images, and x is folded from them
     a, h_dense, b = system
     h, w = handles(h_dense)
     n = len(b)
-    cfg = SolveConfig(rel_tolerance=1e-8, breakdown_policy="restart_orthodir_style")
+    cfg = SolveConfig(rel_tolerance=1e-8)
     generic = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
     special = whp_gcr(LinearSystem(a, b), h, cfg)
     identity = wp_gcr_right(LinearSystem(a, b), PreconditionerHandle.identity(n),
@@ -123,6 +123,7 @@ def test_directions_and_x_under_the_recovery_policy(system):
     assert generic.status == special.status == identity.status == "converged"
     assert np.linalg.norm(special.x - generic.x) <= 1e-12 * np.linalg.norm(generic.x)
     for res in (special, identity):
+        assert res._store.recurrence is not None
         assert_directions_map_to_images(a, res)
 
 

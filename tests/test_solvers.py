@@ -92,28 +92,6 @@ class TestRightGcr:
         assert res.trace.breakdown is not None
         assert res.trace.breakdown.iteration == 0
 
-    def test_orthodir_recovery_solves_skew_system(self):
-        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        h = PreconditionerHandle.identity(2)
-        w = WeightOperator.identity(2)
-        cfg = SolveConfig(breakdown_policy="restart_orthodir_style")
-        res = wp_gcr_right(LinearSystem(a, np.array([1.0, 0.0])), h, w, cfg)
-        assert res.status == "converged"
-        assert np.allclose(res.x, [0.0, 1.0])
-        assert res.trace.breakdown is not None
-
-    def test_orthodir_recovery_under_truncation_and_restart(self):
-        # window trimming must not lose the recovery source direction
-        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        h = PreconditionerHandle.identity(2)
-        w = WeightOperator.identity(2)
-        for overrides in ({}, {"truncation_window": 0}, {"truncation_window": 1},
-                          {"restart_period": 1}):
-            cfg = SolveConfig(breakdown_policy="restart_orthodir_style", **overrides)
-            res = wp_gcr_right(LinearSystem(a, np.array([1.0, 0.0])), h, w, cfg)
-            assert res.status == "converged", overrides
-            assert np.allclose(res.x, [0.0, 1.0])
-
     def test_matches_explicit_krylov_least_squares(self):
         rng = np.random.default_rng(101)
         n = 8
@@ -342,19 +320,22 @@ class TestDirectionStore:
         assert res.status == "converged" and res.iterations > 5
         assert 1 <= len(res.p_directions) == len(res.q_directions) <= 5
 
-    def test_restart_clears_on_schedule_after_degenerate_recovery(self):
-        # singular A: iteration 7 has a vanishing projected image at a cycle
-        # end; the cycle must still end there and hold at most two directions
+    def test_restart_clears_on_schedule_until_a_degenerate_breakdown(self):
+        # singular A: iteration 7 has a vanishing projected image, in the
+        # second row of its cycle.  The cycles before it end on schedule,
+        # and the halted solve holds at most one cycle and folds the steps
+        # of the cycle it stopped in into x
         a = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
                       [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
         b = np.array([-1.0, -1.0, 0.0, 1.0])
         h, w, _ = identity_setup(4)
-        cfg = SolveConfig(breakdown_policy="restart_orthodir_style", restart_period=2,
-                          max_iterations=12)
+        cfg = SolveConfig(restart_period=2, max_iterations=12)
         res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
-        assert res.trace.breakdown is not None
-        assert res.trace.restart_markers == [2, 4, 6, 8, 10, 12]
+        assert res.status == "breakdown" and res.trace.breakdown.iteration == 7
+        assert res.trace.restart_markers == [2, 4, 6]
         assert len(res.q_directions) <= 2
+        residual = np.linalg.norm(b - a @ res.x)
+        assert abs(residual - res.trace.residual_norm_euclidean[-1]) <= 1e-12 * residual
 
     def test_full_gcr_holds_every_direction(self):
         a, h_dense, b = make_pd_system(8)
@@ -666,8 +647,8 @@ def assert_traces_equal(trace, other):
 
 def skew_system(seed, half=8):
     """A random nonsingular skew-symmetric A of even order below 2 * half,
-    an SPD H and b: <A r, r> = 0, so every other step of GCR is an
-    Orthodir recovery."""
+    an SPD H and b: <A z, z> = 0 for every z, so GCR with W = H, or with
+    the identity as both H and W, breaks down at its first step."""
     rng = np.random.default_rng(seed)
     n = 2 * int(rng.integers(1, half))
     g = rng.standard_normal((n, n))
@@ -676,9 +657,9 @@ def skew_system(seed, half=8):
 
 
 class TestSourceBlock:
-    """whp_gcr and full GCR with the identity preconditioner, halting at a
-    breakdown, take each source from a recurrence over the held images;
-    the store keeps no source block for them."""
+    """whp_gcr and full GCR with the identity preconditioner take each
+    source from a recurrence over the held images; the store keeps no
+    source block for them."""
 
     def test_source_block_only_where_the_images_do_not_imply_it(self):
         a, h_dense, b = make_pd_system(8)
@@ -687,7 +668,6 @@ class TestSourceBlock:
         h, w, cfg = dense_setup(a, h_dense)
         eye_h, eye_w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
         every_step = SolveConfig(record_iterates=True)
-        recover = SolveConfig(breakdown_policy="restart_orthodir_style")
         gcr3 = SolveConfig(restart_period=3)
         # result, held vectors per row, whether one of them is the source
         cases = {
@@ -697,8 +677,6 @@ class TestSourceBlock:
             "left": (wp_gcr_left(system, h, eye_w, cfg), 1, False),
             "left, W = H": (wp_gcr_left(system, h, w, cfg), 2, False),
             "identity H, GCR(3)": (wp_gcr_right(system, eye_h, eye_w, gcr3), 2, True),
-            "identity H, recovery": (wp_gcr_right(system, eye_h, eye_w, recover), 2, True),
-            "whp_gcr, recovery": (whp_gcr(system, h, recover), 3, True),
             "general H": (wp_gcr_right(system, h, w, cfg), 3, True),
             "general H, Euclidean W": (wp_gcr_right(system, h, eye_w, cfg), 2, True),
             "general H, GCR(3)": (wp_gcr_right(system, h, w, gcr3), 3, True),
@@ -772,27 +750,6 @@ class TestSourceBlock:
         assert residual <= 1.2 * kept_residual <= 2e-13 * np.linalg.norm(b)
         assert_vectors_close(res.x, kept.x, 1e-14)
 
-    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_recovery_rows_give_directions_and_x(self, seed):
-        # every other step of these solves is an Orthodir recovery, whose
-        # source is the image of the direction before it: the store keeps
-        # the sources, and p_directions and x come out of them
-        a, h_dense, b = skew_system(seed)
-        n = len(b)
-        system = LinearSystem(a, b)
-        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-        cfg = SolveConfig(breakdown_policy="restart_orthodir_style", rel_tolerance=1e-10)
-        generic = wp_gcr_right(system, h, WeightOperator.from_dense(h_dense), cfg)
-        for res in (whp_gcr(system, h, cfg), wp_gcr_right(
-                system, PreconditionerHandle.identity(n), WeightOperator.identity(n), cfg)):
-            assert res.status == "converged" and res._store.recurrence is None
-            assert res.trace.alpha.count(0.0) == n // 2
-            assert len(res.p_directions) == len(res.q_directions) == res.iterations
-            for p, q in zip(res.p_directions, res.q_directions):
-                assert_vectors_close(a @ p, q, 1e-12)
-            assert_vectors_close(a @ res.x, b, 1e-9)
-        assert_vectors_close(res.x, generic.x, 1e-12)
-
     def test_store_allocates_the_held_vectors_per_row(self, cdr_assembled):
         # tracemalloc sees numpy's allocations, so the peak is exact: the
         # store's rows dominate it at this capacity, one n-vector per row
@@ -821,37 +778,42 @@ class TestSourceBlock:
             assert vectors * row <= peak < (vectors + 0.5) * row
 
 
-class TestRecoveryPolicy:
-    @pytest.mark.parametrize("setup", ["identity H", "W = H", "whp_gcr"])
-    def test_recovered_convergence_is_checked_on_the_formed_residual(self, setup):
-        # with Orthodir recoveries the recurrence residual can part from
-        # b - A x: identity-H GCR reported "converged" on seeds 84, 204 and
-        # 364 with ||b - A x|| about ||b||.  A reported convergence must
-        # hold for the formed residual; a miss is a breakdown that keeps
-        # its event
-        cfg = SolveConfig(breakdown_policy="restart_orthodir_style", rel_tolerance=1e-8)
-        statuses = []
+class TestSkewSystems:
+    """A skew-symmetric A, where GCR breaks down and GMRES does not."""
+
+    CFG = SolveConfig(rel_tolerance=1e-8)
+
+    @staticmethod
+    def draw(seed, setup):
+        """The system and the (h, w) of one setup on the seed's draw."""
+        a, h_dense, b = skew_system(seed, half=13)
+        n = len(b)
+        if setup == "identity":
+            return a, b, PreconditionerHandle.identity(n), WeightOperator.identity(n)
+        return (a, b, PreconditionerHandle.from_dense(h_dense, hermitian_flag=True),
+                WeightOperator.from_dense(h_dense))
+
+    @pytest.mark.parametrize("setup", ["identity", "w_equal_h", "whp_gcr"])
+    def test_gcr_ends_in_a_breakdown(self, setup):
+        # <q, r>_W = <A z, z> = 0 at the first step: no step is taken
         for seed in range(400):
-            a, h_dense, b = skew_system(seed, half=13)
-            n = len(b)
+            a, b, h, w = self.draw(seed, setup)
             system = LinearSystem(a, b)
-            h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-            if setup == "identity H":
-                h_dense = np.eye(n)
-                res = wp_gcr_right(system, PreconditionerHandle.identity(n),
-                                   WeightOperator.identity(n), cfg)
-            elif setup == "W = H":
-                res = wp_gcr_right(system, h, WeightOperator.from_dense(h_dense), cfg)
+            if setup == "whp_gcr":
+                res = whp_gcr(system, h, self.CFG)
             else:
-                res = whp_gcr(system, h, cfg)
-            assert res.status in ("converged", "breakdown") and res.trace.breakdown is not None
-            r = b - a @ res.x
-            if res.status == "converged":
-                assert np.sqrt(r @ h_dense @ r) < cfg.rel_tolerance * np.sqrt(b @ h_dense @ b)
-            statuses.append(res.status)
-        assert 390 <= statuses.count("converged") < 400
-        if setup == "identity H":
-            assert [statuses[seed] for seed in (84, 204, 364)] == ["breakdown"] * 3
+                res = wp_gcr_right(system, h, w, self.CFG)
+            assert res.status == "breakdown", seed
+            assert res.trace.breakdown is not None and res.trace.breakdown.iteration == 0
+            assert res.iterations == 0 and np.array_equal(res.x, np.zeros(len(b)))
+
+    @pytest.mark.parametrize("setup", ["identity", "w_equal_h"])
+    def test_gmres_oracle_converges(self, setup):
+        for seed in range(400):
+            a, b, h, w = self.draw(seed, setup)
+            res = gmres_arnoldi_oracle(LinearSystem(a, b), h, w, self.CFG)
+            assert res.status == "converged" and res.trace.breakdown is None, seed
+            assert np.linalg.norm(b - a @ res.x) <= self.CFG.rel_tolerance * np.linalg.norm(b)
 
 
 class TestNonFiniteInput:
@@ -1076,26 +1038,6 @@ class TestWhpFamily:
         count = min(len(generic.trace.iterates), len(special.trace.iterates))
         for xg, xs in zip(generic.trace.iterates[:count], special.trace.iterates[:count]):
             assert np.linalg.norm(xg - xs) <= 1e-10 * max(np.linalg.norm(xg), 1e-30)
-
-    def test_orthodir_recovery_solves_skew_system(self):
-        # H is applied iterations + 2 times also through the recovery step:
-        # it continues from the held H q of the step.  A solve that took a
-        # recovery then applies H once more, for the H-norm of the formed
-        # residual b - A x it checks before it reports a convergence
-        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        calls = [0]
-
-        def counted(v):
-            calls[0] += 1
-            return np.array(v, dtype=float)
-
-        h = PreconditionerHandle(2, counted, hermitian_flag=True)
-        cfg = SolveConfig(breakdown_policy="restart_orthodir_style")
-        res = whp_gcr(LinearSystem(a, np.array([1.0, 0.0])), h, cfg)
-        assert res.status == "converged"
-        assert np.allclose(res.x, [0.0, 1.0])
-        assert res.trace.breakdown is not None and res.trace.breakdown.iteration == 0
-        assert calls[0] == res.iterations + 3 == 5
 
     def test_two_by_two_step_ratio(self):
         # unit symmetric part plus unit-strength skew part: the per-step
