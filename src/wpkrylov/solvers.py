@@ -40,11 +40,9 @@ whp_gcr holds 2 vectors (q, W q), identity-preconditioned full GCR 1
 (q) with the Euclidean weight and 2 (q, W q) with another, and every
 other loop also the source: 3 (z, q, W q), or 2 (z, q) with the
 Euclidean weight.
-The loop folds at return and at the end of a GCR(k) cycle.  A loop
-that reads x at every step (record_iterates) folds at every step, and
-Orthomin(k) before it moves its rows; that fold forms p_j against the
-held p as the step is taken.  p_directions is formed from the sources
-when first read.
+The loop folds at return and at the end of a GCR(k) cycle, and
+Orthomin(k) also before it moves its rows; that fold forms p_j against
+the held p.
 
 The GCR loop orthogonalizes by classical Gram-Schmidt with the "twice is
 enough" norm test: a second pass runs only when the first one cancelled
@@ -61,8 +59,9 @@ the coefficient block once more from cache (twice from memory where the
 rows are too long for panels); p and x are formed once, at a fold.
 
 Every GCR loop applies one breakdown rule (_degenerate), and a breakdown
-ends the solve with status "breakdown"; gmres_arnoldi_oracle, which does
-not break down where GCR does, solves such systems.  Non-finite data
+ends the solve with status "breakdown".  gmres_arnoldi_oracle does not
+break down where GCR does: it ends in a breakdown only where its Krylov
+space holds no solution, where A H is singular on it.  Non-finite data
 raises FloatingPointError.  A loop that reads ||r||_H = sqrt(<r, z>) from
 a z kept by recurrence ends in a breakdown once <r, z> < 0 shows that z
 has drifted from H r, unless ||r||_H, then formed with H, meets the target.
@@ -119,8 +118,8 @@ _REORTH_ETA = 0.5
 _PANEL_BYTES = 1280 << 10
 _PANEL_MIN_ROWS = 8
 
-# columns per forward-substitution chunk when p_directions is formed from
-# the held sources: a (held, chunk) slab is copied, never (held, n)
+# columns per forward-substitution chunk when Orthomin(k)'s fold turns its
+# held sources into p_j: a (held, chunk) slab is read, never (held, n)
 _FORWARD_CHUNK = 1024
 
 
@@ -176,7 +175,6 @@ class SolveConfig:
     restart_period: int | None = None
     truncation_window: int | None = None
     stopping_norm: str = "weighted"
-    record_iterates: bool = False
 
     def __post_init__(self):
         if self.restart_period is not None and self.truncation_window is not None:
@@ -202,7 +200,8 @@ class SolveConfig:
 class BreakdownEvent:
     """The breakdown that ended a solve and the value that failed its test:
     gamma = <q, r>_W (0 for a degenerate direction), or a negative <r, z>
-    where z, kept by recurrence, has drifted from H r."""
+    where z, kept by recurrence, has drifted from H r; for
+    gmres_arnoldi_oracle, the Givens diagonal of the step."""
 
     iteration: int
     gamma_value: float
@@ -232,7 +231,6 @@ class IterationTrace:
     az_norm_weighted: list = field(default_factory=list)
     reorthogonalized: list = field(default_factory=list)
     restart_markers: list = field(default_factory=list)
-    iterates: list = field(default_factory=list)
     breakdown: BreakdownEvent | None = None
     status: str = "max_iter"
 
@@ -241,30 +239,23 @@ class IterationTrace:
 class SolveResult:
     """Outcome of a solve.
 
-    p_directions/q_directions are the directions the solver held when it
-    stopped, oldest first, as row views of its direction store:
-    every direction for full GCR and the whp family, at most the last k
-    for Orthomin(k) and at most the current cycle for GCR(k), none for
-    the minimal-residual iteration.  q_directions holds the images A p_j
-    (H A p_j for the left form).  The loop does not form p_j (see
-    _Directions): p_directions forms them on first read, in place where
-    the store holds the sources, else in a (held, n) array it allocates
-    then, which the replayed sources fill first.
+    q_directions are the images A p_j (H A p_j for the left form) of the
+    directions the solver held when it stopped, oldest first, as row
+    views of its direction store: every direction for full GCR and the
+    whp family, at most the last k for Orthomin(k) and at most the
+    current cycle for GCR(k), none for the minimal-residual iteration.
+    The directions p_j themselves are not an output: the loop forms them
+    only inside a fold, if at all (see _Directions).
     """
 
     x: np.ndarray
     trace: IterationTrace
     iterations: int
     q_directions: list = field(default_factory=list)
-    _store: _Directions | None = field(default=None, repr=False, compare=False)
 
     @property
     def status(self) -> str:
         return self.trace.status
-
-    @property
-    def p_directions(self) -> list:
-        return [] if self._store is None else self._store.directions()
 
 
 class _Stopping:
@@ -307,9 +298,7 @@ class _Directions:
     one vector it updates by a recurrence over the held images, z <- z -
     alpha_j u_j: whp_gcr keeps z = H r that way with u = W q, and a loop
     with the identity preconditioner takes r itself, r <- r - alpha_j q_j.
-    So the store keeps two of them: the first, ``start``, from which
-    p_directions replays the others with the loop's own arithmetic, into
-    the same bits (_sources), and the last it recorded, ``end``, from
+    So the store keeps one of them, the last it recorded, ``end``, from
     which the fold writes them out (_fold_images).
 
     Only the images are projected.  The direction p_j = z_j - sum_i
@@ -322,14 +311,10 @@ class _Directions:
     with L^T y = alpha (the x = x_0 + Z U^-1 alpha form of Walker & Zhou's
     simpler GMRES, Numer. Linear Algebra Appl. 1994), and without a
     source block one pass over u with the z_j written out (_fold_images).
-    Otherwise it turns the unfolded sources into p_j, one row at a time
-    as the unfolded loop did, and adds alpha_j p_j: a loop that reads x
-    every step folds every step, and Orthomin(k) folds before it moves
-    its rows; these keep their sources.  Rows 0:folded hold p_j and have
-    their step in x, the others hold z_j; the one-pass fold leaves folded
-    as it is.  SolveResult.p_directions forms p_j on first read: in place
-    over a source block, else in a new (held, n) array that the
-    recurrence first fills with the sources.
+    Orthomin(k) folds before it moves its rows, and keeps its sources:
+    that fold turns the unfolded sources into p_j, one row at a time, and
+    adds alpha_j p_j.  Rows 0:folded hold p_j and have their step in x,
+    the others hold z_j; the one-pass fold leaves folded as it is.
 
     Full GCR holds every direction.  Orthomin(k) holds the last k in 2k
     rows and, when a new record finds them full, first moves the newest k
@@ -372,8 +357,7 @@ class _Directions:
         self.alpha = np.empty(capacity)
         self.coefficients = np.zeros((min(capacity, 64),) * 2)
         self.lo = self.hi = self.folded = 0
-        if recurrence is not None:
-            self.start = self.end = self.p = None
+        self.end = None  # (row, source) of the last record, without a source block
 
     def __len__(self) -> int:
         return self.hi - self.lo
@@ -389,18 +373,14 @@ class _Directions:
     def record(self, source: np.ndarray) -> np.ndarray:
         """The (images, n) row the next record's images are written and built
         in.  source is its z; without a source block the store keeps the
-        first one, which the recurrence starts from, and the last one, with
-        its row."""
+        last one, with its row: a vector the loop made, which nothing
+        writes into."""
         if self.hi == len(self.rows):  # only a truncation window fills its rows
             self._compact()
         if self.recurrence is None:
             self.rows[self.hi, 0] = source
         else:
-            if self.hi == 0:
-                self.start = np.array(source)
-            # a later source is a vector the recurrence made, and nothing
-            # writes into it
-            self.end = (self.hi, source if self.hi else self.start)
+            self.end = (self.hi, source)
         return self.rows[self.hi, self.first:]
 
     def project(self, u: np.ndarray, record: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -480,19 +460,21 @@ class _Directions:
         self.folded = keep
 
     def fold(self):
-        """Turn each unfolded source into p_j (_forward) and add alpha_j p_j
-        to x, in the order the steps were taken (a store with a source
-        block only)."""
+        """Turn each unfolded source into p_j = z_j - sum_i beta_ji p_i over
+        the window of row j, run over column chunks so that each chunk is
+        read from cache, and add alpha_j p_j to x, in the order the steps
+        were taken (a store with a source block only)."""
         first = max(self.folded, 1)  # p_0 is z_0
         if first < self.hi:
-            self._forward(self.block(0, 0, self.hi), first)
+            sources = self.block(0, 0, self.hi)
+            for c in range(0, sources.shape[1], _FORWARD_CHUNK):
+                chunk = sources[:, c:c + _FORWARD_CHUNK]
+                for j in range(first, self.hi):
+                    start = max(j - self.window, 0) if self.window else 0
+                    chunk[j] -= self.coefficients[j, start:j] @ chunk[start:j]
         for j in range(self.folded, self.hi):
             self.x += self.alpha[j] * self.rows[j, 0]
         self.folded = self.hi
-
-    def _window_start(self, j: int) -> int:
-        """The first row that row j was projected against."""
-        return max(j - self.window, 0) if self.window else 0
 
     def _fold_all(self):
         """Fold every step into x at the end of a solve or of a cycle: in one
@@ -526,43 +508,6 @@ class _Directions:
         self.x += (self.alpha[:e] * earlier[:e]) @ self.held(self.recurrence)[:e]
         self.x += earlier[-1] * end
 
-    def _sources(self) -> np.ndarray:
-        """The sources of rows 0:hi, replayed into a new array by the loop's
-        own recurrence z <- z - alpha_j u_j, so they are the bits of the
-        vectors the loop took."""
-        u = self.held(self.recurrence)
-        sources = np.empty((self.hi, self.rows.shape[2]))
-        z = self.start
-        for j in range(self.hi):
-            sources[j] = z
-            z = z - self.alpha[j] * u[j]
-        return sources
-
-    def _forward(self, sources: np.ndarray, first: int = 1):
-        """Turn rows first:hi of the (hi, n) sources into p_j in place, the
-        rows before them holding p_j already: p_j = z_j - sum_i beta_ji
-        p_i over the window of row j, run over column chunks, so each
-        chunk is read from cache."""
-        for c in range(0, sources.shape[1], _FORWARD_CHUNK):
-            chunk = sources[:, c:c + _FORWARD_CHUNK]
-            for j in range(first, self.hi):
-                start = self._window_start(j)
-                chunk[j] -= self.coefficients[j, start:j] @ chunk[start:j]
-
-    def directions(self) -> list:
-        """The held p_j, oldest first, formed on first read: in place over
-        the source block (no (held, n) copy is made), else from the sources
-        the recurrence replays."""
-        if self.recurrence is not None:
-            if self.p is None:
-                self.p = self._sources()
-                self._forward(self.p)
-            return list(self.p)
-        if self.folded < self.hi:  # then no row holds p_j yet
-            self._forward(self.block(0, 0, self.hi))
-            self.folded = self.hi
-        return list(self.block(0, self.lo, self.hi))
-
     def end_iteration(self, done: int, trace: IterationTrace):
         """Fold the steps and clear the held directions when a restart
         cycle ends."""
@@ -573,29 +518,25 @@ class _Directions:
 
     def result(self, trace: IterationTrace) -> SolveResult:
         self._fold_all()
-        return SolveResult(self.x, trace, len(trace.alpha), list(self.held(0)), self)
+        return SolveResult(self.x, trace, len(trace.alpha), list(self.held(0)))
 
 
 def _clamped_sqrt(value: float) -> float:
     return float(np.sqrt(max(value, 0.0)))
 
 
-def _start(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, rw: float, r2: float,
-           stop: _Stopping) -> bool:
+def _start(trace: IterationTrace, rw: float, r2: float, stop: _Stopping) -> bool:
     """Record the initial residual; True when it already meets the target."""
     trace.residual_norm_weighted.append(rw)
     trace.residual_norm_euclidean.append(r2)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
     if stop.done(rw, r2):
         trace.status = "converged"
         return True
     return False
 
 
-def _record(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, alpha: float,
-            gamma: float, delta: float, beta: np.ndarray, phi: np.ndarray, rw: float,
-            r2: float, az_norm: float):
+def _record(trace: IterationTrace, alpha: float, gamma: float, delta: float,
+            beta: np.ndarray, phi: np.ndarray, rw: float, r2: float, az_norm: float):
     """Append one iteration's step to the trace."""
     trace.alpha.append(alpha)
     trace.gamma.append(gamma)
@@ -605,8 +546,6 @@ def _record(trace: IterationTrace, cfg: SolveConfig, x: np.ndarray, alpha: float
     trace.az_norm_weighted.append(az_norm)
     trace.residual_norm_weighted.append(rw)
     trace.residual_norm_euclidean.append(r2)
-    if cfg.record_iterates:
-        trace.iterates.append(x.copy())
 
 
 def _degenerate(delta: float, az_norm: float, iteration: int) -> bool:
@@ -675,7 +614,7 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
         rw, r2 = _clamped_sqrt(float(z @ r)), float(np.linalg.norm(r))
     else:
         rw, r2 = _norms(w, r)
-    if _start(trace, cfg, x, rw, r2, stop):
+    if _start(trace, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
     # records hold q and W q; for the Euclidean weight W q is q and not
@@ -710,8 +649,6 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
 
         alpha = gamma / delta
         store.append(delta, alpha, beta)
-        if cfg.record_iterates:  # x is read at every step
-            store.fold()
         r = r - alpha * q
         if w_is_h:
             z = z - alpha * wq
@@ -719,7 +656,7 @@ def _gcr(system: LinearSystem, h: PreconditionerHandle, w: WeightOperator, cfg: 
             r2 = float(np.linalg.norm(r))
         else:
             rw, r2 = _norms(w, r)
-        _record(trace, cfg, store.x, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
+        _record(trace, alpha, gamma, delta, beta, phi, rw, r2, az_norm)
         if stop.done(rw, r2):
             trace.status = "converged"
             return store.result(trace)
@@ -738,11 +675,9 @@ def _recurrence_image(h: PreconditionerHandle, cfg: SolveConfig, w_is_h: bool) -
     z <- z - alpha W q (u = W q, the last image); with the identity
     preconditioner the source H r is r itself, r <- r - alpha q (u = q,
     the first).  Only a loop that runs one cycle has one recurrence start.
-    A loop with a window moves and drops its rows, and one that folds
-    every step turns its sources into p_j in place: both keep their
-    sources, as does a general H."""
-    if (cfg.restart_period is not None or cfg.truncation_window is not None
-            or cfg.record_iterates):
+    A loop with a window moves and drops its rows and keeps its sources,
+    as does a general H."""
+    if cfg.restart_period is not None or cfg.truncation_window is not None:
         return None
     if w_is_h:
         return -1
@@ -810,23 +745,25 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
     Modified Gram-Schmidt Arnoldi on the map v -> A H v with the basis
     kept W-orthonormal, least squares by Givens rotations.  Serves as an
     independent reference: its weighted residual norms equal those of the
-    full GCR iteration whenever the latter does not break down.  A
-    vanishing Arnoldi extension (happy breakdown) means the projected
-    problem is solved exactly and counts as convergence.
+    full GCR iteration whenever the latter does not break down.  It ends
+    in a breakdown only where its Krylov space holds no solution: at a
+    Givens diagonal at or below BREAKDOWN_RTOL times its Hessenberg
+    column (A H singular on the space; x takes the steps before it), or
+    at a vanishing Arnoldi extension (happy breakdown) whose formed
+    residual misses the target, which is otherwise convergence.
 
     The coefficient lists of the trace stay empty; only residual norms
-    (and iterates on request) are recorded.  x is formed at the end of a
-    cycle, and at every step only for record_iterates or at a happy
-    breakdown, so H is otherwise applied iterations + 1 times.  The
-    Euclidean norm of step j comes from the Arnoldi relation instead:
-    r_j = g_j V u_j, with V the basis v_0 ... v_j, g_j the last entry of
-    the rotated right-hand side and u_j the last column of the
-    transposed rotations.  The W-unit vector V u_j follows the j-th
-    rotation (c_j, s_j) as c_j v_j - s_j V u_{j-1}, one vector update per
-    step.  For W = I it is a unit vector, so the 2-norm is |g_j|.  Where
-    these recurrence norms meet the target and the formed residual does
-    not, as near the attainable accuracy, the solve restarts from the
-    formed x.
+    are recorded.  x is formed at the end of a cycle, so H is applied
+    iterations + 1 times in a solve of one cycle.  The Euclidean norm of
+    step j comes from the Arnoldi relation instead (of a happy step, from
+    the formed residual): r_j = g_j V u_j, with V the basis v_0 ... v_j,
+    g_j the last entry of the rotated right-hand side and u_j the last
+    column of the transposed rotations.  The W-unit vector V u_j follows
+    the j-th rotation (c_j, s_j) as c_j v_j - s_j V u_{j-1}, one vector
+    update per step.  For W = I it is a unit vector, so the 2-norm is
+    |g_j|.  Where these recurrence norms meet the target and the formed
+    residual does not, as near the attainable accuracy, the solve
+    restarts from the formed x.
     """
     if cfg.truncation_window is not None:
         raise ValueError("gmres_arnoldi_oracle does not support truncated orthogonalization")
@@ -840,7 +777,7 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
 
     r = b - a.apply(x)
     rw, r2 = _norms(w, r)
-    if _start(trace, cfg, x, rw, r2, stop):
+    if _start(trace, rw, r2, stop):
         return SolveResult(x, trace, 0)
 
     while total_iters < cfg.max_iterations:
@@ -855,7 +792,7 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
         g = np.zeros(cycle + 1)
         g[0] = beta
         unit = basis[0]  # V u of the Arnoldi relation above
-        j = 0
+        steps = 0  # columns of this cycle that x takes
         happy = False
         for j in range(cycle):
             u = a.apply(h.apply(basis[j]))
@@ -865,15 +802,19 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
             wu = w.apply(u)
             hnorm = _clamped_sqrt(float(wu @ u))
             hess[j + 1, j] = hnorm
-            happy = hnorm <= 1e-14 * max(abs(hess[: j + 2, j]).max(), 1e-300)
-            if not happy:
-                basis.append(u / hnorm)
-                wbasis.append(wu / hnorm)
+            column = abs(hess[: j + 2, j]).max()
             for i in range(j):
                 t = hess[i, j]
                 hess[i, j] = cs[i] * t + sn[i] * hess[i + 1, j]
                 hess[i + 1, j] = -sn[i] * t + cs[i] * hess[i + 1, j]
             d = float(np.hypot(hess[j, j], hess[j + 1, j]))
+            if d <= BREAKDOWN_RTOL * column:  # A H is singular on the Krylov space
+                trace.breakdown = BreakdownEvent(iteration=total_iters, gamma_value=d)
+                break
+            happy = hnorm <= BREAKDOWN_RTOL * column
+            if not happy:
+                basis.append(u / hnorm)
+                wbasis.append(wu / hnorm)
             cs[j] = hess[j, j] / d
             sn[j] = hess[j + 1, j] / d
             hess[j, j] = d
@@ -882,29 +823,32 @@ def gmres_arnoldi_oracle(system: LinearSystem, h: PreconditionerHandle, w: Weigh
             g[j] = cs[j] * g[j]
             rw = abs(float(g[j + 1]))
             total_iters += 1
-
-            if cfg.record_iterates or happy:
-                y = scipy.linalg.solve_triangular(hess[: j + 1, : j + 1], g[: j + 1], lower=False)
-                xk = x + h.apply(np.column_stack(basis[: j + 1]) @ y)
-                r2 = float(np.linalg.norm(b - a.apply(xk)))
-            elif w.is_identity:
+            steps = j + 1
+            trace.residual_norm_weighted.append(rw)
+            if happy:  # its Euclidean norm is that of the residual formed below
+                break
+            if w.is_identity:
                 r2 = rw
             else:
                 unit = cs[j] * basis[j + 1] - sn[j] * unit
                 r2 = rw * float(np.linalg.norm(unit))
-            trace.residual_norm_weighted.append(rw)
             trace.residual_norm_euclidean.append(r2)
-            if cfg.record_iterates:
-                trace.iterates.append(xk)
-
-            if happy or stop.done(rw, r2) or total_iters >= cfg.max_iterations:
+            if stop.done(rw, r2) or total_iters >= cfg.max_iterations:
                 break
 
-        y = scipy.linalg.solve_triangular(hess[: j + 1, : j + 1], g[: j + 1], lower=False)
-        x = x + h.apply(np.column_stack(basis[: j + 1]) @ y)
-        r = b - a.apply(x)
+        if steps:
+            y = scipy.linalg.solve_triangular(hess[:steps, :steps], g[:steps], lower=False)
+            x = x + h.apply(np.column_stack(basis[:steps]) @ y)
+            r = b - a.apply(x)
         rw_true, r2 = _norms(w, r)
-        if happy or stop.done(rw_true, r2):
+        if happy:
+            trace.residual_norm_euclidean.append(r2)
+            if not stop.done(rw_true, r2):  # an invariant space without a solution
+                trace.breakdown = BreakdownEvent(iteration=total_iters - 1, gamma_value=d)
+        if trace.breakdown is not None:
+            trace.status = "breakdown"
+            return SolveResult(x, trace, total_iters)
+        if stop.done(rw_true, r2):
             trace.status = "converged"
             return SolveResult(x, trace, total_iters)
         # a cycle that ended early stopped on a recurrence norm the formed

@@ -35,7 +35,7 @@ from wpkrylov.solvers import (
 )
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 
-from conftest import make_pd_system
+from conftest import make_pd_system, paired_iterates
 from dense_reference import lu_solve
 from whp_alternates_reference import whp_gcr_alt_a, whp_gcr_alt_b
 
@@ -225,11 +225,16 @@ def test_criterion_08_left_right_equivalence():
         w_right = WeightOperator.from_dense(h_dense)
         h_inv = np.linalg.inv(h_dense)
         w_left = WeightOperator.from_dense(0.5 * (h_inv + h_inv.T))
-        cfg = SolveConfig(record_iterates=True)
-        right = wp_gcr_right(LinearSystem(a, b), h, w_right, cfg)
-        left = wp_gcr_left(LinearSystem(a, b), h, w_left, cfg)
-        count = min(len(right.trace.iterates), len(left.trace.iterates))
-        for xr, xl in zip(right.trace.iterates[:count], left.trace.iterates[:count]):
+        system = LinearSystem(a, b)
+        cfg = SolveConfig()
+
+        def right(cfg):
+            return wp_gcr_right(system, h, w_right, cfg)
+
+        def left(cfg):
+            return wp_gcr_left(system, h, w_left, cfg)
+
+        for xr, xl in paired_iterates(right, left, cfg):
             rel = np.linalg.norm(xr - xl) / max(np.linalg.norm(xr), 1e-30)
             worst = max(worst, rel)
             ok &= rel <= 1e-10
@@ -252,12 +257,15 @@ def test_criterion_09_alternate_equivalence(cdr_assembled):
         a = sym + 0.2 * np.linalg.norm(sym, 2) * skew / np.linalg.norm(skew, 2)
         b = rng.standard_normal(n)
         h = PreconditionerHandle.identity(n)
-        cfg = SolveConfig(record_iterates=True, rel_tolerance=1e-9)
-        base = whp_gcr(LinearSystem(a, b), h, cfg)
-        for solver in (whp_gcr_alt_a, whp_gcr_alt_b):
-            other = solver(LinearSystem(a, b), h, cfg)
-            count = min(len(base.trace.iterates), len(other.trace.iterates))
-            for xa, xb in zip(base.trace.iterates[:count], other.trace.iterates[:count]):
+        system = LinearSystem(a, b)
+        cfg = SolveConfig(rel_tolerance=1e-9)
+
+        def run(solver):
+            return lambda cfg: solver(system, h, cfg)
+
+        base = run(whp_gcr)
+        for other in (run(whp_gcr_alt_a), run(whp_gcr_alt_b)):
+            for xa, xb in paired_iterates(base, other, cfg):
                 rel = np.linalg.norm(xa - xb) / max(np.linalg.norm(xa), 1e-30)
                 worst = max(worst, rel)
                 ok &= rel <= 1e-9

@@ -76,6 +76,25 @@ def test_solve_skew_with_gmres_oracle_converges(skew_files, capsys):
     assert "status=converged iterations=2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+               [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0]]), np.array([-1.0, -1.0, 0.0, 1.0])),
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0])),
+], ids=["singular", "nilpotent"])
+def test_gmres_oracle_breakdown_exit_code(tmp_path, capsys, a, b):
+    # A singular on the Krylov space, which then holds no solution: the
+    # oracle ends in a breakdown, without a warning (the suite fails on one)
+    paths = {name: str(tmp_path / name) for name in ("m.mtx", "n.mtx", "b.txt")}
+    write_matrix_market(scipy.sparse.csr_array(0.5 * (a + a.T)), paths["m.mtx"])
+    write_matrix_market(scipy.sparse.csr_array(0.5 * (a - a.T)), paths["n.mtx"])
+    write_vector(b, paths["b.txt"])
+    code = main(["solve", "--matrix", paths["m.mtx"], "--matrix-skew", paths["n.mtx"],
+                 "--rhs", paths["b.txt"], "--precond", "identity", "--weight", "identity",
+                 "--solver", "gmres-oracle"])
+    assert code == 3
+    assert "status=breakdown" in capsys.readouterr().out
+
+
 def test_non_finite_rhs_is_usage_error(tmp_path, capsys):
     mtx = tmp_path / "a.mtx"
     rhs = tmp_path / "b.txt"

@@ -8,7 +8,7 @@ one seed.  Examples are derandomized, so every run checks the same ones.
 import dataclasses
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wpkrylov.bounds import _lanczos_extremes, compute_bound_report
@@ -22,7 +22,7 @@ from wpkrylov.solvers import (
 )
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 
-from conftest import make_spd
+from conftest import assert_x_has_the_recorded_residual, make_spd
 from whp_alternates_reference import whp_gcr_alt_a, whp_gcr_alt_b
 
 EXAMPLES = settings(max_examples=50, deadline=None, derandomize=True, database=None)
@@ -100,31 +100,30 @@ def test_windowed_whp_gcr_matches_right_gcr_with_w_equal_h(system, window):
     assert np.linalg.norm(special.x - generic.x) <= 1e-12 * np.linalg.norm(generic.x)
 
 
-def assert_directions_map_to_images(a, res):
-    """A p_j = q_j to 1e-12 relative for every held direction."""
-    assert len(res.p_directions) == len(res.q_directions) == res.iterations
-    for p, q in zip(res.p_directions, res.q_directions):
-        assert np.linalg.norm(a @ p - q) <= 1e-12 * np.linalg.norm(q)
-
-
-@EXAMPLES
+@settings(EXAMPLES, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(systems)
-def test_directions_and_x_of_the_recurrence_loops(system):
-    # whp_gcr and identity-H GCR keep no sources: p_directions replays them
-    # by the recurrence over the held images, and x is folded from them
+def test_directions_and_x_of_the_recurrence_loops(stores, system):
+    # whp_gcr and identity-H GCR keep no sources, only the images that
+    # imply them, and fold x from those: x has the residual the loop
+    # recorded and matches the loop that keeps its sources
     a, h_dense, b = system
     h, w = handles(h_dense)
     n = len(b)
     cfg = SolveConfig(rel_tolerance=1e-8)
+    stores.clear()  # the fixture lives across examples
     generic = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
     special = whp_gcr(LinearSystem(a, b), h, cfg)
     identity = wp_gcr_right(LinearSystem(a, b), PreconditionerHandle.identity(n),
                             WeightOperator.identity(n), cfg)
-    assert generic.status == special.status == identity.status == "converged"
+    kept = wp_gcr_right(LinearSystem(a, b),
+                        PreconditionerHandle.from_dense(np.eye(n), hermitian_flag=True),
+                        WeightOperator.identity(n), cfg)
+    assert [store.recurrence is None for store in stores] == [True, False, False, True]
+    assert {generic.status, special.status, identity.status, kept.status} == {"converged"}
     assert np.linalg.norm(special.x - generic.x) <= 1e-12 * np.linalg.norm(generic.x)
+    assert np.linalg.norm(identity.x - kept.x) <= 1e-12 * np.linalg.norm(kept.x)
     for res in (special, identity):
-        assert res._store.recurrence is not None
-        assert_directions_map_to_images(a, res)
+        assert_x_has_the_recorded_residual(a, b, res)
 
 
 @EXAMPLES

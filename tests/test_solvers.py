@@ -28,7 +28,8 @@ from wpkrylov.weighting import (
     WeightOperator,
 )
 
-from conftest import make_pd_system, make_spd
+from conftest import (assert_x_has_the_recorded_residual, iterates, make_pd_system, make_spd,
+                      paired_iterates)
 from whp_alternates_reference import whp_gcr_alt_a, whp_gcr_alt_b
 
 
@@ -75,6 +76,15 @@ def assert_sequences_close(got, expected, rtol=1e-9):
         assert abs(x - y) <= rtol * max(x, y)
 
 
+# the singular 4x4 A on which GCR(2) halts at iteration 7, and a nilpotent A
+SINGULAR_SYSTEMS = {
+    "singular": (np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
+                           [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0]]),
+                 np.array([-1.0, -1.0, 0.0, 1.0])),
+    "nilpotent": (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1.0, 0.0])),
+}
+
+
 class TestRightGcr:
     def test_identity_one_iteration(self):
         h, w, cfg = identity_setup(5)
@@ -118,13 +128,17 @@ class TestRightGcr:
 
     def test_monotone_and_orthogonal_residuals(self):
         a, h_dense, b = make_pd_system(8)
-        h, w, cfg = dense_setup(a, h_dense, record_iterates=True)
-        res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+        h, w, cfg = dense_setup(a, h_dense)
+
+        def solve(cfg):
+            return wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+
+        res = solve(cfg)
         norms = res.trace.residual_norm_weighted
         for prev, cur in zip(norms, norms[1:]):
             assert cur <= prev * (1.0 + 1e-12)
         # every residual is W-orthogonal to the directions already taken
-        for i, x_i in enumerate(res.trace.iterates):
+        for i, x_i in enumerate(iterates(solve, cfg, res.iterations)):
             r_i = b - a @ x_i
             wr = h_dense @ r_i
             rw = np.sqrt(max(r_i @ wr, 0.0))
@@ -199,11 +213,14 @@ class TestVariants:
     def test_orthomin_full_window_equals_gcr(self):
         a, h_dense, b = make_pd_system(3, n=12)
         h, w, _ = dense_setup(a, h_dense)
-        full = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(record_iterates=True))
-        trunc = wp_gcr_right(LinearSystem(a, b), h, w,
-                             SolveConfig(record_iterates=True, truncation_window=12))
-        assert full.iterations == trunc.iterations
-        for xa, xb in zip(full.trace.iterates, trunc.trace.iterates):
+
+        def solve(cfg):
+            return wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+
+        full, window = SolveConfig(), SolveConfig(truncation_window=12)
+        k = solve(full).iterations
+        assert solve(window).iterations == k
+        for xa, xb in zip(iterates(solve, full, k), iterates(solve, window, k)):
             assert np.allclose(xa, xb, atol=1e-12 * max(np.abs(xa).max(), 1.0))
 
     def test_restart_markers(self):
@@ -254,7 +271,7 @@ def loop_gcr(a, h_dense, w_dense, b, cfg):
     Returns the weighted residual norms and the iterates, x0 = 0 first."""
     r = b.copy()
     x = np.zeros_like(b)
-    norms, iterates = [np.sqrt(r @ w_dense @ r)], [x]
+    norms, xs = [np.sqrt(r @ w_dense @ r)], [x]
     target = cfg.rel_tolerance * norms[0]
     held = []  # (p, q, W q, delta)
     for i in range(cfg.max_iterations):
@@ -271,7 +288,7 @@ def loop_gcr(a, h_dense, w_dense, b, cfg):
         x = x + alpha * p
         r = r - alpha * q
         norms.append(np.sqrt(r @ w_dense @ r))
-        iterates.append(x)
+        xs.append(x)
         if norms[-1] < target:
             break
         held.append((p, q, wq, delta))
@@ -279,7 +296,7 @@ def loop_gcr(a, h_dense, w_dense, b, cfg):
             held = held[-cfg.truncation_window:] if cfg.truncation_window else []
         if cfg.restart_period is not None and (i + 1) % cfg.restart_period == 0:
             held = []
-    return norms, iterates
+    return norms, xs
 
 
 def assert_vectors_close(got, expected, rtol):
@@ -311,23 +328,21 @@ class TestDirectionStore:
         res = wp_gcr_right(LinearSystem(a, b), h, w,
                            SolveConfig(max_iterations=400, truncation_window=2))
         assert res.status == "converged" and res.iterations >= 10
-        assert len(res.p_directions) == len(res.q_directions) == 2
+        assert len(res.q_directions) == 2
 
     def test_restarted_holds_at_most_one_cycle(self):
         a, h_dense, b = make_pd_system(9, n=15)
         h, w, _ = dense_setup(a, h_dense)
         res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(restart_period=5))
         assert res.status == "converged" and res.iterations > 5
-        assert 1 <= len(res.p_directions) == len(res.q_directions) <= 5
+        assert 1 <= len(res.q_directions) <= 5
 
     def test_restart_clears_on_schedule_until_a_degenerate_breakdown(self):
         # singular A: iteration 7 has a vanishing projected image, in the
         # second row of its cycle.  The cycles before it end on schedule,
         # and the halted solve holds at most one cycle and folds the steps
         # of the cycle it stopped in into x
-        a = np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
-                      [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0]])
-        b = np.array([-1.0, -1.0, 0.0, 1.0])
+        a, b = SINGULAR_SYSTEMS["singular"]
         h, w, _ = identity_setup(4)
         cfg = SolveConfig(restart_period=2, max_iterations=12)
         res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
@@ -341,62 +356,63 @@ class TestDirectionStore:
         a, h_dense, b = make_pd_system(8)
         h, w, cfg = dense_setup(a, h_dense)
         res = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
-        assert len(res.p_directions) == len(res.q_directions) == res.iterations
-        for p, q in zip(res.p_directions, res.q_directions):
-            assert np.allclose(a @ p, q, atol=1e-12 * np.linalg.norm(q))
+        assert len(res.q_directions) == res.iterations
+        assert_x_has_the_recorded_residual(a, b, res)
+        assert_vectors_close(res.x, loop_gcr(a, h_dense, h_dense, b, cfg)[1][-1], 1e-12)
 
-    def test_held_directions_map_to_held_images(self):
-        # p_j is formed from its source only when read: A p_j = q_j must hold
-        # for Orthomin(k) after its rows moved, for GCR(k) within a cycle and
-        # for whp_gcr
+    def test_held_images_and_x_after_rows_move(self):
+        # Orthomin(k) after its rows moved, GCR(k) within a cycle and whp_gcr
+        # hold the images of their window, and x is that of the steps taken
         a, h_dense, b = make_pd_system(11, n=15)
         h, w, _ = dense_setup(a, h_dense)
         system = LinearSystem(a, b)
         cfg = SolveConfig(max_iterations=400)
-        orthomin = wp_gcr_right(system, h, w, dataclasses.replace(cfg, truncation_window=3))
-        restarted = wp_gcr_right(system, h, w, dataclasses.replace(cfg, restart_period=6))
+        windows = {"truncation_window": 3}, {"restart_period": 6}, {}
+        orthomin = wp_gcr_right(system, h, w, dataclasses.replace(cfg, **windows[0]))
+        restarted = wp_gcr_right(system, h, w, dataclasses.replace(cfg, **windows[1]))
         whp = whp_gcr(system, h, cfg)
         assert orthomin.iterations > 2 * 6  # the 6 rows of the window moved twice
         assert restarted.iterations % 6 != 0  # it stopped within a cycle
-        for res, held in ((orthomin, 3), (restarted, restarted.iterations % 6),
-                          (whp, whp.iterations)):
+        for res, held, window in zip((orthomin, restarted, whp),
+                                     (3, restarted.iterations % 6, whp.iterations), windows):
             assert res.status == "converged"
-            assert len(res.p_directions) == len(res.q_directions) == held
-            for p, q in zip(res.p_directions, res.q_directions):
-                assert np.allclose(a @ p, q, atol=1e-12 * np.linalg.norm(q))
+            assert len(res.q_directions) == held
+            assert_x_has_the_recorded_residual(a, b, res)
+            xs = loop_gcr(a, h_dense, h_dense, b, dataclasses.replace(cfg, **window))[1]
+            assert_vectors_close(res.x, xs[-1], 1e-12)
 
     def test_window_and_restart_match_reference_loop(self):
         # windows that fill and shift their rows several times, and restarts:
-        # the residual norms, and x, the sum of the steps along the held
-        # directions, which no norm of the trace reads
+        # the residual norms, and x after every step, the sum of the steps
+        # along the held directions, which no norm of the trace reads
         a, h_dense, b = make_pd_system(4, n=24, skew_scale=0.5)
         h, w, _ = dense_setup(a, h_dense)
         system = LinearSystem(a, b)
+
+        def solve(cfg):
+            return wp_gcr_right(system, h, w, cfg)
+
         for overrides in ({}, {"truncation_window": 0}, {"truncation_window": 1},
                           {"truncation_window": 2}, {"truncation_window": 3},
                           {"truncation_window": 5}, {"restart_period": 1},
                           {"restart_period": 4}):
-            for record in (False, True):
-                cfg = SolveConfig(max_iterations=400, rel_tolerance=1e-8,
-                                  record_iterates=record, **overrides)
-                res = wp_gcr_right(system, h, w, cfg)
-                reference, iterates = loop_gcr(a, h_dense, h_dense, b, cfg)
-                assert res.status == "converged", overrides
-                assert len(res.trace.residual_norm_weighted) == len(reference), overrides
-                assert_sequences_close(res.trace.residual_norm_weighted, reference, rtol=1e-8)
-                assert_vectors_close(res.x, iterates[-1], 1e-12)
-                if record:
-                    assert len(res.trace.iterates) == len(iterates)
-                    for got, expected in zip(res.trace.iterates[1:], iterates[1:]):
-                        assert_vectors_close(got, expected, 1e-12)
+            cfg = SolveConfig(max_iterations=400, rel_tolerance=1e-8, **overrides)
+            res = solve(cfg)
+            reference, xs = loop_gcr(a, h_dense, h_dense, b, cfg)
+            assert res.status == "converged", overrides
+            assert len(res.trace.residual_norm_weighted) == len(reference), overrides
+            assert_sequences_close(res.trace.residual_norm_weighted, reference, rtol=1e-8)
+            assert_vectors_close(res.x, xs[-1], 1e-12)
+            for got, expected in zip(iterates(solve, cfg, res.iterations)[1:], xs[1:]):
+                assert_vectors_close(got, expected, 1e-12)
         # whp_gcr takes the steps of GCR with W = H
         cfg = SolveConfig(max_iterations=400, rel_tolerance=1e-8)
-        reference, iterates = loop_gcr(a, h_dense, h_dense, b, cfg)
+        reference, xs = loop_gcr(a, h_dense, h_dense, b, cfg)
         res = whp_gcr(system, h, cfg)
         assert res.status == "converged" and res.iterations == len(reference) - 1
-        assert_vectors_close(res.x, iterates[-1], 1e-12)
+        assert_vectors_close(res.x, xs[-1], 1e-12)
 
-    def test_store_memory_is_bounded(self):
+    def test_store_memory_is_bounded(self, stores):
         # a window of 2 moves its rows about 190 times; neither its rows nor
         # its coefficients grow with the iterations or max_iterations
         a, _, b = make_pd_system(11, n=100, skew_scale=3.0, spd_shift=0.05)
@@ -405,13 +421,13 @@ class TestDirectionStore:
         cfg = SolveConfig(max_iterations=10**6, rel_tolerance=1e-10)
         res = wp_gcr_right(LinearSystem(a, b), h, w, dataclasses.replace(cfg, truncation_window=2))
         assert res.status == "converged" and res.iterations > 300
-        assert res._store.rows.shape[0] == 4 and res._store.coefficients.shape == (4, 4)
+        assert stores[-1].rows.shape[0] == 4 and stores[-1].coefficients.shape == (4, 4)
         assert np.linalg.norm(b - a @ res.x) <= 1.1e-10 * np.linalg.norm(b)
         # full GCR: the coefficients double with the held rows (64, then
         # 128 for 97 of them), not max_iterations squared
         res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(max_iterations=10**4))
         assert res.status == "converged" and 64 < res.iterations <= 128
-        assert res._store.coefficients.shape == (128, 128)
+        assert stores[-1].coefficients.shape == (128, 128)
 
 
     def test_corrective_pass_restores_orthogonality(self):
@@ -501,17 +517,6 @@ class TestDirectionStore:
         cycles = len(res.trace.restart_markers)
         assert res.status == "converged" and cycles > 3 and res.iterations % 4
         assert blocks.of(0) == [(0, 0, 4)] * cycles + [(0, 0, res.iterations % 4)]
-
-    def test_a_loop_reading_x_folds_every_step(self, monkeypatch):
-        # record_iterates forms each p_j against the held p as the step is
-        # taken: one read of block 0 (the held rows and the new one) per step
-        # after the first, and none at the end
-        a, h_dense, b = make_pd_system(8)
-        h, w, _ = dense_setup(a, h_dense)
-        blocks = BlockReads(monkeypatch)
-        res = wp_gcr_right(LinearSystem(a, b), h, w, SolveConfig(record_iterates=True))
-        assert res.status == "converged" and res.iterations > 5
-        assert blocks.of(0) == [(0, 0, j + 1) for j in range(1, res.iterations)]
 
     def test_second_pass_is_traced_on_a_near_dependent_image(self, monkeypatch):
         # the shear maps r_1, orthogonal to q_0 = A b, almost onto q_0: the
@@ -661,13 +666,12 @@ class TestSourceBlock:
     source from a recurrence over the held images; the store keeps no
     source block for them."""
 
-    def test_source_block_only_where_the_images_do_not_imply_it(self):
+    def test_source_block_only_where_the_images_do_not_imply_it(self, stores):
         a, h_dense, b = make_pd_system(8)
         n = len(b)
         system = LinearSystem(a, b)
         h, w, cfg = dense_setup(a, h_dense)
         eye_h, eye_w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
-        every_step = SolveConfig(record_iterates=True)
         gcr3 = SolveConfig(restart_period=3)
         # result, held vectors per row, whether one of them is the source
         cases = {
@@ -683,18 +687,16 @@ class TestSourceBlock:
             "Orthomin(2)": (wp_gcr_right(system, eye_h, eye_w,
                                          SolveConfig(truncation_window=2)), 2, True),
             "MR": (wp_gcr_right(system, eye_h, eye_w, SolveConfig(truncation_window=0)), 2, True),
-            "identity H, record_iterates": (wp_gcr_right(system, eye_h, eye_w, every_step),
-                                            2, True),
-            "whp_gcr, record_iterates": (whp_gcr(system, h, every_step), 3, True),
         }
-        for name, (res, vectors, sources) in cases.items():
+        assert len(stores) == len(cases)
+        for (name, (res, vectors, sources)), store in zip(cases.items(), stores):
             assert res.status == "converged", name
-            assert res._store.rows.shape[1:] == (vectors, n), name
-            assert (res._store.recurrence is None) == sources, name
+            assert store.rows.shape[1:] == (vectors, n), name
+            assert (store.recurrence is None) == sources, name
 
-    def test_solves_match_the_loop_that_keeps_its_sources(self, monkeypatch):
+    def test_solves_match_the_loop_that_keeps_its_sources(self, monkeypatch, stores):
         # the store kept every source before it derived them; with the source
-        # block forced back on, each trace list and p_directions must be the
+        # block forced back on, each trace list and q_directions must be the
         # same bits and x the same to rounding, also when the solve halts at
         # a breakdown
         a, h_dense, b = make_pd_system(8)
@@ -702,9 +704,7 @@ class TestSourceBlock:
         h, w, cfg = dense_setup(a, h_dense)
         eye_h, eye_w = PreconditionerHandle.identity(n), WeightOperator.identity(n)
         system = LinearSystem(a, b)
-        singular = LinearSystem(np.array([[0.0, 1.0, 1.0, 1.0], [1.0, 0.0, 0.0, 0.0],
-                                          [1.0, -1.0, 1.0, 1.0], [1.0, 1.0, -1.0, -1.0]]),
-                                np.array([-1.0, -1.0, 0.0, 1.0]))
+        singular = LinearSystem(*SINGULAR_SYSTEMS["singular"])
         eye4 = (PreconditionerHandle.identity(4), WeightOperator.identity(4))
         halts = SolveConfig(max_iterations=12)
         solves = [
@@ -720,12 +720,11 @@ class TestSourceBlock:
             with monkeypatch.context() as patched:
                 patched.setattr(solvers, "_recurrence_image", lambda *args: None)
                 kept = solve()
-            assert res._store.recurrence is not None and kept._store.recurrence is None
+            assert stores[-2].recurrence is not None and stores[-1].recurrence is None
             assert_traces_equal(res.trace, kept.trace)
             assert res.trace.breakdown == kept.trace.breakdown
             assert res.status == kept.status and res.iterations == kept.iterations
             assert np.array(res.q_directions).tobytes() == np.array(kept.q_directions).tobytes()
-            assert np.array(res.p_directions).tobytes() == np.array(kept.p_directions).tobytes()
             assert_vectors_close(res.x, kept.x, 1e-14)
         assert [solve().status for solve in solves[-2:]] == ["breakdown"] * 2
 
@@ -937,11 +936,15 @@ class TestLeftGcr:
             w_right = WeightOperator.from_dense(h_dense)
             h_inv = np.linalg.inv(h_dense)
             w_left = WeightOperator.from_dense(0.5 * (h_inv + h_inv.T))
-            cfg = SolveConfig(record_iterates=True, rel_tolerance=1e-8)
-            right = wp_gcr_right(LinearSystem(a, b), h, w_right, cfg)
-            left = wp_gcr_left(LinearSystem(a, b), h, w_left, cfg)
-            count = min(len(right.trace.iterates), len(left.trace.iterates))
-            for xr, xl in zip(right.trace.iterates[:count], left.trace.iterates[:count]):
+            cfg = SolveConfig(rel_tolerance=1e-8)
+
+            def right(cfg):
+                return wp_gcr_right(LinearSystem(a, b), h, w_right, cfg)
+
+            def left(cfg):
+                return wp_gcr_left(LinearSystem(a, b), h, w_left, cfg)
+
+            for xr, xl in paired_iterates(right, left, cfg):
                 scale = max(np.linalg.norm(xr), 1e-30)
                 assert np.linalg.norm(xr - xl) <= 1e-10 * scale
 
@@ -1032,11 +1035,15 @@ class TestWhpFamily:
         a, h_dense, b = make_pd_system(13, n=14)
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
         w = WeightOperator.from_dense(h_dense)
-        cfg = SolveConfig(record_iterates=True)
-        generic = wp_gcr_right(LinearSystem(a, b), h, w, cfg)
-        special = whp_gcr(LinearSystem(a, b), h, cfg)
-        count = min(len(generic.trace.iterates), len(special.trace.iterates))
-        for xg, xs in zip(generic.trace.iterates[:count], special.trace.iterates[:count]):
+        cfg = SolveConfig()
+
+        def generic(cfg):
+            return wp_gcr_right(LinearSystem(a, b), h, w, cfg)
+
+        def special(cfg):
+            return whp_gcr(LinearSystem(a, b), h, cfg)
+
+        for xg, xs in paired_iterates(generic, special, cfg):
             assert np.linalg.norm(xg - xs) <= 1e-10 * max(np.linalg.norm(xg), 1e-30)
 
     def test_two_by_two_step_ratio(self):
@@ -1071,12 +1078,15 @@ class TestWhpFamily:
         a = sym + 0.2 * np.linalg.norm(sym, 2) * skew / np.linalg.norm(skew, 2)
         b = rng.standard_normal(n)
         h = PreconditionerHandle.identity(n)
-        cfg = SolveConfig(record_iterates=True, rel_tolerance=1e-9)
-        base = whp_gcr(LinearSystem(a, b), h, cfg)
-        for solver in (whp_gcr_alt_a, whp_gcr_alt_b):
-            other = solver(LinearSystem(a, b), h, cfg)
-            count = min(len(base.trace.iterates), len(other.trace.iterates))
-            for xa, xb in zip(base.trace.iterates[:count], other.trace.iterates[:count]):
+        system = LinearSystem(a, b)
+        cfg = SolveConfig(rel_tolerance=1e-9)
+
+        def run(solver):
+            return lambda cfg: solver(system, h, cfg)
+
+        base = run(whp_gcr)
+        for other in (run(whp_gcr_alt_a), run(whp_gcr_alt_b)):
+            for xa, xb in paired_iterates(base, other, cfg):
                 scale = max(np.linalg.norm(xa), 1e-30)
                 assert np.linalg.norm(xa - xb) <= 1e-9 * scale
 
@@ -1145,12 +1155,16 @@ class TestMeshProblemRuns:
         h = precond.as_handle()
         w = precond.as_weight(validate=False)
         system = LinearSystem(assembled.operator(), assembled.rhs)
-        cfg = SolveConfig(record_iterates=True)
-        generic = wp_gcr_right(system, h, w, cfg)
-        special = whp_gcr(system, h, cfg)
-        assert generic.status == special.status == "converged"
-        count = min(len(generic.trace.iterates), len(special.trace.iterates))
-        for xg, xs in zip(generic.trace.iterates[:count], special.trace.iterates[:count]):
+        cfg = SolveConfig()
+
+        def generic(cfg):
+            return wp_gcr_right(system, h, w, cfg)
+
+        def special(cfg):
+            return whp_gcr(system, h, cfg)
+
+        assert generic(cfg).status == special(cfg).status == "converged"
+        for xg, xs in paired_iterates(generic, special, cfg):
             scale = max(np.linalg.norm(xg), 1e-30)
             assert np.linalg.norm(xg - xs) <= 1e-10 * scale
 
@@ -1285,7 +1299,8 @@ class TestGmresOracle:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_h_is_applied_iterations_plus_one_times(self, cdr_assembled, weighted):
         # x is formed once, after the loop: the Euclidean norm of each step
-        # is the Givens estimate (W = I) or comes from the Arnoldi relation
+        # is the Givens estimate (W = I) or comes from the Arnoldi relation,
+        # and that of a happy breakdown is the residual formed from x
         from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
 
         assembled = cdr_assembled(30)
@@ -1294,25 +1309,75 @@ class TestGmresOracle:
         precond = build_preconditioner(assembled.m_matrix, maps, "two_level_sym")
         calls = []
 
-        def apply_h(v):
-            calls.append(1)
-            return precond.apply(v)
+        def counted(apply):
+            def wrapped(v):
+                calls.append(1)
+                return apply(v)
+            return wrapped
 
         n = assembled.dof_count
-        h = PreconditionerHandle(n, apply_h, hermitian_flag=True)
+        h = PreconditionerHandle(n, counted(precond.apply), hermitian_flag=True)
         w = precond.as_weight(validate=False) if weighted else WeightOperator.identity(n)
         system = LinearSystem(assembled.operator(), assembled.rhs)
+
+        def solve(cfg):
+            return gmres_arnoldi_oracle(system, h, w, cfg)
+
         for stop in ("weighted", "euclidean"):
+            cfg = SolveConfig(stopping_norm=stop)
             calls.clear()
-            res = gmres_arnoldi_oracle(system, h, w, SolveConfig(stopping_norm=stop))
+            res = solve(cfg)
             assert res.status == "converged" and res.iterations > 10
             assert len(calls) == res.iterations + 1
             # the recorded norms are those of the iterates
-            cfg = SolveConfig(stopping_norm=stop, record_iterates=True)
-            formed = gmres_arnoldi_oracle(system, h, w, cfg).trace.residual_norm_euclidean
+            formed = [np.linalg.norm(assembled.rhs - system.operator.apply(x))
+                      for x in iterates(solve, cfg, res.iterations)]
             got = res.trace.residual_norm_euclidean
             assert len(got) == len(formed)
             assert np.allclose(got, formed, rtol=0.0, atol=1e-13 * formed[0])
+        # b in a 2-dimensional invariant subspace of A H: a happy breakdown
+        # at the second step
+        a = np.diag([2.0, 3.0, 4.0, 5.0, 6.0])
+        h_dense = np.diag([1.0, 0.5, 2.0, 1.5, 1.0])
+        b = np.array([1.0, -2.0, 0.0, 0.0, 0.0])
+        h = PreconditionerHandle(5, counted(lambda v: h_dense @ v), hermitian_flag=True)
+        w = WeightOperator.from_dense(h_dense) if weighted else WeightOperator.identity(5)
+        calls.clear()
+        res = gmres_arnoldi_oracle(LinearSystem(a, b), h, w, SolveConfig(rel_tolerance=1e-13))
+        assert res.status == "converged" and res.iterations == 2
+        assert len(calls) == res.iterations + 1
+        assert res.trace.residual_norm_euclidean[-1] == np.linalg.norm(b - a @ res.x)
+
+    @pytest.mark.parametrize("system", ["singular", "nilpotent"])
+    def test_singular_krylov_space_is_a_breakdown(self, system):
+        # A H singular on the Krylov space, which then holds no solution:
+        # the 4x4 A's last Givens diagonal is 4e-16 (taken, it made x of
+        # size 1e15), the 2x2 nilpotent A maps b to 0.  The solve ends in
+        # a breakdown, with x from the steps before that column and no
+        # warning (the suite fails on one)
+        a, b = SINGULAR_SYSTEMS[system]
+        n = len(b)
+        res = gmres_arnoldi_oracle(LinearSystem(a, b), PreconditionerHandle.identity(n),
+                                   WeightOperator.identity(n), SolveConfig())
+        steps = {"singular": 3, "nilpotent": 0}[system]
+        assert res.status == "breakdown" and res.iterations == steps
+        assert res.trace.breakdown.iteration == steps
+        assert 0.0 <= res.trace.breakdown.gamma_value <= 1e-14
+        assert np.all(np.isfinite(res.x)) and np.linalg.norm(res.x) < 10.0
+        assert len(res.trace.residual_norm_euclidean) == steps + 1
+        assert_x_has_the_recorded_residual(a, b, res)
+
+    def test_happy_breakdown_that_misses_the_target_is_a_breakdown(self):
+        # the Krylov space is invariant, but the residual formed from x
+        # misses a target below rounding
+        a = np.diag([6.0, 3.0, 1.0])
+        b = np.array([0.1, -0.5, 0.0])
+        h, w, _ = identity_setup(3)
+        res = gmres_arnoldi_oracle(LinearSystem(a, b), h, w, SolveConfig(rel_tolerance=1e-300))
+        residual = np.linalg.norm(b - a @ res.x)
+        assert res.status == "breakdown" and res.iterations == 2 and residual > 0.0
+        assert res.trace.breakdown.iteration == 1
+        assert res.trace.residual_norm_euclidean[-1] == residual
 
     @pytest.mark.parametrize("weighted", [False, True])
     def test_estimate_below_the_attainable_residual_restarts(self, weighted):

@@ -43,8 +43,6 @@ def _whp_loop(system, h, cfg, holds_q):
     def record(rw, r2):
         trace.residual_norm_weighted.append(rw)
         trace.residual_norm_euclidean.append(r2)
-        if cfg.record_iterates:
-            trace.iterates.append(x.copy())
         if r2 == 0.0 or rw < target:
             trace.status = "converged"
         return trace.status == "converged"
