@@ -5,9 +5,9 @@ self-adjoint in an inner product X the code can apply, found by Lanczos
 with full reorthogonalization (Saad, *Iterative Methods for Sparse
 Linear Systems*, 2nd ed., SIAM 2003, section 6.7.3).  A = M + N (M
 symmetric, N skew) is read from the matrix its operator keeps, or from
-its densified action when it keeps none.  When the weight W equals the
-preconditioner H and H is symmetric positive definite -- the paper's
-arrangement -- the operators are
+its densified action when it keeps none.  When the weight W is the
+preconditioner H, built on H's own operator, and H is symmetric positive
+definite -- the paper's arrangement -- the operators are
 
 * lambda_min and lambda_max of T = H M, with X = M or -M when either is
   positive definite (sparse factor), X = M H M otherwise;
@@ -438,22 +438,6 @@ def direct_bound3(kappa: float, rho: float) -> float:
     return float(np.sqrt(np.clip(value, 0.0, 1.0)))
 
 
-def _operators_match(first, second, dim: int) -> bool:
-    """Whether two operators give finite images that agree to 1e-12
-    relative on 8 random vectors."""
-    rng = np.random.default_rng(0xD1FF)
-    for _ in range(8):
-        v = rng.standard_normal(dim)
-        fv = first(v)
-        sv = second(v)
-        if not (np.isfinite(fv).all() and np.isfinite(sv).all()):
-            return False
-        scale = max(np.linalg.norm(fv), np.linalg.norm(sv), 1e-300)
-        if np.linalg.norm(fv - sv) > 1e-12 * scale:
-            return False
-    return True
-
-
 def _definiteness(m_part):
     """(sign, factor): sign * M is positive definite and factor is its
     sparse factor, or (0, None) when M is neither positive nor negative
@@ -571,17 +555,18 @@ def compute_bound_report(a, h: PreconditionerHandle, w: WeightOperator) -> Bound
 
     bound1 needs only an SPD weight; bound2 additionally requires the
     preconditioner to be SPD and equal to the weight; bound3 also needs
-    the symmetric part of A to be positive definite.  W equals H when it
-    applies H's own operator (``h.as_weight()``, a weight on the callable
-    H wraps, or on ``h.apply``), else when the two agree on random probe
-    vectors.  Every field comes from Lanczos solves that apply H, and H^T
-    for W != H, to vectors only; an H with no H^T leaves the fields that
-    need it None.  bound1 is 1 when the numerical range holds 0, and
-    otherwise searched up to RAYLEIGH_DIM_LIMIT.
+    the symmetric part of A to be positive definite.  W equals H when H is
+    marked SPD and W applies H's own operator (``h.as_weight()``, a weight
+    on the callable H wraps, or on ``h.apply``).  Any other weight, one
+    built apart from H but equal to it included, gets the general report,
+    with kappa, rho, bound2 and bound3 None.  Every field comes from
+    Lanczos solves that apply H, and H^T for W != H, to vectors only; an H
+    with no H^T leaves the fields that need it None.  bound1 is 1 when the
+    numerical range holds 0, and otherwise searched up to
+    RAYLEIGH_DIM_LIMIT.
     """
     a_mat = _matrix(a)
-    if h.hermitian_flag and (h.same_operator_as(w)
-                             or _operators_match(h.apply, w.apply, a_mat.shape[0])):
+    if h.hermitian_flag and h.same_operator_as(w):
         return _w_equal_h_report(a_mat, h)
     return _weighted_report(a_mat, h, w)
 

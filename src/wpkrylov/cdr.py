@@ -19,10 +19,10 @@ Each coefficient, and the finite-difference divergence of the
 convection field, is evaluated once per distinct mid-edge point
 (3 m^2 + 2 m of them, each shared by the triangles of its edge).  The
 element contributions are summed per edge and per vertex on (m, m)-sized
-arrays and written straight into the fixed 7-point pattern of the kept
-unknowns (self and the E, W, N, S, NE and SW neighbours), whose row
-pointers and column indices follow by arithmetic: the interior vertices
-under elimination, all of them under penalization.
+arrays and written straight into the fixed 7-point pattern of the
+interior vertices (self and the E, W, N, S, NE and SW neighbours), whose
+row pointers and column indices follow by arithmetic.  The Dirichlet data
+is eliminated: the boundary vertices carry no unknown.
 """
 
 from __future__ import annotations
@@ -52,15 +52,11 @@ _DIV_STEP = 1e-6
 
 @dataclass
 class CdrProblemSpec:
-    """Problem data: mesh resolution, coefficients and boundary handling.
+    """Problem data: mesh resolution and coefficients.
 
     nu, c0 and f_rhs may be constants or callables of (x, y); a_field is
     a callable returning the convection vector as an (ax, ay) pair.  All
-    callables must accept numpy arrays.  bc selects Dirichlet handling:
-    "elimination" keeps interior unknowns only, "penalization" keeps all
-    lattice vertices and adds 1e10 times the largest diagonal entry of the
-    symmetric part to its boundary diagonal entries (so the skew part
-    stays exactly skew).
+    callables must accept numpy arrays.
     """
 
     mesh_divisions: int
@@ -68,13 +64,10 @@ class CdrProblemSpec:
     c0: object = 1.0
     a_field: object = None
     f_rhs: object = 0.0
-    bc: str = "elimination"
 
     def __post_init__(self):
         if self.mesh_divisions < 2:
             raise ValueError("mesh_divisions must be at least 2")
-        if self.bc not in ("elimination", "penalization"):
-            raise ValueError(f"unknown boundary mode {self.bc!r}")
         if self.a_field is None:
             self.a_field = lambda x, y: (np.zeros_like(np.asarray(x, dtype=float)),
                                          np.zeros_like(np.asarray(y, dtype=float)))
@@ -202,20 +195,20 @@ def _vertex_sum(h_vals, v_vals, d_vals) -> np.ndarray:
     return out
 
 
-def _stencil_csr(diag, sym, skew, lo: int, hi: int):
-    """The symmetric and skew matrices of the unknowns at the lattice
-    vertices (i, j) with lo <= i, j <= hi, numbered row by row, in the
-    7-point pattern of the diagonal split.
+def _stencil_csr(diag, sym, skew):
+    """The symmetric and skew matrices of the unknowns at the interior
+    lattice vertices (i, j), 1 <= i, j <= m - 1, numbered row by row, in
+    the 7-point pattern of the diagonal split.
 
     diag is the (m+1, m+1) diagonal; sym and skew are the (h, v, d) edge
     values of the two parts, each entry the one in the row of the lower
     numbered end (the other row takes it, or its negative for skew).
     Each row holds, in column order, its SW, S, W, self, E, N and NE
-    entries, less the neighbours outside the range.
+    entries, less the neighbours on the boundary.
     """
-    w = hi - lo + 1
-    inner = slice(lo, hi + 1)
-    short = slice(lo, hi)
+    w = diag.shape[0] - 2
+    inner = slice(1, w + 1)
+    short = slice(1, w)
     mask = np.ones((w, w, 7), dtype=bool)
     mask[0, :, :2] = mask[:, 0, [0, 2]] = False
     mask[-1, :, 5:] = mask[:, -1, [4, 6]] = False
@@ -304,7 +297,7 @@ def assemble(problem: CdrProblemSpec) -> AssembledCdr:
 
     Every coefficient is evaluated once per distinct mid-edge point, and
     the element contributions of the two triangle shapes are summed per
-    edge straight into the 7-point pattern of the kept unknowns.
+    edge straight into the 7-point pattern of the interior unknowns.
     Coefficient positivity (nu > 0 and c0 + div(a)/2 >= 0) is checked at
     every quadrature point, since it is what makes the symmetric part
     positive definite; a non-finite nu, c0 or convection value there, or
@@ -347,35 +340,21 @@ def assemble(problem: CdrProblemSpec) -> AssembledCdr:
     diag = _vertex_sum(mass_h - stiff_h, mass_v - stiff_v, mass_d)
     sym = (stiff_h + mass_h, stiff_v + mass_v, mass_d)
 
-    if problem.bc == "elimination":
-        m_bc, n_bc = _stencil_csr(diag, sym, skew, 1, m - 1)
-        rhs = load[1:-1, 1:-1].ravel()
-        dof_vertices = mesh.interior_indices
-    else:
-        boundary = mesh.boundary_mask.reshape(m + 1, m + 1)
-        diag[boundary] += 1e10 * float(diag.max())
-        m_bc, n_bc = _stencil_csr(diag, sym, skew, 0, m)
-        # M stores no exact zero in this mode: a NE or SW entry is left out
-        # where the reaction vanishes on that diagonal edge
-        m_bc.eliminate_zeros()
-        rhs = load.ravel()
-        rhs[mesh.boundary_mask] = 0.0
-        dof_vertices = np.arange(len(rhs))
-
+    m_part, n_part = _stencil_csr(diag, sym, skew)
+    interior = mesh.interior_indices
     return AssembledCdr(
-        m_matrix=_validated_csr(m_bc),
-        n_matrix=_validated_csr(n_bc),
-        rhs=rhs,
-        dof_count=len(dof_vertices),
-        dof_coords=mesh.vertices[dof_vertices],
-        dof_vertices=dof_vertices,
+        m_matrix=_validated_csr(m_part),
+        n_matrix=_validated_csr(n_part),
+        rhs=load[1:-1, 1:-1].ravel(),
+        dof_count=len(interior),
+        dof_coords=mesh.vertices[interior],
+        dof_vertices=interior,
         mesh=mesh,
         problem=problem,
     )
 
 
-def reference_problem(nu: float = 1.0, c0: float = 1.0, mesh_divisions: int = 10,
-                       bc: str = "elimination") -> CdrProblemSpec:
+def reference_problem(nu: float = 1.0, c0: float = 1.0, mesh_divisions: int = 10) -> CdrProblemSpec:
     """The reference test case: a Gaussian source off the rotation center
     of a rigid-rotation convection field, with constant nu and c0."""
 
@@ -393,7 +372,6 @@ def reference_problem(nu: float = 1.0, c0: float = 1.0, mesh_divisions: int = 10
         c0=c0,
         a_field=convection,
         f_rhs=source,
-        bc=bc,
     )
 
 

@@ -64,10 +64,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_list(kind, text):
+    """The values of a comma-separated list flag; an empty list or a bad
+    value is a usage error."""
     try:
-        return [kind(tok) for tok in text.split(",") if tok]
+        values = [kind(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
         raise UsageError(f"bad {kind.__name__} list {text!r}") from exc
+    if not values:
+        raise UsageError(f"empty {kind.__name__} list {text!r}")
+    return values
 
 
 # every problem, preconditioner, solve and output flag, in help order
@@ -389,18 +394,23 @@ def cmd_solve(args) -> int:
           f"res_w={final_w:.6e} res_euclid={final_2:.6e}")
     if result.trace.breakdown is not None:
         ev = result.trace.breakdown
-        print(f"breakdown at iteration {ev.iteration} (gamma={ev.gamma_value:.3e})")
+        print(f"breakdown at iteration {ev.iteration} (value={ev.gamma_value:.3e})")
     return _EXIT_BY_STATUS[result.status]
 
 
 def cmd_rho_table(args) -> int:
-    m_values = _parse_list(int, args.m_list)
     _check_coefficients("rho-table", args.nu, args.c0)
+    specs = []  # every mesh is checked before any assembly
+    for m in _parse_list(int, args.m_list):
+        try:
+            specs.append(cdr.reference_problem(nu=args.nu, c0=args.c0, mesh_divisions=m))
+        except ValueError as exc:
+            raise UsageError(f"--m-list: m={m}: {exc}") from exc
     rows = []
     print(f"rho of the preconditioned skew part, nu={args.nu} c0={args.c0}")
-    for m in m_values:
-        assembled = cdr.assemble(cdr.reference_problem(nu=args.nu, c0=args.c0,
-                                                        mesh_divisions=m))
+    for spec in specs:
+        m = spec.mesh_divisions
+        assembled = cdr.assemble(spec)
         hs = bounds_mod.HermitianSplit(assembled.m_matrix, assembled.n_matrix)
         rho = bounds_mod.spectral_radius_skew(hs)
         rows.append((m, rho))
@@ -442,7 +452,6 @@ def cmd_sweep(args) -> int:
     else:  # coefficient
         m = _cdr_spec(args.cdr, args.force, ("m",), m=40).mesh_divisions
         partition = _partition_spec(args.layout, args.n_sub, args.overlap)
-        print(f"coefficient sweep: two-level {args.layout}, m={m}, N={args.n_sub}")
         for coeff in _parse_list(float, args.coeff_list):
             _check_coefficients("--coeff-list", coeff, coeff)
             rows.append((f"c0=nu={coeff}",
@@ -452,6 +461,7 @@ def cmd_sweep(args) -> int:
         symmetric = dataclasses.replace(cdr.reference_problem(nu=10.0, c0=10.0,
                                                               mesh_divisions=m), a_field=None)
         rows.append(("symmetric-part-only", symmetric, partition))
+        print(f"coefficient sweep: two-level {args.layout}, m={m}, N={args.n_sub}")
     partitioned = []
     problem = None
     for label, spec, partition in rows:

@@ -45,7 +45,6 @@ structure at the cost of a weaker condition-number guarantee.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +71,6 @@ __all__ = [
     "build_coarse_space",
     "build_preconditioner",
     "condition_number",
-    "dump_partition_json",
 ]
 
 
@@ -100,19 +98,10 @@ class PartitionSpec:
 
 @dataclass
 class SubdomainMaps:
-    """Overlapped subdomain index sets, and the coloring data they imply."""
+    """Overlapped subdomain index sets: one array of global unknowns per
+    subdomain (ascending as :func:`build_partition` makes them)."""
 
     subdomains: list
-
-    @property
-    def membership_counts(self) -> np.ndarray:
-        """The number of subdomains holding each unknown."""
-        return np.bincount(np.concatenate(self.subdomains))
-
-    @property
-    def color_count(self) -> int:
-        """The most subdomains any one unknown lies in."""
-        return int(self.membership_counts.max())
 
 
 def _near_square_factors(n: int) -> tuple[int, int]:
@@ -331,13 +320,6 @@ class SchwarzPreconditioner:
             return self.apply(v)
         return self._scatter @ self._local.solve(np.asarray(v, dtype=float)[self._index], trans="T")
 
-    def project_deflation(self, v) -> np.ndarray:
-        """The deflation projector P = I - Z G^{-1} Z^T M applied to v."""
-        if self.coarse_basis is None:
-            raise ValueError("no coarse space attached")
-        v = np.asarray(v, dtype=float)
-        return v - self.coarse_basis @ self._coarse_factor.solve(self._mzt @ v)
-
     def as_handle(self) -> PreconditionerHandle:
         return PreconditionerHandle(self.dim, self, hermitian_flag=self.is_symmetric)
 
@@ -406,20 +388,3 @@ def condition_number(precond: SchwarzPreconditioner,
             return hi / lo
     raise ValueError("preconditioned symmetric part is not positive definite")
 
-
-def dump_partition_json(maps: SubdomainMaps, path) -> None:
-    """Write dof -> subdomain membership lists (ascending) for external
-    inspection."""
-    sizes = [len(sub) for sub in maps.subdomains]
-    index = np.concatenate(maps.subdomains)
-    # a stable sort by unknown keeps each unknown's subdomains ascending
-    owners = np.repeat(np.arange(len(sizes)), sizes)[np.argsort(index, kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(index)).tolist()
-    memberships = [owners[start:end] for start, end in zip([0] + ends[:-1], ends)]
-    payload = {
-        "n_subdomains": len(maps.subdomains),
-        "color_count": maps.color_count,
-        "memberships": memberships,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload))  # json.dump streams through the slower Python encoder

@@ -5,7 +5,7 @@ Each of the 2 m^2 triangles gets its own Jacobian, its own three
 mid-edge quadrature points (so every interior edge point is evaluated
 twice) and a dense 3x3 element matrix; the element matrices are summed
 by a COO to CSR conversion over all lattice vertices, and the boundary
-rows and columns are then sliced away (elimination) or penalized.
+rows and columns are then sliced away (elimination).
 """
 
 import numpy as np
@@ -96,30 +96,15 @@ def reference_assemble(problem: CdrProblemSpec) -> AssembledCdr:
     n_full = scipy.sparse.coo_array((ne.ravel(), (rows, cols)), shape=(nvtx, nvtx)).tocsr()
     load = np.bincount(tri.ravel(), weights=be.ravel(), minlength=nvtx)
 
-    if problem.bc == "elimination":
-        keep = mesh.interior_indices
-        sel = np.ix_(keep, keep)
-        m_bc = m_full[sel]
-        n_bc = n_full[sel]
-        rhs = load[keep]
-        dof_vertices = keep
-    else:
-        weight_pen = 1e10 * float(m_full.diagonal().max())
-        boundary = np.flatnonzero(mesh.boundary_mask)
-        m_bc = m_full + scipy.sparse.csr_array(
-            (np.full(len(boundary), weight_pen), (boundary, boundary)), shape=m_full.shape)
-        n_bc = n_full
-        rhs = load.copy()
-        rhs[boundary] = 0.0
-        dof_vertices = np.arange(nvtx)
-
+    keep = mesh.interior_indices
+    sel = np.ix_(keep, keep)
     return AssembledCdr(
-        m_matrix=_validated_csr(m_bc),
-        n_matrix=_validated_csr(n_bc),
-        rhs=rhs,
-        dof_count=len(dof_vertices),
-        dof_coords=mesh.vertices[dof_vertices],
-        dof_vertices=dof_vertices,
+        m_matrix=_validated_csr(m_full[sel]),
+        n_matrix=_validated_csr(n_full[sel]),
+        rhs=load[keep],
+        dof_count=len(keep),
+        dof_coords=mesh.vertices[keep],
+        dof_vertices=keep,
         mesh=mesh,
         problem=problem,
     )

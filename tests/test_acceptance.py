@@ -75,8 +75,7 @@ def seed_bound_reports():
     for seed in range(20):
         a, h_dense, _ = make_pd_system(seed)
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-        w = WeightOperator.from_dense(h_dense)
-        reports[seed] = compute_bound_report(a, h, w)
+        reports[seed] = compute_bound_report(a, h, h.as_weight())
     return reports
 
 

@@ -248,8 +248,7 @@ class TestBoundReport:
         a = np.linalg.inv(h_dense)
         a = 0.5 * (a + a.T)
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-        w = WeightOperator.from_dense(h_dense)
-        report = compute_bound_report(a, h, w)
+        report = compute_bound_report(a, h, h.as_weight())
         assert report.kappa == pytest.approx(1.0, rel=1e-9)
         assert report.rho == pytest.approx(0.0, abs=1e-10)
         assert report.bound3 == pytest.approx(0.0, abs=1e-5)
@@ -283,11 +282,24 @@ class TestBoundReport:
         h_dense = np.linalg.inv(m_part)
         h_dense = 0.5 * (h_dense + h_dense.T)
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-        w = WeightOperator.from_dense(h_dense)
-        report = compute_bound_report(a, h, w)
+        report = compute_bound_report(a, h, h.as_weight())
         assert 0.0 <= report.bound1 <= report.bound2 + 1e-12
         assert report.bound2 <= report.bound3 + 1e-12
         assert report.bound3 <= 1.0
+
+    def test_weight_equal_to_h_but_built_apart_gets_the_general_report(self):
+        # W = H is told by identity, not measured: a weight on another copy
+        # of H's matrix takes the general path, which must agree with the
+        # W = H one on the fields both compute
+        a, h_dense, _ = make_pd_system(3, n=12)
+        h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
+        apart = compute_bound_report(a, h, WeightOperator.from_dense(h_dense.copy()))
+        same = compute_bound_report(a, h, h.as_weight())
+        assert same.kappa is not None and same.bound2 is not None and same.bound1 is not None
+        assert apart.kappa is None and apart.rho is None
+        assert apart.bound2 is None and apart.bound3 is None
+        for key in ("fov_distance", "op_norm", "bound1"):
+            assert getattr(apart, key) == pytest.approx(getattr(same, key), rel=1e-8, abs=0.0), key
 
     def test_non_spd_preconditioner_gets_partial_report(self):
         rng = np.random.default_rng(9)
@@ -394,67 +406,23 @@ class TestBlockedReport:
         handle = PreconditionerHandle(n, counted, hermitian_flag=True)
         weight = WeightOperator(n, handle.apply, validate=False)
         report = compute_bound_report(assembled.operator(), handle, weight)
-        # H is applied to vectors only (a callable has no other action),
-        # in the Lanczos steps alone: W applies H's own apply, so nothing
-        # probes whether W equals H
+        # H is applied to vectors only (a callable has no other action)
         assert counted.vectors > 16
         assert report.bound2 is not None and report.bound3 is not None
 
     @pytest.mark.parametrize("case", ["handle_as_weight", "schwarz_as_weight", "weight_on_apply"])
-    def test_weight_applying_h_is_not_probed(self, schwarz_h, monkeypatch, case):
-        from wpkrylov.schwarz import SchwarzPreconditioner
-
+    def test_weight_applying_h_is_not_probed(self, schwarz_h, case):
+        # every weight on H's own operator gets the W = H report
         assembled, precond = schwarz_h
-        n = precond.dim
-        apply = precond.apply
-        in_lanczos = [False]
-        applies = []  # one entry per H apply: whether a Lanczos solve made it
-
-        def counted(v):
-            applies.append(in_lanczos[0])
-            return apply(v)
-
-        lanczos = bounds._lanczos_extremes
-
-        def tallied(*args, **kwargs):
-            in_lanczos[0] = True
-            try:
-                return lanczos(*args, **kwargs)
-            finally:
-                in_lanczos[0] = False
-
-        monkeypatch.setattr(bounds, "_lanczos_extremes", tallied)
-        if case == "schwarz_as_weight":
-            # both wrap the preconditioner itself, as a callable
-            monkeypatch.setattr(SchwarzPreconditioner, "__call__", lambda self, v: counted(v))
-            handle, weight = precond.as_handle(), precond.as_weight(validate=False)
-        else:
-            handle = PreconditionerHandle(n, counted, hermitian_flag=True)
-            weight = (handle.as_weight() if case == "handle_as_weight"
-                      else WeightOperator(n, handle.apply, validate=False))
-        applies.clear()
-        report = compute_bound_report(assembled.operator(), handle, weight)
-        assert applies and all(applies)
-        lanczos_applies = len(applies)
-
-        # a weight on another callable is probed: 8 H applies outside
-        # Lanczos (the 8 W applies bypass the count), then the same report
-        applies.clear()
-        probed = compute_bound_report(assembled.operator(), handle,
-                                      WeightOperator(n, lambda v: precond.apply(v), validate=False))
-        assert applies.count(False) == 8 and applies.count(True) == lanczos_applies
-        assert probed.kappa is not None and probed.bound2 is not None
-        assert report.to_dict() == probed.to_dict()
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_weight_does_not_match_h(self, bad):
-        # a NaN image compares False both ways; it must read as a mismatch,
-        # without a RuntimeWarning from inf - inf
-        h = make_spd(np.random.default_rng(5), 8)
-        w = h.copy()
-        w[0, 1] = w[1, 0] = bad
-        assert bounds._operators_match(lambda v: h @ v, lambda v: h @ v, 8)
-        assert not bounds._operators_match(lambda v: h @ v, lambda v: w @ v, 8)
+        handle = precond.as_handle()
+        weight = {"handle_as_weight": handle.as_weight,
+                  "schwarz_as_weight": lambda: precond.as_weight(validate=False),
+                  "weight_on_apply": lambda: WeightOperator(precond.dim, handle.apply,
+                                                            validate=False)}[case]()
+        a = assembled.operator()
+        report = compute_bound_report(a, handle, weight)
+        assert report.kappa is not None and report.bound2 is not None
+        assert report.to_dict() == bounds._w_equal_h_report(bounds._matrix(a), handle).to_dict()
 
     def test_w_equal_h_bound1_search_applies_h_to_vectors_only(self, cdr_assembled, no_densify):
         from wpkrylov.schwarz import PartitionSpec, build_partition, build_preconditioner
@@ -510,8 +478,7 @@ class TestBlockedReport:
         # reference: every operator known only through its vector action
         loop_h = PreconditionerHandle(n, lambda v: precond.apply(v), hermitian_flag=True)
         reference = compute_bound_report(
-            LinearOperator(n, assembled.operator().apply), loop_h,
-            WeightOperator(n, lambda v: precond.apply(v), validate=False))
+            LinearOperator(n, assembled.operator().apply), loop_h, loop_h.as_weight())
         got, want = report.to_dict(), reference.to_dict()
         assert [k for k, v in got.items() if v is None] == ["bound1", "alpha_analytic"]
         for key, value in want.items():
@@ -542,8 +509,8 @@ class TestBlockedReport:
                             lambda s: factored.append(s.shape) or cholesky(s))
         report = compute_bound_report(a, h, w)
         # W is densified once, one vector apply per column, and factored
-        # once; one more apply is the first probe of whether W equals H
-        assert counted.vectors == 1 + 12
+        # once; nothing probes whether W equals H
+        assert counted.vectors == 12
         assert factored == [(12, 12)]
         assert_reports_agree(report, dense_weighted_report(a, h_dense, w_dense))
         assert report.bound1 is not None
@@ -551,16 +518,16 @@ class TestBlockedReport:
 
 
     def test_weight_built_from_a_matrix_is_not_densified(self):
-        # a weight that keeps its matrix is factored from it: no column
-        # applies, only the probe of whether W equals H, and the report the
-        # column-by-column densification of the same W gives, bit for bit
+        # a weight that keeps its matrix is factored from it: no apply at
+        # all, and the report the column-by-column densification of the
+        # same W gives, bit for bit
         a, h_dense, _ = make_pd_system(42, n=12)
         w_dense = make_spd(np.random.default_rng(43), 12)
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
         counted = _Counted(12, lambda x: w_dense @ x)
         kept = WeightOperator(12, LinearOperator(12, counted, matrix=w_dense), validate=False)
         report = compute_bound_report(a, h, kept)
-        assert counted.vectors == 1
+        assert counted.vectors == 0
         densified = compute_bound_report(
             a, h, WeightOperator(12, lambda x: w_dense @ x, validate=False))
         assert report.bound1 is not None
@@ -683,7 +650,7 @@ class TestMatrixFreeReport:
         for seed in range(20):
             a, h_dense, _ = make_pd_system(seed)
             h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-            got = compute_bound_report(a, h, WeightOperator.from_dense(h_dense))
+            got = compute_bound_report(a, h, h.as_weight())
             assert_reports_agree(got, dense_w_equal_h_report(a, h_dense))
 
     @pytest.mark.parametrize("m", [16, 22, 24, 30])
@@ -713,7 +680,7 @@ class TestMatrixFreeReport:
         a = SPECIAL_SYSTEMS[name](rng)
         h_dense = make_spd(rng, a.shape[0])
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-        got = compute_bound_report(a, h, WeightOperator.from_dense(h_dense))
+        got = compute_bound_report(a, h, h.as_weight())
         assert_reports_agree(got, dense_w_equal_h_report(a, h_dense))
         assert got.rho is None and got.bound3 is None
         assert (got.bound2 is None) == (name == "singular-a")
@@ -781,7 +748,7 @@ class TestMatrixFreeReport:
         a = _with_symmetric_part(rng, 12, np.r_[0.0, np.linspace(1.0, 3.0, 11)])
         h_dense = make_spd(rng, 12)
         h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-        got = compute_bound_report(a, h, WeightOperator.from_dense(h_dense))
+        got = compute_bound_report(a, h, h.as_weight())
         want = dense_w_equal_h_report(a, h_dense)
         assert got.lambda_min == 0.0 and got.fov_distance == 0.0
         assert abs(want.lambda_min) <= 1e-12 * want.lambda_max

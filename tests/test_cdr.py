@@ -85,34 +85,20 @@ class TestAssembly:
         with pytest.raises(ValueError):
             assemble(CdrProblemSpec(mesh_divisions=4, nu=-1.0, c0=1.0))
 
-    @pytest.mark.parametrize("bc", ["elimination", "penalization"])
-    def test_rejects_non_finite_viscosity(self, bc):
+    def test_rejects_non_finite_viscosity(self):
         # NaN passes the nu > 0 check, since it compares false; the
         # finiteness check of the coefficients rejects it
         def nu(x, y):
             return np.where(np.asarray(x) > 0.5, np.nan, 1.0)
 
         with pytest.raises(ValueError, match="finite"):
-            assemble(CdrProblemSpec(mesh_divisions=6, nu=nu, c0=1.0, bc=bc))
+            assemble(CdrProblemSpec(mesh_divisions=6, nu=nu, c0=1.0))
 
-    @pytest.mark.parametrize("bc", ["elimination", "penalization"])
-    def test_matrices_are_canonical_csr_arrays(self, bc):
-        assembled = assemble(reference_problem(mesh_divisions=6, bc=bc))
+    def test_matrices_are_canonical_csr_arrays(self):
+        assembled = assemble(reference_problem(mesh_divisions=6))
         for part in (assembled.m_matrix, assembled.n_matrix, assembled.full_matrix()):
             assert isinstance(part, scipy.sparse.csr_array)
             assert part.dtype == np.float64 and part.has_canonical_format
-
-    def test_penalization_mode(self):
-        spec = reference_problem(mesh_divisions=6, bc="penalization")
-        assembled = assemble(spec)
-        mesh = assembled.mesh
-        assert assembled.dof_count == mesh.vertices.shape[0]
-        n_dense = assembled.n_matrix.toarray()
-        assert np.array_equal(n_dense, -n_dense.T)
-        diag = assembled.m_matrix.toarray().diagonal()
-        boundary = mesh.boundary_mask
-        assert diag[boundary].min() > 1e8 * diag[~boundary].max()
-        assert np.all(assembled.rhs[boundary] == 0.0)
 
 
 class TestPaperCoefficients:
@@ -157,7 +143,7 @@ EXAMPLES = settings(max_examples=60, deadline=None, derandomize=True, database=N
 ENTRY_RTOL = 1e-13
 
 
-def draw_problem(m, bc, nu, c0, expansion, f):
+def draw_problem(m, nu, c0, expansion, f):
     """A problem with constant or variable nu, c0 and f, and a rotating
     convection field whose divergence is expansion * (1 + 2 x), so that
     c0 + div(a)/2 stays nonnegative."""
@@ -166,7 +152,7 @@ def draw_problem(m, bc, nu, c0, expansion, f):
         y = np.asarray(y, dtype=float)
         return (-3.0 * (y - 0.4) + expansion * x * x, 3.0 * (x - 0.6) + expansion * y)
 
-    return CdrProblemSpec(mesh_divisions=m, nu=nu, c0=c0, a_field=convection, f_rhs=f, bc=bc)
+    return CdrProblemSpec(mesh_divisions=m, nu=nu, c0=c0, a_field=convection, f_rhs=f)
 
 
 def variable(scale):
@@ -174,14 +160,15 @@ def variable(scale):
 
 
 def constant_or_variable(low, high):
-    scales = st.floats(low, high)
+    # no subnormal scale: the entries are compared to ENTRY_RTOL, finer
+    # than a subnormal number's own precision
+    scales = st.floats(low, high, allow_subnormal=False)
     return scales | scales.map(variable)
 
 
 problems = st.builds(
     draw_problem,
     m=st.integers(2, 24),
-    bc=st.sampled_from(["elimination", "penalization"]),
     nu=constant_or_variable(0.01, 10.0),
     c0=st.just(0.0) | constant_or_variable(0.0, 10.0),
     expansion=st.just(0.0) | st.floats(0.1, 3.0),
@@ -238,11 +225,10 @@ BAD_INPUTS = {
 
 
 @EXAMPLES
-@given(st.integers(2, 24), st.sampled_from(["elimination", "penalization"]),
-       st.sampled_from(sorted(BAD_INPUTS)))
-def test_assembly_rejects_what_the_reference_rejects(m, bc, kind):
+@given(st.integers(2, 24), st.sampled_from(sorted(BAD_INPUTS)))
+def test_assembly_rejects_what_the_reference_rejects(m, kind):
     fields, message = BAD_INPUTS[kind]
-    problem = CdrProblemSpec(mesh_divisions=m, bc=bc, **fields)
+    problem = CdrProblemSpec(mesh_divisions=m, **fields)
     for assembly in (assemble, reference_assemble):
         with pytest.raises(ValueError, match=message):
             assembly(problem)

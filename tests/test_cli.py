@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -83,7 +84,9 @@ def test_solve_skew_with_gmres_oracle_converges(skew_files, capsys):
 ], ids=["singular", "nilpotent"])
 def test_gmres_oracle_breakdown_exit_code(tmp_path, capsys, a, b):
     # A singular on the Krylov space, which then holds no solution: the
-    # oracle ends in a breakdown, without a warning (the suite fails on one)
+    # oracle ends in a breakdown, without a warning (the suite fails on one).
+    # The value printed is the oracle's Givens diagonal, so it is not
+    # labelled as any one loop's quantity
     paths = {name: str(tmp_path / name) for name in ("m.mtx", "n.mtx", "b.txt")}
     write_matrix_market(scipy.sparse.csr_array(0.5 * (a + a.T)), paths["m.mtx"])
     write_matrix_market(scipy.sparse.csr_array(0.5 * (a - a.T)), paths["n.mtx"])
@@ -92,7 +95,10 @@ def test_gmres_oracle_breakdown_exit_code(tmp_path, capsys, a, b):
                  "--rhs", paths["b.txt"], "--precond", "identity", "--weight", "identity",
                  "--solver", "gmres-oracle"])
     assert code == 3
-    assert "status=breakdown" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "status=breakdown" in out
+    assert re.search(r"^breakdown at iteration \d+ \(value=-?\d\.\d{3}e[+-]\d{2}\)$",
+                     out.splitlines()[-1])
 
 
 def test_non_finite_rhs_is_usage_error(tmp_path, capsys):
@@ -588,9 +594,19 @@ def test_bad_solve_settings_are_rejected_before_assembly(calls, capsys, argv, fr
     (["bounds", "--kappa", "inf", "--rho", "0.1"], "--kappa must be finite and >= 1, got inf"),
     (["bounds", "--kappa", "5", "--rho", "-1"], "--rho must be finite and >= 0, got -1.0"),
     (["bounds", "--kappa", "5", "--rho", "nan"], "--rho must be finite and >= 0, got nan"),
+    (["rho-table", "--m-list", "1"], "--m-list: m=1: mesh_divisions must be at least 2"),
+    # every mesh is checked before the first one is assembled
+    (["rho-table", "--m-list", "10,1"], "--m-list: m=1: mesh_divisions must be at least 2"),
+    (["rho-table", "--m-list", ","], "empty int list ','"),
+    (["sweep", "--axis", "mesh", "--m-list", ","], "empty int list ','"),
+    (["sweep", "--axis", "n-subdomains", "--cdr", "m=12", "--n-sub-list", ""],
+     "empty int list ''"),
+    (["sweep", "--axis", "coefficient", "--cdr", "m=12", "--coeff-list", ",,"],
+     "empty float list ',,'"),
 ], ids=["cdr-no-equals", "cdr-no-m", "grid-no-shape", "unknown-layout", "matrix-no-rhs",
         "rhs-length", "grid-with-matrix", "kappa-no-rho", "kappa-below-1", "kappa-nan",
-        "kappa-inf", "rho-negative", "rho-nan"])
+        "kappa-inf", "rho-negative", "rho-nan", "rho-table-m-1", "rho-table-m-10-1",
+        "rho-table-empty", "sweep-mesh-empty", "sweep-n-sub-empty", "sweep-coeff-empty"])
 def test_usage_errors_stop_before_assembly(calls, identity_files, tmp_path, capsys, argv,
                                            message):
     mtx, rhs = identity_files

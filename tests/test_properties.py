@@ -54,7 +54,7 @@ clustered_systems = st.builds(draw_system, seed=st.integers(0, 2**32 - 1),
 
 def handles(h_dense):
     h = PreconditionerHandle.from_dense(h_dense, hermitian_flag=True)
-    return h, WeightOperator.from_dense(h_dense, validate=False)
+    return h, h.as_weight()
 
 
 def assert_norms_match(got, expected, rtol, floor=NORM_FLOOR):
