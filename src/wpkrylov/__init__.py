@@ -5,15 +5,20 @@ reaction finite element testbed."""
 from .bounds import (
     BoundReport,
     HermitianSplit,
-    analytic_rho_bound,
     compute_bound_report,
     fov_distance,
-    johnson_identity_check,
     spectral_radius_skew,
     split,
-    weighted_operator_norm,
 )
-from .cdr import AssembledCdr, CdrProblemSpec, StructuredMesh, assemble, build_mesh, reference_problem
+from .cdr import (
+    AssembledCdr,
+    CdrProblemSpec,
+    StructuredMesh,
+    analytic_rho_bound,
+    assemble,
+    build_mesh,
+    reference_problem,
+)
 from .linalg import (
     CholeskyFactor,
     LinearOperator,
@@ -27,10 +32,8 @@ from .schwarz import (
     PartitionSpec,
     SchwarzPreconditioner,
     SubdomainMaps,
-    build_coarse_space,
     build_partition,
     build_preconditioner,
-    condition_number,
 )
 from .solvers import (
     IterationTrace,

@@ -51,6 +51,10 @@ because the joint range of the two quadratic forms is convex
 61-66).  See K. Gustafson, *Antieigenvalue Analysis* (World Scientific
 2012) for the quotient, and Eisenstat, Elman and Schultz (SIAM J.
 Numer. Anal. 20, 1983) for the one-step GCR bound.
+
+The report knows A, H and W only as operators, so this module imports
+``linalg`` and ``weighting`` alone; the analytic bound on rho of the CDR
+problem is ``cdr.analytic_rho_bound``.
 """
 
 from __future__ import annotations
@@ -63,7 +67,6 @@ import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse
 
-from . import cdr
 from .linalg import (
     EigenSolverError,
     NotPositiveDefiniteError,
@@ -73,7 +76,6 @@ from .linalg import (
     check_symmetric,
     cholesky,
     densify,
-    gen_sym_eig,
     sparse_lu_factor,
     sparse_spd_factor,
 )
@@ -85,10 +87,7 @@ __all__ = [
     "split",
     "spectral_radius_skew",
     "fov_distance",
-    "weighted_operator_norm",
     "compute_bound_report",
-    "johnson_identity_check",
-    "analytic_rho_bound",
 ]
 
 # bound1 is searched up to this dimension; above it, it is reported only
@@ -344,12 +343,6 @@ def fov_distance(b, w: WeightOperator) -> float:
     return _min_abs_over_range(_sym_extremes(*_euclidean_maps(mat.dot, mat.T.dot, w), mat.shape[0]))
 
 
-def weighted_operator_norm(b, w: WeightOperator) -> float:
-    """Operator norm induced by the W-norm."""
-    mat = _matrix(b)
-    return _norm(*_euclidean_maps(mat.dot, mat.T.dot, w), mat.shape[0])
-
-
 def _dual_bound1(pencil, apply_x, n: int, d: float, after_x: bool = False) -> float | None:
     """bound1 = sqrt(1 - q), q the infimum over y of
     (y^T S y)^2 / (||C y||^2 ||y||^2), S = sym(C), given the distance d
@@ -423,11 +416,6 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BoundReport":
-        names = {f.name for f in fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in names})
 
 
 def direct_bound3(kappa: float, rho: float) -> float:
@@ -577,48 +565,3 @@ def _min_abs_over_range(eigs: np.ndarray) -> float:
     if lo <= 0.0 <= hi:
         return 0.0
     return min(abs(lo), abs(hi))
-
-
-def johnson_identity_check(hs: HermitianSplit, a_inv) -> tuple[float, float]:
-    """Both sides of the identity linking the split of A and of A^{-1}.
-
-    Returns (lhs, rhs): the smallest generalized eigenvalue of the
-    pencil (sym part of A^{-1}, inverse of sym part of A), and
-    1 / (1 + rho^2).  For positive definite A the two agree.  Dense
-    throughout: a sparse M is densified.
-    """
-    a_inv = np.asarray(a_inv, dtype=float)
-    factor = cholesky(densify(hs.m_part))
-    m_inverse = factor.solve(np.eye(hs.dim))
-    m_of_inv = 0.5 * (a_inv + a_inv.T)
-    eigs = gen_sym_eig(m_of_inv, 0.5 * (m_inverse + m_inverse.T))
-    rho = spectral_radius_skew(hs)
-    return float(eigs[0]), float(1.0 / (1.0 + rho * rho))
-
-
-def analytic_rho_bound(problem) -> float:
-    """Mesh-independent upper bound on the skewness measure of the
-    convection-diffusion-reaction operator.
-
-    Evaluates half the sup-norm of the convection field divided by the
-    square root of inf(nu) * inf(c0 + div(a)/2), sampling the suprema and
-    infima over the mesh vertices, the four domain corners among them.
-    The coefficients are evaluated on arrays as in ``cdr.assemble``, and
-    the divergence by its central differences, at the vertices nudged
-    1e-5 inside the domain.
-    """
-    grid = np.arange(problem.mesh_divisions + 1) / problem.mesh_divisions
-    x, y = np.meshgrid(grid, grid)
-    ax, ay = cdr._vector_field(problem.a_field, x, y)
-    a_max = float(np.max(np.hypot(ax, ay)))
-    nu_inf = float(np.min(cdr._scalar_field(problem.nu, x, y)))
-    xi, yi = (np.clip(t, 1e-5, 1.0 - 1e-5) for t in (x, y))
-    c_inf = float(np.min(cdr._scalar_field(problem.c0, x, y)
-                         + 0.5 * cdr._divergence(problem.a_field, xi, yi)))
-    if nu_inf <= 0.0:
-        raise ValueError("viscosity must be positive everywhere")
-    if c_inf <= 0.0:
-        raise ValueError("reaction plus half the convection divergence must be positive")
-    if a_max == 0.0:
-        return 0.0
-    return 0.5 * a_max / math.sqrt(nu_inf * c_inf)

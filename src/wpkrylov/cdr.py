@@ -23,10 +23,15 @@ arrays and written straight into the fixed 7-point pattern of the
 interior vertices (self and the E, W, N, S, NE and SW neighbours), whose
 row pointers and column indices follow by arithmetic.  The Dirichlet data
 is eliminated: the boundary vertices carry no unknown.
+
+The same coefficient samplers give :func:`analytic_rho_bound`, the
+mesh-independent bound on the skewness measure that the ``bounds``
+command prints as alpha_analytic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +46,8 @@ __all__ = [
     "build_mesh",
     "assemble",
     "reference_problem",
-    "l2_error",
+    "analytic_rho_bound",
 ]
-
-# values of the barycentric basis at the mid-edge quadrature points
-_LAMBDA_Q = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 
 _DIV_STEP = 1e-6
 
@@ -375,17 +377,29 @@ def reference_problem(nu: float = 1.0, c0: float = 1.0, mesh_divisions: int = 10
     )
 
 
-def l2_error(assembled: AssembledCdr, values: np.ndarray, exact) -> float:
-    """L2 distance between the finite element function with the given dof
-    values and an exact solution callable, via the mid-edge rule."""
-    mesh = assembled.mesh
-    full = np.zeros(mesh.vertices.shape[0])
-    full[assembled.dof_vertices] = np.asarray(values, dtype=float)
-    tri = mesh.triangles
-    pts = mesh.vertices[tri]
-    area = mesh.h * mesh.h / 2.0
-    qx = np.einsum("qk,tk->tq", _LAMBDA_Q, pts[:, :, 0])
-    qy = np.einsum("qk,tk->tq", _LAMBDA_Q, pts[:, :, 1])
-    uh = np.einsum("qk,tk->tq", _LAMBDA_Q, full[tri])
-    ue = np.asarray(exact(qx, qy), dtype=float)
-    return float(np.sqrt((area / 3.0) * np.sum((uh - ue) ** 2)))
+def analytic_rho_bound(problem: CdrProblemSpec) -> float:
+    """Mesh-independent upper bound on the skewness measure of the
+    convection-diffusion-reaction operator.
+
+    Evaluates half the sup-norm of the convection field divided by the
+    square root of inf(nu) * inf(c0 + div(a)/2), sampling the suprema and
+    infima over the mesh vertices, the four domain corners among them.
+    The coefficients are evaluated on arrays as in :func:`assemble`, and
+    the divergence by its central differences, at the vertices nudged
+    1e-5 inside the domain.
+    """
+    grid = np.arange(problem.mesh_divisions + 1) / problem.mesh_divisions
+    x, y = np.meshgrid(grid, grid)
+    ax, ay = _vector_field(problem.a_field, x, y)
+    a_max = float(np.max(np.hypot(ax, ay)))
+    nu_inf = float(np.min(_scalar_field(problem.nu, x, y)))
+    xi, yi = (np.clip(t, 1e-5, 1.0 - 1e-5) for t in (x, y))
+    c_inf = float(np.min(_scalar_field(problem.c0, x, y)
+                         + 0.5 * _divergence(problem.a_field, xi, yi)))
+    if nu_inf <= 0.0:
+        raise ValueError("viscosity must be positive everywhere")
+    if c_inf <= 0.0:
+        raise ValueError("reaction plus half the convection divergence must be positive")
+    if a_max == 0.0:
+        return 0.0
+    return 0.5 * a_max / math.sqrt(nu_inf * c_inf)

@@ -63,15 +63,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_list(kind, text):
-    """The values of a comma-separated list flag; an empty list or a bad
-    value is a usage error."""
+def _parse_list(flag, kind, text):
+    """The values of the comma-separated list flag ``flag``; an empty list
+    or a bad value is a usage error that names the flag."""
     try:
         values = [kind(tok) for tok in text.split(",") if tok]
     except ValueError as exc:
-        raise UsageError(f"bad {kind.__name__} list {text!r}") from exc
+        raise UsageError(f"{flag}: bad {kind.__name__} list {text!r}") from exc
     if not values:
-        raise UsageError(f"empty {kind.__name__} list {text!r}")
+        raise UsageError(f"{flag}: empty {kind.__name__} list {text!r}")
     return values
 
 
@@ -153,12 +153,14 @@ def _check_coefficients(where: str, nu: float, c0: float):
         raise UsageError(f"{where}: needs finite nu > 0 and c0 >= 0, got nu={nu} c0={c0}")
 
 
-def _cdr_spec(tokens, force: bool, keys=("m", "nu", "c0"), m=None) -> cdr.CdrProblemSpec:
+def _cdr_spec(tokens, force: bool, keys=("m", "nu", "c0"), m=None,
+              m_flag=None) -> cdr.CdrProblemSpec:
     """The reference problem that --cdr describes.
 
     Only the given keys are accepted.  m is the mesh when --cdr does not
-    set it (None: m=INT is required); nu and c0 default to 1.  A mesh
-    above SOLVE_MESH_BUDGET needs force.
+    set it (None: m=INT is required), an entry of the list flag m_flag
+    when that is given, which a bad mesh's error then names; nu and c0
+    default to 1.  A mesh above SOLVE_MESH_BUDGET needs force.
     """
     kv = {}
     for tok in tokens or ():
@@ -174,9 +176,12 @@ def _cdr_spec(tokens, force: bool, keys=("m", "nu", "c0"), m=None) -> cdr.CdrPro
         raise UsageError("--cdr needs m=INT")
     try:
         m, nu, c0 = int(m), float(kv.get("nu", 1.0)), float(kv.get("c0", 1.0))
-        spec = cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m)
     except ValueError as exc:
         raise UsageError(f"--cdr: {exc}") from exc
+    try:
+        spec = cdr.reference_problem(nu=nu, c0=c0, mesh_divisions=m)
+    except ValueError as exc:  # a mesh below 2
+        raise UsageError(f"{m_flag}: m={m}: {exc}" if m_flag else f"--cdr: {exc}") from exc
     _check_coefficients("--cdr", nu, c0)
     if m > SOLVE_MESH_BUDGET and not force:
         raise UsageError(f"mesh m={m} exceeds the solve budget {SOLVE_MESH_BUDGET} "
@@ -184,7 +189,11 @@ def _cdr_spec(tokens, force: bool, keys=("m", "nu", "c0"), m=None) -> cdr.CdrPro
     return spec
 
 
-def _partition_spec(layout: str, n_sub: int, overlap: int) -> schwarz.PartitionSpec:
+def _partition_spec(layout: str, n_sub: int, overlap: int,
+                    where: str | None = None) -> schwarz.PartitionSpec:
+    """The partition the flags describe.  A spec PartitionSpec rejects is
+    a usage error that starts with ``where``, the flag n_sub came from
+    (by default --n-sub, --layout and --overlap with their values)."""
     kind, shape = layout, None
     if layout.startswith("grid:"):
         try:
@@ -197,7 +206,8 @@ def _partition_spec(layout: str, n_sub: int, overlap: int) -> schwarz.PartitionS
     try:
         return schwarz.PartitionSpec(n_sub, kind, grid_shape=shape, overlap_layers=overlap)
     except ValueError as exc:
-        raise UsageError(f"--n-sub {n_sub} --layout {layout} --overlap {overlap}: {exc}") from exc
+        where = where or f"--n-sub {n_sub} --layout {layout} --overlap {overlap}"
+        raise UsageError(f"{where}: {exc}") from exc
 
 
 class _Problem:
@@ -401,7 +411,7 @@ def cmd_solve(args) -> int:
 def cmd_rho_table(args) -> int:
     _check_coefficients("rho-table", args.nu, args.c0)
     specs = []  # every mesh is checked before any assembly
-    for m in _parse_list(int, args.m_list):
+    for m in _parse_list("--m-list", int, args.m_list):
         try:
             specs.append(cdr.reference_problem(nu=args.nu, c0=args.c0, mesh_divisions=m))
         except ValueError as exc:
@@ -433,8 +443,9 @@ def cmd_sweep(args) -> int:
     solvers = [("", _SOLVERS["whp-gcr"])]
     if args.axis in ("n-subdomains", "inner-product"):
         spec = _cdr_spec(args.cdr, args.force, m=60)
-        for n_sub in _parse_list(int, args.n_sub_list):
-            rows.append((f"N={n_sub}", spec, _partition_spec(args.layout, n_sub, args.overlap)))
+        for n_sub in _parse_list("--n-sub-list", int, args.n_sub_list):
+            rows.append((f"N={n_sub}", spec, _partition_spec(args.layout, n_sub, args.overlap,
+                                                             f"--n-sub-list: N={n_sub}")))
         if args.axis == "n-subdomains":
             print(f"scalability sweep: two-level, m={spec.mesh_divisions}")
         else:
@@ -442,8 +453,9 @@ def cmd_sweep(args) -> int:
             solvers = [(" gmres", _SOLVERS["gmres-oracle"]), (" whp-gcr", _SOLVERS["whp-gcr"])]
     elif args.axis == "mesh":
         partition = _partition_spec(args.layout, args.n_sub, args.overlap)
-        for m in _parse_list(int, args.m_list):
-            spec = _cdr_spec(args.cdr, True, ("nu", "c0"), m=m)  # a row over budget is skipped
+        for m in _parse_list("--m-list", int, args.m_list):
+            # a row over budget is skipped
+            spec = _cdr_spec(args.cdr, True, ("nu", "c0"), m=m, m_flag="--m-list")
             if m > SOLVE_MESH_BUDGET and not args.force:
                 print(f"m={m}: skipped (budget)")
                 continue
@@ -452,7 +464,7 @@ def cmd_sweep(args) -> int:
     else:  # coefficient
         m = _cdr_spec(args.cdr, args.force, ("m",), m=40).mesh_divisions
         partition = _partition_spec(args.layout, args.n_sub, args.overlap)
-        for coeff in _parse_list(float, args.coeff_list):
+        for coeff in _parse_list("--coeff-list", float, args.coeff_list):
             _check_coefficients("--coeff-list", coeff, coeff)
             rows.append((f"c0=nu={coeff}",
                          cdr.reference_problem(nu=coeff, c0=coeff, mesh_divisions=m), partition))
@@ -515,7 +527,7 @@ def cmd_bounds(args) -> int:
         raise UsageError(f"bound report: {exc}") from exc
     if problem.spec is not None:
         try:
-            report.alpha_analytic = bounds_mod.analytic_rho_bound(problem.spec)
+            report.alpha_analytic = cdr.analytic_rho_bound(problem.spec)
         except ValueError:  # c0 = 0 leaves the reaction no positive lower bound
             pass
     for key, value in report.to_dict().items():

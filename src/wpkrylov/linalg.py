@@ -215,19 +215,12 @@ class CholeskyFactor:
 
     lower: np.ndarray
 
-    @property
-    def dim(self) -> int:
-        return self.lower.shape[0]
-
     def solve(self, b) -> np.ndarray:
         """The solution for a vector, or for every column of a block."""
         x, info = dpotrs(self.lower, np.asarray(b, dtype=float), lower=1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpotrs")
         return x
-
-    def reconstruct(self) -> np.ndarray:
-        return self.lower @ self.lower.T
 
 
 def cholesky(s) -> CholeskyFactor:
@@ -302,26 +295,13 @@ class BandedCholesky:
     def bandwidth(self) -> int:
         return self.upper.shape[0] - 1
 
-    def solve(self, b) -> np.ndarray:
-        """The solution for a vector, or for every column of an n x k block."""
-        b = np.asarray(b, dtype=float)
-        if self.perm is None:
-            return self._band_solve(b, overwrite=False)
-        x = self._band_solve(b[self.perm], overwrite=True)
-        out = np.empty_like(x)
-        out[self.perm] = x
-        return out
-
     def solve_in_factored_order(self, b: np.ndarray) -> np.ndarray:
         """y with U^T U y = b, that is P x for S x = P^T b: the solve with
         no permutation, for a caller that keeps its vectors in the factored
         order.  ``b`` is a float64 vector or n x k block the caller gives
         up: LAPACK overwrites it where it can (a C-ordered block is
         copied)."""
-        return self._band_solve(b, overwrite=True)
-
-    def _band_solve(self, b: np.ndarray, overwrite: bool) -> np.ndarray:
-        x, info = dpbtrs(self.upper, b, lower=0, overwrite_b=overwrite)
+        x, info = dpbtrs(self.upper, b, lower=0, overwrite_b=True)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of dpbtrs")
         return x

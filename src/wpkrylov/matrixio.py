@@ -27,7 +27,6 @@ __all__ = [
     "read_vector",
     "write_vector",
     "write_report_json",
-    "read_report_json",
     "write_report_csv",
 ]
 
@@ -171,28 +170,11 @@ class ExperimentReport:
             "wall_time_s": float(self.wall_time_s),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentReport":
-        return cls(
-            metadata=data.get("metadata", {}),
-            residual_norm_weighted=list(data.get("residual_norm_weighted", [])),
-            residual_norm_euclidean=list(data.get("residual_norm_euclidean", [])),
-            iterations=int(data.get("iterations", 0)),
-            status=data.get("status", ""),
-            bound_report=data.get("bound_report"),
-            wall_time_s=float(data.get("wall_time_s", 0.0)),
-        )
-
 
 def write_report_json(report: ExperimentReport, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
         handle.write("\n")
-
-
-def read_report_json(path) -> ExperimentReport:
-    with open(path, "r", encoding="utf-8") as handle:
-        return ExperimentReport.from_dict(json.load(handle))
 
 
 def write_report_csv(report: ExperimentReport, path) -> None:

@@ -40,7 +40,10 @@ The coarse space is spanned by partition-of-unity indicator vectors, one
 per subdomain (entry 1/membership-count inside the subdomain), stored as
 a sparse n x N matrix; their sum is exactly the all-ones vector.  This
 substitutes for a spectral coarse space, preserving the two-level
-structure at the cost of a weaker condition-number guarantee.
+structure at the cost of a weaker condition-number guarantee.  A built
+two-level preconditioner holds its basis as ``coarse_basis``; the
+condition number of H M is the ``kappa`` of the W = H bound report
+(``bounds.compute_bound_report``), which this module does not import.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ import numpy as np
 import scipy.sparse
 from scipy.linalg.lapack import dpstrf
 
-from .bounds import _definiteness, _hm_extremes
 from .linalg import (
     BandedCholesky,
     NotPositiveDefiniteError,
@@ -68,9 +70,7 @@ __all__ = [
     "SubdomainMaps",
     "SchwarzPreconditioner",
     "build_partition",
-    "build_coarse_space",
     "build_preconditioner",
-    "condition_number",
 ]
 
 
@@ -203,24 +203,14 @@ def _concatenated(maps: SubdomainMaps, n: int):
     return index, np.repeat(np.arange(len(sizes)), sizes), scatter
 
 
-def build_coarse_space(maps: SubdomainMaps,
-                       m_matrix: scipy.sparse.csr_array) -> scipy.sparse.csr_array:
-    """Partition-of-unity coarse basis, one vector per subdomain, as a
-    sparse n x N matrix.
-
-    Vectors that make the coarse Gram matrix (numerically) rank
-    deficient are dropped by pivoted Cholesky with a relative pivot
-    threshold.
-    """
-    return _pou_coarse_space(maps, m_matrix, *_concatenated(maps, m_matrix.shape[0]))[0]
-
-
 def _pou_coarse_space(maps: SubdomainMaps, m_csr, index: np.ndarray, owner: np.ndarray,
                       scatter):
-    """The rank-filtered coarse basis Z, Z^T in CSR, M Z and the dense Gram
-    matrix Z^T M Z.  Z has the pattern of R^T with each position's column
-    replaced by its subdomain; row s of Z^T holds subdomain s's
-    positions."""
+    """The partition-of-unity coarse basis Z, Z^T in CSR, M Z and the dense
+    Gram matrix Z^T M Z.  Z has the pattern of R^T with each position's
+    column replaced by its subdomain; row s of Z^T holds subdomain s's
+    positions.  Vectors that make the Gram matrix (numerically) rank
+    deficient are dropped by pivoted Cholesky with a relative pivot
+    threshold."""
     n, count = m_csr.shape[0], len(maps.subdomains)
     weights = 1.0 / np.diff(scatter.indptr)[index]
     z = scipy.sparse.csr_array((weights[scatter.indices], owner[scatter.indices],
@@ -267,13 +257,10 @@ class SchwarzPreconditioner:
     basis Z of the two-level mode, None in the one-level modes.
     """
 
-    def __init__(self, mode, dim: int, maps: SubdomainMaps, index: np.ndarray, scatter,
-                 local_factor, coarse=None):
+    def __init__(self, mode, dim: int, index: np.ndarray, scatter, local_factor, coarse=None):
         self.mode = mode
         self.dim = dim
-        self.maps = maps
         self._local = local_factor
-        self._local_solve = local_factor.solve
         if isinstance(local_factor, BandedCholesky):
             # the band factor's order is composed into the gather and the
             # scatter, so the solve runs in place on the gathered vector
@@ -287,6 +274,8 @@ class SchwarzPreconditioner:
                 scatter = scipy.sparse.csr_array(
                     (scatter.data, position[scatter.indices], scatter.indptr),
                     shape=scatter.shape)
+        else:  # SuperLU, whose solve permutes for itself
+            self._local_solve = local_factor.solve
         self._index, self._scatter = index, scatter
         # Z^T and (MZ)^T in CSR: a transpose view costs more per apply
         self.coarse_basis, self._zt, self._mz, self._coarse_factor = (
@@ -372,19 +361,4 @@ def build_preconditioner(matrix: scipy.sparse.csr_array, maps: SubdomainMaps, mo
             zt, mz = z.T.tocsr(), scipy.sparse.csr_array(local_matrix @ z)
             gram = _gram(zt, mz)
         coarse = (z, zt, mz, cholesky(gram))
-    return SchwarzPreconditioner(mode, matrix.shape[0], maps, index, scatter, local_factor, coarse)
-
-
-def condition_number(precond: SchwarzPreconditioner,
-                     m_matrix: scipy.sparse.csr_array) -> float:
-    """Ratio of the extreme eigenvalues of the preconditioned symmetric
-    part H M, by Lanczos in the M inner product; H is applied to vectors
-    only.  ValueError unless M and H M are positive definite."""
-    m = check_symmetric(m_matrix)
-    sign, _ = _definiteness(m)
-    if sign > 0:
-        lo, hi = _hm_extremes(precond.apply, m, sign)
-        if lo > 0.0:
-            return hi / lo
-    raise ValueError("preconditioned symmetric part is not positive definite")
-
+    return SchwarzPreconditioner(mode, matrix.shape[0], index, scatter, local_factor, coarse)

@@ -1,5 +1,6 @@
 """Triangle-by-triangle COO assembly of the CDR problem, the reference
-that tests hold cdr.assemble to.
+that tests hold cdr.assemble to, and the L2 error of a finite element
+function by the same mid-edge rule.
 
 Each of the 2 m^2 triangles gets its own Jacobian, its own three
 mid-edge quadrature points (so every interior edge point is evaluated
@@ -108,3 +109,19 @@ def reference_assemble(problem: CdrProblemSpec) -> AssembledCdr:
         mesh=mesh,
         problem=problem,
     )
+
+
+def l2_error(assembled: AssembledCdr, values: np.ndarray, exact) -> float:
+    """L2 distance between the finite element function with the given dof
+    values and an exact solution callable, via the mid-edge rule."""
+    mesh = assembled.mesh
+    full = np.zeros(mesh.vertices.shape[0])
+    full[assembled.dof_vertices] = np.asarray(values, dtype=float)
+    tri = mesh.triangles
+    pts = mesh.vertices[tri]
+    area = mesh.h * mesh.h / 2.0
+    qx = np.einsum("qk,tk->tq", LAMBDA_Q, pts[:, :, 0])
+    qy = np.einsum("qk,tk->tq", LAMBDA_Q, pts[:, :, 1])
+    uh = np.einsum("qk,tk->tq", LAMBDA_Q, full[tri])
+    ue = np.asarray(exact(qx, qy), dtype=float)
+    return float(np.sqrt((area / 3.0) * np.sum((uh - ue) ** 2)))

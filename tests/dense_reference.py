@@ -1,6 +1,7 @@
 """Dense helpers that only tests use: an LU solve for reference
-solutions, and the weighted inner product and norm written out from
-their definitions, <x, y>_W = y^T W x and ||x||_W.
+solutions, the weighted inner product and norm written out from their
+definitions, <x, y>_W = y^T W x and ||x||_W, and both sides of the
+identity linking the splits of A and of A^{-1}.
 """
 
 import warnings
@@ -8,7 +9,15 @@ import warnings
 import numpy as np
 import scipy.linalg
 
-from wpkrylov.linalg import SingularMatrixError, _as_square, _as_vector
+from wpkrylov.bounds import HermitianSplit, spectral_radius_skew
+from wpkrylov.linalg import (
+    SingularMatrixError,
+    _as_square,
+    _as_vector,
+    cholesky,
+    densify,
+    gen_sym_eig,
+)
 from wpkrylov.weighting import InvalidWeightError, WeightOperator
 
 
@@ -46,3 +55,20 @@ def w_norm(w: WeightOperator, x) -> float:
             raise InvalidWeightError(f"negative weighted norm radicand {radicand}")
         radicand = 0.0
     return float(np.sqrt(radicand))
+
+
+def johnson_identity_check(hs: HermitianSplit, a_inv) -> tuple[float, float]:
+    """Both sides of the identity linking the split of A and of A^{-1}.
+
+    Returns (lhs, rhs): the smallest generalized eigenvalue of the
+    pencil (sym part of A^{-1}, inverse of sym part of A), and
+    1 / (1 + rho^2).  For positive definite A the two agree.  Dense
+    throughout: a sparse M is densified.
+    """
+    a_inv = np.asarray(a_inv, dtype=float)
+    factor = cholesky(densify(hs.m_part))
+    m_inverse = factor.solve(np.eye(hs.dim))
+    m_of_inv = 0.5 * (a_inv + a_inv.T)
+    eigs = gen_sym_eig(m_of_inv, 0.5 * (m_inverse + m_inverse.T))
+    rho = spectral_radius_skew(hs)
+    return float(eigs[0]), float(1.0 / (1.0 + rho * rho))

@@ -1,6 +1,7 @@
 """The Lanczos loop of the bound report with the whole tridiagonal
 eigendecomposition at every step, the reference that tests hold
-bounds._lanczos_extremes to.
+bounds._lanczos_extremes to, and the condition number of H M that it
+gives.
 
 Each step runs scipy.linalg.eigh_tridiagonal on the k x k tridiagonal
 matrix with all its eigenvectors, O(k^2), and reads the Ritz values at
@@ -48,3 +49,11 @@ def lanczos_extremes(apply_t, apply_x, n, ends, after_x=False, limit=None):
             return picked
         v, xv, norm = w, xw, beta[k]
     raise EigenSolverError(f"Lanczos did not converge in {limit} steps")
+
+
+def hm_condition_number(apply_h, m):
+    """lambda_max / lambda_min of H M for H and M symmetric positive
+    definite, by the loop above in the M inner product, where H M is
+    self-adjoint; H is applied to vectors only."""
+    lo, hi = lanczos_extremes(lambda v: apply_h(m @ v), lambda v: m @ v, m.shape[0], (0, -1))
+    return float(hi / lo)

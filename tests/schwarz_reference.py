@@ -126,6 +126,5 @@ def build(matrix, maps, mode, coarse_basis=None):
             mz = scipy.sparse.csr_array(local_matrix @ z)
             zt, gram = z.T.tocsr(), gram_matrix(z, mz)
         coarse = (z, zt, mz, cholesky(gram))
-    precond = SchwarzPreconditioner(mode, n, maps, index, scatter(index, n), factor(blocks),
-                                    coarse)
+    precond = SchwarzPreconditioner(mode, n, index, scatter(index, n), factor(blocks), coarse)
     return precond, blocks, gram

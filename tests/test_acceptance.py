@@ -13,14 +13,12 @@ import scipy.sparse
 
 from wpkrylov.bounds import (
     HermitianSplit,
-    analytic_rho_bound,
     compute_bound_report,
     direct_bound3,
-    johnson_identity_check,
     spectral_radius_skew,
     split,
 )
-from wpkrylov.cdr import CdrProblemSpec, assemble, l2_error, reference_problem
+from wpkrylov.cdr import CdrProblemSpec, analytic_rho_bound, assemble, reference_problem
 from wpkrylov.cli import main as cli_main
 from wpkrylov.linalg import LinearOperator
 from wpkrylov.matrixio import write_matrix_market, write_vector
@@ -36,7 +34,8 @@ from wpkrylov.solvers import (
 from wpkrylov.weighting import PreconditionerHandle, WeightOperator
 
 from conftest import make_pd_system, paired_iterates
-from dense_reference import lu_solve
+from cdr_reference import l2_error
+from dense_reference import johnson_identity_check, lu_solve
 from whp_alternates_reference import whp_gcr_alt_a, whp_gcr_alt_b
 
 

@@ -9,11 +9,10 @@ from wpkrylov.cdr import (
     CdrProblemSpec,
     assemble,
     build_mesh,
-    l2_error,
     reference_problem,
 )
 
-from cdr_reference import reference_assemble
+from cdr_reference import l2_error, reference_assemble
 from dense_reference import lu_solve
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import scipy.sparse
 
 from wpkrylov import bounds, cdr, schwarz
 from wpkrylov.cli import _SOLVERS, build_parser, main
-from wpkrylov.matrixio import read_report_json, write_matrix_market, write_vector
+from wpkrylov.matrixio import write_matrix_market, write_vector
 
 
 @pytest.fixture
@@ -53,9 +54,9 @@ def test_solve_identity(identity_files, tmp_path, capsys):
     code = main(["solve", "--matrix", mtx, "--rhs", rhs, "--precond", "identity",
                  "--weight", "identity", "--solver", "gcr", "--out", str(out)])
     assert code == 0
-    report = read_report_json(out)
-    assert report.iterations == 1
-    assert report.status == "converged"
+    report = json.loads(out.read_text())
+    assert report["iterations"] == 1
+    assert report["status"] == "converged"
     assert "iterations=1" in capsys.readouterr().out
 
 
@@ -211,9 +212,9 @@ def test_bounds_direct_mode_writes_its_report(tmp_path):
     out = tmp_path / "r.json"
     done = run_module("bounds", "--kappa", "10", "--rho", "0.5", "--out", str(out))
     assert done.returncode == 0 and "bound3=0.959166" in done.stdout
-    report = read_report_json(out)
-    assert report.metadata == {"problem": "direct mode"}
-    assert {key: value for key, value in report.bound_report.items() if value is not None} == {
+    report = json.loads(out.read_text())
+    assert report["metadata"] == {"problem": "direct mode"}
+    assert {key: value for key, value in report["bound_report"].items() if value is not None} == {
         "kappa": 10.0, "rho": 0.5, "bound3": bounds.direct_bound3(10.0, 0.5)}
 
 
@@ -223,9 +224,9 @@ def test_bounds_problem_mode_writes_what_it_prints(tmp_path, capsys):
                  "--out", str(out)]) == 0
     printed = dict(line.split("=") for line in capsys.readouterr().out.splitlines()
                    if "=" in line)
-    report = read_report_json(out)
-    assert report.metadata == {"problem": "cdr m=10 nu=1.0 c0=1.0"}
-    assert {key: f"{value:.8g}" for key, value in report.bound_report.items()
+    report = json.loads(out.read_text())
+    assert report["metadata"] == {"problem": "cdr m=10 nu=1.0 c0=1.0"}
+    assert {key: f"{value:.8g}" for key, value in report["bound_report"].items()
             if value is not None} == printed
     assert len(printed) == 10
 
@@ -313,7 +314,9 @@ def test_bad_partitions_are_rejected_before_factorization(calls, capsys, argv, f
         argv = argv + ["--precond", "two-level", "--solver", "whp-gcr"]
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: --n-sub ") and fragment in err
+    # a sweep names the --n-sub-list entry that failed
+    assert err.startswith("error: --n-sub-list: N=8: " if argv[0] == "sweep" else "error: --n-sub ")
+    assert fragment in err
     assert calls["build_preconditioner"] == []
 
 
@@ -390,9 +393,9 @@ def test_solve_cdr_whp(tmp_path, capsys):
                  "--n-sub", "2", "--layout", "strips", "--solver", "whp-gcr",
                  "--out", str(out)])
     assert code == 0
-    report = read_report_json(out)
-    assert report.status == "converged"
-    assert report.metadata["solver"] == "whp-gcr"
+    report = json.loads(out.read_text())
+    assert report["status"] == "converged"
+    assert report["metadata"]["solver"] == "whp-gcr"
 
 
 def test_solver_variants_parse(tmp_path):
@@ -597,16 +600,23 @@ def test_bad_solve_settings_are_rejected_before_assembly(calls, capsys, argv, fr
     (["rho-table", "--m-list", "1"], "--m-list: m=1: mesh_divisions must be at least 2"),
     # every mesh is checked before the first one is assembled
     (["rho-table", "--m-list", "10,1"], "--m-list: m=1: mesh_divisions must be at least 2"),
-    (["rho-table", "--m-list", ","], "empty int list ','"),
-    (["sweep", "--axis", "mesh", "--m-list", ","], "empty int list ','"),
+    (["rho-table", "--m-list", ","], "--m-list: empty int list ','"),
+    (["sweep", "--axis", "mesh", "--m-list", ","], "--m-list: empty int list ','"),
     (["sweep", "--axis", "n-subdomains", "--cdr", "m=12", "--n-sub-list", ""],
-     "empty int list ''"),
+     "--n-sub-list: empty int list ''"),
     (["sweep", "--axis", "coefficient", "--cdr", "m=12", "--coeff-list", ",,"],
-     "empty float list ',,'"),
+     "--coeff-list: empty float list ',,'"),
+    # a bad list entry names its list flag, not --cdr or --n-sub
+    (["sweep", "--axis", "mesh", "--m-list", "1"],
+     "--m-list: m=1: mesh_divisions must be at least 2"),
+    (["sweep", "--axis", "n-subdomains", "--cdr", "m=12", "--n-sub-list", "0"],
+     "--n-sub-list: N=0: n_subdomains must be positive"),
+    (["sweep", "--axis", "mesh", "--m-list", "10,x"], "--m-list: bad int list '10,x'"),
 ], ids=["cdr-no-equals", "cdr-no-m", "grid-no-shape", "unknown-layout", "matrix-no-rhs",
         "rhs-length", "grid-with-matrix", "kappa-no-rho", "kappa-below-1", "kappa-nan",
         "kappa-inf", "rho-negative", "rho-nan", "rho-table-m-1", "rho-table-m-10-1",
-        "rho-table-empty", "sweep-mesh-empty", "sweep-n-sub-empty", "sweep-coeff-empty"])
+        "rho-table-empty", "sweep-mesh-empty", "sweep-n-sub-empty", "sweep-coeff-empty",
+        "sweep-mesh-m-1", "sweep-n-sub-0", "sweep-mesh-bad-int"])
 def test_usage_errors_stop_before_assembly(calls, identity_files, tmp_path, capsys, argv,
                                            message):
     mtx, rhs = identity_files

@@ -201,7 +201,7 @@ class TestCholesky:
             fac = cholesky(hilbert)
         except NotPositiveDefiniteError:
             return
-        err = np.linalg.norm(fac.reconstruct() - hilbert, "fro")
+        err = np.linalg.norm(fac.lower @ fac.lower.T - hilbert, "fro")
         assert err <= 1e-10 * np.linalg.norm(hilbert, "fro")
 
     def test_reconstruction_random_spd(self):
@@ -210,7 +210,7 @@ class TestCholesky:
             g = rng.standard_normal((n, n))
             s = g.T @ g + n * np.eye(n)
             fac = cholesky(s)
-            rel = np.linalg.norm(fac.reconstruct() - s, "fro") / np.linalg.norm(s, "fro")
+            rel = np.linalg.norm(fac.lower @ fac.lower.T - s, "fro") / np.linalg.norm(s, "fro")
             assert rel <= 1e-10
 
     def test_indefinite_raises_with_pivot(self):
@@ -246,18 +246,28 @@ def bandwidth(s, order):
 
 class TestBandedCholesky:
     def test_solves_match_dense_cholesky(self, cdr_assembled):
+        # the local blocks of a 2 x 2 grid and of strips, both factored in
+        # RCM order, and a tridiagonal matrix, factored in its own order;
+        # the solve runs in the factored order, so the test permutes
         assembled = cdr_assembled(12)
-        maps = build_partition(assembled.m_matrix, PartitionSpec(4, "grid", grid_shape=(2, 2)),
-                               coords=assembled.dof_coords)
-        s = local_blocks(assembled.m_matrix, maps.subdomains)
-        factor = banded_spd_factor(s)
-        dense = scipy.linalg.cho_factor(s.toarray())
+        cases = [(local_blocks(assembled.m_matrix, build_partition(
+                     assembled.m_matrix, spec, coords=coords).subdomains), True)
+                 for spec, coords in ((PartitionSpec(4, "grid", grid_shape=(2, 2)),
+                                       assembled.dof_coords),
+                                      (PartitionSpec(6, "strips"), None))]
+        cases.append((scipy.sparse.diags_array([-1.0, 4.0, -1.0], offsets=[-1, 0, 1],
+                                               shape=(50, 50), format="csr"), False))
         rng = np.random.default_rng(11)
-        for b in (rng.standard_normal(s.shape[0]), rng.standard_normal((s.shape[0], 3))):
-            want = scipy.linalg.cho_solve(dense, b)
-            got = factor.solve(b)
-            assert got.shape == b.shape
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        for s, reordered in cases:
+            factor = banded_spd_factor(s)
+            assert (factor.perm is not None) == reordered
+            perm = np.arange(s.shape[0]) if factor.perm is None else factor.perm
+            dense = scipy.linalg.cho_factor(s.toarray())
+            for b in (rng.standard_normal(s.shape[0]), rng.standard_normal((s.shape[0], 3))):
+                want = scipy.linalg.cho_solve(dense, b)
+                got = np.empty_like(b)
+                got[perm] = factor.solve_in_factored_order(np.asfortranarray(b[perm]))
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("count, layout, with_coords", [(6, "strips", False),
                                                            (3, "strips", True),
